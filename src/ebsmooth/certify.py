@@ -13,10 +13,9 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.stats import binomtest
 
 from .densities import beta_of
-from .stats import ConfidenceSpec, binom_lower_bound, std_normal_inv_cdf
+from .stats import ConfidenceSpec, binom_lower_bound, binom_test_half, std_normal_inv_cdf
 
 ABSTAIN = -1
 
@@ -62,13 +61,13 @@ def _tally(classifier, x, sigma, n, gen, chunk):
 def predict(classifier, x, sigma, spec, gen, chunk=_DEFAULT_CHUNK):
     """Smoothed prediction with an abstention guard.
 
-    Draws spec.n0 noisy samples and returns the top class if a two-sided
-    binomial test rejects that its success probability is 1/2 at level
-    spec.alpha (top count against all the rest); otherwise ABSTAIN.
+    Draws spec.n0 noisy samples and returns the top class if the two-sided
+    binomial test at p = 1/2 (stats.binom_test_half, top count against all
+    the rest) rejects at level spec.alpha; otherwise ABSTAIN.
     """
     counts = _tally(classifier, x, sigma, spec.n0, gen, chunk)
     top = int(np.argmax(counts))
-    pvalue = binomtest(int(counts[top]), int(spec.n0), 0.5).pvalue
+    pvalue = binom_test_half(counts[top], spec.n0)
     return top if pvalue <= spec.alpha else ABSTAIN
 
 

@@ -141,6 +141,9 @@ class SoftClassifier:
     def predict_class(self, x):
         xb, single = _as_batch(x, self.dim)
         p, _ = self._forward(xb)
+        # argmax of NaN probabilities is 0, which would count as a vote
+        if not np.all(np.isfinite(p)):
+            raise FloatingPointError("classifier probabilities are not finite")
         out = np.argmax(p, axis=1).astype(np.int64)
         return int(out[0]) if single else out
 
@@ -224,7 +227,11 @@ class EbClassifier:
 
     def predict_class(self, x):
         xb, single = _as_batch(x, self.dim)
-        out = self.base.predict_class(self.estimate(xb))
+        xhat = self.estimate(xb)
+        # a NaN point falls on one side of every comparison, so it would vote
+        if not np.all(np.isfinite(xhat)):
+            raise FloatingPointError("denoised points are not finite")
+        out = self.base.predict_class(xhat)
         return int(out[0]) if single else out
 
 

@@ -1,10 +1,14 @@
 """Statistical primitives used by certification.
 
-Three things live here: a high-accuracy standard-normal quantile function (the
+Four things live here: a high-accuracy standard-normal quantile function (the
 certified radius is linear in it, so it carries the whole error budget), the
-one-sided Clopper-Pearson lower confidence bound for binomial proportions, and
-keyed deterministic random streams so that per-point noise is reproducible
-regardless of how work is scheduled across processes.
+one-sided Clopper-Pearson lower confidence bound for binomial proportions, the
+closed-form two-sided binomial test at p = 1/2 behind prediction's abstain
+rule, and keyed deterministic random streams so that per-point noise is
+reproducible regardless of how work is scheduled across processes.
+
+Only scipy.special is used: scipy.stats costs most of a second to import, and
+every CLI command is a fresh process.
 """
 
 from __future__ import annotations
@@ -17,6 +21,12 @@ from scipy import special
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 _MASK64 = (1 << 64) - 1
+# Relative slack the Clopper-Pearson bound keeps below alpha in its tail.
+# scipy.special.betainc's relative error, measured against 40-digit direct
+# summation of the binomial tail at n <= 1e6 and alpha in [1e-9, 0.3], stays
+# below 6.3e-13 (it grows slowly with n), so a computed tail of at most
+# alpha * (1 - _TAIL_SLACK) is an exact tail of at most alpha.
+_TAIL_SLACK = 4e-12
 
 # Rational minimax coefficients for the initial normal-quantile guess
 # (AS 241 / PPND16 style, central and two tail branches, highest degree first).
@@ -170,10 +180,16 @@ def std_normal_inv_cdf(p):
 def binom_lower_bound(k, n, alpha):
     """One-sided Clopper-Pearson lower confidence bound on a binomial proportion.
 
-    Returns the p such that observing >= k successes in n trials has
-    probability exactly alpha under Binomial(n, p); this is the largest p
-    ruled out at level alpha from below.  k = 0 gives 0.  Bisection on the
-    upper-tail function runs 60 halvings, well past 1e-10 absolute tolerance.
+    The exact bound is the p at which observing >= k successes in n trials
+    has probability exactly alpha under Binomial(n, p), i.e. the alpha
+    quantile of Beta(k, n - k + 1).  k = 0 gives 0.  The result is rounded
+    down, never above the exact bound: it is the largest double whose tail,
+    as scipy.special.betainc computes it, is at most alpha * (1 - 4e-12),
+    which covers betainc's own error.  Below the Beta mode that lowers p by
+    at most 4e-12 of its value.
+    The quantile comes from scipy.special.betaincinv, polished with one
+    Newton step on the tail, then stepped down one ulp at a time while the
+    tail is still too large.
 
     k may be an int or an integer array (vectorized over k).
     """
@@ -186,18 +202,41 @@ def binom_lower_bound(k, n, alpha):
     if np.any(karr < 0) or np.any(karr > n):
         raise ValueError("k must satisfy 0 <= k <= n")
 
-    kf = np.where(karr == 0, 1, karr).astype(float)  # placeholder, masked below
-    lo = np.zeros(karr.shape, dtype=float)
-    hi = np.ones(karr.shape, dtype=float)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        # P[Bin(n, p) >= k] = I_p(k, n - k + 1), increasing in p.
-        tail = special.betainc(kf, n - kf + 1.0, mid)
-        below = tail < alpha
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    out = np.where(karr == 0, 0.0, 0.5 * (lo + hi))
+    a = np.where(karr == 0, 1, karr).astype(float)  # placeholder, masked below
+    b = n - a + 1.0
+    target = alpha * (1.0 - _TAIL_SLACK)
+    p = special.betaincinv(a, b, target)
+    # betaincinv can miss by hundreds of ulp near k = n/2, so take one Newton
+    # step on the tail P[Bin(n, p) >= k] = I_p(k, n - k + 1), whose
+    # derivative in p is the Beta(a, b) density.
+    pdf = np.exp(special.xlogy(a - 1.0, p) + special.xlog1py(b - 1.0, -p)
+                 - special.betaln(a, b))
+    step = (special.betainc(a, b, p) - target) / np.where(pdf > 0.0, pdf, np.inf)
+    p = np.clip(p - step, 0.0, 1.0)
+    above = special.betainc(a, b, p) > target
+    while np.any(above):
+        p = np.where(above, np.nextafter(p, 0.0), p)
+        above = special.betainc(a, b, p) > target
+    out = np.where(karr == 0, 0.0, p)
     return float(out) if out.ndim == 0 else out
+
+
+def binom_test_half(k, n):
+    """Two-sided binomial test p-value of k successes in n trials at p = 1/2.
+
+    The null is symmetric, so the p-value is twice the upper tail at the
+    larger of k and n - k, capped at 1, and exactly 1 when 2k = n.  It is
+    the same test as scipy.stats.binomtest(k, n, 0.5).
+    """
+    k, n = int(k), int(n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 0 <= k <= n:
+        raise ValueError("k must satisfy 0 <= k <= n")
+    if 2 * k == n:
+        return 1.0
+    # bdtrc(m - 1, n, p) = P[Bin(n, p) >= m]
+    return min(1.0, 2.0 * float(special.bdtrc(max(k, n - k) - 1, n, 0.5)))
 
 
 def rng_stream(seed, stream_id):

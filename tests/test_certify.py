@@ -9,8 +9,9 @@ from ebsmooth.certify import (
     predict,
     rmax,
 )
-from ebsmooth.classifiers import EbClassifier, LinearClassifier
+from ebsmooth.classifiers import EbClassifier, LinearClassifier, SoftClassifier
 from ebsmooth.densities import IsoGaussian
+from ebsmooth.energy import EnergyNet
 from ebsmooth.stats import ConfidenceSpec, binom_lower_bound, rng_stream, std_normal_inv_cdf
 
 
@@ -201,3 +202,23 @@ class TestCertResult:
                 assert res.radius > 0.0 and res.pa_lower > 0.5
                 want = 1.0 * std_normal_inv_cdf(res.pa_lower)
                 assert abs(res.radius - want) < 1e-12
+
+
+class TestNonFiniteModels:
+    def test_nan_energy_never_certifies(self):
+        # NaN > 0 is False, so unguarded NaN denoised points would all vote
+        # class 0 and certify it with radius ~1.6
+        net = EnergyNet.init(2, (8,), 1.0, rng_stream(0, 1))
+        net.weights[0][:] = np.nan
+        c = EbClassifier(LinearClassifier(np.array([1.0, 0.0]), 0.0), net, sigma=1.0)
+        spec = ConfidenceSpec(alpha=0.001, n0=100, nc=10_000)
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+            certify(c, np.array([2.0, 0.0]), 1.0, spec, rng_stream(3, 0))
+
+    def test_nan_classifier_never_votes(self):
+        # argmax of NaN probabilities is class 0
+        soft = SoftClassifier.init(2, (8,), 3, rng_stream(0, 2))
+        soft.weights[-1][:] = np.nan
+        spec = ConfidenceSpec(alpha=0.001, n0=100, nc=1_000)
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+            predict(soft, np.zeros(2), 1.0, spec, rng_stream(4, 0))

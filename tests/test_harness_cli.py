@@ -96,6 +96,20 @@ class TestCliExitCodes:
         }})
         assert main(["gen-data", "-c", str(path)]) == 3
 
+    def test_nan_energy_is_2(self, tmp_path):
+        from ebsmooth.checkpoint import save_checkpoint
+        from ebsmooth.energy import EnergyNet
+        from ebsmooth.stats import rng_stream
+
+        net = EnergyNet.init(2, (8,), 1.0, rng_stream(0, 1))
+        net.weights[0][:] = np.nan
+        save_checkpoint(tmp_path / "nan.ckpt", net)
+        path = write_cfg(tmp_path, extra={
+            "estimator": {"kind": "energy", "path": str(tmp_path / "nan.ckpt")},
+        })
+        with np.errstate(invalid="ignore"):
+            assert main(["certify", "-c", str(path)]) == 2
+
     def test_success_is_0(self, tmp_path):
         path = write_cfg(tmp_path)
         assert main(["gen-data", "-c", str(path)]) == 0
