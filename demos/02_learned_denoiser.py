@@ -37,5 +37,5 @@ print(f"{'|y|':>6} {'mean |learned - beta*y|':>24}")
 for radius in [0.5, 1.0, 2.0, 3.0]:
     angles = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     ring = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    err = np.linalg.norm(net.estimate(ring) - beta * ring, axis=1)
+    err = np.linalg.norm(net.bayes_estimate(ring, net.sigma) - beta * ring, axis=1)
     print(f"{radius:6.1f} {err.mean():24.4f}")

@@ -20,6 +20,12 @@ from .stats import ConfidenceSpec, binom_lower_bound, binom_test_half, std_norma
 ABSTAIN = -1
 
 _DEFAULT_CHUNK = 10_000
+# Relative amount the certified radius is rounded toward zero.
+# scipy.special.ndtri is within 3 ulp (3 * 2**-52 = 6.7e-16 relative) of the
+# exact normal quantile, measured against a 60-digit root over p in
+# [1e-300, 1 - 1e-15]; sigma * z and the product with 1 - slack add one
+# rounding (2**-53) each.  2e-15 covers that 8.9e-16 twice over.
+_RADIUS_SLACK = 2e-15
 
 
 @dataclasses.dataclass(frozen=True)
@@ -28,8 +34,8 @@ class CertResult:
 
     predicted is ABSTAIN when the lower confidence bound on the top-class
     mass does not clear 1/2; then the radius is 0.  Otherwise the radius is
-    sigma * Phi^{-1}(pa_lower) > 0.  counts are the per-class tallies from
-    the estimation pass.
+    certified_radius(pa_lower, sigma) > 0.  counts are the per-class tallies
+    from the estimation pass.
     """
 
     predicted: int
@@ -87,8 +93,14 @@ def certify(classifier, x, sigma, spec, gen, est_gen=None, chunk=_DEFAULT_CHUNK)
     pa_lower = binom_lower_bound(hits, spec.nc, spec.alpha)
     if pa_lower <= 0.5:
         return CertResult(ABSTAIN, pa_lower, 0.0, est_counts, spec)
-    radius = sigma * std_normal_inv_cdf(pa_lower)
+    radius = certified_radius(pa_lower, sigma)
     return CertResult(candidate, pa_lower, radius, est_counts, spec)
+
+
+def certified_radius(pa_lower, sigma):
+    """sigma * Phi^{-1}(pa_lower), rounded down: never above the exact value
+    and within 3e-15 of it."""
+    return sigma * std_normal_inv_cdf(pa_lower) * (1.0 - _RADIUS_SLACK)
 
 
 def rmax(spec, sigma):

@@ -13,21 +13,10 @@ import dataclasses
 
 import numpy as np
 
-from .energy import EnergyNet
+from .densities import _as_batch, _unbatch
 from .mlp import init_affine_stack, sigmoid, softplus
 
 PROB_FLOOR = 1e-12  # probabilities are floored here before any log
-
-
-def _as_batch(x, dim):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        if x.shape[0] != dim:
-            raise ValueError(f"point has dimension {x.shape[0]}, expected {dim}")
-        return x[None, :], True
-    if x.ndim == 2 and x.shape[1] == dim:
-        return x, False
-    raise ValueError(f"expected points of dimension {dim}, got shape {x.shape}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,7 +125,7 @@ class SoftClassifier:
     def probs(self, x):
         xb, single = _as_batch(x, self.dim)
         p, _ = self._forward(xb)
-        return p[0] if single else p
+        return _unbatch(p, single)
 
     def predict_class(self, x):
         xb, single = _as_batch(x, self.dim)
@@ -153,7 +142,7 @@ class SoftClassifier:
         p, cache = self._forward(xb)
         dlogits = p[:, k][:, None] * (np.eye(self.n_classes)[k][None, :] - p)
         dx, _ = self._backward(cache, dlogits, want_params=False)
-        return dx[0] if single else dx
+        return _unbatch(dx, single)
 
     def copy(self):
         return SoftClassifier([w.copy() for w in self.weights],
@@ -163,27 +152,25 @@ class SoftClassifier:
 def apply_estimator(estimator, y, sigma):
     """Denoise y with whichever estimator is configured.
 
-    None means the identity (plain smoothing with no denoiser); an EnergyNet
-    uses its learned field; anything exposing bayes_estimate is treated as an
-    exact data model.
+    None means the identity (plain smoothing with no denoiser).  Anything else
+    is a smoothed density of Y = X + N(0, sigma^2 I), exact (IsoGaussian,
+    IsoMixture) or learned (EnergyNet), with the methods log_density_y,
+    smoothed_score, score_hvp and bayes_estimate, and y is mapped to its
+    Bayes estimate y + sigma^2 * grad log f_Y(y).
     """
     if estimator is None:
         return np.asarray(y, dtype=float)
-    if isinstance(estimator, EnergyNet):
-        return estimator.estimate(y)
     return estimator.bayes_estimate(y, sigma)
 
 
 def apply_estimator_vjp(estimator, y, u, sigma):
     """Transpose-Jacobian of the denoiser at y applied to u.
 
-    The Jacobian is I - sigma^2 * hessian(phi) for a learned energy and
-    I + sigma^2 * hessian(log f_Y) for an exact model; both are symmetric.
+    The Jacobian is I + sigma^2 * hessian(log f_Y), which is symmetric, so
+    this also serves as the forward Jacobian action.
     """
     if estimator is None:
         return np.asarray(u, dtype=float)
-    if isinstance(estimator, EnergyNet):
-        return estimator.estimate_vjp(y, u)
     return np.asarray(u, dtype=float) + sigma**2 * estimator.score_hvp(y, u, sigma)
 
 
@@ -191,10 +178,10 @@ def apply_estimator_vjp(estimator, y, u, sigma):
 class EbClassifier:
     """Base classifier composed with a denoiser, plus its smoothed soft view.
 
-    `estimator` is an EnergyNet, an exact data model, or None for the
-    identity.  `sigma` is the smoothing noise scale, which must equal the
-    scale the denoiser was built for.  `m` is the Monte-Carlo sample count
-    used by the soft probabilities.
+    `estimator` is a smoothed density (an exact data model or an EnergyNet;
+    see apply_estimator) or None for the identity.  `sigma` is the smoothing
+    noise scale; a learned energy accepts only the scale it was trained at.
+    `m` is the Monte-Carlo sample count used by the soft probabilities.
     """
 
     base: object
@@ -207,12 +194,8 @@ class EbClassifier:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-        if isinstance(self.estimator, EnergyNet):
-            if not np.isclose(self.estimator.sigma, self.sigma, rtol=0.0, atol=1e-12):
-                raise ValueError(
-                    f"energy trained for sigma={self.estimator.sigma} but the "
-                    f"classifier smooths at sigma={self.sigma}"
-                )
+        # denoising no points still runs the estimator's scale check
+        apply_estimator(self.estimator, np.zeros((0, self.dim)), self.sigma)
 
     @property
     def dim(self):
@@ -227,7 +210,9 @@ class EbClassifier:
 
     def predict_class(self, x):
         xb, single = _as_batch(x, self.dim)
-        xhat = self.estimate(xb)
+        # NaN arithmetic need not warn: the result is checked right below
+        with np.errstate(invalid="ignore"):
+            xhat = self.estimate(xb)
         # a NaN point falls on one side of every comparison, so it would vote
         if not np.all(np.isfinite(xhat)):
             raise FloatingPointError("denoised points are not finite")

@@ -13,6 +13,9 @@ module carries, all in closed form:
                              (the denoising loss differentiates through the
                              gradient, i.e. double backpropagation).
 
+Read as phi = -log f_Y, the net also implements the smoothed-density protocol
+of the exact models in densities.py, so every consumer treats the two alike.
+
 Softplus is used throughout because the chain rule through the denoiser needs
 a continuous second derivative; piecewise-linear activations would make the
 Hessian-vector products above undefined.
@@ -24,6 +27,7 @@ import dataclasses
 
 import numpy as np
 
+from .densities import _as_batch, _unbatch
 from .mlp import Adam, init_affine_stack, schedule_lr, sigmoid, softplus
 from .stats import rng_stream
 
@@ -36,23 +40,13 @@ class TrainingDivergedError(RuntimeError):
         self.step = step
 
 
-def _as_batch(y, dim):
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        if y.shape[0] != dim:
-            raise ValueError(f"point has dimension {y.shape[0]}, expected {dim}")
-        return y[None, :], True
-    if y.ndim == 2 and y.shape[1] == dim:
-        return y, False
-    raise ValueError(f"expected points of dimension {dim}, got shape {y.shape}")
-
-
 class EnergyNet:
     """Fully-connected scalar field with softplus hidden layers.
 
     Parameters are the hidden affine stack plus a linear readout.  `sigma`
-    records the noise scale this energy was fit for; consumers that compose
-    it into a denoiser must use the same scale.
+    records the noise scale this energy was fit for; the smoothed-density
+    methods (log_density_y, smoothed_score, score_hvp, bayes_estimate) raise
+    ValueError at any other scale.
     """
 
     def __init__(self, weights, biases, out_w, out_b, sigma):
@@ -114,14 +108,12 @@ class EnergyNet:
         """Exact gradient of the energy with respect to its input."""
         yb, single = _as_batch(y, self.dim)
         if not self.weights:
-            g = np.broadcast_to(self.out_w, yb.shape).copy()
-            return g[0] if single else g
+            return _unbatch(np.broadcast_to(self.out_w, yb.shape).copy(), single)
         _, acts = self._hidden_forward(yb)
         d = self.out_w[None, :] * sigmoid(acts[-1])
         for i in range(len(self.weights) - 2, -1, -1):
             d = (d @ self.weights[i + 1].T) * sigmoid(acts[i])
-        g = d @ self.weights[0].T
-        return g[0] if single else g
+        return _unbatch(d @ self.weights[0].T, single)
 
     # -- gradient-dot machinery --------------------------------------------
     #
@@ -177,26 +169,40 @@ class EnergyNet:
             raise ValueError("y and v must have matching shapes")
         _, cache = self._gdot_forward(yb, vb)
         _, _, _, ygrad = self._gdot_backward(cache, want_params=False, want_input=True)
-        return ygrad[0] if single else ygrad
+        return _unbatch(ygrad, single)
 
-    # -- denoiser view ------------------------------------------------------
+    # -- smoothed-density protocol -----------------------------------------
+    #
+    # The energy is phi = -log f_Y at the trained scale, so the interface the
+    # exact data models in densities.py implement is a sign flip of the
+    # primitives above.  Only the trained scale is accepted.
 
-    def estimate(self, y):
+    def _check_scale(self, sigma):
+        if not abs(self.sigma - sigma) <= 1e-12:  # a NaN scale fails too
+            raise ValueError(
+                f"energy trained for sigma={self.sigma}, requested sigma={sigma}"
+            )
+
+    def log_density_y(self, y, sigma):
+        """-phi(y): the log density of Y up to an unknown constant."""
+        self._check_scale(sigma)
+        return -self.energy(y)
+
+    def smoothed_score(self, y, sigma):
+        """-grad phi(y): the learned score of Y."""
+        self._check_scale(sigma)
+        return -self.input_grad(y)
+
+    def score_hvp(self, y, v, sigma):
+        """-hessian(phi)(y) v: the learned score's Jacobian applied to v."""
+        self._check_scale(sigma)
+        return -self.input_hvp(y, v)
+
+    def bayes_estimate(self, y, sigma):
         """Denoised point y - sigma^2 * grad phi(y) at the trained scale."""
+        self._check_scale(sigma)
         yb, single = _as_batch(y, self.dim)
-        out = yb - self.sigma**2 * self.input_grad(yb)
-        return out[0] if single else out
-
-    def estimate_vjp(self, y, u):
-        """Transpose-Jacobian of the denoiser applied to u.
-
-        The Jacobian is I - sigma^2 * hessian(phi), symmetric, so this also
-        serves as the forward Jacobian action.
-        """
-        yb, single = _as_batch(y, self.dim)
-        ub, _ = _as_batch(u, self.dim)
-        out = ub - self.sigma**2 * self.input_hvp(yb, ub)
-        return out[0] if single else out
+        return _unbatch(yb - self.sigma**2 * self.input_grad(yb), single)
 
     def copy(self):
         return EnergyNet(
@@ -301,5 +307,5 @@ def denoise_eval_loss(net, data, sigma, gen):
     """Denoising loss on held-out points with fresh noise."""
     data = np.asarray(data, dtype=float)
     y = data + sigma * gen.standard_normal(data.shape)
-    xhat = net.estimate(y)
+    xhat = net.bayes_estimate(y, net.sigma)
     return float(np.mean(np.sum((xhat - data) ** 2, axis=1)))

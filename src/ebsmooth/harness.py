@@ -99,16 +99,27 @@ def resolve_data_model(cfg):
     return IsoMixture(means=means, sigma0=ds.sigma0)
 
 
+def load_energy(path, sigma, key):
+    """The EnergyNet checkpoint at `path`, named by config key `key`, checked
+    to have been trained at the noise scale `sigma` it is about to be used at."""
+    net = load_checkpoint(path)
+    if not isinstance(net, EnergyNet):
+        raise ConfigError(f"{key} {path} is not an energy checkpoint")
+    try:
+        # denoising no points runs only the energy's scale check
+        net.bayes_estimate(np.zeros((0, net.dim)), sigma)
+    except ValueError as exc:
+        raise ConfigError(f"{key} {path}: {exc}") from None
+    return net
+
+
 def resolve_estimator(cfg):
     """None (identity), an EnergyNet checkpoint, or the closed-form model."""
     est = cfg.estimator
     if est.kind == "identity":
         return None
     if est.kind == "energy":
-        net = load_checkpoint(est.path)
-        if not isinstance(net, EnergyNet):
-            raise ConfigError(f"estimator.path {est.path} is not an energy checkpoint")
-        return net
+        return load_energy(est.path, cfg.sigma, "estimator.path")
     return resolve_data_model(cfg)
 
 
@@ -384,10 +395,11 @@ def run_walk_jump(cfg, raw_config, command):
     wj = cfg.walk_jump
     walk_cfg = WalkJumpConfig(wj.sigma_prime, wj.delta, wj.tau)
     if cfg.estimator.kind == "energy":
-        coarse = load_checkpoint(cfg.estimator.path)
+        coarse = load_energy(cfg.estimator.path, cfg.sigma, "estimator.path")
         if wj.fine_energy_path is None:
             raise ConfigError("walk_jump.fine_energy_path is required with energy sources")
-        fine = load_checkpoint(wj.fine_energy_path)
+        fine = load_energy(wj.fine_energy_path, wj.sigma_prime,
+                           "walk_jump.fine_energy_path")
         model = resolve_data_model(cfg)
     else:
         model = resolve_data_model(cfg)

@@ -9,9 +9,9 @@ remove.  The jump is one application of the denoiser at the fine scale.  The
 composed pipeline denoises a coarse-noise observation, walks at the fine
 scale, and jumps.
 
-Energy sources are either an EnergyNet (its trained scale must match the
-requested one) or an exact data model, whose energy is the negative log
-density of its noisy version at the given scale.
+An energy source is any smoothed density (see classifiers.apply_estimator):
+its energy at scale sigma is the negative log density of its noisy version.
+An exact data model accepts every scale; an EnergyNet only its trained one.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-
-from .energy import EnergyNet
 
 
 @dataclasses.dataclass(frozen=True)
@@ -41,27 +39,14 @@ class WalkJumpConfig:
 
 
 def energy_value(source, y, sigma):
-    """Scalar energy of the source at scale sigma (negative log density for
-    exact models, up to their normalizer)."""
-    if isinstance(source, EnergyNet):
-        _check_scale(source, sigma)
-        return source.energy(y)
+    """Scalar energy -log f_Y(y) of the source at scale sigma (a learned
+    energy knows it only up to an additive constant)."""
     return -source.log_density_y(y, sigma)
 
 
 def energy_grad(source, y, sigma):
-    """Gradient of the energy at scale sigma."""
-    if isinstance(source, EnergyNet):
-        _check_scale(source, sigma)
-        return source.input_grad(y)
+    """Gradient of the energy at scale sigma: minus the smoothed score."""
     return -source.smoothed_score(y, sigma)
-
-
-def _check_scale(net, sigma):
-    if not np.isclose(net.sigma, sigma, rtol=0.0, atol=1e-12):
-        raise ValueError(
-            f"energy was trained for sigma={net.sigma}, requested sigma={sigma}"
-        )
 
 
 def langevin_walk(source, y0, cfg, gen, return_trajectory=False):

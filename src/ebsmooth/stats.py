@@ -1,7 +1,7 @@
 """Statistical primitives used by certification.
 
-Four things live here: a high-accuracy standard-normal quantile function (the
-certified radius is linear in it, so it carries the whole error budget), the
+Four things live here: the standard-normal quantile function (the certified
+radius is linear in it, so it carries the whole error budget), the
 one-sided Clopper-Pearson lower confidence bound for binomial proportions, the
 closed-form two-sided binomial test at p = 1/2 behind prediction's abstain
 rule, and keyed deterministic random streams so that per-point noise is
@@ -27,70 +27,6 @@ _MASK64 = (1 << 64) - 1
 # below 6.3e-13 (it grows slowly with n), so a computed tail of at most
 # alpha * (1 - _TAIL_SLACK) is an exact tail of at most alpha.
 _TAIL_SLACK = 4e-12
-
-# Rational minimax coefficients for the initial normal-quantile guess
-# (AS 241 / PPND16 style, central and two tail branches, highest degree first).
-# The guess is then polished with Newton steps against the erfc-based CDF, so
-# final accuracy does not rest on these constants alone.
-_CENTRAL_NUM = (
-    2.5090809287301226727e3,
-    3.3430575583588128105e4,
-    6.7265770927008700853e4,
-    4.5921953931549871457e4,
-    1.3731693765509461125e4,
-    1.9715909503065514427e3,
-    1.3314166789178437745e2,
-    3.3871328727963666080e0,
-)
-_CENTRAL_DEN = (
-    5.2264952788528545610e3,
-    2.8729085735721942674e4,
-    3.9307895800092710610e4,
-    2.1213794301586595867e4,
-    5.3941960214247511077e3,
-    6.8718700749205790830e2,
-    4.2313330701600911252e1,
-    1.0,
-)
-_TAIL_NUM = (
-    7.74545014278341407640e-4,
-    2.27238449892691845833e-2,
-    2.41780725177450611770e-1,
-    1.27045825245236838258e0,
-    3.64784832476320460504e0,
-    5.76949722146069140550e0,
-    4.63033784615654529590e0,
-    1.42343711074968357734e0,
-)
-_TAIL_DEN = (
-    1.05075007164441684324e-9,
-    5.47593808499534494600e-4,
-    1.51986665636164571966e-2,
-    1.48103976427480074590e-1,
-    6.89767334985100004550e-1,
-    1.67638483018380384940e0,
-    2.05319162663775882187e0,
-    1.0,
-)
-_FAR_NUM = (
-    2.01033439929228813265e-7,
-    2.71155556874348757815e-5,
-    1.24266094738807843860e-3,
-    2.65321895265761230930e-2,
-    2.96560571828504891230e-1,
-    1.78482653991729133580e0,
-    5.46378491116411436990e0,
-    6.65790464350110377720e0,
-)
-_FAR_DEN = (
-    1.42151175831644588870e-7,
-    1.84631831751005468180e-5,
-    7.86869131145613259100e-4,
-    1.48753612908506148525e-2,
-    1.36929880922735805310e-1,
-    5.99832206555887937690e-1,
-    1.0,
-)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,35 +64,6 @@ def std_normal_cdf(z):
     return float(out) if out.ndim == 0 else out
 
 
-def _upper_tail_quantile(q):
-    """z >= 0 with upper-tail mass q, for q in (0, 0.5]. Vectorized."""
-    q = np.asarray(q, dtype=float)
-    central = q >= 0.075
-
-    # Central branch works on the offset from 1/2.
-    qc = q - 0.5
-    r_c = 0.180625 - qc * qc
-    z_central = -qc * np.polyval(_CENTRAL_NUM, r_c) / np.polyval(_CENTRAL_DEN, r_c)
-
-    # Tail branches work on sqrt(-log q).
-    q_safe = np.where(central, 0.25, q)
-    r_t = np.sqrt(-np.log(q_safe))
-    near = r_t <= 5.0
-    z_near = np.polyval(_TAIL_NUM, r_t - 1.6) / np.polyval(_TAIL_DEN, r_t - 1.6)
-    z_far = np.polyval(_FAR_NUM, r_t - 5.0) / np.polyval(_FAR_DEN, r_t - 5.0)
-    z = np.where(central, z_central, np.where(near, z_near, z_far))
-
-    # Newton polish on Q(z) = q with Q(z) = erfc(z/sqrt(2))/2.  Q' = -pdf, so
-    # z <- z + (Q(z) - q)/pdf(z).  Skipped where the pdf underflows (q below
-    # ~1e-300); there the rational guess already carries full double accuracy.
-    for _ in range(3):
-        tail = 0.5 * special.erfc(z / _SQRT2)
-        pdf = np.exp(-0.5 * z * z) * _INV_SQRT_2PI
-        step = np.where(pdf > 0.0, (tail - q) / np.where(pdf > 0.0, pdf, 1.0), 0.0)
-        z = z + step
-    return z
-
-
 def std_normal_inv_cdf(p):
     """Inverse standard normal CDF.
 
@@ -172,7 +79,8 @@ def std_normal_inv_cdf(p):
     # 1 - p is exact in floating point for p >= 0.5, so both halves see the
     # same tail mass and the result is antisymmetric by construction.
     q = np.where(arr <= 0.5, arr, 1.0 - arr)
-    z = _upper_tail_quantile(q)
+    # z >= 0 with upper-tail mass q; 0.0 - x rather than -x keeps z(0.5) = +0.0
+    z = 0.0 - special.ndtri(q)
     out = np.where(arr < 0.5, -z, z)
     return float(out) if out.ndim == 0 else out
 

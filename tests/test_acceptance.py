@@ -148,7 +148,7 @@ def test_criterion_05_learned_estimator_matches_closed_form():
     pts = gen.uniform(-3, 3, size=(4000, 2))
     pts = pts[np.linalg.norm(pts, axis=1) <= 3.0][:1000]
     beta = beta_of(1.0, 1.0)
-    err = np.linalg.norm(net.estimate(pts) - beta * pts, axis=1)
+    err = np.linalg.norm(net.bayes_estimate(pts, net.sigma) - beta * pts, axis=1)
     normalized = err / (1.0 + np.linalg.norm(pts, axis=1))
     ok = float(normalized.mean()) <= 0.05
     report(5, ok, f"mean |learned - closed form| / (1 + |y|) = "

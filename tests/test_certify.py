@@ -3,6 +3,7 @@ import pytest
 
 from ebsmooth.certify import (
     ABSTAIN,
+    certified_radius,
     certify,
     linear_gaussian_oracle,
     linear_margin,
@@ -222,3 +223,25 @@ class TestNonFiniteModels:
         spec = ConfidenceSpec(alpha=0.001, n0=100, nc=1_000)
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
             predict(soft, np.zeros(2), 1.0, spec, rng_stream(4, 0))
+
+
+class TestCertifiedRadius:
+    def test_never_above_exact_radius(self):
+        # exact Phi(radius / sigma) <= pa_lower, and the rounding costs at
+        # most 5e-15 of the radius
+        mpmath = pytest.importorskip("mpmath")
+        budgets = [alpha ** (1.0 / nc) for alpha in (1e-3, 1e-2, 0.05)
+                   for nc in (100, 1_000, 10_000, 100_000, 1_000_000)]
+        bounds = binom_lower_bound(np.arange(510, 1001, 5), 1_000, 1e-3)
+        spread = rng_stream(11, 0).uniform(0.5, 1.0, 300)
+        dyadic = np.concatenate([0.5 + 2.0 ** -np.arange(2, 53),
+                                 1.0 - 2.0 ** -np.arange(2, 53)])
+        pas = np.concatenate([budgets, bounds, spread, dyadic])
+        with mpmath.workdps(40):
+            for sigma in (0.12, 0.5, 1.0, 3.7):
+                for pa in pas[pas > 0.5]:
+                    r = certified_radius(pa, sigma)
+                    z = mpmath.mpf(r) / mpmath.mpf(sigma)
+                    assert mpmath.ncdf(z) <= mpmath.mpf(pa), (pa, sigma)
+                    above = z * (1 + mpmath.mpf(5e-15))
+                    assert mpmath.ncdf(above) > mpmath.mpf(pa), (pa, sigma)

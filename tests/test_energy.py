@@ -161,7 +161,7 @@ class TestTraining:
         net = train_energy(data, cfg)
         gen = rng_stream(21, 1)
         ys = gen.standard_normal((400, 2)) * 1.2
-        err = np.linalg.norm(net.estimate(ys) - 0.5 * ys, axis=1)
+        err = np.linalg.norm(net.bayes_estimate(ys, net.sigma) - 0.5 * ys, axis=1)
         scale = 1.0 + np.linalg.norm(ys, axis=1)
         assert np.mean(err / scale) < 0.1
 
@@ -173,7 +173,7 @@ class TestTraining:
         net = train_energy(data, cfg)
         gen = rng_stream(22, 0)
         ys = x0[None, :] + 0.5 * gen.standard_normal((200, 2))
-        err = np.linalg.norm(net.estimate(ys) - x0[None, :], axis=1)
+        err = np.linalg.norm(net.bayes_estimate(ys, net.sigma) - x0[None, :], axis=1)
         assert err.mean() <= 0.1
 
     def test_heldout_loss_trend_nonincreasing(self):

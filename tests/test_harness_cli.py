@@ -1,5 +1,10 @@
 import json
+import os
+import pathlib
 import struct
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +13,12 @@ from ebsmooth.cli import main
 from ebsmooth.config import ConfigError, config_from_dict, load_config
 from ebsmooth.harness import certified_accuracy_at, certify_points
 from ebsmooth.certify import CertResult
-from ebsmooth.classifiers import LinearClassifier
-from ebsmooth.stats import ConfidenceSpec
+from ebsmooth.checkpoint import save_checkpoint
+from ebsmooth.classifiers import LinearClassifier, SoftClassifier
+from ebsmooth.energy import EnergyNet
+from ebsmooth.stats import ConfidenceSpec, rng_stream
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def write_cfg(tmp_path, extra=None, name="cfg.json"):
@@ -107,8 +116,10 @@ class TestCliExitCodes:
         path = write_cfg(tmp_path, extra={
             "estimator": {"kind": "energy", "path": str(tmp_path / "nan.ckpt")},
         })
-        with np.errstate(invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(["certify", "-c", str(path)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_success_is_0(self, tmp_path):
         path = write_cfg(tmp_path)
@@ -291,3 +302,47 @@ class TestParallelCertifyHelpers:
             assert a.predicted == b.predicted
             assert a.pa_lower == b.pa_lower
             assert a.radius == b.radius
+
+
+class TestCheckpointMisuse:
+    """An energy checkpoint of the wrong kind or noise scale is a config error
+    (exit 1, one line on stderr), not a traceback."""
+
+    @staticmethod
+    def _energy(tmp_path, name, sigma):
+        path = tmp_path / name
+        save_checkpoint(path, EnergyNet.init(2, (8,), sigma, rng_stream(0, 1)))
+        return str(path)
+
+    @staticmethod
+    def _assert_config_error(args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-m", "ebsmooth", *args], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 1, out.stderr
+        assert out.stderr.startswith("config error:"), out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_classifier_as_fine_energy(self, tmp_path):
+        clf = tmp_path / "clf.ckpt"
+        save_checkpoint(clf, SoftClassifier.init(2, (4,), 2, rng_stream(0, 2)))
+        path = write_cfg(tmp_path, extra={
+            "estimator": {"kind": "energy", "path": self._energy(tmp_path, "c.ckpt", 1.0)},
+            "walk_jump": {"n_samples": 2, "tau": 2, "fine_energy_path": str(clf)},
+        })
+        self._assert_config_error(["walk-jump", "-c", str(path)])
+
+    def test_fine_energy_at_wrong_scale(self, tmp_path):
+        path = write_cfg(tmp_path, extra={
+            "estimator": {"kind": "energy", "path": self._energy(tmp_path, "c.ckpt", 1.0)},
+            "walk_jump": {"n_samples": 2, "tau": 2, "sigma_prime": 0.05,
+                          "fine_energy_path": self._energy(tmp_path, "f.ckpt", 0.3)},
+        })
+        self._assert_config_error(["walk-jump", "-c", str(path)])
+
+    def test_certify_energy_at_wrong_scale(self, tmp_path):
+        path = write_cfg(tmp_path, extra={
+            "estimator": {"kind": "energy", "path": self._energy(tmp_path, "e.ckpt", 0.3)},
+        })
+        self._assert_config_error(["certify", "-c", str(path), "--sigma", "0.5"])

@@ -1,0 +1,79 @@
+"""The smoothed-density protocol every denoiser implements.
+
+IsoGaussian and IsoMixture know the density of Y = X + N(0, sigma^2 I) in
+closed form; an EnergyNet learns phi = -log f_Y at one scale.  Consumers
+(apply_estimator, the sampler) rely only on the four methods checked here.
+"""
+
+import numpy as np
+import pytest
+
+from ebsmooth.densities import IsoGaussian, IsoMixture
+from ebsmooth.energy import EnergyNet
+from ebsmooth.stats import rng_stream
+
+SIGMA = 0.6
+MODELS = {
+    "gaussian": lambda: IsoGaussian(sigma0=0.8, dim=3, mean=np.array([0.5, -1.0, 0.2])),
+    "mixture": lambda: IsoMixture(
+        means=np.array([[1.0, 0.0, -1.0], [-0.5, 1.0, 0.5], [0.0, 0.0, 2.0]]),
+        sigma0=0.7, weights=np.array([0.2, 0.5, 0.3])),
+    "energy": lambda: EnergyNet.init(3, (8, 6), SIGMA, rng_stream(0, 7)),
+}
+
+
+@pytest.fixture(params=sorted(MODELS))
+def model(request):
+    return MODELS[request.param]()
+
+
+def _points(n=6, seed=1):
+    return 1.5 * rng_stream(seed, 0).standard_normal((n, 3))
+
+
+def test_bayes_estimate_is_y_plus_sigma2_score(model):
+    ys = _points()
+    want = ys + SIGMA**2 * model.smoothed_score(ys, SIGMA)
+    np.testing.assert_allclose(model.bayes_estimate(ys, SIGMA), want, rtol=0, atol=1e-14)
+
+
+def test_score_matches_finite_differences_of_log_density(model):
+    h = 1e-5
+    for y in _points():
+        fd = np.array([
+            (model.log_density_y(y + h * e, SIGMA) - model.log_density_y(y - h * e, SIGMA))
+            / (2 * h) for e in np.eye(3)
+        ])
+        np.testing.assert_allclose(model.smoothed_score(y, SIGMA), fd, rtol=0, atol=1e-7)
+
+
+def test_score_hvp_is_symmetric(model):
+    ys, us, vs = _points(seed=1), _points(seed=2), _points(seed=3)
+    uhv = np.sum(us * model.score_hvp(ys, vs, SIGMA), axis=1)
+    vhu = np.sum(vs * model.score_hvp(ys, us, SIGMA), axis=1)
+    np.testing.assert_allclose(uhv, vhu, rtol=1e-12, atol=1e-14)
+
+
+def test_single_point_matches_batch_row(model):
+    ys, vs = _points(seed=4), _points(seed=5)
+    batch = [model.log_density_y(ys, SIGMA), model.smoothed_score(ys, SIGMA),
+             model.score_hvp(ys, vs, SIGMA), model.bayes_estimate(ys, SIGMA)]
+    assert [np.shape(b) for b in batch] == [(6,), (6, 3), (6, 3), (6, 3)]
+    for i in range(len(ys)):
+        single = [model.log_density_y(ys[i], SIGMA), model.smoothed_score(ys[i], SIGMA),
+                  model.score_hvp(ys[i], vs[i], SIGMA), model.bayes_estimate(ys[i], SIGMA)]
+        assert [np.shape(s) for s in single] == [(), (3,), (3,), (3,)]
+        for got, rows in zip(single, batch):
+            np.testing.assert_allclose(got, rows[i], rtol=1e-14, atol=1e-14)
+
+
+def test_scale_mismatch(model):
+    y, v = _points(n=1)[0], _points(n=1, seed=2)[0]
+    calls = [lambda s: model.log_density_y(y, s), lambda s: model.smoothed_score(y, s),
+             lambda s: model.score_hvp(y, v, s), lambda s: model.bayes_estimate(y, s)]
+    for call in calls:
+        if isinstance(model, EnergyNet):
+            with pytest.raises(ValueError):
+                call(SIGMA + 1e-9)
+        else:
+            assert np.all(np.isfinite(call(SIGMA + 0.3)))
