@@ -21,7 +21,6 @@ from .classifiers import (
     EbClassifier,
     LinearClassifier,
     SoftClassifier,
-    classify_hard,
     grad_log_pi,
     soft_pi,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "beta_of",
     "binom_lower_bound",
     "certify",
-    "classify_hard",
     "gen_dataset",
     "grad_log_pi",
     "gradient_flow",

@@ -6,7 +6,9 @@ inner maximization is projected gradient ascent on the negative
 log-probability of the true class.  Noise is drawn once per example per step
 and reused across all attack iterations and the final parameter-gradient
 evaluation (common random numbers), which makes the inner problem a
-deterministic optimization and the whole step reproducible.
+deterministic optimization and the whole step reproducible.  Each iterate's
+loss comes from the same forward pass as its gradient; only the last iterate,
+which takes no further step, is evaluated on its own.
 
 Modes: "adversarial" runs the full loop; "no_attack" trains on clean points
 (attack budget treated as zero); "no_estimator" keeps the attack but replaces
@@ -22,13 +24,7 @@ import dataclasses
 
 import numpy as np
 
-from .classifiers import (
-    PROB_FLOOR,
-    EbClassifier,
-    SoftClassifier,
-    _grad_log_pi_batch,
-    _pi_batch,
-)
+from .classifiers import PROB_FLOOR, EbClassifier, SoftClassifier, _neg_log_pi, _pi_batch
 from .energy import TrainingDivergedError
 from .mlp import Adam, schedule_lr
 from .stats import rng_stream
@@ -79,14 +75,6 @@ class PgdResult:
     aborted: bool
 
 
-def _neg_log_pi_values(c, xs, ks, noise):
-    """-log Pi_k per example with fixed noise, probabilities floored."""
-    bsz = xs.shape[0]
-    pis, _, _, _ = _pi_batch(c, xs, noise)
-    pik = np.maximum(pis[np.arange(bsz), ks], PROB_FLOOR)
-    return -np.log(pik), pis
-
-
 def _pgd_batch(c, xs, ks, spec, noise):
     """Projected gradient ascent on -log Pi_k for a whole batch at once.
 
@@ -97,18 +85,17 @@ def _pgd_batch(c, xs, ks, spec, noise):
     at their best iterate and flagged.
     """
     xs = np.asarray(xs, dtype=float)
-    f0, _ = _neg_log_pi_values(c, xs, ks, noise)
     if spec.epsilon == 0.0:
+        f0, _ = _neg_log_pi(c, xs, ks, noise)
         return xs.copy(), f0.copy(), f0, np.zeros(len(xs), dtype=bool)
 
     eta = spec.resolved_step_size()
+    f0, ascent = _neg_log_pi(c, xs, ks, noise, grad=True)
     best_f = f0.copy()
     best_z = xs.copy()
     aborted = np.zeros(len(xs), dtype=bool)
     z = xs.copy()
-    for _ in range(spec.steps):
-        glp, _, _ = _grad_log_pi_batch(c, z, ks, noise)
-        ascent = -glp  # gradient of -log Pi
+    for step in range(spec.steps):
         norms = np.linalg.norm(ascent, axis=1)
         bad = ~np.isfinite(norms)
         aborted |= bad
@@ -122,7 +109,8 @@ def _pgd_batch(c, xs, ks, spec, noise):
         if np.any(over):
             delta[over] *= (spec.epsilon / dnorm[over])[:, None]
             z = xs + delta
-        f, _ = _neg_log_pi_values(c, z, ks, noise)
+        # the last iterate takes no step, so it needs no gradient
+        f, ascent = _neg_log_pi(c, z, ks, noise, grad=step < spec.steps - 1)
         improved = ~aborted & np.isfinite(f) & (f > best_f)
         best_f = np.where(improved, f, best_f)
         best_z[improved] = z[improved]
@@ -225,11 +213,11 @@ def train_xhat(points, labels, estimator, cfg, attack, gen=None, callback=None):
         kb = labels[idx]
         noise = cfg.sigma * gen.standard_normal((cfg.batch_size, cfg.m, dim))
         c = EbClassifier(clf, est, cfg.sigma, cfg.m)
-        clean_nll, _ = _neg_log_pi_values(c, xb, kb, noise)
         if run_attack:
-            zb, adv_nll, _, aborted = _pgd_batch(c, xb, kb, attack, noise)
+            zb, adv_nll, clean_nll, aborted = _pgd_batch(c, xb, kb, attack, noise)
             n_aborted = int(aborted.sum())
         else:
+            clean_nll, _ = _neg_log_pi(c, xb, kb, noise)
             zb, adv_nll, n_aborted = xb, clean_nll, 0
         loss, grads, pis = xhat_objective_theta_grads(c, zb, kb, noise)
         if not np.isfinite(loss):

@@ -51,6 +51,8 @@ class CertResult:
 
 def _tally(classifier, x, sigma, n, gen, chunk):
     """Per-class counts of the classifier at n noisy copies of x."""
+    if chunk < 1:  # a zero chunk would never finish
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     x = np.asarray(x, dtype=float)
     k = classifier.n_classes
     counts = np.zeros(k, dtype=np.int64)

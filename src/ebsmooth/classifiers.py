@@ -205,25 +205,16 @@ class EbClassifier:
     def n_classes(self):
         return self.base.n_classes
 
-    def estimate(self, y):
-        return apply_estimator(self.estimator, y, self.sigma)
-
     def predict_class(self, x):
         xb, single = _as_batch(x, self.dim)
         # NaN arithmetic need not warn: the result is checked right below
         with np.errstate(invalid="ignore"):
-            xhat = self.estimate(xb)
+            xhat = apply_estimator(self.estimator, xb, self.sigma)
         # a NaN point falls on one side of every comparison, so it would vote
         if not np.all(np.isfinite(xhat)):
             raise FloatingPointError("denoised points are not finite")
         out = self.base.predict_class(xhat)
         return int(out[0]) if single else out
-
-
-def classify_hard(classifier, x):
-    """Hard label(s) at x.  For a denoiser-composed classifier this is the
-    base decision at the denoised point; ties go to the lowest class index."""
-    return classifier.predict_class(x)
 
 
 def _require_soft_base(c):
@@ -265,10 +256,11 @@ def grad_log_pi(c, x, k, noise):
     probability is floored at PROB_FLOOR before the log so the gradient stays
     finite when the class mass is numerically zero.
     """
-    grad, _, _ = _grad_log_pi_batch(
-        c, np.asarray(x, float)[None, :], np.array([k]), np.asarray(noise, float)[None, :, :]
+    _, grads = _neg_log_pi(
+        c, np.asarray(x, float)[None, :], np.array([k]), np.asarray(noise, float)[None, :, :],
+        grad=True,
     )
-    return grad[0]
+    return -grads[0]
 
 
 def _pi_batch(c, xs, noise):
@@ -282,19 +274,23 @@ def _pi_batch(c, xs, noise):
     return pis, probs, cache, y
 
 
-def _grad_log_pi_batch(c, xs, ks, noise):
-    """Input gradients of log Pi_k for a batch, reusing the given noise.
+def _neg_log_pi(c, xs, ks, noise, grad=False):
+    """The fixed-noise objective -log Pi_k for a batch, from one forward pass.
 
-    Returns (grads (B, d), pis (B, K), neg_log (B,)).
+    Pi_k is floored at PROB_FLOOR before the log.  Returns (neg_log (B,),
+    grads), where grads (B, d) is the input gradient of neg_log when asked
+    for and None otherwise.
     """
     bsz, m, dim = noise.shape
     pis, probs, cache, y = _pi_batch(c, xs, noise)
     pik = np.maximum(pis[np.arange(bsz), ks], PROB_FLOOR)
+    neg_log = -np.log(pik)
+    if not grad:
+        return neg_log, None
     onehot = np.eye(c.base.n_classes)[np.repeat(ks, m)]
     pk = probs[np.arange(bsz * m), np.repeat(ks, m)]
     dlogits = pk[:, None] * (onehot - probs)
     dxhat, _ = c.base._backward(cache, dlogits, want_params=False)
     pulled = apply_estimator_vjp(c.estimator, y, dxhat, c.sigma)
     grads = pulled.reshape(bsz, m, dim).sum(axis=1) / (m * pik[:, None])
-    neg_log = -np.log(pik)
-    return grads, pis, neg_log
+    return neg_log, -grads

@@ -2,8 +2,9 @@
 
 Unknown keys are rejected rather than ignored, because a silently misspelled
 noise scale or failure probability would invalidate every guarantee computed
-downstream.  Sections mirror the library's own config objects; the harness
-converts them at the point of use.
+downstream.  The confidence section is the library's own ConfidenceSpec; the
+other sections mirror library config objects, which the harness builds at the
+point of use through _build, so that their checks also fail as ConfigError.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 
 from .adversarial import TRAIN_MODES
+from .stats import ConfidenceSpec
 
 
 class ConfigError(ValueError):
@@ -68,13 +71,6 @@ class DatasetSection:
                 p = getattr(self, name)
                 if p is not None and not os.path.exists(p):
                     raise ConfigError(f"dataset.{name}: file not found: {p}")
-
-
-@dataclasses.dataclass(frozen=True)
-class ConfidenceSection:
-    alpha: float = 0.001
-    n0: int = 100
-    nc: int = 100_000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,6 +152,10 @@ class CertifySection:
     radius_grid: list = dataclasses.field(default_factory=lambda: [0.5, 1.0, 1.5, 2.0])
     max_violations: int = 3
 
+    def __post_init__(self):
+        if self.chunk < 1:
+            raise ConfigError(f"certify.chunk must be >= 1, got {self.chunk}")
+
 
 @dataclasses.dataclass(frozen=True)
 class WalkJumpSection:
@@ -180,7 +180,7 @@ class ExperimentConfig:
     output_dir: str = "runs/out"
     dataset: DatasetSection = dataclasses.field(default_factory=lambda: _build(
         DatasetSection, {"means": [[0.0]]}, "dataset"))
-    confidence: ConfidenceSection = dataclasses.field(default_factory=ConfidenceSection)
+    confidence: ConfidenceSpec = dataclasses.field(default_factory=ConfidenceSpec)
     estimator: EstimatorSection = dataclasses.field(default_factory=EstimatorSection)
     classifier: ClassifierSection = dataclasses.field(default_factory=ClassifierSection)
     energy_train: EnergyTrainSection = dataclasses.field(default_factory=EnergyTrainSection)
@@ -192,7 +192,7 @@ class ExperimentConfig:
 
 _SECTIONS = {
     "dataset": DatasetSection,
-    "confidence": ConfidenceSection,
+    "confidence": ConfidenceSpec,
     "estimator": EstimatorSection,
     "classifier": ClassifierSection,
     "energy_train": EnergyTrainSection,
@@ -219,8 +219,8 @@ def config_from_dict(data):
                 raise ConfigError(f"{key}: {exc}") from exc
         else:
             raise ConfigError(f"unknown config key: {key}")
-    if "sigma" in kwargs and kwargs["sigma"] <= 0:
-        raise ConfigError("sigma must be positive")
+    if "sigma" in kwargs and not 0.0 < kwargs["sigma"] < math.inf:
+        raise ConfigError(f"sigma must be positive and finite, got {kwargs['sigma']}")
     return ExperimentConfig(**kwargs)
 
 

@@ -11,6 +11,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import time
@@ -23,12 +24,12 @@ from .adversarial import AttackSpec, ClassifierTrainConfig, train_xhat
 from .certify import certify, linear_gaussian_oracle
 from .checkpoint import load_checkpoint, save_checkpoint
 from .classifiers import EbClassifier, LinearClassifier, SoftClassifier
-from .config import ConfigError, config_digest
+from .config import ConfigError, _build, config_digest
 from .datasets import GaussianClassSpec, gen_dataset, load_idx, save_dataset_csv
 from .densities import IsoGaussian, IsoMixture
 from .energy import EnergyNet, EnergyTrainConfig, train_energy
 from .sampler import WalkJumpConfig, energy_value, walk_jump
-from .stats import ConfidenceSpec, rng_stream
+from .stats import rng_stream
 
 # Stream-id map.  Certification point i draws selection noise from
 # CERT_BASE + 2i and estimation noise from CERT_BASE + 2i + 1.
@@ -252,7 +253,7 @@ def run_train_energy(cfg, raw_config, command):
     t0 = _start(cfg)
     train, _ = resolve_datasets(cfg)
     section = cfg.energy_train
-    train_cfg = EnergyTrainConfig(
+    train_cfg = _build(EnergyTrainConfig, dict(
         sigma=section.sigma if section.sigma is not None else cfg.sigma,
         hidden=tuple(section.hidden),
         steps=section.steps,
@@ -260,7 +261,7 @@ def run_train_energy(cfg, raw_config, command):
         lr=section.lr,
         lr_final=section.lr_final,
         seed=cfg.seed,
-    )
+    ), "energy_train")
     history = []
     net = train_energy(
         train.points, train_cfg,
@@ -280,7 +281,7 @@ def run_train_xhat(cfg, raw_config, command):
     t0 = _start(cfg)
     train, _ = resolve_datasets(cfg)
     estimator = resolve_estimator(cfg)
-    train_cfg = ClassifierTrainConfig(
+    train_cfg = _build(ClassifierTrainConfig, dict(
         sigma=cfg.sigma,
         mode=cfg.train.mode,
         steps=cfg.train.steps,
@@ -290,13 +291,8 @@ def run_train_xhat(cfg, raw_config, command):
         m=cfg.train.m,
         hidden=tuple(cfg.classifier.hidden),
         seed=cfg.seed,
-    )
-    attack = AttackSpec(
-        epsilon=cfg.attack.epsilon,
-        steps=cfg.attack.steps,
-        step_size=cfg.attack.step_size,
-        m=cfg.attack.m,
-    )
+    ), "train")
+    attack = _build(AttackSpec, dataclasses.asdict(cfg.attack), "attack")
     history = []
     clf = train_xhat(
         train.points, train.labels, estimator, train_cfg, attack,
@@ -329,8 +325,7 @@ def run_certify(cfg, raw_config, command, with_curve=False):
     classifier, points, labels = _certification_inputs(cfg)
     if len(points) == 0:
         print("warning: empty test set, writing empty result CSVs")
-    spec = ConfidenceSpec(cfg.confidence.alpha, cfg.confidence.n0, cfg.confidence.nc)
-    results = certify_points(classifier, points, cfg.sigma, spec, cfg.seed,
+    results = certify_points(classifier, points, cfg.sigma, cfg.confidence, cfg.seed,
                              workers=cfg.certify.workers, chunk=cfg.certify.chunk)
     outputs = ["points.csv"]
     write_points_csv(os.path.join(cfg.output_dir, "points.csv"), results, labels)
@@ -356,8 +351,7 @@ def run_oracle_check(cfg, raw_config, command):
     model = IsoGaussian(sigma0=sigma0, dim=base.dim)
     points = model.sample(cfg.certify.max_points, rng_stream(cfg.seed, STREAM_TEST_DATA))
     classifier = EbClassifier(base, model, cfg.sigma, m=1)
-    spec = ConfidenceSpec(cfg.confidence.alpha, cfg.confidence.n0, cfg.confidence.nc)
-    results = certify_points(classifier, points, cfg.sigma, spec, cfg.seed,
+    results = certify_points(classifier, points, cfg.sigma, cfg.confidence, cfg.seed,
                              workers=cfg.certify.workers, chunk=cfg.certify.chunk)
     class_violations = 0
     radius_violations = 0
@@ -393,7 +387,8 @@ def run_walk_jump(cfg, raw_config, command):
     jump; one CSV row per sample, optional trajectory dump for the first."""
     t0 = _start(cfg)
     wj = cfg.walk_jump
-    walk_cfg = WalkJumpConfig(wj.sigma_prime, wj.delta, wj.tau)
+    walk_cfg = _build(WalkJumpConfig, dict(
+        sigma_prime=wj.sigma_prime, delta=wj.delta, tau=wj.tau), "walk_jump")
     if cfg.estimator.kind == "energy":
         coarse = load_energy(cfg.estimator.path, cfg.sigma, "estimator.path")
         if wj.fine_energy_path is None:

@@ -73,10 +73,9 @@ def langevin_walk(source, y0, cfg, gen, return_trajectory=False):
 
 
 def jump(source, y, sigma_prime):
-    """One denoiser application at the fine scale:
-    y - sigma'^2 * grad_energy(y)."""
-    y = np.asarray(y, dtype=float)
-    return y - sigma_prime**2 * energy_grad(source, y, sigma_prime)
+    """One denoiser application at the fine scale: the Bayes estimate
+    y + sigma'^2 * score(y) = y - sigma'^2 * grad_energy(y)."""
+    return source.bayes_estimate(y, sigma_prime)
 
 
 def walk_jump(coarse_source, fine_source, y, sigma, cfg, gen, return_trajectory=False):
@@ -87,8 +86,7 @@ def walk_jump(coarse_source, fine_source, y, sigma, cfg, gen, return_trajectory=
     fine noise.  The run-to-run spread of the output is therefore set by the
     fine scale and the walk diffusion, not by sigma.
     """
-    y = np.asarray(y, dtype=float)
-    y0 = y - sigma**2 * energy_grad(coarse_source, y, sigma)
+    y0 = coarse_source.bayes_estimate(y, sigma)
     walked = langevin_walk(fine_source, y0, cfg, gen, return_trajectory)
     final = walked[-1] if return_trajectory else walked
     out = jump(fine_source, final, cfg.sigma_prime)

@@ -9,9 +9,9 @@ from ebsmooth.adversarial import (
     xhat_objective_theta_grads,
 )
 from ebsmooth.classifiers import (
+    PROB_FLOOR,
     EbClassifier,
     SoftClassifier,
-    classify_hard,
     soft_pi_with_noise,
 )
 from ebsmooth.datasets import GaussianClassSpec, gen_dataset
@@ -104,6 +104,74 @@ class TestPgdAttack:
         np.testing.assert_allclose(res.x_adv, want, atol=1e-10)
 
 
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_reported_values_are_the_objective_at_the_points(self, m):
+        # the attack reads every iterate's value off its gradient pass; the
+        # values it reports must still be -log Pi_k evaluated afresh
+        gen = rng_stream(5, m)
+        soft = SoftClassifier.init(2, (8,), 3, gen)
+        c = EbClassifier(soft, IsoMixture.symmetric(np.array([1.5, 0.0]), 0.6),
+                         sigma=0.4, m=m)
+        moved = 0
+        for trial in range(10):
+            x = gen.standard_normal(2)
+            k = int(gen.integers(0, 3))
+            noise = 0.4 * gen.standard_normal((m, 2))
+            res = pgd_attack(c, x, k, AttackSpec(epsilon=0.7, steps=int(3 + trial % 4), m=m),
+                             noise)
+            for point, value in ((x, res.clean_neg_log), (res.x_adv, res.adv_neg_log)):
+                pik = soft_pi_with_noise(c, point, noise)[k]
+                np.testing.assert_allclose(value, -np.log(max(pik, PROB_FLOOR)), rtol=1e-14)
+            moved += not np.array_equal(res.x_adv, x)
+        assert moved >= 5
+
+
+class _CountingDensity:
+    """A smoothed density that counts its denoiser passes and score Jacobian
+    actions.  Empty batches are not counted: EbClassifier runs one at
+    construction only to check the scale."""
+
+    def __init__(self, model):
+        self.model = model
+        self.passes = 0
+        self.hvps = 0
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def bayes_estimate(self, y, sigma):
+        self.passes += len(y) > 0
+        return self.model.bayes_estimate(y, sigma)
+
+    def score_hvp(self, y, v, sigma):
+        self.hvps += len(y) > 0
+        return self.model.score_hvp(y, v, sigma)
+
+
+class TestPassCount:
+    STEPS = 3
+
+    def _count(self, mode, attack_steps):
+        data, mix = _toy_training_setup(20, n=100)
+        density = _CountingDensity(mix)
+        cfg = ClassifierTrainConfig(sigma=0.3, mode=mode, steps=self.STEPS, batch_size=8,
+                                    hidden=(8,), m=2, seed=21)
+        train_xhat(data.points, data.labels, density, cfg,
+                   AttackSpec(epsilon=0.5, steps=attack_steps, m=2))
+        return density.passes / self.STEPS, density.hvps / self.STEPS
+
+    @pytest.mark.parametrize("attack_steps", [1, 4])
+    def test_adversarial_step_denoises_steps_plus_two_times(self, attack_steps):
+        # S gradient passes (the first also gives the clean loss), one value
+        # pass at the last iterate, one parameter-gradient pass
+        passes, hvps = self._count("adversarial", attack_steps)
+        assert passes == attack_steps + 2
+        assert hvps == attack_steps
+
+    def test_no_attack_step_denoises_twice(self):
+        assert self._count("no_attack", 4) == (2, 0)
+
+
 class TestThetaGradients:
     def test_matches_finite_differences(self):
         gen = rng_stream(4, 0)
@@ -174,7 +242,7 @@ class TestTrainXhat:
         heldout = gen_dataset(GaussianClassSpec(mix.means, 0.5, 2000),
                               rng_stream(14, 200))
         hard = EbClassifier(clf, mix, sigma=0.3, m=1)
-        acc = np.mean(classify_hard(hard, heldout.points) == heldout.labels)
+        acc = np.mean(hard.predict_class(heldout.points) == heldout.labels)
         assert acc >= 0.97
 
     def test_loss_trend_decreases(self):

@@ -29,6 +29,22 @@ class _ConstantHard:
         return np.full(x.shape[0], self.label, dtype=np.int64)
 
 
+class _NoEmptyBatches(_ConstantHard):
+    """Refuses empty batches, on which a zero chunk would spin forever."""
+
+    def predict_class(self, x):
+        assert np.atleast_2d(x).shape[0] > 0, "empty batch"
+        return super().predict_class(x)
+
+
+@pytest.mark.parametrize("chunk", [0, -5])
+@pytest.mark.parametrize("run", [predict, certify])
+def test_chunk_below_one_rejected(run, chunk):
+    spec = ConfidenceSpec(alpha=0.001, n0=10, nc=10)
+    with pytest.raises(ValueError, match="chunk must be >= 1"):
+        run(_NoEmptyBatches(1), np.zeros(2), 1.0, spec, rng_stream(0, 0), chunk=chunk)
+
+
 class TestPredict:
     def test_constant_classifier_never_abstains(self):
         spec = ConfidenceSpec(alpha=0.001, n0=100, nc=1000)

@@ -5,7 +5,6 @@ from ebsmooth.classifiers import (
     EbClassifier,
     LinearClassifier,
     SoftClassifier,
-    classify_hard,
     grad_log_pi,
     soft_pi,
     soft_pi_with_noise,
@@ -48,15 +47,15 @@ class _ConstantSoft:
 class TestLinearClassifier:
     def test_sign_of_positive_margin(self):
         h = LinearClassifier(np.array([1.0, 0.0]), 0.0)
-        assert classify_hard(h, np.array([2.0, 0.0])) == 1
+        assert h.predict_class(np.array([2.0, 0.0])) == 1
 
     def test_negative_side(self):
         h = LinearClassifier(np.array([1.0, 0.0]), 0.0)
-        assert classify_hard(h, np.array([-0.5, 3.0])) == 0
+        assert h.predict_class(np.array([-0.5, 3.0])) == 0
 
     def test_tie_goes_to_lowest_index(self):
         h = LinearClassifier(np.array([1.0, 0.0]), 0.0)
-        assert classify_hard(h, np.array([0.0, 1.0])) == 0
+        assert h.predict_class(np.array([0.0, 1.0])) == 0
 
     def test_zero_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -69,7 +68,7 @@ class TestHardEbClassifier:
         h = LinearClassifier(np.array([1.0, 0.0]), 0.0)
         c = EbClassifier(h, model, sigma=1.0)
         # x = (2, 0) is denoised to (1, 0), still class 1
-        assert classify_hard(c, np.array([2.0, 0.0])) == 1
+        assert c.predict_class(np.array([2.0, 0.0])) == 1
 
     def test_denoising_can_flip_the_base_decision(self):
         # with beta = 1/2, w = (1, 0), b = -0.4: the base says class 1 at
@@ -78,9 +77,9 @@ class TestHardEbClassifier:
         model = IsoGaussian(sigma0=1.0, dim=2)
         h = LinearClassifier(np.array([1.0, 0.0]), -0.4)
         x = np.array([0.5, 0.0])
-        assert classify_hard(h, x) == 1
+        assert h.predict_class(x) == 1
         c = EbClassifier(h, model, sigma=1.0)
-        assert classify_hard(c, x) == 0
+        assert c.predict_class(x) == 0
 
     def test_zero_energy_reduces_to_base(self):
         gen = rng_stream(1, 0)

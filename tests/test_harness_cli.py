@@ -315,11 +315,11 @@ class TestCheckpointMisuse:
         return str(path)
 
     @staticmethod
-    def _assert_config_error(args):
+    def _assert_config_error(args, timeout=300):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         out = subprocess.run([sys.executable, "-m", "ebsmooth", *args], env=env,
-                             capture_output=True, text=True, timeout=300)
+                             capture_output=True, text=True, timeout=timeout)
         assert out.returncode == 1, out.stderr
         assert out.stderr.startswith("config error:"), out.stderr
         assert "Traceback" not in out.stderr
@@ -346,3 +346,33 @@ class TestCheckpointMisuse:
             "estimator": {"kind": "energy", "path": self._energy(tmp_path, "e.ckpt", 0.3)},
         })
         self._assert_config_error(["certify", "-c", str(path), "--sigma", "0.5"])
+
+
+class TestBadConfigValues:
+    """Out-of-range values fail as config errors (exit 1, one line on
+    stderr), not as tracebacks, late numerical failures or hangs."""
+
+    @pytest.mark.parametrize("args", [
+        ["oracle-check", "--alpha", "2"],
+        ["oracle-check", "--nc", "0"],
+        ["oracle-check", "--sigma", "NaN"],
+        ["oracle-check", "--sigma", "Infinity"],
+        ["certify", "--set", "certify.chunk=-5"],
+        ["walk-jump", "--set", "walk_jump.delta=0"],
+        ["train-xhat", "--set", "train.steps=0"],
+        ["train-xhat", "--set", "attack.steps=0"],
+        ["train-energy", "--set", "energy_train.steps=0"],
+    ])
+    def test_rejected_in_process(self, tmp_path, capsys, args):
+        path = write_cfg(tmp_path)
+        assert main([args[0], "-c", str(path), *args[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:"), err
+        assert "Traceback" not in err
+
+    def test_zero_chunk_rejected_without_hanging(self, tmp_path):
+        # a chunk of 0 used to loop forever; the subprocess timeout turns a
+        # regression into a failure
+        path = write_cfg(tmp_path)
+        TestCheckpointMisuse._assert_config_error(
+            ["certify", "-c", str(path), "--set", "certify.chunk=0"], timeout=60)
