@@ -217,9 +217,10 @@ def train_xhat(points, labels, estimator, cfg, attack, gen=None, callback=None):
             zb, adv_nll, clean_nll, aborted = _pgd_batch(c, xb, kb, attack, noise)
             n_aborted = int(aborted.sum())
         else:
-            clean_nll, _ = _neg_log_pi(c, xb, kb, noise)
-            zb, adv_nll, n_aborted = xb, clean_nll, 0
+            zb, n_aborted = xb, 0
         loss, grads, pis = xhat_objective_theta_grads(c, zb, kb, noise)
+        if not run_attack:  # zb is xb: the training pass gives the clean loss
+            clean_nll = adv_nll = -np.log(np.maximum(pis[np.arange(len(kb)), kb], PROB_FLOOR))
         if not np.isfinite(loss):
             raise TrainingDivergedError(step)
         opt.step(params, grads, schedule_lr(step, cfg.steps, cfg.lr, cfg.lr_final))

@@ -13,7 +13,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import os
+import typing
 
 from .adversarial import TRAIN_MODES
 from .stats import ConfidenceSpec
@@ -24,19 +26,35 @@ class ConfigError(ValueError):
 
 
 def _build(cls, data, path):
-    """Construct a flat dataclass from a dict, rejecting unknown keys."""
+    """Construct a flat dataclass from a dict, rejecting unknown keys and
+    values of the wrong type for int and list fields."""
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    for key in data:
-        if key not in names:
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        if key not in hints:
             raise ConfigError(f"unknown config key: {path}.{key}")
+        _check_type(value, hints[key], f"{path}.{key}")
     try:
         return cls(**data)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _check_type(value, hint, name):
+    """Reject a bool or float for an int field and a non-list for a list
+    field, so that JSON such as 1e3 or 5 fails here and not deep in a run."""
+    allowed = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in allowed:
+        return
+    if int in allowed and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if list in allowed and not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,6 +171,8 @@ class CertifySection:
     max_violations: int = 3
 
     def __post_init__(self):
+        if self.max_points < 0:
+            raise ConfigError(f"certify.max_points must be >= 0, got {self.max_points}")
         if self.chunk < 1:
             raise ConfigError(f"certify.chunk must be >= 1, got {self.chunk}")
 
@@ -167,6 +187,8 @@ class WalkJumpSection:
     fine_energy_path: str | None = None
 
     def __post_init__(self):
+        if self.n_samples < 1:
+            raise ConfigError(f"walk_jump.n_samples must be >= 1, got {self.n_samples}")
         if self.fine_energy_path is not None and not os.path.exists(self.fine_energy_path):
             raise ConfigError(
                 f"walk_jump.fine_energy_path: file not found: {self.fine_energy_path}"
@@ -213,6 +235,7 @@ def config_from_dict(data):
         if key in _SECTIONS:
             kwargs[key] = _build(_SECTIONS[key], value, key)
         elif key in _SCALARS:
+            _check_type(value, _SCALARS[key], key)
             try:
                 kwargs[key] = _SCALARS[key](value)
             except (TypeError, ValueError) as exc:

@@ -97,9 +97,17 @@ class IsoMixture:
     """Mixture of isotropic Gaussians sharing one scale sigma0.
 
     means has shape (K, d); weights are positive and sum to one (uniform when
-    omitted).  The per-component log masses are combined with the
-    max-subtracted log-sum-exp, so scores stay finite far from all components
-    where the raw component masses underflow.
+    omitted).  With s2 = sigma^2 + sigma0^2, component k has log mass
+    log w_k - |y - mu_k|^2 / (2 s2) at y.  The squared distances are
+    expanded as |mu_k|^2 - 2 y.mu_k + |y|^2 and computed with one (n, d) @
+    (d, K) matmul, so no (n, K, d) array is formed; the |y|^2 term is the same
+    for every component and only log_density_y adds it back.  The expansion
+    cancels where y is close to a mean: each log mass carries an absolute
+    error of about d * eps * (|mu_k|^2 + |y| |mu_k|) / s2 (eps = 2.2e-16),
+    which the responsibilities inherit as a relative error, against
+    d * eps * |y - mu_k|^2 / s2 for the direct differences.  The log masses
+    are combined with the max-subtracted log-sum-exp, so scores stay finite
+    far from all components where the raw component masses underflow.
     """
 
     means: np.ndarray
@@ -141,46 +149,52 @@ class IsoMixture:
         comp = gen.choice(self.n_components, size=n, p=self.weights)
         return self.means[comp] + self.sigma0 * gen.standard_normal((n, self.dim))
 
-    def _component_logmass(self, yb, sigma):
-        s2 = sigma * sigma + self.sigma0 * self.sigma0
-        diffs = self.means[None, :, :] - yb[:, None, :]          # (n, K, d)
-        sq = np.sum(diffs * diffs, axis=2)                       # (n, K)
-        return np.log(self.weights)[None, :] - 0.5 * sq / s2, diffs, s2
+    def _logits(self, yb, s2):
+        """(n, K) component log masses less the shared -|y|^2 / (2 s2)."""
+        sq_means = np.sum(self.means * self.means, axis=1)
+        return np.log(self.weights) - 0.5 * (sq_means - 2.0 * (yb @ self.means.T)) / s2
+
+    def _responsibilities(self, yb, s2):
+        logits = self._logits(yb, s2)
+        w = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return w / w.sum(axis=1, keepdims=True)
 
     def log_density_y(self, y, sigma):
         yb, single = _as_batch(y, self.dim)
-        logmass, _, s2 = self._component_logmass(yb, sigma)
-        out = logsumexp(logmass, axis=1) - 0.5 * self.dim * np.log(2.0 * np.pi * s2)
+        s2 = sigma * sigma + self.sigma0 * self.sigma0
+        sq_y = np.sum(yb * yb, axis=1)
+        out = logsumexp(self._logits(yb, s2), axis=1) - 0.5 * sq_y / s2 \
+            - 0.5 * self.dim * np.log(2.0 * np.pi * s2)
         return _unbatch(out, single)
 
-    def _responsibilities(self, yb, sigma):
-        logmass, diffs, s2 = self._component_logmass(yb, sigma)
-        shifted = logmass - logmass.max(axis=1, keepdims=True)
-        w = np.exp(shifted)
-        return w / w.sum(axis=1, keepdims=True), diffs, s2
-
     def smoothed_score(self, y, sigma):
-        """Gradient of log f_Y: responsibility-weighted pull toward the means."""
+        """Gradient of log f_Y: responsibility-weighted pull toward the means,
+        sum_k r_k (mu_k - y) / s2 = (r @ means - y) / s2."""
         yb, single = _as_batch(y, self.dim)
-        resp, diffs, s2 = self._responsibilities(yb, sigma)
-        return _unbatch(np.einsum("nk,nkd->nd", resp, diffs) / s2, single)
+        s2 = sigma * sigma + self.sigma0 * self.sigma0
+        resp = self._responsibilities(yb, s2)
+        return _unbatch((resp @ self.means - yb) / s2, single)
 
     def score_hvp(self, y, v, sigma):
         """Hessian of log f_Y applied to v.
 
         With r the responsibilities and g_k = (mu_k - y)/s2 the per-component
         pulls, the Hessian action is (sum_k r_k (c_k - cbar) (mu_k - y) - v)/s2
-        where c_k = <g_k, v> and cbar is their responsibility average.
+        where c_k = <g_k, v> and cbar is their responsibility average.  Since
+        the r_k sum to one, the -<y, v> part of c_k cancels in c_k - cbar, and
+        the weights w_k = r_k (c_k - cbar) sum to zero, which cancels the -y
+        part of the pull: the action is (w @ means - v) / s2 with
+        c = v @ means.T / s2.
         """
         yb, ysingle = _as_batch(y, self.dim)
         vb, _ = _as_batch(v, self.dim)
         if vb.shape != yb.shape:
             raise ValueError("y and v must have matching shapes")
-        resp, diffs, s2 = self._responsibilities(yb, sigma)
-        c = np.einsum("nkd,nd->nk", diffs, vb) / s2
-        cbar = np.sum(resp * c, axis=1, keepdims=True)
-        pulled = np.einsum("nk,nkd->nd", resp * (c - cbar), diffs)
-        return _unbatch((pulled - vb) / s2, ysingle)
+        s2 = sigma * sigma + self.sigma0 * self.sigma0
+        resp = self._responsibilities(yb, s2)
+        c = (vb @ self.means.T) / s2
+        w = resp * (c - np.sum(resp * c, axis=1, keepdims=True))
+        return _unbatch((w @ self.means - vb) / s2, ysingle)
 
     def bayes_estimate(self, y, sigma):
         """Posterior mean of X given Y = y: y + sigma^2 * score(y)."""

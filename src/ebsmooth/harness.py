@@ -29,7 +29,7 @@ from .datasets import GaussianClassSpec, gen_dataset, load_idx, save_dataset_csv
 from .densities import IsoGaussian, IsoMixture
 from .energy import EnergyNet, EnergyTrainConfig, train_energy
 from .sampler import WalkJumpConfig, energy_value, walk_jump
-from .stats import rng_stream
+from .stats import RowStreams, rng_stream
 
 # Stream-id map.  Certification point i draws selection noise from
 # CERT_BASE + 2i and estimation noise from CERT_BASE + 2i + 1.
@@ -345,6 +345,8 @@ def run_oracle_check(cfg, raw_config, command):
     t0 = _start(cfg)
     if cfg.classifier.kind != "linear":
         raise ConfigError("oracle-check needs classifier.kind=linear")
+    if cfg.certify.max_points < 1:
+        raise ConfigError("oracle-check needs certify.max_points >= 1")
     base = LinearClassifier(np.asarray(cfg.classifier.weights, float),
                             float(cfg.classifier.bias))
     sigma0 = cfg.dataset.sigma0
@@ -384,7 +386,12 @@ def run_oracle_check(cfg, raw_config, command):
 
 def run_walk_jump(cfg, raw_config, command):
     """Draw coarse-noise observations and push them through denoise, walk,
-    jump; one CSV row per sample, optional trajectory dump for the first."""
+    jump; one CSV row per sample, optional trajectory dump for the first.
+
+    All chains run as one batch, chain i drawing its walk noise from its own
+    keyed stream STREAM_WALK_BASE + i (stats.RowStreams), so each row is what
+    that chain gives when walked alone.  Nothing is written when a chain goes
+    non-finite."""
     t0 = _start(cfg)
     wj = cfg.walk_jump
     walk_cfg = _build(WalkJumpConfig, dict(
@@ -402,16 +409,17 @@ def run_walk_jump(cfg, raw_config, command):
     data_gen = rng_stream(cfg.seed, STREAM_WALK_DATA)
     clean = model.sample(wj.n_samples, data_gen)
     noisy = clean + cfg.sigma * data_gen.standard_normal(clean.shape)
+    chains = RowStreams(rng_stream(cfg.seed, STREAM_WALK_BASE + i)
+                        for i in range(wj.n_samples))
+    outs = walk_jump(coarse, fine, noisy, cfg.sigma, walk_cfg, chains)
     outputs = ["samples.csv"]
     out_path = os.path.join(cfg.output_dir, "samples.csv")
     dim = clean.shape[1]
     with open(out_path, "w", newline="") as fh:
         names = [f"y{i}" for i in range(dim)] + [f"out{i}" for i in range(dim)]
         fh.write("index," + ",".join(names) + "\n")
-        for i in range(wj.n_samples):
-            chain_gen = rng_stream(cfg.seed, STREAM_WALK_BASE + i)
-            out = walk_jump(coarse, fine, noisy[i], cfg.sigma, walk_cfg, chain_gen)
-            row = [fmt(v) for v in noisy[i]] + [fmt(v) for v in out]
+        for i, (y, out) in enumerate(zip(noisy, outs)):
+            row = [fmt(v) for v in y] + [fmt(v) for v in out]
             fh.write(f"{i}," + ",".join(row) + "\n")
     if wj.dump_trajectory:
         chain_gen = rng_stream(cfg.seed, STREAM_WALK_BASE)

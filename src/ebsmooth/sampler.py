@@ -49,14 +49,25 @@ def energy_grad(source, y, sigma):
     return -source.smoothed_score(y, sigma)
 
 
+def _require_finite(a, what):
+    """Raise FloatingPointError if a has a non-finite entry, naming the first
+    bad chain when a is a batch (n, d) of chains."""
+    finite = np.isfinite(a)
+    if np.all(finite):
+        return
+    where = f" in chain {int(np.argmin(finite.all(axis=1)))}" if np.ndim(a) == 2 else ""
+    raise FloatingPointError(f"non-finite {what}{where}")
+
+
 def langevin_walk(source, y0, cfg, gen, return_trajectory=False):
     """Unadjusted Langevin chain at the fine scale.
 
     Iterates y <- y - delta^2 * grad_energy(y) + sqrt(2) * delta * eps' for
-    cfg.tau steps with standard normal eps'.  Returns the final iterate, or
-    the whole (tau + 1, ...) trajectory when asked.  y0 may be one point
-    (d,) or a batch of independent chains (n, d); chains never interact, so
-    batching is exact.
+    cfg.tau steps with standard normal eps' = gen.standard_normal(y.shape).
+    Returns the final iterate, or the whole (tau + 1, ...) trajectory when
+    asked.  y0 may be one point (d,) or a batch of independent chains (n, d);
+    chains never interact, so batching is exact, and with gen a
+    stats.RowStreams each chain draws from its own stream.
     """
     y = np.asarray(y0, dtype=float).copy()
     drift = cfg.delta**2
@@ -65,8 +76,7 @@ def langevin_walk(source, y0, cfg, gen, return_trajectory=False):
     for step in range(cfg.tau):
         y = y - drift * energy_grad(source, y, cfg.sigma_prime) \
             + diffusion * gen.standard_normal(y.shape)
-        if not np.all(np.isfinite(y)):
-            raise FloatingPointError(f"non-finite iterate at walk step {step}")
+        _require_finite(y, f"iterate at walk step {step}")
         if return_trajectory:
             traj.append(y.copy())
     return np.asarray(traj) if return_trajectory else y
@@ -84,12 +94,17 @@ def walk_jump(coarse_source, fine_source, y, sigma, cfg, gen, return_trajectory=
     y is a point corrupted at scale sigma.  The coarse denoiser output seeds
     the Langevin walk on the fine-scale energy; one final jump removes the
     fine noise.  The run-to-run spread of the output is therefore set by the
-    fine scale and the walk diffusion, not by sigma.
+    fine scale and the walk diffusion, not by sigma.  A non-finite coarse
+    estimate, walk iterate or jump raises FloatingPointError naming the first
+    bad chain of a batch, so numpy's invalid-value warnings are not printed.
     """
-    y0 = coarse_source.bayes_estimate(y, sigma)
-    walked = langevin_walk(fine_source, y0, cfg, gen, return_trajectory)
-    final = walked[-1] if return_trajectory else walked
-    out = jump(fine_source, final, cfg.sigma_prime)
+    with np.errstate(invalid="ignore"):
+        y0 = coarse_source.bayes_estimate(y, sigma)
+        _require_finite(y0, "coarse estimate")
+        walked = langevin_walk(fine_source, y0, cfg, gen, return_trajectory)
+        final = walked[-1] if return_trajectory else walked
+        out = jump(fine_source, final, cfg.sigma_prime)
+        _require_finite(out, "jump")
     return (out, walked) if return_trajectory else out
 
 

@@ -5,7 +5,8 @@ radius is linear in it, so it carries the whole error budget), the
 one-sided Clopper-Pearson lower confidence bound for binomial proportions, the
 closed-form two-sided binomial test at p = 1/2 behind prediction's abstain
 rule, and keyed deterministic random streams so that per-point noise is
-reproducible regardless of how work is scheduled across processes.
+reproducible regardless of how work is scheduled across processes or
+batched into one array.
 
 Only scipy.special is used: scipy.stats costs most of a second to import, and
 every CLI command is a fresh process.
@@ -158,3 +159,21 @@ def rng_stream(seed, stream_id):
     """
     key = np.array([int(seed) & _MASK64, int(stream_id) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+class RowStreams:
+    """One keyed generator per row of a batch.
+
+    standard_normal((n, *shape)) stacks gens[i].standard_normal(shape) for
+    i < n, so a batch of n rows draws exactly the variates each row would
+    draw from its own stream when run alone, in the same order.
+    """
+
+    def __init__(self, gens):
+        self.gens = list(gens)
+
+    def standard_normal(self, shape):
+        n, *rest = shape
+        if n != len(self.gens):
+            raise ValueError(f"{len(self.gens)} row streams cannot draw {n} rows")
+        return np.stack([g.standard_normal(tuple(rest)) for g in self.gens])

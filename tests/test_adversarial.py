@@ -168,8 +168,10 @@ class TestPassCount:
         assert passes == attack_steps + 2
         assert hvps == attack_steps
 
-    def test_no_attack_step_denoises_twice(self):
-        assert self._count("no_attack", 4) == (2, 0)
+    def test_no_attack_step_denoises_once(self):
+        # the parameter-gradient pass is at the clean points and gives the
+        # clean loss too
+        assert self._count("no_attack", 4) == (1, 0)
 
 
 class TestThetaGradients:

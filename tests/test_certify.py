@@ -205,6 +205,32 @@ class TestLinearGaussianOracle:
         assert res.predicted == 0
 
 
+class TestOracleProperty:
+    def test_certificates_never_beat_the_exact_oracle(self):
+        # 30 random 10-d linear classifiers over the closed-form Gaussian
+        # denoiser: each certificate is sound with probability >= 1 - alpha,
+        # so over 30 of them at alpha = 1e-3 two failures have probability
+        # below C(30, 2) * 1e-6 = 4.4e-4; at most one is allowed
+        spec = ConfidenceSpec(alpha=1e-3, n0=100, nc=1_000)
+        sigma0, dim = 1.0, 10
+        model = IsoGaussian(sigma0=sigma0, dim=dim)
+        gen = rng_stream(41, 0)
+        failures, certified = 0, 0
+        for i in range(30):
+            h = LinearClassifier(gen.standard_normal(dim), float(gen.standard_normal()))
+            sigma = float(gen.uniform(0.25, 1.0))
+            x = model.sample(1, gen)[0]
+            res = certify(EbClassifier(h, model, sigma, m=1), x, sigma, spec,
+                          rng_stream(41, 2 * i + 1), rng_stream(41, 2 * i + 2))
+            oracle = linear_gaussian_oracle(h, x, sigma, sigma0)
+            if not res.abstained:
+                certified += 1
+                failures += res.predicted != oracle.predicted
+            failures += res.radius > oracle.radius + 1e-9
+        assert failures <= 1
+        assert certified >= 20  # the property is exercised, not vacuous
+
+
 class TestCertResult:
     def test_radius_positive_iff_certified(self):
         spec = ConfidenceSpec(alpha=0.001, n0=20, nc=500)

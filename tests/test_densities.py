@@ -210,3 +210,48 @@ class TestIsoMixture:
             IsoMixture(means=np.eye(2), sigma0=1.0, weights=np.array([1.1, -0.1]))
         with pytest.raises(ValueError):
             IsoMixture(means=np.eye(2), sigma0=0.0)
+
+
+class TestMixtureKernelAgainstReference:
+    """The matmul kernel (squared distances expanded as |mu|^2 - 2 y.mu +
+    |y|^2) against the direct (n, K, d) differences of oracles.py, near the
+    means, midway between two of them and 1e3 smoothed scales away, for
+    means of norm 1 and 10."""
+
+    SIGMA0, SIGMA = 0.5, 0.3
+
+    @staticmethod
+    def _case(n_components, dim, where, scale):
+        gen = rng_stream(n_components * 1000 + dim, int(scale))
+        means = gen.standard_normal((n_components, dim))
+        means *= scale / np.linalg.norm(means, axis=1, keepdims=True)
+        weights = gen.uniform(0.1, 1.0, n_components)
+        weights /= weights.sum()
+        sd = np.hypot(TestMixtureKernelAgainstReference.SIGMA0,
+                      TestMixtureKernelAgainstReference.SIGMA)
+        k = gen.integers(0, n_components, 16)
+        if where == "near":
+            y = means[k] + 0.1 * sd * gen.standard_normal((16, dim))
+        elif where == "midway":
+            y = 0.5 * (means[k] + means[(k + 1) % n_components])
+        else:
+            u = gen.standard_normal((16, dim))
+            y = means[k] + 1e3 * sd * u / np.linalg.norm(u, axis=1, keepdims=True)
+        return means, weights, y, gen.standard_normal((16, dim))
+
+    @pytest.mark.parametrize("where", ["near", "midway", "far"])
+    @pytest.mark.parametrize("dim", [2, 64, 784])
+    @pytest.mark.parametrize("n_components", [2, 10])
+    def test_matches_direct_differences(self, n_components, dim, where):
+        sigma = self.SIGMA
+        for scale in (1.0, 10.0):
+            means, weights, y, v = self._case(n_components, dim, where, scale)
+            mix = IsoMixture(means=means, sigma0=self.SIGMA0, weights=weights)
+            ref = oracles.mixture_reference(means, weights, self.SIGMA0, y, sigma, v)
+            got = (mix.log_density_y(y, sigma), mix.smoothed_score(y, sigma),
+                   mix.score_hvp(y, v, sigma), mix.bayes_estimate(y, sigma))
+            for name, g, r in zip(("log_density", "score", "hvp", "bayes"), got, ref):
+                if name == "hvp" and where == "far" and np.finfo(np.longdouble).eps > 1e-18:
+                    continue  # the reference needs an extended long double there
+                err = np.max(np.abs(g - r))
+                assert err <= 1e-11 * np.max(np.abs(r)), (name, scale, err)

@@ -266,6 +266,61 @@ class TestWalkJumpCli:
         main(["walk-jump", "-c", str(path)])
         assert (tmp_path / "out" / "samples.csv").read_bytes() == first
 
+    @staticmethod
+    def _energy_sources(tmp_path, dim, nan=None):
+        paths = {}
+        for name, sigma, stream in (("coarse", 1.0, 1), ("fine", 0.05, 2)):
+            net = EnergyNet.init(dim, (8,), sigma, rng_stream(0, stream))
+            if name == nan:
+                net.weights[0][:] = np.nan
+            paths[name] = tmp_path / f"{name}.ckpt"
+            save_checkpoint(paths[name], net)
+        return {
+            "estimator": {"kind": "energy", "path": str(paths["coarse"])},
+            "walk_jump": {"n_samples": 7, "tau": 30, "fine_energy_path": str(paths["fine"])},
+        }
+
+    @pytest.mark.parametrize("source", ["mixture", "energy"])
+    def test_batch_equals_chains_walked_alone(self, tmp_path, source):
+        # every row of samples.csv is its chain walked alone on its own keyed
+        # stream, up to the summation order of the batched matmuls
+        from ebsmooth.harness import STREAM_WALK_BASE, load_energy
+        from ebsmooth.densities import IsoMixture
+        from ebsmooth.sampler import WalkJumpConfig, walk_jump
+
+        means = rng_stream(9, 0).standard_normal((4, 6))
+        extra = {"dataset": {"means": means.tolist()},
+                 "walk_jump": {"n_samples": 7, "tau": 30}}
+        if source == "energy":
+            extra.update(self._energy_sources(tmp_path, 6))
+        path = write_cfg(tmp_path, extra=extra)
+        assert main(["walk-jump", "-c", str(path)]) == 0
+        rows = np.loadtxt(tmp_path / "out" / "samples.csv", delimiter=",", skiprows=1)
+        noisy, got = rows[:, 1:7], rows[:, 7:]
+        if source == "energy":
+            coarse = load_energy(extra["estimator"]["path"], 1.0, "coarse")
+            fine = load_energy(extra["walk_jump"]["fine_energy_path"], 0.05, "fine")
+        else:
+            coarse = fine = IsoMixture(means=means, sigma0=1.0)
+        cfg = WalkJumpConfig(sigma_prime=0.05, delta=0.001, tau=30)
+        for i in range(7):
+            alone = walk_jump(coarse, fine, noisy[i], 1.0, cfg,
+                              rng_stream(5, STREAM_WALK_BASE + i))
+            np.testing.assert_allclose(got[i], alone, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("nan, stage", [("coarse", "coarse estimate"),
+                                            ("fine", "iterate at walk step 0")])
+    def test_nan_energy_is_2_and_writes_no_row(self, tmp_path, capsys, nan, stage):
+        path = write_cfg(tmp_path, extra=self._energy_sources(tmp_path, 2, nan=nan))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["walk-jump", "-c", str(path)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err == f"numerical failure: non-finite {stage} in chain 0\n"
+        samples = tmp_path / "out" / "samples.csv"
+        assert not samples.exists() or "nan" not in samples.read_text().lower()
+
 
 class TestOracleCheckCli:
     def test_passes_on_sound_pipeline(self, tmp_path):
@@ -369,6 +424,28 @@ class TestBadConfigValues:
         err = capsys.readouterr().err
         assert err.startswith("config error:"), err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [
+        ["oracle-check", "--set", "certify.max_points=-1"],
+        ["oracle-check", "--max-points", "0"],
+        ["certify", "--set", "certify.max_points=-1"],
+        ["certify", "--set", "certify.chunk=1e3"],
+        ["certify", "--set", "confidence.nc=true"],
+        ["train-xhat", "--set", "classifier.hidden=5"],
+        ["walk-jump", "--set", "walk_jump.n_samples=0"],
+        ["walk-jump", "--set", "walk_jump.tau=2.5"],
+        ["oracle-check", "--set", "seed=1.5"],
+    ])
+    def test_wrong_type_or_count_rejected(self, tmp_path, capsys, args):
+        # config.py checks int and list fields against their annotations;
+        # these used to fail with a traceback or, for a negative max_points,
+        # to drop a point without a word
+        path = write_cfg(tmp_path)
+        assert main([args[0], "-c", str(path), *args[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:"), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
 
     def test_zero_chunk_rejected_without_hanging(self, tmp_path):
         # a chunk of 0 used to loop forever; the subprocess timeout turns a

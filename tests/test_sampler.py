@@ -12,7 +12,7 @@ from ebsmooth.sampler import (
     langevin_walk,
     walk_jump,
 )
-from ebsmooth.stats import rng_stream
+from ebsmooth.stats import RowStreams, rng_stream
 
 
 def zero_energy(dim, sigma):
@@ -145,6 +145,56 @@ class TestWalkJump:
         d_minus = np.linalg.norm(outs + np.array([2.0, 0.0]), axis=1)
         near = np.minimum(d_plus, d_minus) <= 3.0  # 3 sigma0 of a mode
         assert near.mean() >= 0.95
+
+
+class _NanEstimate:
+    """An IsoGaussian whose Bayes estimate at one scale is NaN in one row;
+    its score, and so the walk, stays finite."""
+
+    def __init__(self, dim, bad_sigma, bad_row):
+        self.model = IsoGaussian(sigma0=1.0, dim=dim)
+        self.bad_sigma, self.bad_row = bad_sigma, bad_row
+
+    def smoothed_score(self, y, sigma):
+        return self.model.smoothed_score(y, sigma)
+
+    def bayes_estimate(self, y, sigma):
+        out = self.model.bayes_estimate(y, sigma)
+        if sigma == self.bad_sigma:
+            out[self.bad_row] = np.nan
+        return out
+
+
+class TestNonFinite:
+    CFG = WalkJumpConfig(sigma_prime=0.05, delta=0.001, tau=3)
+
+    @pytest.mark.parametrize("bad_sigma, what", [(1.0, "coarse estimate"), (0.05, "jump")])
+    def test_names_the_stage_and_the_first_bad_chain(self, bad_sigma, what):
+        source = _NanEstimate(2, bad_sigma, bad_row=2)
+        with pytest.raises(FloatingPointError, match=f"non-finite {what} in chain 2"):
+            walk_jump(source, source, np.ones((4, 2)), 1.0, self.CFG, rng_stream(1, 0))
+
+    def test_walk_names_the_first_bad_chain(self):
+        model = IsoGaussian(sigma0=1.0, dim=2)
+        y0 = np.zeros((3, 2))
+        y0[1, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="walk step 0 in chain 1"):
+            langevin_walk(model, y0, self.CFG, rng_stream(2, 0))
+
+
+class TestRowStreams:
+    def test_batch_draws_what_each_row_draws_alone(self):
+        streams = RowStreams(rng_stream(3, i) for i in range(4))
+        batch = [streams.standard_normal((4, 5)) for _ in range(3)]
+        for i in range(4):
+            alone = rng_stream(3, i)
+            for drawn in batch:
+                np.testing.assert_array_equal(drawn[i], alone.standard_normal(5))
+
+    def test_row_count_must_match(self):
+        streams = RowStreams(rng_stream(5, i) for i in range(2))
+        with pytest.raises(ValueError):
+            streams.standard_normal((3, 2))
 
 
 class TestGradientFlow:
