@@ -42,9 +42,7 @@ from .adversarial import (
     train_xhat,
 )
 from .sampler import (
-    GradientFlowResult,
     WalkJumpConfig,
-    gradient_flow,
     jump,
     langevin_walk,
     walk_jump,
@@ -64,7 +62,6 @@ __all__ = [
     "EnergyNet",
     "EnergyTrainConfig",
     "GaussianClassSpec",
-    "GradientFlowResult",
     "IsoGaussian",
     "IsoMixture",
     "LabeledDataset",
@@ -79,7 +76,6 @@ __all__ = [
     "certify",
     "gen_dataset",
     "grad_log_pi",
-    "gradient_flow",
     "jump",
     "langevin_walk",
     "linear_gaussian_oracle",

@@ -25,7 +25,7 @@ import dataclasses
 import numpy as np
 
 from .classifiers import PROB_FLOOR, EbClassifier, SoftClassifier, _neg_log_pi, _pi_batch
-from .energy import TrainingDivergedError
+from .energy import _check_finite_step
 from .mlp import Adam, schedule_lr
 from .stats import rng_stream
 
@@ -169,6 +169,8 @@ class ClassifierTrainConfig:
             raise ValueError("steps, batch_size and m must be positive")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if any(w < 1 for w in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {list(self.hidden)}")
 
 
 def train_xhat(points, labels, estimator, cfg, attack, gen=None, callback=None):
@@ -221,8 +223,7 @@ def train_xhat(points, labels, estimator, cfg, attack, gen=None, callback=None):
         loss, grads, pis = xhat_objective_theta_grads(c, zb, kb, noise)
         if not run_attack:  # zb is xb: the training pass gives the clean loss
             clean_nll = adv_nll = -np.log(np.maximum(pis[np.arange(len(kb)), kb], PROB_FLOOR))
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(step)
+        _check_finite_step(step, loss, grads)
         opt.step(params, grads, schedule_lr(step, cfg.steps, cfg.lr, cfg.lr_final))
         if callback is not None:
             callback(step, {

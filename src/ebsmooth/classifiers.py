@@ -136,18 +136,6 @@ class SoftClassifier:
         out = np.argmax(p, axis=1).astype(np.int64)
         return int(out[0]) if single else out
 
-    def class_prob_input_grad(self, x, k):
-        """Gradient of the k-th output probability with respect to the input."""
-        xb, single = _as_batch(x, self.dim)
-        p, cache = self._forward(xb)
-        dlogits = p[:, k][:, None] * (np.eye(self.n_classes)[k][None, :] - p)
-        dx, _ = self._backward(cache, dlogits, want_params=False)
-        return _unbatch(dx, single)
-
-    def copy(self):
-        return SoftClassifier([w.copy() for w in self.weights],
-                              [b.copy() for b in self.biases])
-
 
 def apply_estimator(estimator, y, sigma):
     """Denoise y with whichever estimator is configured.

@@ -46,15 +46,21 @@ def _build(cls, data, path):
 
 
 def _check_type(value, hint, name):
-    """Reject a bool or float for an int field and a non-list for a list
-    field, so that JSON such as 1e3 or 5 fails here and not deep in a run."""
-    allowed = typing.get_args(hint) or (hint,)
+    """Reject a bool or float for an int field, a non-list for a list field
+    and a bad element of a list[int] field, so that JSON such as 1e3, 5 or
+    [2.5] fails here and not deep in a run."""
+    of_list = typing.get_origin(hint) is list  # get_args(list[int]) is (int,)
+    allowed = (list,) if of_list else typing.get_args(hint) or (hint,)
     if value is None and type(None) in allowed:
         return
     if int in allowed and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if list in allowed and not isinstance(value, list):
         raise ConfigError(f"{name} must be a list, got {value!r}")
+    if of_list:
+        (item,) = typing.get_args(hint)
+        for i, element in enumerate(value):
+            _check_type(element, item, f"{name}[{i}]")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,7 +117,7 @@ class EstimatorSection:
 @dataclasses.dataclass(frozen=True)
 class ClassifierSection:
     kind: str = "mlp"
-    hidden: list = dataclasses.field(default_factory=lambda: [64])
+    hidden: list[int] = dataclasses.field(default_factory=lambda: [64])
     weights: list | None = None
     bias: float | None = None
     path: str | None = None
@@ -133,7 +139,7 @@ class ClassifierSection:
 @dataclasses.dataclass(frozen=True)
 class EnergyTrainSection:
     sigma: float | None = None  # defaults to the experiment sigma
-    hidden: list = dataclasses.field(default_factory=lambda: [128, 128])
+    hidden: list[int] = dataclasses.field(default_factory=lambda: [128, 128])
     steps: int = 4000
     batch_size: int = 128
     lr: float = 1e-3

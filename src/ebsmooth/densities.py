@@ -200,17 +200,3 @@ class IsoMixture:
         """Posterior mean of X given Y = y: y + sigma^2 * score(y)."""
         yb, single = _as_batch(y, self.dim)
         return _unbatch(yb + sigma * sigma * self.smoothed_score(yb, sigma), single)
-
-
-def symmetric_mixture_estimate(mu, sigma0, y, sigma):
-    """Closed form of the symmetric two-component denoiser.
-
-    beta*y + (1-beta) * tanh(<beta*y, mu>/sigma0^2) * mu.  Kept as a separate
-    code path from IsoMixture.bayes_estimate so the two can cross-check each
-    other in tests.
-    """
-    mu = np.asarray(mu, dtype=float)
-    y = np.asarray(y, dtype=float)
-    beta = beta_of(sigma, sigma0)
-    inner = (beta / sigma0**2) * (y @ mu)
-    return beta * y + (1.0 - beta) * np.multiply.outer(np.tanh(inner), mu)

@@ -33,11 +33,21 @@ from .stats import rng_stream
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when a training loss stops being finite; carries the step index."""
+    """Raised when a training loss or gradient stops being finite; carries
+    the step index."""
 
     def __init__(self, step, what="loss"):
         super().__init__(f"non-finite {what} at training step {step}")
         self.step = step
+
+
+def _check_finite_step(step, loss, grads):
+    """Raise TrainingDivergedError unless the loss and every parameter
+    gradient are finite, so no optimizer step writes NaN into parameters."""
+    if not np.isfinite(loss):
+        raise TrainingDivergedError(step)
+    if not all(np.all(np.isfinite(g)) for g in grads):
+        raise TrainingDivergedError(step, "gradient")
 
 
 class EnergyNet:
@@ -74,10 +84,6 @@ class EnergyNet:
     @property
     def dim(self):
         return self.widths[0]
-
-    @property
-    def n_hidden_layers(self):
-        return len(self.weights)
 
     def parameters(self):
         params = []
@@ -204,15 +210,6 @@ class EnergyNet:
         yb, single = _as_batch(y, self.dim)
         return _unbatch(yb - self.sigma**2 * self.input_grad(yb), single)
 
-    def copy(self):
-        return EnergyNet(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.out_w.copy(),
-            self.out_b.copy(),
-            self.sigma,
-        )
-
 
 def denoise_loss_and_grads(net, x_clean, y_noisy):
     """Denoising least squares || x - (y - sigma^2 grad phi(y)) ||^2 and its
@@ -264,19 +261,18 @@ class EnergyTrainConfig:
             raise ValueError("steps and batch_size must be positive")
         if not self.hidden:
             raise ValueError("at least one hidden layer is required for training")
+        if any(w < 1 for w in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {list(self.hidden)}")
 
 
-def train_energy(data, cfg, gen=None, eval_data=None, eval_every=100, callback=None):
+def train_energy(data, cfg, gen=None, callback=None):
     """Fit an EnergyNet on clean samples by denoising least squares.
 
     One fresh noise draw per data point per step keeps the stochastic loss
     unbiased.  All randomness flows through `gen` (derived from cfg.seed when
-    omitted), so a fixed seed reproduces the final parameters bit for bit in
-    a single-worker run.
-
-    callback, when given, is invoked as callback(step, record) with the
-    training loss and, every `eval_every` steps, the held-out loss on
-    eval_data.
+    omitted), so a fixed seed reproduces the final parameters bit for bit.
+    A non-finite loss or gradient raises TrainingDivergedError before the
+    step.  callback, when given, receives (step, {"loss": loss}).
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -292,20 +288,8 @@ def train_energy(data, cfg, gen=None, eval_data=None, eval_every=100, callback=N
         x = data[idx]
         y = x + cfg.sigma * gen.standard_normal(x.shape)
         loss, grads = denoise_loss_and_grads(net, x, y)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(step)
+        _check_finite_step(step, loss, grads)
         opt.step(params, grads, schedule_lr(step, cfg.steps, cfg.lr, cfg.lr_final))
         if callback is not None:
-            record = {"loss": loss}
-            if eval_data is not None and step % eval_every == 0:
-                record["eval_loss"] = denoise_eval_loss(net, eval_data, cfg.sigma, gen)
-            callback(step, record)
+            callback(step, {"loss": loss})
     return net
-
-
-def denoise_eval_loss(net, data, sigma, gen):
-    """Denoising loss on held-out points with fresh noise."""
-    data = np.asarray(data, dtype=float)
-    y = data + sigma * gen.standard_normal(data.shape)
-    xhat = net.bayes_estimate(y, net.sigma)
-    return float(np.mean(np.sum((xhat - data) ** 2, axis=1)))

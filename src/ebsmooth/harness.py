@@ -146,7 +146,7 @@ def resolve_hard_classifier(cfg):
     estimator = resolve_estimator(cfg)
     if estimator is None:
         return base
-    return EbClassifier(base, estimator, cfg.sigma, m=cfg.train.m)
+    return EbClassifier(base, estimator, cfg.sigma)
 
 
 # -- certification ------------------------------------------------------------
@@ -347,12 +347,11 @@ def run_oracle_check(cfg, raw_config, command):
         raise ConfigError("oracle-check needs classifier.kind=linear")
     if cfg.certify.max_points < 1:
         raise ConfigError("oracle-check needs certify.max_points >= 1")
-    base = LinearClassifier(np.asarray(cfg.classifier.weights, float),
-                            float(cfg.classifier.bias))
+    base = resolve_base_classifier(cfg)
     sigma0 = cfg.dataset.sigma0
     model = IsoGaussian(sigma0=sigma0, dim=base.dim)
     points = model.sample(cfg.certify.max_points, rng_stream(cfg.seed, STREAM_TEST_DATA))
-    classifier = EbClassifier(base, model, cfg.sigma, m=1)
+    classifier = EbClassifier(base, model, cfg.sigma)
     results = certify_points(classifier, points, cfg.sigma, cfg.confidence, cfg.seed,
                              workers=cfg.certify.workers, chunk=cfg.certify.chunk)
     class_violations = 0
@@ -390,8 +389,9 @@ def run_walk_jump(cfg, raw_config, command):
 
     All chains run as one batch, chain i drawing its walk noise from its own
     keyed stream STREAM_WALK_BASE + i (stats.RowStreams), so each row is what
-    that chain gives when walked alone.  Nothing is written when a chain goes
-    non-finite."""
+    that chain gives when walked alone.  The dumped trajectory is chain 0's
+    path in that same batched walk, so it ends where samples.csv row 0 came
+    from.  Nothing is written when a chain goes non-finite."""
     t0 = _start(cfg)
     wj = cfg.walk_jump
     walk_cfg = _build(WalkJumpConfig, dict(
@@ -411,7 +411,9 @@ def run_walk_jump(cfg, raw_config, command):
     noisy = clean + cfg.sigma * data_gen.standard_normal(clean.shape)
     chains = RowStreams(rng_stream(cfg.seed, STREAM_WALK_BASE + i)
                         for i in range(wj.n_samples))
-    outs = walk_jump(coarse, fine, noisy, cfg.sigma, walk_cfg, chains)
+    walked = walk_jump(coarse, fine, noisy, cfg.sigma, walk_cfg, chains,
+                       return_trajectory=wj.dump_trajectory)
+    outs, traj = walked if wj.dump_trajectory else (walked, None)
     outputs = ["samples.csv"]
     out_path = os.path.join(cfg.output_dir, "samples.csv")
     dim = clean.shape[1]
@@ -422,14 +424,11 @@ def run_walk_jump(cfg, raw_config, command):
             row = [fmt(v) for v in y] + [fmt(v) for v in out]
             fh.write(f"{i}," + ",".join(row) + "\n")
     if wj.dump_trajectory:
-        chain_gen = rng_stream(cfg.seed, STREAM_WALK_BASE)
-        _, traj = walk_jump(coarse, fine, noisy[0], cfg.sigma, walk_cfg, chain_gen,
-                            return_trajectory=True)
         traj_path = os.path.join(cfg.output_dir, "trajectory.csv")
         with open(traj_path, "w", newline="") as fh:
             names = [f"x{i}" for i in range(dim)]
             fh.write("step," + ",".join(names) + ",energy\n")
-            for step, y in enumerate(traj):
+            for step, y in enumerate(traj[:, 0]):
                 e = energy_value(fine, y, wj.sigma_prime)
                 fh.write(f"{step}," + ",".join(fmt(v) for v in y) + f",{fmt(e)}\n")
         outputs.append("trajectory.csv")

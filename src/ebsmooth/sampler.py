@@ -1,4 +1,4 @@
-"""Langevin walk, denoiser jump, and the deterministic gradient-flow map.
+"""Langevin walk, denoiser jump, and the walk-jump pipeline that composes them.
 
 The walk runs unadjusted Langevin dynamics on an energy at a fine noise scale,
 using the drift/diffusion pairing delta^2 and sqrt(2)*delta (note: this is a
@@ -106,42 +106,3 @@ def walk_jump(coarse_source, fine_source, y, sigma, cfg, gen, return_trajectory=
         out = jump(fine_source, final, cfg.sigma_prime)
         _require_finite(out, "jump")
     return (out, walked) if return_trajectory else out
-
-
-@dataclasses.dataclass(frozen=True)
-class GradientFlowResult:
-    point: np.ndarray
-    converged: bool
-    steps: int
-    trajectory: np.ndarray | None = None
-
-
-def gradient_flow(source, y, sigma, step, max_steps, tol, return_trajectory=False):
-    """Explicit-Euler descent of the energy to an attractor.
-
-    Iterates y <- y - step * grad_energy(y) until the gradient norm drops to
-    tol or the step budget runs out.  Starting at a critical point returns
-    immediately with converged=True.
-    """
-    if step <= 0.0 or tol <= 0.0:
-        raise ValueError("step and tol must be positive")
-    y = np.asarray(y, dtype=float).copy()
-    traj = [y.copy()] if return_trajectory else None
-    for t in range(int(max_steps) + 1):
-        g = energy_grad(source, y, sigma)
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient at flow step {t}")
-        if np.linalg.norm(g) <= tol:
-            return GradientFlowResult(
-                y, True, t, np.asarray(traj) if return_trajectory else None
-            )
-        if t == max_steps:
-            break
-        y = y - step * g
-        if not np.all(np.isfinite(y)):
-            raise FloatingPointError(f"non-finite iterate at flow step {t}")
-        if return_trajectory:
-            traj.append(y.copy())
-    return GradientFlowResult(
-        y, False, int(max_steps), np.asarray(traj) if return_trajectory else None
-    )

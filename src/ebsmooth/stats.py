@@ -20,7 +20,6 @@ import numpy as np
 from scipy import special
 
 _SQRT2 = float(np.sqrt(2.0))
-_INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 _MASK64 = (1 << 64) - 1
 # Relative slack the Clopper-Pearson bound keeps below alpha in its tail.
 # scipy.special.betainc's relative error, measured against 40-digit direct
@@ -50,12 +49,6 @@ class ConfidenceSpec:
             raise ValueError(f"n0 must be >= 1, got {self.n0}")
         if self.nc < 1:
             raise ValueError(f"nc must be >= 1, got {self.nc}")
-
-
-def std_normal_pdf(z):
-    z = np.asarray(z, dtype=float)
-    out = np.exp(-0.5 * z * z) * _INV_SQRT_2PI
-    return float(out) if out.ndim == 0 else out
 
 
 def std_normal_cdf(z):

@@ -135,3 +135,37 @@ def mixture_reference(means, weights, sigma0, y, sigma, v=None):
         hvp = ((np.einsum("nk,nkd->nd", resp * (c - cbar), diffs) - v) / s2).astype(float)
     bayes = y + ld(sigma) * ld(sigma) * score
     return (log_density.astype(float), score.astype(float), hvp, bayes.astype(float))
+
+
+def symmetric_mixture_estimate(mu, sigma0, y, sigma):
+    """Closed form of the symmetric two-component (+-mu) mixture denoiser.
+
+    beta*y + (1-beta) * tanh(<beta*y, mu>/sigma0^2) * mu with
+    beta = sigma0^2 / (sigma0^2 + sigma^2), for a point y (d,) or a batch
+    (n, d); a separate code path from IsoMixture.bayes_estimate.
+    """
+    mu = np.asarray(mu, dtype=float)
+    y = np.asarray(y, dtype=float)
+    beta = sigma0**2 / (sigma0**2 + sigma**2)
+    inner = (beta / sigma0**2) * (y @ mu)
+    return beta * y + (1.0 - beta) * np.multiply.outer(np.tanh(inner), mu)
+
+
+def class_prob_input_grad(soft, x, k):
+    """Input gradient of a SoftClassifier's k-th class probability at each row
+    of x (n, d), by a reverse pass written out from its weights: softplus
+    hidden layers, then a softmax over the last affine layer."""
+    h = np.asarray(x, dtype=float)
+    pre = []
+    for w, b in zip(soft.weights[:-1], soft.biases[:-1]):
+        pre.append(h @ w + b)
+        h = np.logaddexp(0.0, pre[-1])
+    logits = h @ soft.weights[-1] + soft.biases[-1]
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    d = -p[:, [k]] * p  # d p_k / d logits = p_k (onehot_k - p)
+    d[:, k] += p[:, k]
+    d = d @ soft.weights[-1].T
+    for w, a in zip(reversed(soft.weights[:-1]), reversed(pre)):
+        d = (d / (1.0 + np.exp(-a))) @ w.T
+    return d

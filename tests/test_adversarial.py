@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ebsmooth.adversarial as adversarial
 from ebsmooth.adversarial import (
     AttackSpec,
     ClassifierTrainConfig,
@@ -16,7 +17,7 @@ from ebsmooth.classifiers import (
 )
 from ebsmooth.datasets import GaussianClassSpec, gen_dataset
 from ebsmooth.densities import IsoMixture
-from ebsmooth.energy import EnergyNet
+from ebsmooth.energy import EnergyNet, TrainingDivergedError
 from ebsmooth.stats import rng_stream
 
 
@@ -209,6 +210,25 @@ def _toy_training_setup(seed, n=600):
 
 
 class TestTrainXhat:
+    def test_nan_gradient_on_last_step_raises(self, monkeypatch):
+        data, mix = _toy_training_setup(16)
+        cfg = ClassifierTrainConfig(sigma=0.3, mode="adversarial", steps=5,
+                                    batch_size=16, hidden=(8,), seed=17)
+        calls = []
+
+        def nan_on_last(c, xs, ks, noise):
+            loss, grads, pis = xhat_objective_theta_grads(c, xs, ks, noise)
+            calls.append(loss)
+            if len(calls) == cfg.steps:
+                grads[-1] = np.full_like(grads[-1], np.nan)
+            return loss, grads, pis
+
+        monkeypatch.setattr(adversarial, "xhat_objective_theta_grads", nan_on_last)
+        with pytest.raises(TrainingDivergedError, match="non-finite gradient") as err:
+            train_xhat(data.points, data.labels, mix, cfg, AttackSpec(epsilon=0.5, steps=2))
+        assert err.value.step == cfg.steps - 1
+        assert np.all(np.isfinite(calls))
+
     def test_bitwise_reproducible(self):
         data, mix = _toy_training_setup(10)
         cfg = ClassifierTrainConfig(sigma=0.3, mode="adversarial", steps=30,

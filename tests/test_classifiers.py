@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from ebsmooth.classifiers import (
     EbClassifier,
     LinearClassifier,
@@ -221,5 +222,5 @@ class TestGradLogPi:
         k = 2
         pi_k = soft_pi_with_noise(c, x, noise)[k]
         g = grad_log_pi(c, x, k, noise)
-        base_grads = soft.class_prob_input_grad(x[None, :] + noise, k)
+        base_grads = oracles.class_prob_input_grad(soft, x[None, :] + noise, k)
         np.testing.assert_allclose(g * pi_k, base_grads.mean(axis=0), atol=1e-12)

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ebsmooth.densities import (
-    IsoGaussian,
-    IsoMixture,
-    beta_of,
-    symmetric_mixture_estimate,
-)
+from ebsmooth.densities import IsoGaussian, IsoMixture, beta_of
 from ebsmooth.stats import rng_stream
 
 
@@ -159,7 +154,7 @@ class TestIsoMixture:
         for sigma in [0.1, 0.7, 2.0]:
             np.testing.assert_allclose(
                 mix.bayes_estimate(ys, sigma),
-                symmetric_mixture_estimate(mu, 0.9, ys, sigma),
+                oracles.symmetric_mixture_estimate(mu, 0.9, ys, sigma),
                 rtol=1e-10, atol=1e-12,
             )
 

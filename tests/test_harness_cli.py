@@ -16,7 +16,7 @@ from ebsmooth.certify import CertResult
 from ebsmooth.checkpoint import save_checkpoint
 from ebsmooth.classifiers import LinearClassifier, SoftClassifier
 from ebsmooth.energy import EnergyNet
-from ebsmooth.stats import ConfidenceSpec, rng_stream
+from ebsmooth.stats import ConfidenceSpec, RowStreams, rng_stream
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -120,6 +120,28 @@ class TestCliExitCodes:
             warnings.simplefilter("always")
             assert main(["certify", "-c", str(path)]) == 2
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_nan_energy_gradient_is_2_and_saves_nothing(self, tmp_path, monkeypatch):
+        import ebsmooth.energy as energy
+
+        real = energy.denoise_loss_and_grads
+        steps = 6
+        calls = []
+
+        def nan_on_last(net, x, y):
+            loss, grads = real(net, x, y)
+            calls.append(loss)
+            if len(calls) == steps:
+                grads[0] = np.full_like(grads[0], np.nan)
+            return loss, grads
+
+        monkeypatch.setattr(energy, "denoise_loss_and_grads", nan_on_last)
+        path = write_cfg(tmp_path, extra={
+            "energy_train": {"hidden": [8], "steps": steps, "batch_size": 16},
+        })
+        assert main(["train-energy", "-c", str(path)]) == 2
+        assert len(calls) == steps
+        assert not (tmp_path / "out" / "energy.ckpt").exists()
 
     def test_success_is_0(self, tmp_path):
         path = write_cfg(tmp_path)
@@ -249,7 +271,11 @@ class TestWalkJumpCli:
         assert len(samples) == 5
 
     def test_samples_and_trajectory(self, tmp_path):
+        # at these means a one-chain walk, which sums its matmuls in another
+        # order than the batch, drifts from chain 0 of the batch by ulps
+        means = 2.0 * rng_stream(9, 7).standard_normal((4, 2))
         path = write_cfg(tmp_path, extra={
+            "dataset": {"means": means.tolist()},
             "walk_jump": {"n_samples": 8, "tau": 20, "dump_trajectory": True},
         })
         assert main(["walk-jump", "-c", str(path)]) == 0
@@ -258,6 +284,20 @@ class TestWalkJumpCli:
         traj = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
         assert traj[0] == "step,x0,x1,energy"
         assert len(traj) == 22  # tau + 1 rows plus header
+        # the dump is chain 0's path in the batched walk behind samples.csv,
+        # bit for bit
+        from ebsmooth.densities import IsoMixture
+        from ebsmooth.harness import STREAM_WALK_BASE
+        from ebsmooth.sampler import WalkJumpConfig, walk_jump
+
+        rows = np.loadtxt(tmp_path / "out" / "samples.csv", delimiter=",", skiprows=1)
+        mix = IsoMixture(means=means, sigma0=1.0)
+        chains = RowStreams(rng_stream(5, STREAM_WALK_BASE + i) for i in range(8))
+        outs, path = walk_jump(mix, mix, rows[:, 1:3], 1.0, WalkJumpConfig(tau=20), chains,
+                               return_trajectory=True)
+        dumped = np.loadtxt(tmp_path / "out" / "trajectory.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(dumped[:, 1:3], path[:, 0])
+        assert np.array_equal(rows[:, 3:], outs)
 
     def test_rerun_byte_identical(self, tmp_path):
         path = write_cfg(tmp_path, extra={"walk_jump": {"n_samples": 5, "tau": 10}})
@@ -432,6 +472,10 @@ class TestBadConfigValues:
         ["certify", "--set", "certify.chunk=1e3"],
         ["certify", "--set", "confidence.nc=true"],
         ["train-xhat", "--set", "classifier.hidden=5"],
+        ["train-xhat", "--set", "classifier.hidden=[2.5]"],
+        ["train-xhat", "--set", "classifier.hidden=[0]"],
+        ["train-energy", "--set", "energy_train.hidden=[2.5]"],
+        ["train-energy", "--set", "energy_train.hidden=[0]"],
         ["walk-jump", "--set", "walk_jump.n_samples=0"],
         ["walk-jump", "--set", "walk_jump.tau=2.5"],
         ["oracle-check", "--set", "seed=1.5"],

@@ -6,8 +6,6 @@ from ebsmooth.energy import EnergyNet
 from ebsmooth.sampler import (
     WalkJumpConfig,
     energy_grad,
-    energy_value,
-    gradient_flow,
     jump,
     langevin_walk,
     walk_jump,
@@ -196,60 +194,3 @@ class TestRowStreams:
         with pytest.raises(ValueError):
             streams.standard_normal((3, 2))
 
-
-class TestGradientFlow:
-    def test_gaussian_flow_converges_to_mean(self):
-        mean = np.array([1.0, -2.0])
-        model = IsoGaussian(sigma0=1.0, dim=2, mean=mean)
-        res = gradient_flow(model, np.array([5.0, 5.0]), sigma=0.3,
-                            step=0.2, max_steps=10_000, tol=1e-8)
-        assert res.converged
-        # the gradient is (y - mean)/s^2, so |y - mean| <= tol * s^2
-        assert np.linalg.norm(res.point - mean) <= 1e-8 * (0.3**2 + 1.0) + 1e-12
-
-    def test_critical_point_returns_immediately(self):
-        mix = IsoMixture.symmetric(np.array([2.0, 0.0]), 1.0)
-        res = gradient_flow(mix, np.zeros(2), sigma=0.5, step=0.1,
-                            max_steps=100, tol=1e-9)
-        assert res.converged and res.steps == 0
-        np.testing.assert_array_equal(res.point, np.zeros(2))
-
-    def test_mixture_flow_finds_nearside_attractor(self):
-        # the attractor on the positive side solves score(t mu / |mu|) = 0;
-        # locate it with an independent 1-d bisection and compare
-        mu = np.array([2.0, 0.0])
-        mix = IsoMixture.symmetric(mu, 1.0)
-        sp = 0.5
-
-        def axis_score(t):
-            return mix.smoothed_score(np.array([t, 0.0]), sp)[0]
-
-        lo, hi = 0.1, 5.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if axis_score(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        attractor = 0.5 * (lo + hi)
-
-        start = mu + np.array([0.3, 0.2])
-        res = gradient_flow(mix, start, sigma=sp, step=0.05,
-                            max_steps=50_000, tol=1e-10)
-        assert res.converged
-        assert abs(res.point[0] - attractor) < 1e-6
-        assert abs(res.point[1]) < 1e-6
-
-    def test_energy_monotone_along_flow(self):
-        mix = IsoMixture.symmetric(np.array([1.5, 0.5]), 0.8)
-        res = gradient_flow(mix, np.array([3.0, -2.0]), sigma=0.4, step=0.05,
-                            max_steps=2000, tol=1e-8, return_trajectory=True)
-        energies = np.array([energy_value(mix, y, 0.4) for y in res.trajectory])
-        assert np.all(np.diff(energies) <= 1e-9)
-
-    def test_parameter_validation(self):
-        model = IsoGaussian(sigma0=1.0, dim=2)
-        with pytest.raises(ValueError):
-            gradient_flow(model, np.zeros(2), 0.5, step=0.0, max_steps=10, tol=1e-8)
-        with pytest.raises(ValueError):
-            gradient_flow(model, np.zeros(2), 0.5, step=0.1, max_steps=10, tol=0.0)
