@@ -63,6 +63,11 @@ def _check_type(value, hint, name):
             _check_type(element, item, f"{name}[{i}]")
 
 
+def _finite_number(value):
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclasses.dataclass(frozen=True)
 class DatasetSection:
     kind: str = "gaussian_classes"
@@ -82,6 +87,12 @@ class DatasetSection:
         if self.kind == "gaussian_classes":
             if self.means is None:
                 raise ConfigError("dataset.means is required for gaussian_classes")
+            rows = self.means
+            if not (rows and all(isinstance(row, list) for row in rows) and rows[0]
+                    and all(len(row) == len(rows[0]) for row in rows)
+                    and all(_finite_number(v) for row in rows for v in row)):
+                raise ConfigError("dataset.means must be a K x d list of lists of finite "
+                                  f"numbers with K, d >= 1, got {rows!r}")
             if self.sigma0 <= 0:
                 raise ConfigError("dataset.sigma0 must be positive")
         if self.kind == "idx":
@@ -127,8 +138,14 @@ class ClassifierSection:
             raise ConfigError(
                 f"classifier.kind must be mlp, linear or checkpoint, got {self.kind!r}"
             )
-        if self.kind == "linear" and (self.weights is None or self.bias is None):
-            raise ConfigError("classifier.weights and classifier.bias are required for linear")
+        if self.kind == "linear":
+            if self.weights is None or self.bias is None:
+                raise ConfigError("classifier.weights and classifier.bias are required for linear")
+            if not (self.weights and all(_finite_number(w) for w in self.weights)):
+                raise ConfigError("classifier.weights must be a non-empty list of finite "
+                                  f"numbers, got {self.weights!r}")
+            if not _finite_number(self.bias):
+                raise ConfigError(f"classifier.bias must be a finite number, got {self.bias!r}")
         if self.kind == "checkpoint":
             if self.path is None:
                 raise ConfigError("classifier.path is required for kind=checkpoint")

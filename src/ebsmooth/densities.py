@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.special import logsumexp
 
 
 def beta_of(sigma, sigma0):
@@ -163,8 +162,10 @@ class IsoMixture:
         yb, single = _as_batch(y, self.dim)
         s2 = sigma * sigma + self.sigma0 * self.sigma0
         sq_y = np.sum(yb * yb, axis=1)
-        out = logsumexp(self._logits(yb, s2), axis=1) - 0.5 * sq_y / s2 \
-            - 0.5 * self.dim * np.log(2.0 * np.pi * s2)
+        logits = self._logits(yb, s2)
+        top = logits.max(axis=1)
+        lse = top + np.log(np.sum(np.exp(logits - top[:, None]), axis=1))
+        out = lse - 0.5 * sq_y / s2 - 0.5 * self.dim * np.log(2.0 * np.pi * s2)
         return _unbatch(out, single)
 
     def smoothed_score(self, y, sigma):

@@ -139,10 +139,15 @@ def resolve_base_classifier(cfg):
     )
 
 
-def resolve_hard_classifier(cfg):
-    """The hard classifier certification runs on: base composed with the
-    configured estimator, or the bare base for identity."""
+def resolve_hard_classifier(cfg, dim):
+    """The hard classifier certification runs on dim-dimensional points: base
+    composed with the configured estimator, or the bare base for identity."""
     base = resolve_base_classifier(cfg)
+    if base.dim != dim:
+        what = ("classifier.weights" if cfg.classifier.kind == "linear"
+                else f"classifier.path {cfg.classifier.path}")
+        raise ConfigError(f"{what} has dimension {base.dim}, but the data have "
+                          f"dimension {dim}")
     estimator = resolve_estimator(cfg)
     if estimator is None:
         return base
@@ -174,6 +179,9 @@ def certify_points(classifier, points, sigma, spec, seed, workers=1, chunk=10_00
     if workers <= 1:
         pairs = [_certify_task(t) for t in tasks]
     else:
+        # the bound and the quantile need scipy.special (stats imports it
+        # lazily); importing it before the fork saves each worker the import
+        import scipy.special  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             pairs = list(pool.map(_certify_task, tasks))
     pairs.sort(key=lambda item: item[0])
@@ -316,7 +324,7 @@ def _certification_inputs(cfg):
     n = min(cfg.certify.max_points, len(test))
     points = test.points[:n]
     labels = test.labels[:n]
-    classifier = resolve_hard_classifier(cfg)
+    classifier = resolve_hard_classifier(cfg, test.points.shape[1])
     return classifier, points, labels
 
 

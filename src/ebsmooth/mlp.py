@@ -1,15 +1,50 @@
 """Shared pieces for the small fully-connected networks: smooth activations,
-weight initialization, and an Adam optimizer with bias correction."""
+weight initialization, and an Adam optimizer with bias correction.
+
+The activations are plain numpy, so the training commands never import
+scipy.  Each writes into one output buffer and, for a contiguous input,
+holds no full-size temporary.  Both take a float or an array of any shape,
+never modify their input, and return a float64 scalar or an array of the
+input's shape.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit as sigmoid  # noqa: F401  (re-exported)
+
+# Softplus works through its input in blocks of this many elements (64 KB),
+# so its temporaries are a constant size and stay in cache.  Adding max(x, 0)
+# in place over the whole array instead needs a masked add (where=x > 0),
+# which alone costs more than the blocked kernel.
+_BLOCK = 1 << 13
 
 
 def softplus(x):
-    # log(1 + exp(x)) without overflow for large |x|.
-    return np.logaddexp(0.0, x)
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), which does not
+    overflow for large |x|."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_x.size, _BLOCK):
+        xb = flat_x[start:start + _BLOCK]
+        t = np.abs(xb)
+        np.negative(t, out=t)
+        np.exp(t, out=t)
+        np.log1p(t, out=t)
+        np.add(t, np.maximum(xb, 0.0), out=flat_out[start:start + _BLOCK])
+    return out[()]
+
+
+def sigmoid(x):
+    """1 / (1 + exp(-x)), in place in a copy of x.  Below x = -709, exp(-x)
+    overflows to inf and the result is exactly 0, without a warning."""
+    out = np.array(x, dtype=float)
+    np.negative(out, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+    return out[()]
 
 
 def init_affine_stack(widths, gen):

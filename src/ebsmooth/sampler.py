@@ -72,14 +72,16 @@ def langevin_walk(source, y0, cfg, gen, return_trajectory=False):
     y = np.asarray(y0, dtype=float).copy()
     drift = cfg.delta**2
     diffusion = np.sqrt(2.0) * cfg.delta
-    traj = [y.copy()] if return_trajectory else None
+    if return_trajectory:
+        traj = np.empty((cfg.tau + 1, *y.shape))
+        traj[0] = y
     for step in range(cfg.tau):
         y = y - drift * energy_grad(source, y, cfg.sigma_prime) \
             + diffusion * gen.standard_normal(y.shape)
         _require_finite(y, f"iterate at walk step {step}")
         if return_trajectory:
-            traj.append(y.copy())
-    return np.asarray(traj) if return_trajectory else y
+            traj[step + 1] = y
+    return traj if return_trajectory else y
 
 
 def jump(source, y, sigma_prime):

@@ -8,8 +8,11 @@ rule, and keyed deterministic random streams so that per-point noise is
 reproducible regardless of how work is scheduled across processes or
 batched into one array.
 
-Only scipy.special is used: scipy.stats costs most of a second to import, and
-every CLI command is a fresh process.
+Every CLI command is a fresh process, so the import cost counts.  Only
+scipy.special is used, never scipy.stats, and it is imported inside the four
+functions that need it (the normal CDF and quantile, the bound and the
+binomial test): only the certifying commands pay for it.  The keyed streams
+are plain numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy import special
 
 _SQRT2 = float(np.sqrt(2.0))
 _MASK64 = (1 << 64) - 1
@@ -53,6 +55,7 @@ class ConfidenceSpec:
 
 def std_normal_cdf(z):
     """Standard normal CDF, computed through erfc for accuracy in both tails."""
+    from scipy import special
     z = np.asarray(z, dtype=float)
     out = 0.5 * special.erfc(-z / _SQRT2)
     return float(out) if out.ndim == 0 else out
@@ -65,6 +68,7 @@ def std_normal_inv_cdf(p):
     symmetry: the implementation reduces p and 1-p to the same tail problem,
     so quantiles of exactly-representable complementary pairs negate exactly.
     """
+    from scipy import special
     arr = np.asarray(p, dtype=float)
     if arr.size == 0:
         return arr.copy()
@@ -95,6 +99,7 @@ def binom_lower_bound(k, n, alpha):
 
     k may be an int or an integer array (vectorized over k).
     """
+    from scipy import special
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -130,6 +135,7 @@ def binom_test_half(k, n):
     larger of k and n - k, capped at 1, and exactly 1 when 2k = n.  It is
     the same test as scipy.stats.binomtest(k, n, 0.5).
     """
+    from scipy import special
     k, n = int(k), int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -1,5 +1,11 @@
-"""Import cost of the package: every CLI command is a fresh process."""
+"""Import cost of the package: every CLI command is a fresh process.
 
+scipy.special is imported only inside the stats functions that certification
+uses, so importing the package, and every command that does not certify,
+loads no scipy module at all.
+"""
+
+import json
 import os
 import pathlib
 import subprocess
@@ -9,13 +15,62 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
-@pytest.mark.parametrize("module", ["ebsmooth", "ebsmooth.cli"])
-def test_import_does_not_load_scipy_stats(module):
-    # scipy.stats alone costs most of a second and ~45 MB per command
+
+def run_python(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    code = f"import sys, {module}; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("module", ["ebsmooth", "ebsmooth.cli"])
+def test_import_loads_no_scipy(module):
+    # scipy.stats costs most of a second and ~45 MB per command, and
+    # scipy.special alone as much as the rest of the package
+    assert run_python(f"import sys, {module}; print({SCIPY_MODULES})") == "[]"
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train-energy", "train-xhat", "walk-jump"])
+def test_non_certifying_command_loads_no_scipy(tmp_path, command):
+    cfg = {
+        "seed": 3,
+        "sigma": 0.5,
+        "output_dir": str(tmp_path / "out"),
+        "dataset": {"kind": "gaussian_classes", "means": [[1.0, 0.0], [-1.0, 0.0]],
+                    "sigma0": 0.5, "n_train": 32, "n_test": 8},
+        "classifier": {"kind": "mlp", "hidden": [4]},
+        "energy_train": {"hidden": [4], "steps": 2, "batch_size": 8},
+        "train": {"mode": "adversarial", "steps": 2, "batch_size": 8},
+        "attack": {"epsilon": 0.5, "steps": 2},
+        "walk_jump": {"n_samples": 3, "tau": 2, "dump_trajectory": True},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = ("import sys\nfrom ebsmooth.cli import main\n"
+            f"assert main([{command!r}, '-c', {str(path)!r}]) == 0\n"
+            f"print({SCIPY_MODULES})")
+    assert run_python(code) == "[]"
+    assert list((tmp_path / "out").iterdir())
+
+
+def test_pool_workers_inherit_scipy_special():
+    # certify_points imports scipy.special in the parent before it forks its
+    # pool, so that each worker does not import it again
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from ebsmooth.classifiers import LinearClassifier\n"
+        "from ebsmooth.harness import certify_points\n"
+        "from ebsmooth.stats import ConfidenceSpec\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "clf = LinearClassifier(np.array([1.0, 0.0]), 0.1)\n"
+        "res = certify_points(clf, np.array([[2.0, 0.0], [-2.0, 1.0]]), 0.5,\n"
+        "                     ConfidenceSpec(alpha=0.01, n0=20, nc=200), 1, workers=2)\n"
+        "assert len(res) == 2\n"
+        "print('scipy.special' in sys.modules)"
+    )
+    assert run_python(code) == "True"

@@ -491,6 +491,38 @@ class TestBadConfigValues:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize("args", [
+        ["certify", "--set", "classifier.weights=[1,0,0]"],
+        ["certify", "--set", "classifier.weights=[]"],
+        ["certify", "--set", "classifier.weights=[1,NaN]"],
+        ["certify", "--set", 'classifier.bias="x"'],
+        ["gen-data", "--set", "dataset.means=[[1,0],[1]]"],
+        ["gen-data", "--set", 'dataset.means=[[1,"a"]]'],
+        ["gen-data", "--set", "dataset.means=[]"],
+        ["gen-data", "--set", "dataset.means=[[]]"],
+        ["gen-data", "--set", "dataset.means=[[1,Infinity]]"],
+    ])
+    def test_bad_means_or_weights_rejected(self, tmp_path, capsys, args):
+        # a ragged, empty, non-numeric or non-finite matrix, or linear weights
+        # that do not match the data dimension, used to die with a traceback
+        # or, for means=[], to write a 0-dimension dataset
+        path = write_cfg(tmp_path)
+        assert main([args[0], "-c", str(path), *args[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:"), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+    def test_checkpoint_classifier_of_wrong_dimension_rejected(self, tmp_path, capsys):
+        clf = tmp_path / "clf.ckpt"
+        save_checkpoint(clf, SoftClassifier.init(3, (4,), 2, rng_stream(0, 2)))
+        path = write_cfg(tmp_path, extra={
+            "classifier": {"kind": "checkpoint", "path": str(clf),
+                           "weights": None, "bias": None}})
+        assert main(["certify", "-c", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: classifier.path"), err
+
     def test_zero_chunk_rejected_without_hanging(self, tmp_path):
         # a chunk of 0 used to loop forever; the subprocess timeout turns a
         # regression into a failure

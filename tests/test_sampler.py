@@ -85,6 +85,24 @@ class TestLangevinWalk:
                              return_trajectory=True)
         assert traj.shape == (6, 3)
 
+    def test_batch_trajectory_matches_list_and_stack(self):
+        # the trajectory is preallocated; it must hold exactly the iterates
+        # a list of per-step copies, stacked at the end, would hold
+        model = IsoMixture(means=np.array([[1.0, 0.0, 0.5], [-1.0, 0.5, 0.0]]), sigma0=0.5)
+        cfg = WalkJumpConfig(sigma_prime=0.3, delta=0.05, tau=6)
+        y0 = rng_stream(7, 1).standard_normal((4, 3))
+        streams = lambda: RowStreams(rng_stream(7, 10 + i) for i in range(4))  # noqa: E731
+        traj = langevin_walk(model, y0, cfg, streams(), return_trajectory=True)
+        gen, y, want = streams(), y0.copy(), [y0.copy()]
+        for _ in range(cfg.tau):
+            y = y - cfg.delta**2 * energy_grad(model, y, cfg.sigma_prime) \
+                + np.sqrt(2.0) * cfg.delta * gen.standard_normal(y.shape)
+            want.append(y.copy())
+        assert traj.shape == (cfg.tau + 1, 4, 3)
+        np.testing.assert_array_equal(traj, np.asarray(want))
+        np.testing.assert_array_equal(
+            traj[-1], langevin_walk(model, y0, cfg, streams()))
+
     def test_energy_net_scale_mismatch_rejected(self):
         net = zero_energy(2, 0.2)
         cfg = WalkJumpConfig(sigma_prime=0.3, delta=0.01, tau=2)
