@@ -85,7 +85,7 @@ class SoftClassifier:
             params.extend((w, b))
         return params
 
-    def _forward(self, xb):
+    def _logits(self, xb):
         h = xb
         pre = []      # hidden pre-activations
         hs = [xb]     # layer inputs
@@ -94,11 +94,14 @@ class SoftClassifier:
             pre.append(a)
             h = softplus(a)
             hs.append(h)
-        logits = h @ self.weights[-1] + self.biases[-1]
+        return h @ self.weights[-1] + self.biases[-1], (hs, pre)
+
+    def _forward(self, xb):
+        logits, cache = self._logits(xb)
         shifted = logits - logits.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         probs = e / e.sum(axis=1, keepdims=True)
-        return probs, (hs, pre)
+        return probs, cache
 
     def _backward(self, cache, dlogits, want_params=True, want_input=True):
         """Pull a cotangent on the logits back to parameters and inputs."""
@@ -128,12 +131,14 @@ class SoftClassifier:
         return _unbatch(p, single)
 
     def predict_class(self, x):
+        """Index of the largest logit: the softmax is monotone, so it is
+        never formed."""
         xb, single = _as_batch(x, self.dim)
-        p, _ = self._forward(xb)
-        # argmax of NaN probabilities is 0, which would count as a vote
-        if not np.all(np.isfinite(p)):
-            raise FloatingPointError("classifier probabilities are not finite")
-        out = np.argmax(p, axis=1).astype(np.int64)
+        logits, _ = self._logits(xb)
+        # argmax of NaN logits is the NaN's index, which would count as a vote
+        if not np.all(np.isfinite(logits)):
+            raise FloatingPointError("classifier logits are not finite")
+        out = np.argmax(logits, axis=1).astype(np.int64)
         return int(out[0]) if single else out
 
 

@@ -189,15 +189,12 @@ class AttackSection:
 class CertifySection:
     max_points: int = 200
     workers: int = 1
-    chunk: int = 10_000
     radius_grid: list = dataclasses.field(default_factory=lambda: [0.5, 1.0, 1.5, 2.0])
     max_violations: int = 3
 
     def __post_init__(self):
         if self.max_points < 0:
             raise ConfigError(f"certify.max_points must be >= 0, got {self.max_points}")
-        if self.chunk < 1:
-            raise ConfigError(f"certify.chunk must be >= 1, got {self.chunk}")
 
 
 @dataclasses.dataclass(frozen=True)

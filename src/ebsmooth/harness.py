@@ -100,12 +100,16 @@ def resolve_data_model(cfg):
     return IsoMixture(means=means, sigma0=ds.sigma0)
 
 
-def load_energy(path, sigma, key):
+def load_energy(path, sigma, key, dim):
     """The EnergyNet checkpoint at `path`, named by config key `key`, checked
-    to have been trained at the noise scale `sigma` it is about to be used at."""
+    to be of the data dimension `dim` and to have been trained at the noise
+    scale `sigma` it is about to be used at."""
     net = load_checkpoint(path)
     if not isinstance(net, EnergyNet):
         raise ConfigError(f"{key} {path} is not an energy checkpoint")
+    if net.dim != dim:
+        raise ConfigError(f"{key} {path} has dimension {net.dim}, but the data have "
+                          f"dimension {dim}")
     try:
         # denoising no points runs only the energy's scale check
         net.bayes_estimate(np.zeros((0, net.dim)), sigma)
@@ -114,13 +118,14 @@ def load_energy(path, sigma, key):
     return net
 
 
-def resolve_estimator(cfg):
-    """None (identity), an EnergyNet checkpoint, or the closed-form model."""
+def resolve_estimator(cfg, dim):
+    """None (identity), an EnergyNet checkpoint for dim-dimensional data, or
+    the closed-form model."""
     est = cfg.estimator
     if est.kind == "identity":
         return None
     if est.kind == "energy":
-        return load_energy(est.path, cfg.sigma, "estimator.path")
+        return load_energy(est.path, cfg.sigma, "estimator.path", dim)
     return resolve_data_model(cfg)
 
 
@@ -148,7 +153,7 @@ def resolve_hard_classifier(cfg, dim):
                 else f"classifier.path {cfg.classifier.path}")
         raise ConfigError(f"{what} has dimension {base.dim}, but the data have "
                           f"dimension {dim}")
-    estimator = resolve_estimator(cfg)
+    estimator = resolve_estimator(cfg, dim)
     if estimator is None:
         return base
     return EbClassifier(base, estimator, cfg.sigma)
@@ -158,14 +163,14 @@ def resolve_hard_classifier(cfg, dim):
 
 
 def _certify_task(task):
-    index, classifier, point, sigma, spec, seed, chunk = task
+    index, classifier, point, sigma, spec, seed = task
     sel_gen = rng_stream(seed, STREAM_CERT_BASE + 2 * index)
     est_gen = rng_stream(seed, STREAM_CERT_BASE + 2 * index + 1)
-    result = certify(classifier, point, sigma, spec, sel_gen, est_gen, chunk)
+    result = certify(classifier, point, sigma, spec, sel_gen, est_gen)
     return index, result
 
 
-def certify_points(classifier, points, sigma, spec, seed, workers=1, chunk=10_000):
+def certify_points(classifier, points, sigma, spec, seed, workers=1):
     """Certify each point with its own keyed noise streams.
 
     The streams depend only on (seed, point index), so the results are
@@ -173,7 +178,7 @@ def certify_points(classifier, points, sigma, spec, seed, workers=1, chunk=10_00
     pool.
     """
     tasks = [
-        (i, classifier, np.asarray(p, dtype=float), sigma, spec, seed, chunk)
+        (i, classifier, np.asarray(p, dtype=float), sigma, spec, seed)
         for i, p in enumerate(points)
     ]
     if workers <= 1:
@@ -288,7 +293,7 @@ def run_train_energy(cfg, raw_config, command):
 def run_train_xhat(cfg, raw_config, command):
     t0 = _start(cfg)
     train, _ = resolve_datasets(cfg)
-    estimator = resolve_estimator(cfg)
+    estimator = resolve_estimator(cfg, train.points.shape[1])
     train_cfg = _build(ClassifierTrainConfig, dict(
         sigma=cfg.sigma,
         mode=cfg.train.mode,
@@ -334,7 +339,7 @@ def run_certify(cfg, raw_config, command, with_curve=False):
     if len(points) == 0:
         print("warning: empty test set, writing empty result CSVs")
     results = certify_points(classifier, points, cfg.sigma, cfg.confidence, cfg.seed,
-                             workers=cfg.certify.workers, chunk=cfg.certify.chunk)
+                             workers=cfg.certify.workers)
     outputs = ["points.csv"]
     write_points_csv(os.path.join(cfg.output_dir, "points.csv"), results, labels)
     if with_curve:
@@ -361,7 +366,7 @@ def run_oracle_check(cfg, raw_config, command):
     points = model.sample(cfg.certify.max_points, rng_stream(cfg.seed, STREAM_TEST_DATA))
     classifier = EbClassifier(base, model, cfg.sigma)
     results = certify_points(classifier, points, cfg.sigma, cfg.confidence, cfg.seed,
-                             workers=cfg.certify.workers, chunk=cfg.certify.chunk)
+                             workers=cfg.certify.workers)
     class_violations = 0
     radius_violations = 0
     path = os.path.join(cfg.output_dir, "oracle.csv")
@@ -404,23 +409,23 @@ def run_walk_jump(cfg, raw_config, command):
     wj = cfg.walk_jump
     walk_cfg = _build(WalkJumpConfig, dict(
         sigma_prime=wj.sigma_prime, delta=wj.delta, tau=wj.tau), "walk_jump")
+    model = resolve_data_model(cfg)
     if cfg.estimator.kind == "energy":
-        coarse = load_energy(cfg.estimator.path, cfg.sigma, "estimator.path")
+        coarse = load_energy(cfg.estimator.path, cfg.sigma, "estimator.path", model.dim)
         if wj.fine_energy_path is None:
             raise ConfigError("walk_jump.fine_energy_path is required with energy sources")
         fine = load_energy(wj.fine_energy_path, wj.sigma_prime,
-                           "walk_jump.fine_energy_path")
-        model = resolve_data_model(cfg)
+                           "walk_jump.fine_energy_path", model.dim)
     else:
-        model = resolve_data_model(cfg)
         coarse = fine = model
     data_gen = rng_stream(cfg.seed, STREAM_WALK_DATA)
     clean = model.sample(wj.n_samples, data_gen)
     noisy = clean + cfg.sigma * data_gen.standard_normal(clean.shape)
     chains = RowStreams(rng_stream(cfg.seed, STREAM_WALK_BASE + i)
                         for i in range(wj.n_samples))
+    # the dump needs chain 0's (tau + 1, d) path, not the (tau + 1, n, d) of all
     walked = walk_jump(coarse, fine, noisy, cfg.sigma, walk_cfg, chains,
-                       return_trajectory=wj.dump_trajectory)
+                       record=0 if wj.dump_trajectory else None)
     outs, traj = walked if wj.dump_trajectory else (walked, None)
     outputs = ["samples.csv"]
     out_path = os.path.join(cfg.output_dir, "samples.csv")
@@ -436,7 +441,7 @@ def run_walk_jump(cfg, raw_config, command):
         with open(traj_path, "w", newline="") as fh:
             names = [f"x{i}" for i in range(dim)]
             fh.write("step," + ",".join(names) + ",energy\n")
-            for step, y in enumerate(traj[:, 0]):
+            for step, y in enumerate(traj):
                 e = energy_value(fine, y, wj.sigma_prime)
                 fh.write(f"{step}," + ",".join(fmt(v) for v in y) + f",{fmt(e)}\n")
         outputs.append("trajectory.csv")

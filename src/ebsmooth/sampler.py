@@ -59,29 +59,32 @@ def _require_finite(a, what):
     raise FloatingPointError(f"non-finite {what}{where}")
 
 
-def langevin_walk(source, y0, cfg, gen, return_trajectory=False):
+def langevin_walk(source, y0, cfg, gen, record=None):
     """Unadjusted Langevin chain at the fine scale.
 
     Iterates y <- y - delta^2 * grad_energy(y) + sqrt(2) * delta * eps' for
     cfg.tau steps with standard normal eps' = gen.standard_normal(y.shape).
-    Returns the final iterate, or the whole (tau + 1, ...) trajectory when
-    asked.  y0 may be one point (d,) or a batch of independent chains (n, d);
-    chains never interact, so batching is exact, and with gen a
-    stats.RowStreams each chain draws from its own stream.
+    y0 may be one point (d,) or a batch of independent chains (n, d); chains
+    never interact, so batching is exact, and with gen a stats.RowStreams
+    each chain draws from its own stream.  Returns the final iterate, or,
+    with `record` set, the final iterate and the path of y[record]: a
+    (tau + 1, ...) array whose row t is that part of the t-th iterate.
+    record=... keeps every chain; an integer i keeps chain i of a batch
+    alone, (tau + 1, d).
     """
     y = np.asarray(y0, dtype=float).copy()
     drift = cfg.delta**2
     diffusion = np.sqrt(2.0) * cfg.delta
-    if return_trajectory:
-        traj = np.empty((cfg.tau + 1, *y.shape))
-        traj[0] = y
+    if record is not None:
+        path = np.empty((cfg.tau + 1, *y[record].shape))
+        path[0] = y[record]
     for step in range(cfg.tau):
         y = y - drift * energy_grad(source, y, cfg.sigma_prime) \
             + diffusion * gen.standard_normal(y.shape)
         _require_finite(y, f"iterate at walk step {step}")
-        if return_trajectory:
-            traj[step + 1] = y
-    return traj if return_trajectory else y
+        if record is not None:
+            path[step + 1] = y[record]
+    return y if record is None else (y, path)
 
 
 def jump(source, y, sigma_prime):
@@ -90,21 +93,23 @@ def jump(source, y, sigma_prime):
     return source.bayes_estimate(y, sigma_prime)
 
 
-def walk_jump(coarse_source, fine_source, y, sigma, cfg, gen, return_trajectory=False):
+def walk_jump(coarse_source, fine_source, y, sigma, cfg, gen, record=None):
     """Denoise a coarse-noise observation, walk at the fine scale, jump.
 
     y is a point corrupted at scale sigma.  The coarse denoiser output seeds
     the Langevin walk on the fine-scale energy; one final jump removes the
     fine noise.  The run-to-run spread of the output is therefore set by the
-    fine scale and the walk diffusion, not by sigma.  A non-finite coarse
-    estimate, walk iterate or jump raises FloatingPointError naming the first
-    bad chain of a batch, so numpy's invalid-value warnings are not printed.
+    fine scale and the walk diffusion, not by sigma.  With `record` set, the
+    walk's path of y[record] (see langevin_walk) is returned beside the
+    output.  A non-finite coarse estimate, walk iterate or jump raises
+    FloatingPointError naming the first bad chain of a batch, so numpy's
+    invalid-value warnings are not printed.
     """
     with np.errstate(invalid="ignore"):
         y0 = coarse_source.bayes_estimate(y, sigma)
         _require_finite(y0, "coarse estimate")
-        walked = langevin_walk(fine_source, y0, cfg, gen, return_trajectory)
-        final = walked[-1] if return_trajectory else walked
+        walked = langevin_walk(fine_source, y0, cfg, gen, record)
+        final, path = (walked, None) if record is None else walked
         out = jump(fine_source, final, cfg.sigma_prime)
         _require_finite(out, "jump")
-    return (out, walked) if return_trajectory else out
+    return out if record is None else (out, path)

@@ -1,8 +1,12 @@
+import importlib
+
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from ebsmooth.certify import (
     ABSTAIN,
+    _tally,
     certified_radius,
     certify,
     linear_gaussian_oracle,
@@ -11,9 +15,16 @@ from ebsmooth.certify import (
     rmax,
 )
 from ebsmooth.classifiers import EbClassifier, LinearClassifier, SoftClassifier
-from ebsmooth.densities import IsoGaussian
+from ebsmooth.densities import IsoGaussian, beta_of
 from ebsmooth.energy import EnergyNet
-from ebsmooth.stats import ConfidenceSpec, binom_lower_bound, rng_stream, std_normal_inv_cdf
+from ebsmooth.harness import STREAM_CERT_BASE, certify_points
+from ebsmooth.stats import (
+    ConfidenceSpec,
+    binom_lower_bound,
+    rng_stream,
+    std_normal_cdf,
+    std_normal_inv_cdf,
+)
 
 
 class _ConstantHard:
@@ -29,20 +40,52 @@ class _ConstantHard:
         return np.full(x.shape[0], self.label, dtype=np.int64)
 
 
-class _NoEmptyBatches(_ConstantHard):
-    """Refuses empty batches, on which a zero chunk would spin forever."""
+class _Buckets:
+    """Votes floor(3 * sum of coordinates) mod n_classes, so every noise
+    value can move a count, and records the batch sizes it is given."""
+
+    n_classes = 4
+
+    def __init__(self):
+        self.batches = []
 
     def predict_class(self, x):
-        assert np.atleast_2d(x).shape[0] > 0, "empty batch"
-        return super().predict_class(x)
+        self.batches.append(x.shape[0])
+        return np.floor(3.0 * x.sum(axis=1)).astype(np.int64) % self.n_classes
 
 
-@pytest.mark.parametrize("chunk", [0, -5])
-@pytest.mark.parametrize("run", [predict, certify])
-def test_chunk_below_one_rejected(run, chunk):
-    spec = ConfidenceSpec(alpha=0.001, n0=10, nc=10)
-    with pytest.raises(ValueError, match="chunk must be >= 1"):
-        run(_NoEmptyBatches(1), np.zeros(2), 1.0, spec, rng_stream(0, 0), chunk=chunk)
+class TestTallyBlocks:
+    """_tally draws in blocks of max(1, min(n, _BLOCK_ELEMS // d)) rows, and
+    its counts equal those of one (n, d) draw for any block size."""
+
+    @staticmethod
+    def _one_shot(x, sigma, n, gen):
+        noisy = x + sigma * gen.standard_normal((n, x.shape[0]))
+        return np.bincount(_Buckets().predict_class(noisy), minlength=_Buckets.n_classes)
+
+    @pytest.mark.parametrize("dim, n, blocks", [
+        (64, 100, [100]),                 # n below the block row count
+        (64, 1024, [1024]),               # n equal to it
+        (64, 2500, [1024, 1024, 452]),    # n not a multiple of it
+        (1, 70_000, [65_536, 4_464]),     # d = 1
+        (2**16 + 3, 3, [1, 1, 1]),        # d so large a block is one row
+    ])
+    def test_counts_equal_one_shot_draw(self, dim, n, blocks):
+        x = rng_stream(8, 0).uniform(-1.0, 1.0, dim)
+        clf = _Buckets()
+        counts = _tally(clf, x, 0.7, n, rng_stream(8, 1))
+        assert clf.batches == blocks
+        np.testing.assert_array_equal(counts, self._one_shot(x, 0.7, n, rng_stream(8, 1)))
+        assert counts.sum() == n
+
+    @pytest.mark.parametrize("block_elems", [1, 7, 64, 2**20])
+    def test_counts_do_not_depend_on_block_size(self, monkeypatch, block_elems):
+        # the package exports certify(), which hides the module attribute
+        monkeypatch.setattr(importlib.import_module("ebsmooth.certify"), "_BLOCK_ELEMS",
+                            block_elems)
+        x = rng_stream(9, 0).uniform(-1.0, 1.0, 5)
+        counts = _tally(_Buckets(), x, 0.4, 333, rng_stream(9, 1))
+        np.testing.assert_array_equal(counts, self._one_shot(x, 0.4, 333, rng_stream(9, 1)))
 
 
 class TestPredict:
@@ -231,6 +274,47 @@ class TestOracleProperty:
         assert certified >= 20  # the property is exercised, not vacuous
 
 
+class TestCoverage:
+    def test_bound_rarely_exceeds_exact_class_mass(self):
+        # 200 points x 10 seeds of linear-over-Gaussian certification at
+        # alpha = 0.05, nc = 100.  The exact class-1 mass at x is
+        # Phi((beta w.x + b) / (beta sigma |w|)); pa_lower may exceed the
+        # exact mass of the selected class with probability at most alpha,
+        # so the count of such cases stays below the Binomial(N, alpha)
+        # upper 1e-6 quantile.  Abstentions count too: their candidate is
+        # rebuilt from the same keyed selection stream.
+        alpha, sigma, sigma0, dim = 0.05, 0.5, 1.0, 3
+        spec = ConfidenceSpec(alpha=alpha, n0=10, nc=100)
+        model = IsoGaussian(sigma0=sigma0, dim=dim)
+        gen = rng_stream(51, 0)
+        h = LinearClassifier(gen.standard_normal(dim), 0.3)
+        clf = EbClassifier(h, model, sigma)
+        beta = beta_of(sigma, sigma0)
+        wnorm = float(np.linalg.norm(h.w))
+        # class-1 masses spread over [0.05, 0.95], where the bound is tight
+        t = std_normal_inv_cdf(gen.uniform(0.05, 0.95, 200))
+        side = gen.standard_normal((200, dim))
+        side -= np.outer(side @ h.w, h.w) / wnorm**2
+        points = np.outer(t * sigma - h.b / (beta * wnorm), h.w / wnorm) + side
+        mass1 = std_normal_cdf((beta * (points @ h.w) + h.b) / (beta * sigma * wnorm))
+        np.testing.assert_allclose(mass1, std_normal_cdf(t), rtol=0, atol=1e-12)
+        violations = certified = total = 0
+        for seed in range(10):
+            for i, res in enumerate(certify_points(clf, points, sigma, spec, seed)):
+                candidate = res.predicted
+                if res.abstained:
+                    sel = rng_stream(seed, STREAM_CERT_BASE + 2 * i)
+                    candidate = int(np.argmax(_tally(clf, points[i], sigma, spec.n0, sel)))
+                else:
+                    certified += 1
+                mass = mass1[i] if candidate == 1 else 1.0 - mass1[i]
+                violations += res.pa_lower > mass
+                total += 1
+        assert total == 2000
+        assert 0 < violations <= binom.ppf(1.0 - 1e-6, total, alpha)
+        assert certified >= total // 4  # the bound is exercised, not vacuous
+
+
 class TestCertResult:
     def test_radius_positive_iff_certified(self):
         spec = ConfidenceSpec(alpha=0.001, n0=20, nc=500)
@@ -259,7 +343,7 @@ class TestNonFiniteModels:
             certify(c, np.array([2.0, 0.0]), 1.0, spec, rng_stream(3, 0))
 
     def test_nan_classifier_never_votes(self):
-        # argmax of NaN probabilities is class 0
+        # argmax of NaN logits is the NaN's index, which would vote
         soft = SoftClassifier.init(2, (8,), 3, rng_stream(0, 2))
         soft.weights[-1][:] = np.nan
         spec = ConfidenceSpec(alpha=0.001, n0=100, nc=1_000)

@@ -63,6 +63,25 @@ class TestLinearClassifier:
             LinearClassifier(np.zeros(3), 1.0)
 
 
+class TestSoftClassifier:
+    def test_predict_class_is_argmax_of_probs(self):
+        # the class is taken from the logits; the softmax is monotone, so it
+        # names the same class
+        soft = SoftClassifier.init(4, (16, 8), 5, rng_stream(3, 0))
+        xs = 3.0 * rng_stream(3, 1).standard_normal((5000, 4))
+        got = soft.predict_class(xs)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, np.argmax(soft.probs(xs), axis=1))
+        assert soft.predict_class(xs[7]) == got[7]
+
+    def test_one_non_finite_row_raises(self):
+        soft = SoftClassifier.init(2, (8,), 3, rng_stream(3, 2))
+        xs = np.zeros((6, 2))
+        xs[4, 1] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="logits"):
+            soft.predict_class(xs)
+
+
 class TestHardEbClassifier:
     def test_gaussian_closed_form_contracts_before_classifying(self):
         model = IsoGaussian(sigma0=1.0, dim=2)

@@ -294,7 +294,7 @@ class TestWalkJumpCli:
         mix = IsoMixture(means=means, sigma0=1.0)
         chains = RowStreams(rng_stream(5, STREAM_WALK_BASE + i) for i in range(8))
         outs, path = walk_jump(mix, mix, rows[:, 1:3], 1.0, WalkJumpConfig(tau=20), chains,
-                               return_trajectory=True)
+                               record=...)
         dumped = np.loadtxt(tmp_path / "out" / "trajectory.csv", delimiter=",", skiprows=1)
         assert np.array_equal(dumped[:, 1:3], path[:, 0])
         assert np.array_equal(rows[:, 3:], outs)
@@ -338,8 +338,8 @@ class TestWalkJumpCli:
         rows = np.loadtxt(tmp_path / "out" / "samples.csv", delimiter=",", skiprows=1)
         noisy, got = rows[:, 1:7], rows[:, 7:]
         if source == "energy":
-            coarse = load_energy(extra["estimator"]["path"], 1.0, "coarse")
-            fine = load_energy(extra["walk_jump"]["fine_energy_path"], 0.05, "fine")
+            coarse = load_energy(extra["estimator"]["path"], 1.0, "coarse", 6)
+            fine = load_energy(extra["walk_jump"]["fine_energy_path"], 0.05, "fine", 6)
         else:
             coarse = fine = IsoMixture(means=means, sigma0=1.0)
         cfg = WalkJumpConfig(sigma_prime=0.05, delta=0.001, tau=30)
@@ -404,19 +404,19 @@ class TestCheckpointMisuse:
     (exit 1, one line on stderr), not a traceback."""
 
     @staticmethod
-    def _energy(tmp_path, name, sigma):
+    def _energy(tmp_path, name, sigma, dim=2):
         path = tmp_path / name
-        save_checkpoint(path, EnergyNet.init(2, (8,), sigma, rng_stream(0, 1)))
+        save_checkpoint(path, EnergyNet.init(dim, (8,), sigma, rng_stream(0, 1)))
         return str(path)
 
     @staticmethod
-    def _assert_config_error(args, timeout=300):
+    def _assert_config_error(args, startswith="config error:"):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         out = subprocess.run([sys.executable, "-m", "ebsmooth", *args], env=env,
-                             capture_output=True, text=True, timeout=timeout)
+                             capture_output=True, text=True, timeout=300)
         assert out.returncode == 1, out.stderr
-        assert out.stderr.startswith("config error:"), out.stderr
+        assert out.stderr.startswith(startswith), out.stderr
         assert "Traceback" not in out.stderr
 
     def test_classifier_as_fine_energy(self, tmp_path):
@@ -442,6 +442,24 @@ class TestCheckpointMisuse:
         })
         self._assert_config_error(["certify", "-c", str(path), "--sigma", "0.5"])
 
+    @pytest.mark.parametrize("command, wrong", [
+        ("certify", "coarse"), ("curve", "coarse"), ("train-xhat", "coarse"),
+        ("walk-jump", "coarse"), ("walk-jump", "fine"),
+    ])
+    def test_energy_of_wrong_dimension(self, tmp_path, command, wrong):
+        # a 3-d energy on 2-d data used to die in densities._as_batch with a
+        # traceback
+        dims = {"coarse": 2, "fine": 2, wrong: 3}
+        path = write_cfg(tmp_path, extra={
+            "estimator": {"kind": "energy",
+                          "path": self._energy(tmp_path, "c.ckpt", 1.0, dims["coarse"])},
+            "walk_jump": {"n_samples": 2, "tau": 2, "fine_energy_path":
+                          self._energy(tmp_path, "f.ckpt", 0.05, dims["fine"])},
+        })
+        key = "estimator.path" if wrong == "coarse" else "walk_jump.fine_energy_path"
+        self._assert_config_error([command, "-c", str(path)],
+                                  startswith=f"config error: {key} ")
+
 
 class TestBadConfigValues:
     """Out-of-range values fail as config errors (exit 1, one line on
@@ -452,7 +470,7 @@ class TestBadConfigValues:
         ["oracle-check", "--nc", "0"],
         ["oracle-check", "--sigma", "NaN"],
         ["oracle-check", "--sigma", "Infinity"],
-        ["certify", "--set", "certify.chunk=-5"],
+        ["certify", "--set", "confidence.n0=0"],
         ["walk-jump", "--set", "walk_jump.delta=0"],
         ["train-xhat", "--set", "train.steps=0"],
         ["train-xhat", "--set", "attack.steps=0"],
@@ -469,7 +487,7 @@ class TestBadConfigValues:
         ["oracle-check", "--set", "certify.max_points=-1"],
         ["oracle-check", "--max-points", "0"],
         ["certify", "--set", "certify.max_points=-1"],
-        ["certify", "--set", "certify.chunk=1e3"],
+        ["certify", "--set", "certify.max_violations=1e3"],
         ["certify", "--set", "confidence.nc=true"],
         ["train-xhat", "--set", "classifier.hidden=5"],
         ["train-xhat", "--set", "classifier.hidden=[2.5]"],
@@ -523,9 +541,10 @@ class TestBadConfigValues:
         err = capsys.readouterr().err
         assert err.startswith("config error: classifier.path"), err
 
-    def test_zero_chunk_rejected_without_hanging(self, tmp_path):
-        # a chunk of 0 used to loop forever; the subprocess timeout turns a
-        # regression into a failure
+    def test_removed_chunk_key_rejected(self, tmp_path, capsys):
+        # tally blocks are sized from the dimension; a config that still sets
+        # the old chunk knob is told so rather than silently ignored
         path = write_cfg(tmp_path)
-        TestCheckpointMisuse._assert_config_error(
-            ["certify", "-c", str(path), "--set", "certify.chunk=0"], timeout=60)
+        assert main(["certify", "-c", str(path), "--set", "certify.chunk=1000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown config key: certify.chunk"), err

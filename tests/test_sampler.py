@@ -81,8 +81,7 @@ class TestLangevinWalk:
     def test_trajectory_shape(self):
         model = IsoGaussian(sigma0=1.0, dim=3)
         cfg = WalkJumpConfig(sigma_prime=0.1, delta=0.01, tau=5)
-        traj = langevin_walk(model, np.zeros(3), cfg, rng_stream(5, 0),
-                             return_trajectory=True)
+        _, traj = langevin_walk(model, np.zeros(3), cfg, rng_stream(5, 0), record=...)
         assert traj.shape == (6, 3)
 
     def test_batch_trajectory_matches_list_and_stack(self):
@@ -92,7 +91,7 @@ class TestLangevinWalk:
         cfg = WalkJumpConfig(sigma_prime=0.3, delta=0.05, tau=6)
         y0 = rng_stream(7, 1).standard_normal((4, 3))
         streams = lambda: RowStreams(rng_stream(7, 10 + i) for i in range(4))  # noqa: E731
-        traj = langevin_walk(model, y0, cfg, streams(), return_trajectory=True)
+        final, traj = langevin_walk(model, y0, cfg, streams(), record=...)
         gen, y, want = streams(), y0.copy(), [y0.copy()]
         for _ in range(cfg.tau):
             y = y - cfg.delta**2 * energy_grad(model, y, cfg.sigma_prime) \
@@ -100,8 +99,27 @@ class TestLangevinWalk:
             want.append(y.copy())
         assert traj.shape == (cfg.tau + 1, 4, 3)
         np.testing.assert_array_equal(traj, np.asarray(want))
+        np.testing.assert_array_equal(final, traj[-1])
         np.testing.assert_array_equal(
             traj[-1], langevin_walk(model, y0, cfg, streams()))
+
+    @pytest.mark.parametrize("chain", [0, 2])
+    def test_recorded_chain_is_that_chain_of_the_batch(self, chain):
+        # recording one chain keeps (tau + 1, d) values, bit for bit the
+        # chain's rows of the full trajectory, and walks the batch as before
+        model = IsoMixture(means=np.array([[1.0, 0.0, 0.5], [-1.0, 0.5, 0.0]]), sigma0=0.5)
+        cfg = WalkJumpConfig(sigma_prime=0.3, delta=0.05, tau=6)
+        y0 = rng_stream(7, 2).standard_normal((4, 3))
+        streams = lambda: RowStreams(rng_stream(7, 20 + i) for i in range(4))  # noqa: E731
+        final, path = langevin_walk(model, y0, cfg, streams(), record=chain)
+        full_final, full = langevin_walk(model, y0, cfg, streams(), record=...)
+        assert path.shape == (cfg.tau + 1, 3)
+        np.testing.assert_array_equal(path, full[:, chain])
+        np.testing.assert_array_equal(final, full_final)
+        out, wj_path = walk_jump(model, model, y0, 1.0, cfg, streams(), record=chain)
+        _, wj_full = walk_jump(model, model, y0, 1.0, cfg, streams(), record=...)
+        np.testing.assert_array_equal(out, walk_jump(model, model, y0, 1.0, cfg, streams()))
+        np.testing.assert_array_equal(wj_path, wj_full[:, chain])
 
     def test_energy_net_scale_mismatch_rejected(self):
         net = zero_energy(2, 0.2)
