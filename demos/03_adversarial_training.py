@@ -41,10 +41,9 @@ def run(means, sigma0, sigma, epsilon, label, grid):
     print(f"\n{label}: radius grid {grid}")
     for mode in ("adversarial", "no_attack", "no_estimator"):
         history = []
-        cfg = ClassifierTrainConfig(sigma=sigma, mode=mode, steps=800,
-                                    batch_size=64, hidden=(64,), seed=8)
-        clf = train_xhat(train.points, train.labels, mix, cfg, attack,
-                         gen=rng_stream(8, 300),
+        cfg = ClassifierTrainConfig(mode=mode, steps=800, batch_size=64)
+        clf = train_xhat(train.points, train.labels, mix, sigma, [64], cfg, attack,
+                         rng_stream(8, 300),
                          callback=lambda s, rec: history.append(rec))
         estimator = None if mode == "no_estimator" else mix
         hard = EbClassifier(clf, estimator, sigma, m=1)

@@ -26,8 +26,7 @@ import numpy as np
 
 from .classifiers import PROB_FLOOR, EbClassifier, SoftClassifier, _neg_log_pi, _pi_batch
 from .energy import _check_finite_step
-from .mlp import Adam, schedule_lr
-from .stats import rng_stream
+from .mlp import Adam, check_hidden, check_schedule, schedule_lr
 
 MODE_ADVERSARIAL = "adversarial"
 MODE_NO_ATTACK = "no_attack"
@@ -43,19 +42,19 @@ class AttackSpec:
     reach the sphere, the rest refine along it.
     """
 
-    epsilon: float
+    epsilon: float = 1.0
     steps: int = 16
     step_size: float | None = None
     m: int = 1
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
+        if not self.epsilon >= 0.0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if self.epsilon > 0.0 and self.steps < 1:
             raise ValueError("steps must be >= 1 for a positive attack budget")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.step_size is not None and self.step_size <= 0.0:
+        if self.step_size is not None and not self.step_size > 0.0:
             raise ValueError("step_size must be positive when given")
 
     def resolved_step_size(self):
@@ -152,35 +151,43 @@ def xhat_objective_theta_grads(c, xs, ks, noise):
 class ClassifierTrainConfig:
     """Hyperparameters for the smoothed-classifier training loop."""
 
-    sigma: float
     mode: str = MODE_ADVERSARIAL
     steps: int = 1500
     batch_size: int = 64
     lr: float = 1e-3
     lr_final: float | None = None
     m: int = 1
-    hidden: tuple = (64,)
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in TRAIN_MODES:
             raise ValueError(f"mode must be one of {TRAIN_MODES}, got {self.mode!r}")
-        if self.steps < 1 or self.batch_size < 1 or self.m < 1:
-            raise ValueError("steps, batch_size and m must be positive")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-        if any(w < 1 for w in self.hidden):
-            raise ValueError(f"hidden widths must be >= 1, got {list(self.hidden)}")
+        check_schedule(self)
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
 
 
-def train_xhat(points, labels, estimator, cfg, attack, gen=None, callback=None):
+def runs_attack(cfg, attack):
+    """Whether training under cfg attacks each batch.  When it does, the
+    attack and the loss share one noise list per example, so attack.m must
+    equal cfg.m; a mismatch raises ValueError."""
+    runs = cfg.mode != MODE_NO_ATTACK and attack.epsilon > 0.0
+    if runs and attack.m != cfg.m:
+        raise ValueError(
+            f"attack.m ({attack.m}) must equal train.m ({cfg.m}): "
+            "the attack and the loss share one noise list per example"
+        )
+    return runs
+
+
+def train_xhat(points, labels, estimator, sigma, hidden, cfg, attack, gen, callback=None):
     """Train the smoothed soft classifier by minibatch adversarial risk.
 
     points (n, d) and labels (n,) are the training set; `estimator` is the
     frozen denoiser (EnergyNet or exact model) the classifier is composed
-    with, ignored in "no_estimator" mode.  Every mode draws the same batches
-    and the same noise from `gen`, so runs differing only in mode consume
-    identical randomness.
+    with, ignored in "no_estimator" mode; sigma is the smoothing scale and
+    hidden the classifier's hidden widths.  Every mode draws the same
+    batches and the same noise from `gen`, so runs differing only in mode
+    consume identical randomness.
 
     Returns the trained SoftClassifier.  callback, when given, receives
     (step, record) with the clean loss, adversarial loss, attack success
@@ -192,29 +199,25 @@ def train_xhat(points, labels, estimator, cfg, attack, gen=None, callback=None):
         raise ValueError("points must be a nonempty (n, d) array")
     if labels.shape != (points.shape[0],):
         raise ValueError("labels must be one integer per point")
-    if cfg.mode != MODE_NO_ATTACK and attack.epsilon > 0.0 and attack.m != cfg.m:
-        raise ValueError(
-            f"attack.m ({attack.m}) must equal the training m ({cfg.m}): "
-            "the attack and the loss share one noise list per example"
-        )
+    if sigma < 0.0:
+        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    check_hidden(hidden)
+    run_attack = runs_attack(cfg, attack)
     n, dim = points.shape
     n_classes = int(labels.max()) + 1 if labels.size else 2
     n_classes = max(n_classes, 2)
-    if gen is None:
-        gen = rng_stream(cfg.seed, 1)
 
-    clf = SoftClassifier.init(dim, tuple(cfg.hidden), n_classes, gen)
+    clf = SoftClassifier.init(dim, tuple(hidden), n_classes, gen)
     params = clf.parameters()
     opt = Adam(params)
     est = None if cfg.mode == MODE_NO_ESTIMATOR else estimator
-    run_attack = cfg.mode != MODE_NO_ATTACK and attack.epsilon > 0.0
 
     for step in range(cfg.steps):
         idx = gen.integers(0, n, size=cfg.batch_size)
         xb = points[idx]
         kb = labels[idx]
-        noise = cfg.sigma * gen.standard_normal((cfg.batch_size, cfg.m, dim))
-        c = EbClassifier(clf, est, cfg.sigma, cfg.m)
+        noise = sigma * gen.standard_normal((cfg.batch_size, cfg.m, dim))
+        c = EbClassifier(clf, est, sigma, cfg.m)
         if run_attack:
             zb, adv_nll, clean_nll, aborted = _pgd_batch(c, xb, kb, attack, noise)
             n_aborted = int(aborted.sum())

@@ -2,9 +2,14 @@
 
 Unknown keys are rejected rather than ignored, because a silently misspelled
 noise scale or failure probability would invalidate every guarantee computed
-downstream.  The confidence section is the library's own ConfidenceSpec; the
-other sections mirror library config objects, which the harness builds at the
-point of use through _build, so that their checks also fail as ConfigError.
+downstream.  Each section that configures a library stage is that stage's
+own config object: confidence is ConfidenceSpec, attack AttackSpec, train
+ClassifierTrainConfig, energy_train EnergyTrainConfig, and walk_jump a
+WalkJumpConfig with the harness's keys added.  Every section is checked
+once, when the config is loaded, for every command: each value against its
+field's annotation (an int field takes only integers, a float field only
+finite numbers, a bool field only true or false), then the section's own
+range checks, then the keys that must agree across sections.
 """
 
 from __future__ import annotations
@@ -17,7 +22,10 @@ import numbers
 import os
 import typing
 
-from .adversarial import TRAIN_MODES
+from .adversarial import AttackSpec, ClassifierTrainConfig, runs_attack
+from .energy import EnergyTrainConfig
+from .mlp import check_hidden
+from .sampler import WalkJumpConfig
 from .stats import ConfidenceSpec
 
 
@@ -27,7 +35,9 @@ class ConfigError(ValueError):
 
 def _build(cls, data, path):
     """Construct a flat dataclass from a dict, rejecting unknown keys and
-    values of the wrong type for int and list fields."""
+    values of the wrong type.  The library classes' own checks raise
+    ValueError with a message that starts with the field name, so it
+    becomes a ConfigError naming path.field."""
     if data is None:
         data = {}
     if not isinstance(data, dict):
@@ -41,20 +51,28 @@ def _build(cls, data, path):
         return cls(**data)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
+    except TypeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _check_type(value, hint, name):
-    """Reject a bool or float for an int field, a non-list for a list field
-    and a bad element of a list[int] field, so that JSON such as 1e3, 5 or
-    [2.5] fails here and not deep in a run."""
+    """Reject a value that does not fit its field's annotation: a bool or
+    float for an int field, a non-finite or non-numeric value for a float
+    field, a non-bool for a bool field, a non-list for a list field, and a
+    bad element of a list[int] or list[float] field.  JSON such as 1e3, 5,
+    NaN or [2.5] then fails here and not deep in a run."""
     of_list = typing.get_origin(hint) is list  # get_args(list[int]) is (int,)
     allowed = (list,) if of_list else typing.get_args(hint) or (hint,)
     if value is None and type(None) in allowed:
         return
     if int in allowed and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if float in allowed and not _finite_number(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if bool in allowed and not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
     if list in allowed and not isinstance(value, list):
         raise ConfigError(f"{name} must be a list, got {value!r}")
     if of_list:
@@ -95,6 +113,10 @@ class DatasetSection:
                                   f"numbers with K, d >= 1, got {rows!r}")
             if self.sigma0 <= 0:
                 raise ConfigError("dataset.sigma0 must be positive")
+            for name in ("n_train", "n_test"):
+                count = getattr(self, name)
+                if count < 1:
+                    raise ConfigError(f"dataset.{name} must be >= 1, got {count}")
         if self.kind == "idx":
             for name in ("train_images", "train_labels"):
                 p = getattr(self, name)
@@ -134,6 +156,7 @@ class ClassifierSection:
     path: str | None = None
 
     def __post_init__(self):
+        check_hidden(self.hidden)
         if self.kind not in ("mlp", "linear", "checkpoint"):
             raise ConfigError(
                 f"classifier.kind must be mlp, linear or checkpoint, got {self.kind!r}"
@@ -154,42 +177,10 @@ class ClassifierSection:
 
 
 @dataclasses.dataclass(frozen=True)
-class EnergyTrainSection:
-    sigma: float | None = None  # defaults to the experiment sigma
-    hidden: list[int] = dataclasses.field(default_factory=lambda: [128, 128])
-    steps: int = 4000
-    batch_size: int = 128
-    lr: float = 1e-3
-    lr_final: float | None = None
-
-
-@dataclasses.dataclass(frozen=True)
-class TrainSection:
-    mode: str = "adversarial"
-    steps: int = 1500
-    batch_size: int = 64
-    lr: float = 1e-3
-    lr_final: float | None = None
-    m: int = 1
-
-    def __post_init__(self):
-        if self.mode not in TRAIN_MODES:
-            raise ConfigError(f"train.mode must be one of {TRAIN_MODES}, got {self.mode!r}")
-
-
-@dataclasses.dataclass(frozen=True)
-class AttackSection:
-    epsilon: float = 1.0
-    steps: int = 16
-    step_size: float | None = None
-    m: int = 1
-
-
-@dataclasses.dataclass(frozen=True)
 class CertifySection:
     max_points: int = 200
     workers: int = 1
-    radius_grid: list = dataclasses.field(default_factory=lambda: [0.5, 1.0, 1.5, 2.0])
+    radius_grid: list[float] = dataclasses.field(default_factory=lambda: [0.5, 1.0, 1.5, 2.0])
     max_violations: int = 3
 
     def __post_init__(self):
@@ -198,15 +189,16 @@ class CertifySection:
 
 
 @dataclasses.dataclass(frozen=True)
-class WalkJumpSection:
-    sigma_prime: float = 0.05
-    delta: float = 0.001
-    tau: int = 100
+class WalkJumpSection(WalkJumpConfig):
+    """The sampler's WalkJumpConfig plus the harness's keys: how many chains
+    to run, whether to dump chain 0's path, and the fine-scale energy."""
+
     n_samples: int = 256
     dump_trajectory: bool = False
     fine_energy_path: str | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         if self.n_samples < 1:
             raise ConfigError(f"walk_jump.n_samples must be >= 1, got {self.n_samples}")
         if self.fine_energy_path is not None and not os.path.exists(self.fine_energy_path):
@@ -225,9 +217,11 @@ class ExperimentConfig:
     confidence: ConfidenceSpec = dataclasses.field(default_factory=ConfidenceSpec)
     estimator: EstimatorSection = dataclasses.field(default_factory=EstimatorSection)
     classifier: ClassifierSection = dataclasses.field(default_factory=ClassifierSection)
-    energy_train: EnergyTrainSection = dataclasses.field(default_factory=EnergyTrainSection)
-    train: TrainSection = dataclasses.field(default_factory=TrainSection)
-    attack: AttackSection = dataclasses.field(default_factory=AttackSection)
+    # energy_train.sigma defaults to the experiment sigma
+    energy_train: EnergyTrainConfig = dataclasses.field(
+        default_factory=lambda: EnergyTrainConfig(sigma=ExperimentConfig.sigma))
+    train: ClassifierTrainConfig = dataclasses.field(default_factory=ClassifierTrainConfig)
+    attack: AttackSpec = dataclasses.field(default_factory=AttackSpec)
     certify: CertifySection = dataclasses.field(default_factory=CertifySection)
     walk_jump: WalkJumpSection = dataclasses.field(default_factory=WalkJumpSection)
 
@@ -237,9 +231,9 @@ _SECTIONS = {
     "confidence": ConfidenceSpec,
     "estimator": EstimatorSection,
     "classifier": ClassifierSection,
-    "energy_train": EnergyTrainSection,
-    "train": TrainSection,
-    "attack": AttackSection,
+    "energy_train": EnergyTrainConfig,
+    "train": ClassifierTrainConfig,
+    "attack": AttackSpec,
     "certify": CertifySection,
     "walk_jump": WalkJumpSection,
 }
@@ -252,19 +246,26 @@ def config_from_dict(data):
         raise ConfigError("top-level config must be an object")
     kwargs = {}
     for key, value in data.items():
-        if key in _SECTIONS:
-            kwargs[key] = _build(_SECTIONS[key], value, key)
-        elif key in _SCALARS:
+        if key in _SCALARS:
             _check_type(value, _SCALARS[key], key)
-            try:
-                kwargs[key] = _SCALARS[key](value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
-        else:
+            kwargs[key] = _SCALARS[key](value)
+        elif key not in _SECTIONS:
             raise ConfigError(f"unknown config key: {key}")
-    if "sigma" in kwargs and not 0.0 < kwargs["sigma"] < math.inf:
-        raise ConfigError(f"sigma must be positive and finite, got {kwargs['sigma']}")
-    return ExperimentConfig(**kwargs)
+    sigma = kwargs.get("sigma", ExperimentConfig.sigma)
+    if not sigma > 0.0:
+        raise ConfigError(f"sigma must be positive, got {sigma}")
+    energy = data.get("energy_train")  # its sigma defaults to the experiment sigma
+    if energy is None or isinstance(energy, dict) and energy.get("sigma") is None:
+        data = {**data, "energy_train": {**(energy or {}), "sigma": sigma}}
+    for key, cls in _SECTIONS.items():
+        if key in data:
+            kwargs[key] = _build(cls, data[key], key)
+    cfg = ExperimentConfig(**kwargs)
+    try:
+        runs_attack(cfg.train, cfg.attack)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return cfg
 
 
 def load_config(path, overrides=()):

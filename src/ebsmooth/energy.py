@@ -28,8 +28,8 @@ import dataclasses
 import numpy as np
 
 from .densities import _as_batch, _unbatch
-from .mlp import Adam, init_affine_stack, schedule_lr, sigmoid, softplus
-from .stats import rng_stream
+from .mlp import (Adam, check_hidden, check_schedule, init_affine_stack, schedule_lr,
+                  sigmoid, softplus)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -245,44 +245,37 @@ class EnergyTrainConfig:
     """Hyperparameters for fitting the energy by denoising least squares."""
 
     sigma: float
-    hidden: tuple = (128, 128)
+    hidden: list[int] = dataclasses.field(default_factory=lambda: [128, 128])
     steps: int = 4000
     batch_size: int = 128
     lr: float = 1e-3
     lr_final: float | None = None
-    beta1: float = 0.9
-    beta2: float = 0.999
-    seed: int = 0
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
+        if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.steps < 1 or self.batch_size < 1:
-            raise ValueError("steps and batch_size must be positive")
         if not self.hidden:
-            raise ValueError("at least one hidden layer is required for training")
-        if any(w < 1 for w in self.hidden):
-            raise ValueError(f"hidden widths must be >= 1, got {list(self.hidden)}")
+            raise ValueError("hidden must name at least one layer for training")
+        check_hidden(self.hidden)
+        check_schedule(self)
 
 
-def train_energy(data, cfg, gen=None, callback=None):
+def train_energy(data, cfg, gen, callback=None):
     """Fit an EnergyNet on clean samples by denoising least squares.
 
     One fresh noise draw per data point per step keeps the stochastic loss
-    unbiased.  All randomness flows through `gen` (derived from cfg.seed when
-    omitted), so a fixed seed reproduces the final parameters bit for bit.
-    A non-finite loss or gradient raises TrainingDivergedError before the
-    step.  callback, when given, receives (step, {"loss": loss}).
+    unbiased.  All randomness flows through `gen`, so a fixed stream
+    reproduces the final parameters bit for bit.  A non-finite loss or
+    gradient raises TrainingDivergedError before the step.  callback, when
+    given, receives (step, {"loss": loss}).
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("data must be a nonempty (n, d) array")
-    if gen is None:
-        gen = rng_stream(cfg.seed, 0)
     n, dim = data.shape
     net = EnergyNet.init(dim, tuple(cfg.hidden), cfg.sigma, gen)
     params = net.parameters()
-    opt = Adam(params, beta1=cfg.beta1, beta2=cfg.beta2)
+    opt = Adam(params)
     for step in range(cfg.steps):
         idx = gen.integers(0, n, size=cfg.batch_size)
         x = data[idx]

@@ -11,7 +11,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import time
@@ -20,15 +19,15 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .adversarial import AttackSpec, ClassifierTrainConfig, train_xhat
+from .adversarial import train_xhat
 from .certify import certify, linear_gaussian_oracle
 from .checkpoint import load_checkpoint, save_checkpoint
 from .classifiers import EbClassifier, LinearClassifier, SoftClassifier
-from .config import ConfigError, _build, config_digest
+from .config import ConfigError, config_digest
 from .datasets import GaussianClassSpec, gen_dataset, load_idx, save_dataset_csv
 from .densities import IsoGaussian, IsoMixture
-from .energy import EnergyNet, EnergyTrainConfig, train_energy
-from .sampler import WalkJumpConfig, energy_value, walk_jump
+from .energy import EnergyNet, train_energy
+from .sampler import energy_value, walk_jump
 from .stats import RowStreams, rng_stream
 
 # Stream-id map.  Certification point i draws selection noise from
@@ -265,20 +264,9 @@ def run_gen_data(cfg, raw_config, command):
 def run_train_energy(cfg, raw_config, command):
     t0 = _start(cfg)
     train, _ = resolve_datasets(cfg)
-    section = cfg.energy_train
-    train_cfg = _build(EnergyTrainConfig, dict(
-        sigma=section.sigma if section.sigma is not None else cfg.sigma,
-        hidden=tuple(section.hidden),
-        steps=section.steps,
-        batch_size=section.batch_size,
-        lr=section.lr,
-        lr_final=section.lr_final,
-        seed=cfg.seed,
-    ), "energy_train")
     history = []
     net = train_energy(
-        train.points, train_cfg,
-        gen=rng_stream(cfg.seed, STREAM_ENERGY_TRAIN),
+        train.points, cfg.energy_train, rng_stream(cfg.seed, STREAM_ENERGY_TRAIN),
         callback=lambda step, rec: history.append(rec),
     )
     ckpt = os.path.join(cfg.output_dir, "energy.ckpt")
@@ -294,22 +282,10 @@ def run_train_xhat(cfg, raw_config, command):
     t0 = _start(cfg)
     train, _ = resolve_datasets(cfg)
     estimator = resolve_estimator(cfg, train.points.shape[1])
-    train_cfg = _build(ClassifierTrainConfig, dict(
-        sigma=cfg.sigma,
-        mode=cfg.train.mode,
-        steps=cfg.train.steps,
-        batch_size=cfg.train.batch_size,
-        lr=cfg.train.lr,
-        lr_final=cfg.train.lr_final,
-        m=cfg.train.m,
-        hidden=tuple(cfg.classifier.hidden),
-        seed=cfg.seed,
-    ), "train")
-    attack = _build(AttackSpec, dataclasses.asdict(cfg.attack), "attack")
     history = []
     clf = train_xhat(
-        train.points, train.labels, estimator, train_cfg, attack,
-        gen=rng_stream(cfg.seed, STREAM_CLASSIFIER_TRAIN),
+        train.points, train.labels, estimator, cfg.sigma, cfg.classifier.hidden,
+        cfg.train, cfg.attack, rng_stream(cfg.seed, STREAM_CLASSIFIER_TRAIN),
         callback=lambda step, rec: history.append(rec),
     )
     ckpt = os.path.join(cfg.output_dir, "classifier.ckpt")
@@ -407,8 +383,6 @@ def run_walk_jump(cfg, raw_config, command):
     from.  Nothing is written when a chain goes non-finite."""
     t0 = _start(cfg)
     wj = cfg.walk_jump
-    walk_cfg = _build(WalkJumpConfig, dict(
-        sigma_prime=wj.sigma_prime, delta=wj.delta, tau=wj.tau), "walk_jump")
     model = resolve_data_model(cfg)
     if cfg.estimator.kind == "energy":
         coarse = load_energy(cfg.estimator.path, cfg.sigma, "estimator.path", model.dim)
@@ -424,7 +398,7 @@ def run_walk_jump(cfg, raw_config, command):
     chains = RowStreams(rng_stream(cfg.seed, STREAM_WALK_BASE + i)
                         for i in range(wj.n_samples))
     # the dump needs chain 0's (tau + 1, d) path, not the (tau + 1, n, d) of all
-    walked = walk_jump(coarse, fine, noisy, cfg.sigma, walk_cfg, chains,
+    walked = walk_jump(coarse, fine, noisy, cfg.sigma, wj, chains,
                        record=0 if wj.dump_trajectory else None)
     outs, traj = walked if wj.dump_trajectory else (walked, None)
     outputs = ["samples.csv"]

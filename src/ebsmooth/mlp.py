@@ -1,5 +1,6 @@
 """Shared pieces for the small fully-connected networks: smooth activations,
-weight initialization, and an Adam optimizer with bias correction.
+weight initialization, an Adam optimizer with bias correction, and the
+checks both trainers' configs run on hidden widths and learning schedules.
 
 The activations are plain numpy, so the training commands never import
 scipy.  Each writes into one output buffer and, for a contiguous input,
@@ -79,6 +80,25 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p -= lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+
+
+def check_hidden(hidden):
+    """Raise ValueError unless every hidden width is at least 1."""
+    if any(w < 1 for w in hidden):
+        raise ValueError(f"hidden widths must be >= 1, got {list(hidden)}")
+
+
+def check_schedule(cfg):
+    """Raise ValueError unless cfg's steps, batch_size, lr and lr_final make
+    a descent schedule: at least one step of at least one example, a
+    positive rate, and a final rate, when given, of at least 0."""
+    for name in ("steps", "batch_size"):
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
+    if not cfg.lr > 0.0:
+        raise ValueError(f"lr must be positive, got {cfg.lr}")
+    if cfg.lr_final is not None and not cfg.lr_final >= 0.0:
+        raise ValueError(f"lr_final must be >= 0, got {cfg.lr_final}")
 
 
 def schedule_lr(step, total_steps, lr, lr_final=None):

@@ -30,9 +30,9 @@ class WalkJumpConfig:
     tau: int = 100
 
     def __post_init__(self):
-        if self.sigma_prime <= 0.0:
+        if not self.sigma_prime > 0.0:
             raise ValueError(f"sigma_prime must be positive, got {self.sigma_prime}")
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if self.tau < 1:
             raise ValueError(f"tau must be >= 1, got {self.tau}")

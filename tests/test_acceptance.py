@@ -141,8 +141,8 @@ def test_criterion_05_learned_estimator_matches_closed_form():
     model = IsoGaussian(sigma0=1.0, dim=2)
     data = model.sample(50_000, rng_stream(11, 100))
     cfg = EnergyTrainConfig(sigma=1.0, hidden=(128, 128), steps=3000,
-                            batch_size=128, lr=1e-3, seed=11)
-    net = train_energy(data, cfg, gen=rng_stream(11, 200))
+                            batch_size=128, lr=1e-3)
+    net = train_energy(data, cfg, rng_stream(11, 200))
 
     gen = rng_stream(11, 300)
     pts = gen.uniform(-3, 3, size=(4000, 2))
@@ -253,11 +253,10 @@ def test_criterion_08_adversarial_training_ordering():
         test = gen_dataset(GaussianClassSpec(means, 0.5, 100), rng_stream(seed, 101))
         per_mode = {}
         for mode in ("adversarial", "no_attack"):
-            cfg = ClassifierTrainConfig(sigma=sigma, mode=mode, steps=1200,
-                                        batch_size=64, lr=1e-3, m=1,
-                                        hidden=(64,), seed=seed)
-            clf = train_xhat(train.points, train.labels, mix, cfg, attack,
-                             gen=rng_stream(seed, 300))
+            cfg = ClassifierTrainConfig(mode=mode, steps=1200, batch_size=64,
+                                        lr=1e-3, m=1)
+            clf = train_xhat(train.points, train.labels, mix, sigma, (64,), cfg, attack,
+                             rng_stream(seed, 300))
             hard = EbClassifier(clf, mix, sigma, m=1)
             results = certify_points(hard, test.points, sigma, spec,
                                      seed=seed, workers=2)

@@ -54,6 +54,8 @@ class TestAttackSpec:
             AttackSpec(epsilon=1.0, steps=0)
         with pytest.raises(ValueError):
             AttackSpec(epsilon=1.0, m=0)
+        with pytest.raises(ValueError, match="epsilon"):
+            AttackSpec(epsilon=float("nan"))
 
 
 class TestPgdAttack:
@@ -155,10 +157,9 @@ class TestPassCount:
     def _count(self, mode, attack_steps):
         data, mix = _toy_training_setup(20, n=100)
         density = _CountingDensity(mix)
-        cfg = ClassifierTrainConfig(sigma=0.3, mode=mode, steps=self.STEPS, batch_size=8,
-                                    hidden=(8,), m=2, seed=21)
-        train_xhat(data.points, data.labels, density, cfg,
-                   AttackSpec(epsilon=0.5, steps=attack_steps, m=2))
+        cfg = ClassifierTrainConfig(mode=mode, steps=self.STEPS, batch_size=8, m=2)
+        train_xhat(data.points, data.labels, density, 0.3, (8,), cfg,
+                   AttackSpec(epsilon=0.5, steps=attack_steps, m=2), rng_stream(21, 1))
         return density.passes / self.STEPS, density.hvps / self.STEPS
 
     @pytest.mark.parametrize("attack_steps", [1, 4])
@@ -212,8 +213,7 @@ def _toy_training_setup(seed, n=600):
 class TestTrainXhat:
     def test_nan_gradient_on_last_step_raises(self, monkeypatch):
         data, mix = _toy_training_setup(16)
-        cfg = ClassifierTrainConfig(sigma=0.3, mode="adversarial", steps=5,
-                                    batch_size=16, hidden=(8,), seed=17)
+        cfg = ClassifierTrainConfig(mode="adversarial", steps=5, batch_size=16)
         calls = []
 
         def nan_on_last(c, xs, ks, noise):
@@ -225,17 +225,17 @@ class TestTrainXhat:
 
         monkeypatch.setattr(adversarial, "xhat_objective_theta_grads", nan_on_last)
         with pytest.raises(TrainingDivergedError, match="non-finite gradient") as err:
-            train_xhat(data.points, data.labels, mix, cfg, AttackSpec(epsilon=0.5, steps=2))
+            train_xhat(data.points, data.labels, mix, 0.3, (8,), cfg,
+                       AttackSpec(epsilon=0.5, steps=2), rng_stream(17, 1))
         assert err.value.step == cfg.steps - 1
         assert np.all(np.isfinite(calls))
 
     def test_bitwise_reproducible(self):
         data, mix = _toy_training_setup(10)
-        cfg = ClassifierTrainConfig(sigma=0.3, mode="adversarial", steps=30,
-                                    batch_size=16, hidden=(8,), seed=11)
+        cfg = ClassifierTrainConfig(mode="adversarial", steps=30, batch_size=16)
         attack = AttackSpec(epsilon=0.5, steps=4)
-        a = train_xhat(data.points, data.labels, mix, cfg, attack)
-        b = train_xhat(data.points, data.labels, mix, cfg, attack)
+        a = train_xhat(data.points, data.labels, mix, 0.3, (8,), cfg, attack, rng_stream(11, 1))
+        b = train_xhat(data.points, data.labels, mix, 0.3, (8,), cfg, attack, rng_stream(11, 1))
         for pa, pb in zip(a.parameters(), b.parameters()):
             assert np.array_equal(pa, pb)
 
@@ -245,22 +245,21 @@ class TestTrainXhat:
         # two parameter trajectories must coincide exactly
         data, _ = _toy_training_setup(12)
         attack = AttackSpec(epsilon=0.5, steps=3)
-        kwargs = dict(sigma=0.3, steps=25, batch_size=16, hidden=(8,), seed=13)
+        kwargs = dict(steps=25, batch_size=16)
         vanilla = train_xhat(
-            data.points, data.labels, None,
-            ClassifierTrainConfig(mode="no_estimator", **kwargs), attack)
+            data.points, data.labels, None, 0.3, (8,),
+            ClassifierTrainConfig(mode="no_estimator", **kwargs), attack, rng_stream(13, 1))
         zeroed = train_xhat(
-            data.points, data.labels, zero_energy(2, 0.3),
-            ClassifierTrainConfig(mode="adversarial", **kwargs), attack)
+            data.points, data.labels, zero_energy(2, 0.3), 0.3, (8,),
+            ClassifierTrainConfig(mode="adversarial", **kwargs), attack, rng_stream(13, 1))
         for pa, pb in zip(vanilla.parameters(), zeroed.parameters()):
             assert np.array_equal(pa, pb)
 
     def test_clean_training_reaches_high_accuracy(self):
         data, mix = _toy_training_setup(14, n=1500)
-        cfg = ClassifierTrainConfig(sigma=0.3, mode="no_attack", steps=500,
-                                    batch_size=64, hidden=(16,), seed=15)
-        clf = train_xhat(data.points, data.labels, mix, cfg,
-                         AttackSpec(epsilon=0.0, steps=1))
+        cfg = ClassifierTrainConfig(mode="no_attack", steps=500, batch_size=64)
+        clf = train_xhat(data.points, data.labels, mix, 0.3, (16,), cfg,
+                         AttackSpec(epsilon=0.0, steps=1), rng_stream(15, 1))
         heldout = gen_dataset(GaussianClassSpec(mix.means, 0.5, 2000),
                               rng_stream(14, 200))
         hard = EbClassifier(clf, mix, sigma=0.3, m=1)
@@ -270,10 +269,9 @@ class TestTrainXhat:
     def test_loss_trend_decreases(self):
         data, mix = _toy_training_setup(16, n=1000)
         records = []
-        cfg = ClassifierTrainConfig(sigma=0.3, mode="adversarial", steps=400,
-                                    batch_size=32, hidden=(16,), seed=17)
-        train_xhat(data.points, data.labels, mix, cfg,
-                   AttackSpec(epsilon=0.5, steps=4),
+        cfg = ClassifierTrainConfig(mode="adversarial", steps=400, batch_size=32)
+        train_xhat(data.points, data.labels, mix, 0.3, (16,), cfg,
+                   AttackSpec(epsilon=0.5, steps=4), rng_stream(17, 1),
                    callback=lambda s, rec: records.append(rec["adv_loss"]))
         losses = np.array(records)
         windows = losses.reshape(-1, 100).mean(axis=1)
@@ -282,16 +280,19 @@ class TestTrainXhat:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ClassifierTrainConfig(sigma=0.3, mode="bogus")
+            ClassifierTrainConfig(mode="bogus")
         with pytest.raises(ValueError):
-            ClassifierTrainConfig(sigma=0.3, steps=0)
+            ClassifierTrainConfig(steps=0)
+        with pytest.raises(ValueError, match="lr must be positive"):
+            ClassifierTrainConfig(lr=-1e-3)
+        with pytest.raises(ValueError, match="lr_final"):
+            ClassifierTrainConfig(lr_final=-1e-3)
 
     def test_mismatched_noise_counts_rejected(self):
         # one noise list per example feeds both the attack and the loss, so
         # the attack's m must equal the training m
         data, mix = _toy_training_setup(18)
-        cfg = ClassifierTrainConfig(sigma=0.3, mode="adversarial", steps=5,
-                                    batch_size=8, hidden=(8,), m=1, seed=19)
+        cfg = ClassifierTrainConfig(mode="adversarial", steps=5, batch_size=8, m=1)
         with pytest.raises(ValueError, match="attack.m"):
-            train_xhat(data.points, data.labels, mix, cfg,
-                       AttackSpec(epsilon=0.5, steps=2, m=4))
+            train_xhat(data.points, data.labels, mix, 0.3, (8,), cfg,
+                       AttackSpec(epsilon=0.5, steps=2, m=4), rng_stream(19, 1))

@@ -145,10 +145,9 @@ class TestGradientOracles:
 class TestTraining:
     def test_reproducible_parameters(self):
         data = IsoGaussian(sigma0=1.0, dim=2).sample(500, rng_stream(20, 0))
-        cfg = EnergyTrainConfig(sigma=1.0, hidden=(16,), steps=150,
-                                batch_size=32, seed=5)
-        a = train_energy(data, cfg)
-        b = train_energy(data, cfg)
+        cfg = EnergyTrainConfig(sigma=1.0, hidden=(16,), steps=150, batch_size=32)
+        a = train_energy(data, cfg, rng_stream(5, 0))
+        b = train_energy(data, cfg, rng_stream(5, 0))
         for pa, pb in zip(a.parameters(), b.parameters()):
             assert np.array_equal(pa, pb)
 
@@ -157,9 +156,8 @@ class TestTraining:
         # Gaussian at sigma = 1 is y/2
         model = IsoGaussian(sigma0=1.0, dim=2)
         data = model.sample(8000, rng_stream(21, 0))
-        cfg = EnergyTrainConfig(sigma=1.0, hidden=(64, 64), steps=800,
-                                batch_size=128, seed=6)
-        net = train_energy(data, cfg)
+        cfg = EnergyTrainConfig(sigma=1.0, hidden=(64, 64), steps=800, batch_size=128)
+        net = train_energy(data, cfg, rng_stream(6, 0))
         gen = rng_stream(21, 1)
         ys = gen.standard_normal((400, 2)) * 1.2
         err = np.linalg.norm(net.bayes_estimate(ys, net.sigma) - 0.5 * ys, axis=1)
@@ -169,9 +167,8 @@ class TestTraining:
     def test_delta_mass_estimator_returns_its_location(self):
         x0 = np.array([1.0, -0.5])
         data = np.tile(x0, (400, 1))
-        cfg = EnergyTrainConfig(sigma=0.5, hidden=(32,), steps=1200,
-                                batch_size=64, seed=7)
-        net = train_energy(data, cfg)
+        cfg = EnergyTrainConfig(sigma=0.5, hidden=(32,), steps=1200, batch_size=64)
+        net = train_energy(data, cfg, rng_stream(7, 0))
         gen = rng_stream(22, 0)
         ys = x0[None, :] + 0.5 * gen.standard_normal((200, 2))
         err = np.linalg.norm(net.bayes_estimate(ys, net.sigma) - x0[None, :], axis=1)
@@ -181,16 +178,16 @@ class TestTraining:
         # a learning rate past float range overflows the loss within steps
         data = IsoGaussian(sigma0=1.0, dim=2).sample(200, rng_stream(24, 0))
         cfg = EnergyTrainConfig(sigma=1.0, hidden=(16,), steps=400,
-                                batch_size=32, lr=1e200, seed=9)
+                                batch_size=32, lr=1e200)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError) as err:
-                train_energy(data, cfg)
+                train_energy(data, cfg, rng_stream(9, 0))
         assert err.value.step >= 0
 
     def test_nan_gradient_on_last_step_raises(self, monkeypatch):
         # a finite loss over a NaN gradient would write NaN parameters with
         # no later loss to notice them
-        cfg = EnergyTrainConfig(sigma=1.0, hidden=(8,), steps=5, batch_size=16, seed=3)
+        cfg = EnergyTrainConfig(sigma=1.0, hidden=(8,), steps=5, batch_size=16)
         calls = []
 
         def nan_on_last(net, x, y):
@@ -203,7 +200,7 @@ class TestTraining:
         monkeypatch.setattr(energy, "denoise_loss_and_grads", nan_on_last)
         data = IsoGaussian(sigma0=1.0, dim=2).sample(100, rng_stream(25, 0))
         with pytest.raises(TrainingDivergedError, match="non-finite gradient") as err:
-            train_energy(data, cfg)
+            train_energy(data, cfg, rng_stream(3, 0))
         assert err.value.step == cfg.steps - 1
         assert np.all(np.isfinite(calls))
 
@@ -212,3 +209,5 @@ class TestTraining:
             EnergyTrainConfig(sigma=0.0)
         with pytest.raises(ValueError):
             EnergyTrainConfig(sigma=1.0, steps=0)
+        with pytest.raises(ValueError, match="lr must be positive"):
+            EnergyTrainConfig(sigma=1.0, lr=0.0)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ebsmooth.cli import main
-from ebsmooth.config import ConfigError, config_from_dict, load_config
+from ebsmooth.config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from ebsmooth.harness import certified_accuracy_at, certify_points
 from ebsmooth.certify import CertResult
 from ebsmooth.checkpoint import save_checkpoint
@@ -83,6 +83,33 @@ class TestConfig:
     def test_bad_mode_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="train.mode"):
             config_from_dict({"train": {"mode": "nonsense"}})
+
+    @pytest.mark.parametrize("name", ["mixture_experiment.json", "oracle_check.json"])
+    def test_demo_configs_load_every_key(self, name):
+        path = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs" / name
+        cfg, raw = load_config(path)
+        for key, value in raw.items():
+            if isinstance(value, dict):
+                for field, item in value.items():
+                    assert getattr(getattr(cfg, key), field) == item, f"{key}.{field}"
+            else:
+                assert getattr(cfg, key) == value, key
+        assert cfg.energy_train.sigma == cfg.sigma
+
+    def test_section_defaults(self):
+        cfg = ExperimentConfig()
+        a, t, e, w = cfg.attack, cfg.train, cfg.energy_train, cfg.walk_jump
+        assert (a.epsilon, a.steps, a.step_size, a.m) == (1.0, 16, None, 1)
+        assert (t.mode, t.steps, t.batch_size, t.lr, t.lr_final, t.m) == (
+            "adversarial", 1500, 64, 1e-3, None, 1)
+        assert (e.hidden, e.steps, e.batch_size, e.lr, e.lr_final) == (
+            [128, 128], 4000, 128, 1e-3, None)
+        assert (w.sigma_prime, w.delta, w.tau, w.n_samples, w.dump_trajectory,
+                w.fine_energy_path) == (0.05, 0.001, 100, 256, False, None)
+        # an empty config is the defaults; energy_train.sigma follows sigma
+        assert config_from_dict({}) == cfg
+        assert config_from_dict({"sigma": 0.25}).energy_train.sigma == 0.25
+        assert config_from_dict({"energy_train": {"sigma": 0.5}}).energy_train.sigma == 0.5
 
 
 class TestCliExitCodes:
@@ -475,6 +502,13 @@ class TestBadConfigValues:
         ["train-xhat", "--set", "train.steps=0"],
         ["train-xhat", "--set", "attack.steps=0"],
         ["train-energy", "--set", "energy_train.steps=0"],
+        ["gen-data", "--set", "dataset.n_train=0"],
+        ["gen-data", "--set", "dataset.n_test=0"],
+        ["train-xhat", "--set", "train.lr=-1"],
+        ["train-xhat", "--set", "train.lr_final=-0.001"],
+        ["train-energy", "--set", "energy_train.lr=0"],
+        ["train-energy", "--set", "energy_train.lr_final=-1"],
+        ["train-xhat", "--set", "attack.m=2"],
     ])
     def test_rejected_in_process(self, tmp_path, capsys, args):
         path = write_cfg(tmp_path)
@@ -497,6 +531,13 @@ class TestBadConfigValues:
         ["walk-jump", "--set", "walk_jump.n_samples=0"],
         ["walk-jump", "--set", "walk_jump.tau=2.5"],
         ["oracle-check", "--set", "seed=1.5"],
+        ["train-xhat", "--set", "attack.epsilon=NaN"],
+        ["gen-data", "--set", "dataset.sigma0=NaN"],
+        ["train-energy", "--set", "energy_train.lr=abc"],
+        ["curve", "--set", 'certify.radius_grid=["a"]'],
+        ["walk-jump", "--set", "walk_jump.sigma_prime=NaN"],
+        ["walk-jump", "--set", "walk_jump.dump_trajectory=1"],
+        ["train-xhat", "--set", "attack.epsilon=true"],
     ])
     def test_wrong_type_or_count_rejected(self, tmp_path, capsys, args):
         # config.py checks int and list fields against their annotations;
