@@ -44,11 +44,6 @@ class LinearClassifier:
     def n_classes(self):
         return 2
 
-    def decision(self, x):
-        xb, single = _as_batch(x, self.dim)
-        out = xb @ self.w + self.b
-        return float(out[0]) if single else out
-
     def predict_class(self, x):
         xb, single = _as_batch(x, self.dim)
         out = (xb @ self.w + self.b > 0.0).astype(np.int64)

@@ -9,56 +9,34 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .checkpoint import CheckpointError
 from .config import ConfigError, load_config
 from .datasets import IdxFormatError
 from .energy import TrainingDivergedError
-from .harness import (
-    NumericalCheckError,
-    run_certify,
-    run_gen_data,
-    run_oracle_check,
-    run_train_energy,
-    run_train_xhat,
-    run_walk_jump,
-)
+from .harness import COMMANDS, NumericalCheckError, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
-_FLAG_TO_KEY = {
-    "seed": "seed",
-    "sigma": "sigma",
-    "output_dir": "output_dir",
-    "alpha": "confidence.alpha",
-    "n0": "confidence.n0",
-    "nc": "confidence.nc",
-    "epsilon": "attack.epsilon",
-    "mode": "train.mode",
-    "workers": "certify.workers",
-    "max_points": "certify.max_points",
-}
-
-
-def _add_common(parser):
-    parser.add_argument("--config", "-c", required=True, help="experiment JSON file")
-    parser.add_argument("--set", dest="overrides", action="append", default=[],
-                        metavar="KEY=VALUE",
-                        help="override a config key by dotted path (repeatable)")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--sigma", type=float)
-    parser.add_argument("--output-dir", dest="output_dir")
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--n0", type=int)
-    parser.add_argument("--nc", type=int)
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--mode")
-    parser.add_argument("--workers", type=int)
-    parser.add_argument("--max-points", dest="max_points", type=int)
+# (flag, argparse type, config key): each flag is --set key=value with the
+# value kept at its argparse type, so --output-dir 123 is the string "123"
+_FLAGS = (
+    ("--seed", int, "seed"),
+    ("--sigma", float, "sigma"),
+    ("--output-dir", str, "output_dir"),
+    ("--alpha", float, "confidence.alpha"),
+    ("--n0", int, "confidence.n0"),
+    ("--nc", int, "confidence.nc"),
+    ("--epsilon", float, "attack.epsilon"),
+    ("--mode", str, "train.mode"),
+    ("--workers", int, "certify.workers"),
+    ("--max-points", int, "certify.max_points"),
+)
 
 
 def build_parser():
@@ -67,49 +45,26 @@ def build_parser():
         description="certified robust classification with denoised smoothing",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("gen-data", "generate or ingest a dataset and write it as CSV"),
-        ("train-energy", "fit the denoising energy model"),
-        ("train-xhat", "train the smoothed classifier (adversarial or ablations)"),
-        ("certify", "certify test points, one CSV row each"),
-        ("curve", "certify and aggregate accuracy over a radius grid"),
-        ("walk-jump", "run the walk-jump sampler"),
-        ("oracle-check", "certify the analytic pipeline and compare to the exact oracle"),
-    ]:
-        _add_common(sub.add_parser(name, help=help_text))
+    for name, (help_text, _) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--config", "-c", required=True, help="experiment JSON file")
+        command.add_argument("--set", dest="overrides", action="append", default=[],
+                             metavar="KEY=VALUE",
+                             help="override a config key by dotted path (repeatable)")
+        for flag, kind, key in _FLAGS:
+            command.add_argument(flag, dest=key, type=kind,
+                                 help=f"same as --set {key}=VALUE ({kind.__name__})")
     return parser
-
-
-def _collect_overrides(args):
-    overrides = list(args.overrides)
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            # Non-JSON strings fall back to plain strings in load_config.
-            overrides.append(f"{key}={value}")
-    return overrides
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    command = "ebsmooth " + " ".join(argv)
+    overrides = args.overrides + [f"{key}={json.dumps(getattr(args, key))}"
+                                  for _, _, key in _FLAGS if getattr(args, key) is not None]
     try:
-        cfg, raw = load_config(args.config, _collect_overrides(args))
-        if args.command == "gen-data":
-            run_gen_data(cfg, raw, command)
-        elif args.command == "train-energy":
-            run_train_energy(cfg, raw, command)
-        elif args.command == "train-xhat":
-            run_train_xhat(cfg, raw, command)
-        elif args.command == "certify":
-            run_certify(cfg, raw, command, with_curve=False)
-        elif args.command == "curve":
-            run_certify(cfg, raw, command, with_curve=True)
-        elif args.command == "walk-jump":
-            run_walk_jump(cfg, raw, command)
-        elif args.command == "oracle-check":
-            run_oracle_check(cfg, raw, command)
+        cfg, raw = load_config(args.config, overrides)
+        run(args.command, cfg, raw, "ebsmooth " + " ".join(argv))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -60,9 +60,10 @@ def _build(cls, data, path):
 def _check_type(value, hint, name):
     """Reject a value that does not fit its field's annotation: a bool or
     float for an int field, a non-finite or non-numeric value for a float
-    field, a non-bool for a bool field, a non-list for a list field, and a
-    bad element of a list[int] or list[float] field.  JSON such as 1e3, 5,
-    NaN or [2.5] then fails here and not deep in a run."""
+    field, a non-bool for a bool field, a non-string for a string field, a
+    non-list for a list field, and a bad element of a list[int] or
+    list[float] field.  JSON such as 1e3, 5, NaN, [2.5] or a number for a
+    path then fails here and not deep in a run."""
     of_list = typing.get_origin(hint) is list  # get_args(list[int]) is (int,)
     allowed = (list,) if of_list else typing.get_args(hint) or (hint,)
     if value is None and type(None) in allowed:
@@ -73,6 +74,8 @@ def _check_type(value, hint, name):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     if bool in allowed and not isinstance(value, bool):
         raise ConfigError(f"{name} must be true or false, got {value!r}")
+    if str in allowed and not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
     if list in allowed and not isinstance(value, list):
         raise ConfigError(f"{name} must be a list, got {value!r}")
     if of_list:
@@ -184,8 +187,9 @@ class CertifySection:
     max_violations: int = 3
 
     def __post_init__(self):
-        if self.max_points < 0:
-            raise ConfigError(f"certify.max_points must be >= 0, got {self.max_points}")
+        for name, low in (("max_points", 0), ("workers", 1), ("max_violations", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"certify.{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -248,10 +252,10 @@ def config_from_dict(data):
     for key, value in data.items():
         if key in _SCALARS:
             _check_type(value, _SCALARS[key], key)
-            kwargs[key] = _SCALARS[key](value)
+            kwargs[key] = value
         elif key not in _SECTIONS:
             raise ConfigError(f"unknown config key: {key}")
-    sigma = kwargs.get("sigma", ExperimentConfig.sigma)
+    sigma = kwargs["sigma"] = float(kwargs.get("sigma", ExperimentConfig.sigma))
     if not sigma > 0.0:
         raise ConfigError(f"sigma must be positive, got {sigma}")
     energy = data.get("energy_train")  # its sigma defaults to the experiment sigma
@@ -281,6 +285,8 @@ def load_config(path, overrides=()):
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("top-level config must be an object")
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")

@@ -42,12 +42,27 @@ STREAM_CERT_BASE = 1_000_000
 
 
 class NumericalCheckError(RuntimeError):
-    """Raised when a run-level numerical check fails (exit code 2)."""
+    """Raised when a run-level numerical check fails (exit code 2).  outputs
+    names the files the run wrote before the check failed."""
+
+    def __init__(self, message, outputs=()):
+        super().__init__(message)
+        self.outputs = list(outputs)
 
 
 def fmt(x):
     """Float to text at 17 significant digits (lossless round-trip)."""
     return format(float(x), ".17g")
+
+
+def write_csv(path, header, rows):
+    """A header line, then one line per row: floats through fmt, anything
+    else through str."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row)
+                     + "\n")
 
 
 def write_manifest(outdir, name, raw_config, command, wall_time_s, outputs):
@@ -59,11 +74,9 @@ def write_manifest(outdir, name, raw_config, command, wall_time_s, outputs):
         "wall_time_s": wall_time_s,
         "outputs": sorted(outputs),
     }
-    path = os.path.join(outdir, f"{name}_manifest.json")
-    with open(path, "w") as fh:
+    with open(os.path.join(outdir, f"{name}_manifest.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 # -- resolution helpers -------------------------------------------------------
@@ -165,8 +178,7 @@ def _certify_task(task):
     index, classifier, point, sigma, spec, seed = task
     sel_gen = rng_stream(seed, STREAM_CERT_BASE + 2 * index)
     est_gen = rng_stream(seed, STREAM_CERT_BASE + 2 * index + 1)
-    result = certify(classifier, point, sigma, spec, sel_gen, est_gen)
-    return index, result
+    return certify(classifier, point, sigma, spec, sel_gen, est_gen)
 
 
 def certify_points(classifier, points, sigma, spec, seed, workers=1):
@@ -174,112 +186,83 @@ def certify_points(classifier, points, sigma, spec, seed, workers=1):
 
     The streams depend only on (seed, point index), so the results are
     identical for any worker count; workers > 1 fans points out to a process
-    pool.
+    pool of at most one process per point.
     """
     tasks = [
         (i, classifier, np.asarray(p, dtype=float), sigma, spec, seed)
         for i, p in enumerate(points)
     ]
+    workers = min(workers, len(tasks))
     if workers <= 1:
-        pairs = [_certify_task(t) for t in tasks]
-    else:
-        # the bound and the quantile need scipy.special (stats imports it
-        # lazily); importing it before the fork saves each worker the import
-        import scipy.special  # noqa: F401
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(_certify_task, tasks))
-    pairs.sort(key=lambda item: item[0])
-    return [result for _, result in pairs]
-
-
-POINTS_CSV_HEADER = "index,true_label,predicted,pa_lower,radius,abstain"
+        return [_certify_task(t) for t in tasks]
+    # the bound and the quantile need scipy.special (stats imports it
+    # lazily); importing it before the fork saves each worker the import
+    import scipy.special  # noqa: F401
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_certify_task, tasks))  # map keeps the task order
 
 
 def write_points_csv(path, results, labels):
-    with open(path, "w", newline="") as fh:
-        fh.write(POINTS_CSV_HEADER + "\n")
-        for i, (res, label) in enumerate(zip(results, labels)):
-            fh.write(
-                f"{i},{int(label)},{res.predicted},{fmt(res.pa_lower)},"
-                f"{fmt(res.radius)},{int(res.abstained)}\n"
-            )
+    write_csv(path, ["index", "true_label", "predicted", "pa_lower", "radius", "abstain"],
+              ((i, int(label), res.predicted, res.pa_lower, res.radius, int(res.abstained))
+               for i, (res, label) in enumerate(zip(results, labels))))
+
+
+def _certified_correct(results, labels, radius):
+    return sum(not res.abstained and res.predicted == int(label) and res.radius >= radius
+               for res, label in zip(results, labels))
 
 
 def certified_accuracy_at(results, labels, radius):
     """Fraction certified correct at the given radius; abstentions count as
     errors."""
-    ok = 0
-    for res, label in zip(results, labels):
-        if not res.abstained and res.predicted == int(label) and res.radius >= radius:
-            ok += 1
-    return ok / max(len(results), 1)
+    return _certified_correct(results, labels, radius) / max(len(results), 1)
 
 
 def write_curve_csv(path, results, labels, radius_grid):
-    with open(path, "w", newline="") as fh:
-        fh.write("radius,certified_accuracy,certified_correct,total\n")
-        total = len(results)
-        if total == 0:
-            return
-        for r in radius_grid:
-            acc = certified_accuracy_at(results, labels, r)
-            fh.write(f"{fmt(r)},{fmt(acc)},{round(acc * total)},{total}\n")
+    total = len(results)
+    correct = [_certified_correct(results, labels, r) for r in radius_grid] if total else []
+    write_csv(path, ["radius", "certified_accuracy", "certified_correct", "total"],
+              ((float(r), ok / total, ok, total) for r, ok in zip(radius_grid, correct)))
 
 
 def write_training_log(path, rows, columns):
-    with open(path, "w", newline="") as fh:
-        fh.write("step," + ",".join(columns) + "\n")
-        for step, record in enumerate(rows):
-            vals = ",".join(
-                fmt(record[c]) if isinstance(record[c], float) else str(record[c])
-                for c in columns
-            )
-            fh.write(f"{step},{vals}\n")
+    write_csv(path, ["step", *columns],
+              ([step, *(record[c] for c in columns)] for step, record in enumerate(rows)))
 
 
 # -- runners ------------------------------------------------------------------
+# Each runner takes the config, writes into cfg.output_dir and returns the
+# names of the files it wrote; run() makes the directory, times the runner
+# and writes the manifest.
 
 
-def _start(cfg):
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    return time.perf_counter()
+def _out(cfg, name):
+    return os.path.join(cfg.output_dir, name)
 
 
-def run_gen_data(cfg, raw_config, command):
-    t0 = _start(cfg)
+def run_gen_data(cfg):
     train, test = resolve_datasets(cfg)
-    outputs = []
-    train_path = os.path.join(cfg.output_dir, "train.csv")
-    save_dataset_csv(train_path, train)
-    outputs.append("train.csv")
-    if test is not None:
-        test_path = os.path.join(cfg.output_dir, "test.csv")
-        save_dataset_csv(test_path, test)
-        outputs.append("test.csv")
-    write_manifest(cfg.output_dir, "gen_data", raw_config, command,
-                   time.perf_counter() - t0, outputs)
-    return outputs
+    save_dataset_csv(_out(cfg, "train.csv"), train)
+    if test is None:
+        return ["train.csv"]
+    save_dataset_csv(_out(cfg, "test.csv"), test)
+    return ["train.csv", "test.csv"]
 
 
-def run_train_energy(cfg, raw_config, command):
-    t0 = _start(cfg)
+def run_train_energy(cfg):
     train, _ = resolve_datasets(cfg)
     history = []
     net = train_energy(
         train.points, cfg.energy_train, rng_stream(cfg.seed, STREAM_ENERGY_TRAIN),
         callback=lambda step, rec: history.append(rec),
     )
-    ckpt = os.path.join(cfg.output_dir, "energy.ckpt")
-    save_checkpoint(ckpt, net)
-    log = os.path.join(cfg.output_dir, "energy_train_log.csv")
-    write_training_log(log, history, ["loss"])
-    write_manifest(cfg.output_dir, "train_energy", raw_config, command,
-                   time.perf_counter() - t0, ["energy.ckpt", "energy_train_log.csv"])
-    return net
+    save_checkpoint(_out(cfg, "energy.ckpt"), net)
+    write_training_log(_out(cfg, "energy_train_log.csv"), history, ["loss"])
+    return ["energy.ckpt", "energy_train_log.csv"]
 
 
-def run_train_xhat(cfg, raw_config, command):
-    t0 = _start(cfg)
+def run_train_xhat(cfg):
     train, _ = resolve_datasets(cfg)
     estimator = resolve_estimator(cfg, train.points.shape[1])
     history = []
@@ -288,50 +271,42 @@ def run_train_xhat(cfg, raw_config, command):
         cfg.train, cfg.attack, rng_stream(cfg.seed, STREAM_CLASSIFIER_TRAIN),
         callback=lambda step, rec: history.append(rec),
     )
-    ckpt = os.path.join(cfg.output_dir, "classifier.ckpt")
-    save_checkpoint(ckpt, clf)
-    log = os.path.join(cfg.output_dir, "training_log.csv")
-    write_training_log(log, history,
+    save_checkpoint(_out(cfg, "classifier.ckpt"), clf)
+    write_training_log(_out(cfg, "training_log.csv"), history,
                        ["clean_loss", "adv_loss", "attack_success", "aborted"])
-    write_manifest(cfg.output_dir, "train_xhat", raw_config, command,
-                   time.perf_counter() - t0, ["classifier.ckpt", "training_log.csv"])
-    return clf
+    return ["classifier.ckpt", "training_log.csv"]
 
 
-def _certification_inputs(cfg):
-    _, test = resolve_datasets(cfg)
+def _certify_test_split(cfg):
+    """Certify the first certify.max_points test points and write points.csv."""
+    test = resolve_datasets(cfg)[1]  # the train split is not kept while certifying
     if test is None:
         raise ConfigError("certification needs a test split (dataset.test_* for idx)")
     n = min(cfg.certify.max_points, len(test))
-    points = test.points[:n]
-    labels = test.labels[:n]
     classifier = resolve_hard_classifier(cfg, test.points.shape[1])
-    return classifier, points, labels
-
-
-def run_certify(cfg, raw_config, command, with_curve=False):
-    t0 = _start(cfg)
-    classifier, points, labels = _certification_inputs(cfg)
-    if len(points) == 0:
+    if n == 0:
         print("warning: empty test set, writing empty result CSVs")
-    results = certify_points(classifier, points, cfg.sigma, cfg.confidence, cfg.seed,
-                             workers=cfg.certify.workers)
-    outputs = ["points.csv"]
-    write_points_csv(os.path.join(cfg.output_dir, "points.csv"), results, labels)
-    if with_curve:
-        write_curve_csv(os.path.join(cfg.output_dir, "curve.csv"), results, labels,
-                        cfg.certify.radius_grid)
-        outputs.append("curve.csv")
-    name = "curve" if with_curve else "certify"
-    write_manifest(cfg.output_dir, name, raw_config, command,
-                   time.perf_counter() - t0, outputs)
-    return results, labels
+    results = certify_points(classifier, test.points[:n], cfg.sigma, cfg.confidence,
+                             cfg.seed, workers=cfg.certify.workers)
+    write_points_csv(_out(cfg, "points.csv"), results, test.labels[:n])
+    return results, test.labels[:n]
 
 
-def run_oracle_check(cfg, raw_config, command):
+def run_certify(cfg):
+    _certify_test_split(cfg)
+    return ["points.csv"]
+
+
+def run_curve(cfg):
+    results, labels = _certify_test_split(cfg)
+    write_curve_csv(_out(cfg, "curve.csv"), results, labels, cfg.certify.radius_grid)
+    return ["points.csv", "curve.csv"]
+
+
+def run_oracle_check(cfg):
     """Certify the closed-form Gaussian pipeline and compare with the exact
-    linear oracle, point by point."""
-    t0 = _start(cfg)
+    linear oracle, point by point.  Over the violation allowance it raises
+    NumericalCheckError, after oracle.csv is written."""
     if cfg.classifier.kind != "linear":
         raise ConfigError("oracle-check needs classifier.kind=linear")
     if cfg.certify.max_points < 1:
@@ -343,36 +318,31 @@ def run_oracle_check(cfg, raw_config, command):
     classifier = EbClassifier(base, model, cfg.sigma)
     results = certify_points(classifier, points, cfg.sigma, cfg.confidence, cfg.seed,
                              workers=cfg.certify.workers)
-    class_violations = 0
-    radius_violations = 0
-    path = os.path.join(cfg.output_dir, "oracle.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("index,oracle_class,oracle_radius,predicted,pa_lower,radius,"
-                 "abstain,class_violation,radius_violation\n")
-        for i, (x, res) in enumerate(zip(points, results)):
-            oracle = linear_gaussian_oracle(base, x, cfg.sigma, sigma0)
-            cv = int(not res.abstained and res.predicted != oracle.predicted)
-            rv = int(res.radius > oracle.radius + 1e-9)
-            class_violations += cv
-            radius_violations += rv
-            fh.write(
-                f"{i},{oracle.predicted},{fmt(oracle.radius)},{res.predicted},"
-                f"{fmt(res.pa_lower)},{fmt(res.radius)},{int(res.abstained)},{cv},{rv}\n"
-            )
-    write_manifest(cfg.output_dir, "oracle_check", raw_config, command,
-                   time.perf_counter() - t0, ["oracle.csv"])
-    total = class_violations + radius_violations
+    rows = []
+    for i, (x, res) in enumerate(zip(points, results)):
+        oracle = linear_gaussian_oracle(base, x, cfg.sigma, sigma0)
+        cv = int(not res.abstained and res.predicted != oracle.predicted)
+        rv = int(res.radius > oracle.radius + 1e-9)
+        rows.append((i, oracle.predicted, oracle.radius, res.predicted, res.pa_lower,
+                     res.radius, int(res.abstained), cv, rv))
+    write_csv(_out(cfg, "oracle.csv"),
+              ["index", "oracle_class", "oracle_radius", "predicted", "pa_lower", "radius",
+               "abstain", "class_violation", "radius_violation"], rows)
+    class_violations = sum(row[-2] for row in rows)
+    radius_violations = sum(row[-1] for row in rows)
     print(f"oracle-check: {len(results)} points, {class_violations} class and "
           f"{radius_violations} radius violations "
           f"(allowed {cfg.certify.max_violations})")
+    total = class_violations + radius_violations
     if total > cfg.certify.max_violations:
         raise NumericalCheckError(
-            f"{total} oracle violations exceed the allowed {cfg.certify.max_violations}"
+            f"{total} oracle violations exceed the allowed {cfg.certify.max_violations}",
+            outputs=["oracle.csv"],
         )
-    return results
+    return ["oracle.csv"]
 
 
-def run_walk_jump(cfg, raw_config, command):
+def run_walk_jump(cfg):
     """Draw coarse-noise observations and push them through denoise, walk,
     jump; one CSV row per sample, optional trajectory dump for the first.
 
@@ -381,7 +351,6 @@ def run_walk_jump(cfg, raw_config, command):
     that chain gives when walked alone.  The dumped trajectory is chain 0's
     path in that same batched walk, so it ends where samples.csv row 0 came
     from.  Nothing is written when a chain goes non-finite."""
-    t0 = _start(cfg)
     wj = cfg.walk_jump
     model = resolve_data_model(cfg)
     if cfg.estimator.kind == "energy":
@@ -401,24 +370,48 @@ def run_walk_jump(cfg, raw_config, command):
     walked = walk_jump(coarse, fine, noisy, cfg.sigma, wj, chains,
                        record=0 if wj.dump_trajectory else None)
     outs, traj = walked if wj.dump_trajectory else (walked, None)
-    outputs = ["samples.csv"]
-    out_path = os.path.join(cfg.output_dir, "samples.csv")
-    dim = clean.shape[1]
-    with open(out_path, "w", newline="") as fh:
-        names = [f"y{i}" for i in range(dim)] + [f"out{i}" for i in range(dim)]
-        fh.write("index," + ",".join(names) + "\n")
-        for i, (y, out) in enumerate(zip(noisy, outs)):
-            row = [fmt(v) for v in y] + [fmt(v) for v in out]
-            fh.write(f"{i}," + ",".join(row) + "\n")
-    if wj.dump_trajectory:
-        traj_path = os.path.join(cfg.output_dir, "trajectory.csv")
-        with open(traj_path, "w", newline="") as fh:
-            names = [f"x{i}" for i in range(dim)]
-            fh.write("step," + ",".join(names) + ",energy\n")
-            for step, y in enumerate(traj):
-                e = energy_value(fine, y, wj.sigma_prime)
-                fh.write(f"{step}," + ",".join(fmt(v) for v in y) + f",{fmt(e)}\n")
-        outputs.append("trajectory.csv")
-    write_manifest(cfg.output_dir, "walk_jump", raw_config, command,
+    dim = model.dim
+    write_csv(_out(cfg, "samples.csv"),
+              ["index", *(f"y{i}" for i in range(dim)), *(f"out{i}" for i in range(dim))],
+              ([i, *y, *out] for i, (y, out) in enumerate(zip(noisy, outs))))
+    if not wj.dump_trajectory:
+        return ["samples.csv"]
+    write_csv(_out(cfg, "trajectory.csv"),
+              ["step", *(f"x{i}" for i in range(dim)), "energy"],
+              ([step, *y, float(energy_value(fine, y, wj.sigma_prime))]
+               for step, y in enumerate(traj)))
+    return ["samples.csv", "trajectory.csv"]
+
+
+# The CLI's commands: name -> (help text, runner).
+COMMANDS = {
+    "gen-data": ("generate or ingest a dataset and write it as CSV", run_gen_data),
+    "train-energy": ("fit the denoising energy model", run_train_energy),
+    "train-xhat": ("train the smoothed classifier (adversarial or ablations)",
+                   run_train_xhat),
+    "certify": ("certify test points, one CSV row each", run_certify),
+    "curve": ("certify and aggregate accuracy over a radius grid", run_curve),
+    "walk-jump": ("run the walk-jump sampler", run_walk_jump),
+    "oracle-check": ("certify the analytic pipeline and compare to the exact oracle",
+                     run_oracle_check),
+}
+
+
+def run(command, cfg, raw_config, command_line):
+    """Run one of COMMANDS: make cfg.output_dir, run the command and write
+    <command>_manifest.json (dashes as underscores) naming the files it wrote.
+    A NumericalCheckError that names files already written (oracle-check
+    over its allowance) propagates after the manifest is written."""
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    t0 = time.perf_counter()
+    failure = None
+    try:
+        outputs = COMMANDS[command][1](cfg)
+    except NumericalCheckError as exc:
+        if not exc.outputs:
+            raise
+        outputs, failure = exc.outputs, exc
+    write_manifest(cfg.output_dir, command.replace("-", "_"), raw_config, command_line,
                    time.perf_counter() - t0, outputs)
-    return outputs
+    if failure is not None:
+        raise failure

@@ -9,10 +9,11 @@ import warnings
 import numpy as np
 import pytest
 
-from ebsmooth.cli import main
+import ebsmooth.harness as harness
+from ebsmooth.cli import _FLAGS, main
 from ebsmooth.config import ConfigError, ExperimentConfig, config_from_dict, load_config
-from ebsmooth.harness import certified_accuracy_at, certify_points
-from ebsmooth.certify import CertResult
+from ebsmooth.harness import COMMANDS, certified_accuracy_at, certify_points
+from ebsmooth.certify import CertResult, OracleResult
 from ebsmooth.checkpoint import save_checkpoint
 from ebsmooth.classifiers import LinearClassifier, SoftClassifier
 from ebsmooth.energy import EnergyNet
@@ -173,6 +174,44 @@ class TestCliExitCodes:
     def test_success_is_0(self, tmp_path):
         path = write_cfg(tmp_path)
         assert main(["gen-data", "-c", str(path)]) == 0
+
+    @pytest.mark.parametrize("override", [["--seed", "1"], ["--set", "x.y=1"]])
+    def test_overrides_on_a_non_object_config_are_1(self, tmp_path, capsys, override):
+        # these used to die with TypeError and AttributeError tracebacks
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        assert main(["gen-data", "-c", str(path), *override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: top-level config must be an object"), err
+
+    def test_numeric_output_dir_flag_is_a_string(self, tmp_path, monkeypatch):
+        # a flag keeps its argparse type, so 123 is the directory name "123",
+        # while --set output_dir=123 is a JSON integer and a config error
+        monkeypatch.chdir(tmp_path)
+        path = write_cfg(tmp_path)
+        assert main(["gen-data", "-c", str(path), "--output-dir", "123"]) == 0
+        assert (tmp_path / "123" / "train.csv").exists()
+        assert main(["gen-data", "-c", str(path), "--set", "output_dir=123"]) == 1
+
+    @pytest.mark.parametrize("flag, key, value", [
+        (flag, key, {"seed": "7", "sigma": "0.5", "output_dir": "flagged",
+                     "confidence.alpha": "0.01", "confidence.n0": "10",
+                     "confidence.nc": "100", "attack.epsilon": "0.5",
+                     "train.mode": "no_attack", "certify.workers": "2",
+                     "certify.max_points": "3"}[key])
+        for flag, _, key in _FLAGS
+    ])
+    def test_each_flag_is_its_set_override(self, tmp_path, monkeypatch, flag, key, value):
+        # same raw config, so the same manifest config_sha256
+        monkeypatch.chdir(tmp_path)
+        path = write_cfg(tmp_path)
+        digests = []
+        for args in ([flag, value], ["--set", f"{key}={value}"]):
+            assert main(["gen-data", "-c", str(path), *args]) == 0
+            outdir = "flagged" if key == "output_dir" else tmp_path / "out"
+            manifest = pathlib.Path(outdir) / "gen_data_manifest.json"
+            digests.append(json.loads(manifest.read_text())["config_sha256"])
+        assert digests[0] == digests[1]
 
 
 class TestGenData:
@@ -400,6 +439,58 @@ class TestOracleCheckCli:
         lines = (tmp_path / "out" / "oracle.csv").read_text().splitlines()
         assert len(lines) == 16
 
+    def test_over_allowance_is_2_and_keeps_its_files(self, tmp_path, monkeypatch, capsys):
+        # an oracle whose radius is below any certificate makes every point a
+        # radius violation
+        monkeypatch.setattr(harness, "linear_gaussian_oracle",
+                            lambda *args: OracleResult(predicted=0, radius=-1.0))
+        path = write_cfg(tmp_path)
+        assert main(["oracle-check", "-c", str(path), "--max-points", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "exceed the allowed 3" in err, err
+        out = tmp_path / "out"
+        assert sorted(os.listdir(out)) == ["oracle.csv", "oracle_check_manifest.json"]
+        assert len((out / "oracle.csv").read_text().splitlines()) == 5
+        manifest = json.loads((out / "oracle_check_manifest.json").read_text())
+        assert manifest["outputs"] == ["oracle.csv"]
+
+
+# the files each command writes; walk-jump adds trajectory.csv with dump_trajectory
+_COMMAND_OUTPUTS = {
+    "gen-data": (["train.csv", "test.csv"], []),
+    "train-energy": (["energy.ckpt", "energy_train_log.csv"],
+                     ["--set", "energy_train.steps=3", "--set", "energy_train.hidden=[4]"]),
+    "train-xhat": (["classifier.ckpt", "training_log.csv"],
+                   ["--mode", "no_attack", "--set", "train.steps=3",
+                    "--set", "classifier.hidden=[4]"]),
+    "certify": (["points.csv"], ["--max-points", "3"]),
+    "curve": (["points.csv", "curve.csv"], ["--max-points", "3"]),
+    "walk-jump": (["samples.csv"],
+                  ["--set", "walk_jump.n_samples=2", "--set", "walk_jump.tau=2"]),
+    "oracle-check": (["oracle.csv"], ["--max-points", "3"]),
+}
+
+
+class TestManifests:
+    def test_every_command_is_covered(self):
+        assert set(_COMMAND_OUTPUTS) == set(COMMANDS)
+
+    @pytest.mark.parametrize("command, dump", [
+        *((command, False) for command in COMMANDS), ("walk-jump", True)])
+    def test_manifest_lists_exactly_the_files_written(self, tmp_path, command, dump):
+        outputs, args = _COMMAND_OUTPUTS[command]
+        if dump:
+            outputs = [*outputs, "trajectory.csv"]
+            args = [*args, "--set", "walk_jump.dump_trajectory=true"]
+        path = write_cfg(tmp_path)
+        assert main([command, "-c", str(path), *args]) == 0
+        name = command.replace("-", "_") + "_manifest.json"
+        out = tmp_path / "out"
+        assert sorted(os.listdir(out)) == sorted([*outputs, name])
+        manifest = json.loads((out / name).read_text())
+        assert manifest["outputs"] == sorted(outputs)
+        assert manifest["command"] == " ".join(["ebsmooth", command, "-c", str(path), *args])
+
 
 class TestParallelCertifyHelpers:
     def test_accuracy_counts_abstains_as_errors(self):
@@ -424,6 +515,35 @@ class TestParallelCertifyHelpers:
             assert a.predicted == b.predicted
             assert a.pa_lower == b.pa_lower
             assert a.radius == b.radius
+
+    def test_pool_is_no_larger_than_the_point_count(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        h = LinearClassifier(np.array([1.0, 0.0]), 0.2)
+        pts = np.array([[1.5, 0.0], [-0.4, 1.0], [0.1, -2.0]])
+        spec = ConfidenceSpec(0.01, 20, 500)
+        serial = certify_points(h, pts, 0.8, spec, seed=3, workers=1)
+        capped = certify_points(h, pts, 0.8, spec, seed=3, workers=64)
+        assert started == [3]
+        assert [(r.predicted, r.pa_lower, r.radius) for r in capped] == [
+            (r.predicted, r.pa_lower, r.radius) for r in serial]
+        certify_points(h, pts[:1], 0.8, spec, seed=3, workers=64)
+        certify_points(h, pts[:0], 0.8, spec, seed=3, workers=64)
+        assert started == [3]  # one point or none: no pool
 
 
 class TestCheckpointMisuse:
@@ -509,6 +629,8 @@ class TestBadConfigValues:
         ["train-energy", "--set", "energy_train.lr=0"],
         ["train-energy", "--set", "energy_train.lr_final=-1"],
         ["train-xhat", "--set", "attack.m=2"],
+        ["oracle-check", "--workers", "0"],
+        ["oracle-check", "--set", "certify.max_violations=-1"],
     ])
     def test_rejected_in_process(self, tmp_path, capsys, args):
         path = write_cfg(tmp_path)
@@ -538,16 +660,28 @@ class TestBadConfigValues:
         ["walk-jump", "--set", "walk_jump.sigma_prime=NaN"],
         ["walk-jump", "--set", "walk_jump.dump_trajectory=1"],
         ["train-xhat", "--set", "attack.epsilon=true"],
+        ["certify", "--set", "classifier.kind=checkpoint", "--set", "classifier.path=1"],
+        ["certify", "--set", "estimator.kind=energy", "--set", "estimator.path=2"],
+        ["walk-jump", "--set", "walk_jump.fine_energy_path=1"],
+        ["gen-data", "--set", "dataset.kind=idx", "--set", "dataset.train_images=1"],
+        ["gen-data", "--set", "output_dir=[1, 2]"],
+        ["certify", "--set", "estimator.kind=3"],
     ])
-    def test_wrong_type_or_count_rejected(self, tmp_path, capsys, args):
-        # config.py checks int and list fields against their annotations;
-        # these used to fail with a traceback or, for a negative max_points,
-        # to drop a point without a word
+    def test_wrong_type_or_count_rejected(self, tmp_path, capsys, monkeypatch, args):
+        # config.py checks int, list and string fields against their
+        # annotations; these used to fail with a traceback, to drop a point
+        # without a word (a negative max_points), to open a file descriptor
+        # as a path (classifier.path=1), or to write into a directory named
+        # "[1, 2]"
+        monkeypatch.chdir(tmp_path)
         path = write_cfg(tmp_path)
         assert main([args[0], "-c", str(path), *args[1:]]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error:"), err
+        # the message names the key the last --set gave
+        key = args[-1].split("=")[0] if args[-2] == "--set" else ""
+        assert err.startswith(f"config error: {key}"), err
         assert "Traceback" not in err
+        assert set(os.listdir(tmp_path)) <= {"cfg.json", "out"}
         assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize("args", [
