@@ -17,13 +17,7 @@ from .stats import (
 )
 from .densities import IsoGaussian, IsoMixture, beta_of
 from .energy import EnergyNet, EnergyTrainConfig, TrainingDivergedError, train_energy
-from .classifiers import (
-    EbClassifier,
-    LinearClassifier,
-    SoftClassifier,
-    grad_log_pi,
-    soft_pi,
-)
+from .classifiers import EbClassifier, LinearClassifier, SoftClassifier
 from .certify import (
     ABSTAIN,
     CertResult,
@@ -37,8 +31,6 @@ from .certify import (
 from .adversarial import (
     AttackSpec,
     ClassifierTrainConfig,
-    PgdResult,
-    pgd_attack,
     train_xhat,
 )
 from .sampler import (
@@ -67,7 +59,6 @@ __all__ = [
     "LabeledDataset",
     "LinearClassifier",
     "OracleResult",
-    "PgdResult",
     "SoftClassifier",
     "TrainingDivergedError",
     "WalkJumpConfig",
@@ -75,19 +66,16 @@ __all__ = [
     "binom_lower_bound",
     "certify",
     "gen_dataset",
-    "grad_log_pi",
     "jump",
     "langevin_walk",
     "linear_gaussian_oracle",
     "linear_margin",
     "load_checkpoint",
     "load_idx",
-    "pgd_attack",
     "predict",
     "rmax",
     "rng_stream",
     "save_checkpoint",
-    "soft_pi",
     "std_normal_cdf",
     "std_normal_inv_cdf",
     "train_energy",

@@ -63,17 +63,6 @@ class AttackSpec:
         return 2.0 * self.epsilon / max(self.steps, 1)
 
 
-@dataclasses.dataclass(frozen=True)
-class PgdResult:
-    """Attack outcome: the best iterate found, its objective value, the clean
-    objective value, and whether the search hit a non-finite gradient."""
-
-    x_adv: np.ndarray
-    adv_neg_log: float
-    clean_neg_log: float
-    aborted: bool
-
-
 def _pgd_batch(c, xs, ks, spec, noise):
     """Projected gradient ascent on -log Pi_k for a whole batch at once.
 
@@ -116,17 +105,6 @@ def _pgd_batch(c, xs, ks, spec, noise):
     return best_z, best_f, f0, aborted
 
 
-def pgd_attack(c, x, k, spec, noise):
-    """Attack a single point; noise is the fixed (m, d) list reused across
-    every step.  A zero budget returns the point unchanged."""
-    x = np.asarray(x, dtype=float)
-    noise = np.asarray(noise, dtype=float)
-    best_z, best_f, f0, aborted = _pgd_batch(
-        c, x[None, :], np.array([int(k)]), spec, noise[None, :, :]
-    )
-    return PgdResult(best_z[0], float(best_f[0]), float(f0[0]), bool(aborted[0]))
-
-
 def xhat_objective_theta_grads(c, xs, ks, noise):
     """Mean -log Pi_k over the batch and its classifier parameter gradients.
 
@@ -135,7 +113,7 @@ def xhat_objective_theta_grads(c, xs, ks, noise):
     """
     xs = np.asarray(xs, dtype=float)
     bsz, m, _ = noise.shape
-    pis, probs, cache, _ = _pi_batch(c, xs, noise)
+    pis, probs, cache, _ = _pi_batch(c, xs, noise, grad=True)
     pik = np.maximum(pis[np.arange(bsz), ks], PROB_FLOOR)
     loss = float(np.mean(-np.log(pik)))
     rep_k = np.repeat(np.asarray(ks), m)

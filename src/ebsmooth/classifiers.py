@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 
 from .densities import _as_batch, _unbatch
-from .mlp import init_affine_stack, sigmoid, softplus
+from .mlp import affine_softplus, init_affine_stack
 
 PROB_FLOOR = 1e-12  # probabilities are floored here before any log
 
@@ -80,27 +80,20 @@ class SoftClassifier:
             params.extend((w, b))
         return params
 
-    def _logits(self, xb):
-        h = xb
-        pre = []      # hidden pre-activations
-        hs = [xb]     # layer inputs
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = h @ w + b
-            pre.append(a)
-            h = softplus(a)
-            hs.append(h)
-        return h @ self.weights[-1] + self.biases[-1], (hs, pre)
-
-    def _forward(self, xb):
-        logits, cache = self._logits(xb)
+    def _forward(self, xb, sigmoids=False):
+        """Probabilities and the cache _backward reads: the layer inputs and,
+        when sigmoids is set (a gradient will be asked for), the hidden
+        layers' softplus derivatives."""
+        logits, inputs, sigs = affine_softplus(xb, self.weights, self.biases, sigmoids)
         shifted = logits - logits.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         probs = e / e.sum(axis=1, keepdims=True)
-        return probs, cache
+        return probs, (inputs, sigs)
 
     def _backward(self, cache, dlogits, want_params=True, want_input=True):
-        """Pull a cotangent on the logits back to parameters and inputs."""
-        hs, pre = cache
+        """Pull a cotangent on the logits back to parameters and inputs; the
+        cache must come from a forward pass with sigmoids set."""
+        hs, sigs = cache
         w_grads = [None] * len(self.weights)
         b_grads = [None] * len(self.weights)
         if want_params:
@@ -108,7 +101,7 @@ class SoftClassifier:
             b_grads[-1] = dlogits.sum(axis=0)
         dh = dlogits @ self.weights[-1].T
         for i in range(len(self.weights) - 2, -1, -1):
-            da = dh * sigmoid(pre[i])
+            da = dh * sigs[i]
             if want_params:
                 w_grads[i] = hs[i].T @ da
                 b_grads[i] = da.sum(axis=0)
@@ -129,7 +122,7 @@ class SoftClassifier:
         """Index of the largest logit: the softmax is monotone, so it is
         never formed."""
         xb, single = _as_batch(x, self.dim)
-        logits, _ = self._logits(xb)
+        logits, _, _ = affine_softplus(xb, self.weights, self.biases)
         # argmax of NaN logits is the NaN's index, which would count as a vote
         if not np.all(np.isfinite(logits)):
             raise FloatingPointError("classifier logits are not finite")
@@ -137,29 +130,26 @@ class SoftClassifier:
         return int(out[0]) if single else out
 
 
-def apply_estimator(estimator, y, sigma):
-    """Denoise y with whichever estimator is configured.
+def _identity(u):
+    return np.asarray(u, dtype=float)
+
+
+def linearize_estimator(estimator, y, sigma):
+    """Denoise y with whichever estimator is configured, and linearize the
+    denoiser there.
 
     None means the identity (plain smoothing with no denoiser).  Anything else
     is a smoothed density of Y = X + N(0, sigma^2 I), exact (IsoGaussian,
     IsoMixture) or learned (EnergyNet), with the methods log_density_y,
-    smoothed_score, score_hvp and bayes_estimate, and y is mapped to its
-    Bayes estimate y + sigma^2 * grad log f_Y(y).
+    smoothed_score, score_hvp, bayes_estimate and linearize.  Returns
+    (xhat, vjp): the Bayes estimate y + sigma^2 * grad log f_Y(y), and the map
+    u -> u + sigma^2 * hessian(log f_Y)(y) u.  That is the denoiser's
+    Jacobian, which is symmetric, so vjp is also its forward action.  vjp
+    does no work until it is called.
     """
     if estimator is None:
-        return np.asarray(y, dtype=float)
-    return estimator.bayes_estimate(y, sigma)
-
-
-def apply_estimator_vjp(estimator, y, u, sigma):
-    """Transpose-Jacobian of the denoiser at y applied to u.
-
-    The Jacobian is I + sigma^2 * hessian(log f_Y), which is symmetric, so
-    this also serves as the forward Jacobian action.
-    """
-    if estimator is None:
-        return np.asarray(u, dtype=float)
-    return np.asarray(u, dtype=float) + sigma**2 * estimator.score_hvp(y, u, sigma)
+        return np.asarray(y, dtype=float), _identity
+    return estimator.linearize(y, sigma)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,7 +157,7 @@ class EbClassifier:
     """Base classifier composed with a denoiser, plus its smoothed soft view.
 
     `estimator` is a smoothed density (an exact data model or an EnergyNet;
-    see apply_estimator) or None for the identity.  `sigma` is the smoothing
+    see linearize_estimator) or None for the identity.  `sigma` is the smoothing
     noise scale; a learned energy accepts only the scale it was trained at.
     `m` is the Monte-Carlo sample count used by the soft probabilities.
     """
@@ -183,7 +173,7 @@ class EbClassifier:
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         # denoising no points still runs the estimator's scale check
-        apply_estimator(self.estimator, np.zeros((0, self.dim)), self.sigma)
+        linearize_estimator(self.estimator, np.zeros((0, self.dim)), self.sigma)
 
     @property
     def dim(self):
@@ -195,9 +185,11 @@ class EbClassifier:
 
     def predict_class(self, x):
         xb, single = _as_batch(x, self.dim)
-        # NaN arithmetic need not warn: the result is checked right below
-        with np.errstate(invalid="ignore"):
-            xhat = apply_estimator(self.estimator, xb, self.sigma)
+        xhat = xb
+        if self.estimator is not None:
+            # NaN arithmetic need not warn: the result is checked right below
+            with np.errstate(invalid="ignore"):
+                xhat = self.estimator.bayes_estimate(xb, self.sigma)
         # a NaN point falls on one side of every comparison, so it would vote
         if not np.all(np.isfinite(xhat)):
             raise FloatingPointError("denoised points are not finite")
@@ -213,53 +205,20 @@ def _require_soft_base(c):
         )
 
 
-def soft_pi_with_noise(c, x, noise):
-    """Monte-Carlo soft probabilities with a caller-supplied noise list.
+def _pi_batch(c, xs, noise, grad=False):
+    """Fixed-noise soft probabilities for a batch: xs (B, d), noise (B, m, d).
 
-    noise has shape (m, d); the result is the average of the base soft
-    classifier at the denoised noisy copies.  Reusing one noise list across
-    calls makes the value a deterministic function of x (common random
-    numbers), which the attack relies on.
+    Returns (pis, probs, cache, vjp): the (B, K) averages, the per-sample
+    probabilities, the base classifier's forward cache (ready for _backward
+    when grad is set) and the denoiser's lazy vjp at the noisy points.
     """
-    _require_soft_base(c)
-    x = np.asarray(x, dtype=float)
-    noise = np.asarray(noise, dtype=float)
-    y = x[None, :] + noise
-    xhat = apply_estimator(c.estimator, y, c.sigma)
-    return c.base.probs(xhat).mean(axis=0)
-
-
-def soft_pi(c, x, gen):
-    """Monte-Carlo soft probabilities with m fresh noise draws at scale sigma."""
-    x = np.asarray(x, dtype=float)
-    noise = c.sigma * gen.standard_normal((c.m, x.shape[0]))
-    return soft_pi_with_noise(c, x, noise)
-
-
-def grad_log_pi(c, x, k, noise):
-    """Exact input gradient of log of the fixed-noise soft probability.
-
-    Chain rule per noise sample: the base classifier's probability gradient
-    at the denoised point, pulled back through the denoiser Jacobian.  The
-    probability is floored at PROB_FLOOR before the log so the gradient stays
-    finite when the class mass is numerically zero.
-    """
-    _, grads = _neg_log_pi(
-        c, np.asarray(x, float)[None, :], np.array([k]), np.asarray(noise, float)[None, :, :],
-        grad=True,
-    )
-    return -grads[0]
-
-
-def _pi_batch(c, xs, noise):
-    """Fixed-noise soft probabilities for a batch: xs (B, d), noise (B, m, d)."""
     _require_soft_base(c)
     bsz, m, dim = noise.shape
     y = (xs[:, None, :] + noise).reshape(bsz * m, dim)
-    xhat = apply_estimator(c.estimator, y, c.sigma)
-    probs, cache = c.base._forward(xhat)
+    xhat, vjp = linearize_estimator(c.estimator, y, c.sigma)
+    probs, cache = c.base._forward(xhat, sigmoids=grad)
     pis = probs.reshape(bsz, m, -1).mean(axis=1)
-    return pis, probs, cache, y
+    return pis, probs, cache, vjp
 
 
 def _neg_log_pi(c, xs, ks, noise, grad=False):
@@ -270,7 +229,7 @@ def _neg_log_pi(c, xs, ks, noise, grad=False):
     for and None otherwise.
     """
     bsz, m, dim = noise.shape
-    pis, probs, cache, y = _pi_batch(c, xs, noise)
+    pis, probs, cache, vjp = _pi_batch(c, xs, noise, grad)
     pik = np.maximum(pis[np.arange(bsz), ks], PROB_FLOOR)
     neg_log = -np.log(pik)
     if not grad:
@@ -279,6 +238,6 @@ def _neg_log_pi(c, xs, ks, noise, grad=False):
     pk = probs[np.arange(bsz * m), np.repeat(ks, m)]
     dlogits = pk[:, None] * (onehot - probs)
     dxhat, _ = c.base._backward(cache, dlogits, want_params=False)
-    pulled = apply_estimator_vjp(c.estimator, y, dxhat, c.sigma)
+    pulled = vjp(dxhat)
     grads = pulled.reshape(bsz, m, dim).sum(axis=1) / (m * pik[:, None])
     return neg_log, -grads

@@ -43,10 +43,10 @@ def _build(cls, data, path):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
     hints = typing.get_type_hints(cls)
-    for key, value in data.items():
+    for key in data:
         if key not in hints:
             raise ConfigError(f"unknown config key: {path}.{key}")
-        _check_type(value, hints[key], f"{path}.{key}")
+    data = {key: _check_type(value, hints[key], f"{path}.{key}") for key, value in data.items()}
     try:
         return cls(**data)
     except ConfigError:
@@ -63,15 +63,19 @@ def _check_type(value, hint, name):
     field, a non-bool for a bool field, a non-string for a string field, a
     non-list for a list field, and a bad element of a list[int] or
     list[float] field.  JSON such as 1e3, 5, NaN, [2.5] or a number for a
-    path then fails here and not deep in a run."""
+    path then fails here and not deep in a run.  Returns the value, with an
+    integer for a float field made a float, so that 1 and 1.0 configure (and
+    digest to) the same experiment."""
     of_list = typing.get_origin(hint) is list  # get_args(list[int]) is (int,)
     allowed = (list,) if of_list else typing.get_args(hint) or (hint,)
     if value is None and type(None) in allowed:
-        return
+        return None
     if int in allowed and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if float in allowed and not _finite_number(value):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if float in allowed:
+        if not _finite_number(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        value = float(value)
     if bool in allowed and not isinstance(value, bool):
         raise ConfigError(f"{name} must be true or false, got {value!r}")
     if str in allowed and not isinstance(value, str):
@@ -80,8 +84,8 @@ def _check_type(value, hint, name):
         raise ConfigError(f"{name} must be a list, got {value!r}")
     if of_list:
         (item,) = typing.get_args(hint)
-        for i, element in enumerate(value):
-            _check_type(element, item, f"{name}[{i}]")
+        return [_check_type(element, item, f"{name}[{i}]") for i, element in enumerate(value)]
+    return value
 
 
 def _finite_number(value):
@@ -114,6 +118,7 @@ class DatasetSection:
                     and all(_finite_number(v) for row in rows for v in row)):
                 raise ConfigError("dataset.means must be a K x d list of lists of finite "
                                   f"numbers with K, d >= 1, got {rows!r}")
+            object.__setattr__(self, "means", [[float(v) for v in row] for row in rows])
             if self.sigma0 <= 0:
                 raise ConfigError("dataset.sigma0 must be positive")
             for name in ("n_train", "n_test"):
@@ -170,6 +175,7 @@ class ClassifierSection:
             if not (self.weights and all(_finite_number(w) for w in self.weights)):
                 raise ConfigError("classifier.weights must be a non-empty list of finite "
                                   f"numbers, got {self.weights!r}")
+            object.__setattr__(self, "weights", [float(w) for w in self.weights])
             if not _finite_number(self.bias):
                 raise ConfigError(f"classifier.bias must be a finite number, got {self.bias!r}")
         if self.kind == "checkpoint":
@@ -251,11 +257,10 @@ def config_from_dict(data):
     kwargs = {}
     for key, value in data.items():
         if key in _SCALARS:
-            _check_type(value, _SCALARS[key], key)
-            kwargs[key] = value
+            kwargs[key] = _check_type(value, _SCALARS[key], key)
         elif key not in _SECTIONS:
             raise ConfigError(f"unknown config key: {key}")
-    sigma = kwargs["sigma"] = float(kwargs.get("sigma", ExperimentConfig.sigma))
+    sigma = kwargs.setdefault("sigma", ExperimentConfig.sigma)
     if not sigma > 0.0:
         raise ConfigError(f"sigma must be positive, got {sigma}")
     energy = data.get("energy_train")  # its sigma defaults to the experiment sigma
@@ -305,7 +310,9 @@ def load_config(path, overrides=()):
     return config_from_dict(data), data
 
 
-def config_digest(data):
-    """Stable SHA-256 of the raw config dict (sorted-key compact JSON)."""
-    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+def config_digest(cfg):
+    """Stable SHA-256 of the validated ExperimentConfig (sorted-key compact
+    JSON of every field, defaults included), so a config digests the same
+    however its numbers are spelled and whichever defaults it writes out."""
+    canonical = json.dumps(dataclasses.asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

@@ -90,6 +90,14 @@ class IsoGaussian:
         yb, single = _as_batch(y, self.dim)
         return _unbatch(yb + sigma * sigma * self.smoothed_score(yb, sigma), single)
 
+    def linearize(self, y, sigma):
+        """(bayes_estimate(y, sigma), vjp) with vjp(u) = u + sigma^2 *
+        score_hvp(y, u, sigma); the Jacobian is constant, so vjp reads no y."""
+        def vjp(u):
+            return np.asarray(u, dtype=float) + sigma**2 * self.score_hvp(y, u, sigma)
+
+        return self.bayes_estimate(y, sigma), vjp
+
 
 @dataclasses.dataclass(frozen=True)
 class IsoMixture:
@@ -188,16 +196,31 @@ class IsoMixture:
         c = v @ means.T / s2.
         """
         yb, ysingle = _as_batch(y, self.dim)
-        vb, _ = _as_batch(v, self.dim)
-        if vb.shape != yb.shape:
-            raise ValueError("y and v must have matching shapes")
         s2 = sigma * sigma + self.sigma0 * self.sigma0
-        resp = self._responsibilities(yb, s2)
+        return _unbatch(self._hvp(self._responsibilities(yb, s2), v, s2), ysingle)
+
+    def _hvp(self, resp, v, s2):
+        vb, _ = _as_batch(v, self.dim)
+        if vb.shape != (resp.shape[0], self.dim):
+            raise ValueError("y and v must have matching shapes")
         c = (vb @ self.means.T) / s2
         w = resp * (c - np.sum(resp * c, axis=1, keepdims=True))
-        return _unbatch((w @ self.means - vb) / s2, ysingle)
+        return (w @ self.means - vb) / s2
 
     def bayes_estimate(self, y, sigma):
         """Posterior mean of X given Y = y: y + sigma^2 * score(y)."""
+        return self.linearize(y, sigma)[0]
+
+    def linearize(self, y, sigma):
+        """(bayes_estimate(y, sigma), vjp) with vjp(u) = u + sigma^2 *
+        score_hvp(y, u, sigma), both from one set of responsibilities."""
         yb, single = _as_batch(y, self.dim)
-        return _unbatch(yb + sigma * sigma * self.smoothed_score(yb, sigma), single)
+        s2 = sigma * sigma + self.sigma0 * self.sigma0
+        resp = self._responsibilities(yb, s2)
+        xhat = yb + sigma * sigma * ((resp @ self.means - yb) / s2)
+
+        def vjp(u):
+            return _unbatch(np.asarray(u, dtype=float) + sigma**2 * self._hvp(resp, u, s2),
+                            single)
+
+        return _unbatch(xhat, single), vjp

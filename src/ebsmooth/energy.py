@@ -28,8 +28,8 @@ import dataclasses
 import numpy as np
 
 from .densities import _as_batch, _unbatch
-from .mlp import (Adam, check_hidden, check_schedule, init_affine_stack, schedule_lr,
-                  sigmoid, softplus)
+from .mlp import (Adam, affine_softplus, check_hidden, check_schedule, init_affine_stack,
+                  schedule_lr, sigmoid, softplus)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -94,76 +94,75 @@ class EnergyNet:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _hidden_forward(self, yb):
-        h = yb
-        acts = []
-        for w, b in zip(self.weights, self.biases):
-            a = h @ w + b
-            acts.append(a)
-            h = softplus(a)
-        return h, acts
-
     def energy(self, y):
         """Scalar energy, one value per input point."""
         yb, single = _as_batch(y, self.dim)
-        h, _ = self._hidden_forward(yb)
+        a, _, _ = affine_softplus(yb, self.weights, self.biases)
+        h = softplus(a) if self.weights else yb
         out = h @ self.out_w + self.out_b[0]
         return float(out[0]) if single else out
+
+    def _grad(self, yb):
+        """One primal pass and the reverse pass of the energy to its input.
+
+        Returns (grad phi, cache).  The cache holds what every further
+        derivative reads: each layer's input h_i, the sigmoid s_i of its
+        pre-activation, the cotangent D_i on that pre-activation and
+        G_i = D_i W_i^T on its input (G_0 is the gradient).  No derivative
+        reads the last hidden layer's softplus, so only energy() computes it.
+        """
+        a, inputs, sigs = affine_softplus(yb, self.weights, self.biases, sigmoids=True)
+        if not self.weights:
+            return np.broadcast_to(self.out_w, yb.shape).copy(), ([], [], [], [])
+        sigs.append(sigmoid(a))
+        ds, gs = [], []
+        d = self.out_w[None, :] * sigs[-1]
+        for i in range(len(self.weights) - 1, -1, -1):
+            ds.insert(0, d)
+            gs.insert(0, d @ self.weights[i].T)
+            if i:
+                d = gs[0] * sigs[i - 1]
+        return gs[0], (inputs, sigs, ds, gs)
 
     def input_grad(self, y):
         """Exact gradient of the energy with respect to its input."""
         yb, single = _as_batch(y, self.dim)
-        if not self.weights:
-            return _unbatch(np.broadcast_to(self.out_w, yb.shape).copy(), single)
-        _, acts = self._hidden_forward(yb)
-        d = self.out_w[None, :] * sigmoid(acts[-1])
-        for i in range(len(self.weights) - 2, -1, -1):
-            d = (d @ self.weights[i + 1].T) * sigmoid(acts[i])
-        return _unbatch(d @ self.weights[0].T, single)
+        return _unbatch(self._grad(yb)[0], single)
 
     # -- gradient-dot machinery --------------------------------------------
     #
     # The scalar T(Y, U) = sum_i <u_i, grad phi(y_i)> is computed by pushing
-    # the tangents U through a forward-mode pass alongside the primal one.
+    # the tangents U through a forward-mode pass on the cached primal one.
     # Reverse-differentiating T then yields, exactly:
     #   * dT/dY  = Hessian-vector products  (u_i held constant), and
     #   * dT/dtheta = parameter gradients of any loss whose upstream
     #     derivative with respect to grad phi is U.
+    # The cotangents of T on the tangents are the gradient pass's own D_i
+    # and G_i, so only the cotangents on the primal values are computed here.
 
-    def _gdot_forward(self, yb, ub):
-        h = [yb]
-        hh = [ub]
-        sig = []
-        ah = []
-        for w, b in zip(self.weights, self.biases):
-            a = h[-1] @ w + b
-            s = sigmoid(a)
-            ahat = hh[-1] @ w
-            h.append(softplus(a))
-            hh.append(s * ahat)
-            sig.append(s)
-            ah.append(ahat)
-        t = hh[-1] @ self.out_w
-        return t, (h, hh, sig, ah)
-
-    def _gdot_backward(self, cache, want_params, want_input):
-        h, hh, sig, ah = cache
-        n = h[0].shape[0]
+    def _gdot(self, cache, ub, want_params):
+        """Tangent pass of U, then its reverse, on _grad's cache: (w_grads,
+        b_grads, out_w_grad, y_grad), the parameter gradients None unless
+        want_params."""
+        inputs, sigs, ds, gs = cache
         nlayers = len(self.weights)
+        hh = [ub]
+        ah = []
+        for w, s in zip(self.weights, sigs):
+            ah.append(hh[-1] @ w)
+            hh.append(s * ah[-1])
         w_grads = [None] * nlayers
         b_grads = [None] * nlayers
-        hb = np.zeros((n, self.widths[-1]))
-        hhb = np.broadcast_to(self.out_w, (n, self.out_w.shape[0]))
+        hb = np.zeros((ub.shape[0], self.widths[-1]))
         for i in range(nlayers - 1, -1, -1):
-            s = sig[i]
-            ahb = hhb * s
+            s = sigs[i]
+            hhb = gs[i + 1] if i < nlayers - 1 else self.out_w
             ab = (hhb * ah[i]) * s * (1.0 - s) + hb * s
             if want_params:
-                w_grads[i] = h[i].T @ ab + hh[i].T @ ahb
+                w_grads[i] = inputs[i].T @ ab + hh[i].T @ ds[i]
                 b_grads[i] = ab.sum(axis=0)
             hb = ab @ self.weights[i].T
-            hhb = ahb @ self.weights[i].T
-        y_grad = hb if nlayers else np.zeros_like(h[0])
+        y_grad = hb if nlayers else np.zeros_like(ub)
         out_w_grad = hh[-1].sum(axis=0) if want_params else None
         return w_grads, b_grads, out_w_grad, y_grad
 
@@ -173,9 +172,8 @@ class EnergyNet:
         vb, _ = _as_batch(v, self.dim)
         if vb.shape != yb.shape:
             raise ValueError("y and v must have matching shapes")
-        _, cache = self._gdot_forward(yb, vb)
-        _, _, _, ygrad = self._gdot_backward(cache, want_params=False, want_input=True)
-        return _unbatch(ygrad, single)
+        _, cache = self._grad(yb)
+        return _unbatch(self._gdot(cache, vb, want_params=False)[3], single)
 
     # -- smoothed-density protocol -----------------------------------------
     #
@@ -206,9 +204,25 @@ class EnergyNet:
 
     def bayes_estimate(self, y, sigma):
         """Denoised point y - sigma^2 * grad phi(y) at the trained scale."""
+        return self.linearize(y, sigma)[0]
+
+    def linearize(self, y, sigma):
+        """(bayes_estimate(y, sigma), vjp) from one primal pass, where
+        vjp(u) = u + sigma^2 * score_hvp(y, u, sigma) runs only the tangent
+        and reverse passes on the primal pass's cache, and only when called."""
         self._check_scale(sigma)
         yb, single = _as_batch(y, self.dim)
-        return _unbatch(yb - self.sigma**2 * self.input_grad(yb), single)
+        grad, cache = self._grad(yb)
+        xhat = yb - self.sigma**2 * grad
+
+        def vjp(u):
+            ub, _ = _as_batch(u, self.dim)
+            if ub.shape != yb.shape:
+                raise ValueError("y and u must have matching shapes")
+            hvp = self._gdot(cache, ub, want_params=False)[3]
+            return _unbatch(ub + sigma**2 * -hvp, single)
+
+        return _unbatch(xhat, single), vjp
 
 
 def denoise_loss_and_grads(net, x_clean, y_noisy):
@@ -218,20 +232,18 @@ def denoise_loss_and_grads(net, x_clean, y_noisy):
     The loss contains the input gradient of the energy, so its parameter
     derivative needs second-order information; it is obtained by reverse
     differentiation of the gradient-dot pass with upstream vector
-    (2/B)(xhat - x).  The readout bias never appears (only grad phi enters),
-    so its gradient is identically zero.
+    (2/B)(xhat - x), on the primal pass that gave xhat.  The readout bias
+    never appears (only grad phi enters), so its gradient is identically
+    zero.
     """
     sigma2 = net.sigma**2
     batch = x_clean.shape[0]
-    g = net.input_grad(y_noisy)
-    xhat = y_noisy - sigma2 * g
+    grad, cache = net._grad(y_noisy)
+    xhat = y_noisy - sigma2 * grad
     err = xhat - x_clean
     loss = float(np.mean(np.sum(err * err, axis=1)))
     upstream = (2.0 / batch) * err
-    _, cache = net._gdot_forward(y_noisy, upstream)
-    w_grads, b_grads, out_w_grad, _ = net._gdot_backward(
-        cache, want_params=True, want_input=False
-    )
+    w_grads, b_grads, out_w_grad, _ = net._gdot(cache, upstream, want_params=True)
     grads = []
     for wg, bg in zip(w_grads, b_grads):
         grads.extend((-sigma2 * wg, -sigma2 * bg))

@@ -65,10 +65,10 @@ def write_csv(path, header, rows):
                      + "\n")
 
 
-def write_manifest(outdir, name, raw_config, command, wall_time_s, outputs):
+def write_manifest(outdir, name, cfg, command, wall_time_s, outputs):
     payload = {
-        "config_sha256": config_digest(raw_config),
-        "seed": raw_config.get("seed", 0),
+        "config_sha256": config_digest(cfg),
+        "seed": cfg.seed,
         "version": f"ebsmooth-v{__version__}",
         "command": command,
         "wall_time_s": wall_time_s,
@@ -82,20 +82,20 @@ def write_manifest(outdir, name, raw_config, command, wall_time_s, outputs):
 # -- resolution helpers -------------------------------------------------------
 
 
-def resolve_datasets(cfg):
-    """Train and test LabeledDatasets from the dataset section."""
+def resolve_split(cfg, split):
+    """The "train" or "test" LabeledDataset of the dataset section, or None
+    for an idx dataset without test files.  Each generated split draws from
+    its own stream, so it is the same whether or not the other is made."""
     ds = cfg.dataset
     if ds.kind == "gaussian_classes":
-        means = np.asarray(ds.means, dtype=float)
-        train = gen_dataset(GaussianClassSpec(means, ds.sigma0, ds.n_train),
-                            rng_stream(cfg.seed, STREAM_TRAIN_DATA))
-        test = gen_dataset(GaussianClassSpec(means, ds.sigma0, ds.n_test),
-                           rng_stream(cfg.seed, STREAM_TEST_DATA))
-        return train, test
-    train = load_idx(ds.train_images, ds.train_labels, ds.limit)
-    if ds.test_images is None or ds.test_labels is None:
-        return train, None
-    return train, load_idx(ds.test_images, ds.test_labels, ds.limit)
+        n, stream = ((ds.n_train, STREAM_TRAIN_DATA) if split == "train"
+                     else (ds.n_test, STREAM_TEST_DATA))
+        return gen_dataset(GaussianClassSpec(np.asarray(ds.means, dtype=float), ds.sigma0, n),
+                           rng_stream(cfg.seed, stream))
+    images, labels = getattr(ds, f"{split}_images"), getattr(ds, f"{split}_labels")
+    if images is None or labels is None:
+        return None
+    return load_idx(images, labels, ds.limit)
 
 
 def resolve_data_model(cfg):
@@ -233,16 +233,18 @@ def write_training_log(path, rows, columns):
 
 # -- runners ------------------------------------------------------------------
 # Each runner takes the config, writes into cfg.output_dir and returns the
-# names of the files it wrote; run() makes the directory, times the runner
-# and writes the manifest.
+# names of the files it wrote; run() times the runner and writes the
+# manifest.  The directory is made at the first write, so a runner that
+# fails on its config first leaves none behind.
 
 
 def _out(cfg, name):
+    os.makedirs(cfg.output_dir, exist_ok=True)
     return os.path.join(cfg.output_dir, name)
 
 
 def run_gen_data(cfg):
-    train, test = resolve_datasets(cfg)
+    train, test = resolve_split(cfg, "train"), resolve_split(cfg, "test")
     save_dataset_csv(_out(cfg, "train.csv"), train)
     if test is None:
         return ["train.csv"]
@@ -251,7 +253,7 @@ def run_gen_data(cfg):
 
 
 def run_train_energy(cfg):
-    train, _ = resolve_datasets(cfg)
+    train = resolve_split(cfg, "train")
     history = []
     net = train_energy(
         train.points, cfg.energy_train, rng_stream(cfg.seed, STREAM_ENERGY_TRAIN),
@@ -263,7 +265,7 @@ def run_train_energy(cfg):
 
 
 def run_train_xhat(cfg):
-    train, _ = resolve_datasets(cfg)
+    train = resolve_split(cfg, "train")
     estimator = resolve_estimator(cfg, train.points.shape[1])
     history = []
     clf = train_xhat(
@@ -279,7 +281,7 @@ def run_train_xhat(cfg):
 
 def _certify_test_split(cfg):
     """Certify the first certify.max_points test points and write points.csv."""
-    test = resolve_datasets(cfg)[1]  # the train split is not kept while certifying
+    test = resolve_split(cfg, "test")
     if test is None:
         raise ConfigError("certification needs a test split (dataset.test_* for idx)")
     n = min(cfg.certify.max_points, len(test))
@@ -397,13 +399,20 @@ COMMANDS = {
 }
 
 
-def run(command, cfg, raw_config, command_line):
-    """Run one of COMMANDS: make cfg.output_dir, run the command and write
-    <command>_manifest.json (dashes as underscores) naming the files it wrote.
-    A NumericalCheckError that names files already written (oracle-check
-    over its allowance) propagates after the manifest is written."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
+def run(command, cfg, command_line):
+    """Run one of COMMANDS and write <command>_manifest.json (dashes as
+    underscores) into cfg.output_dir, naming the files it wrote.  A
+    NumericalCheckError that names files already written (oracle-check over
+    its allowance) propagates after the manifest is written."""
     t0 = time.perf_counter()
+    # glibc's malloc serves each request above its mmap threshold from
+    # freshly mapped pages and returns free heap above its trim threshold to
+    # the system; both start at 128 KB and rise to the size (and twice the
+    # size) of a mapped chunk when it is freed.  Freeing one 2 MB buffer
+    # first keeps the runners' temporaries (tally blocks, training batches)
+    # in heap pages already faulted in: train-energy at hidden [128, 128]
+    # and batch 128 takes 1k minor page faults instead of 77k.
+    np.empty(1 << 18)
     failure = None
     try:
         outputs = COMMANDS[command][1](cfg)
@@ -411,7 +420,7 @@ def run(command, cfg, raw_config, command_line):
         if not exc.outputs:
             raise
         outputs, failure = exc.outputs, exc
-    write_manifest(cfg.output_dir, command.replace("-", "_"), raw_config, command_line,
+    write_manifest(cfg.output_dir, command.replace("-", "_"), cfg, command_line,
                    time.perf_counter() - t0, outputs)
     if failure is not None:
         raise failure

@@ -1,6 +1,7 @@
 """Shared pieces for the small fully-connected networks: smooth activations,
-weight initialization, an Adam optimizer with bias correction, and the
-checks both trainers' configs run on hidden widths and learning schedules.
+the affine-softplus forward pass both networks run, weight initialization,
+an Adam optimizer with bias correction, and the checks both trainers'
+configs run on hidden widths and learning schedules.
 
 The activations are plain numpy, so the training commands never import
 scipy.  Each writes into one output buffer and, for a contiguous input,
@@ -46,6 +47,27 @@ def sigmoid(x):
     out += 1.0
     np.reciprocal(out, out=out)
     return out[()]
+
+
+def affine_softplus(x, weights, biases, sigmoids=False):
+    """Forward pass through affine layers a_i = h_i @ W_i + b_i with softplus
+    between them: h_0 = x and h_{i+1} = softplus(a_i).
+
+    Returns (a, inputs, sigs): the last pre-activation a, left as it is for
+    the caller to read out (logits) or differentiate (an energy's last
+    hidden layer); the layer inputs h_i; and, when sigmoids is set, the
+    softplus derivatives sigmoid(a_i) of every layer but the last, which
+    backward passes read.  With no layers, a is x.
+    """
+    a, inputs, sigs = x, [], []
+    for w, b in zip(weights, biases):
+        if inputs:
+            if sigmoids:
+                sigs.append(sigmoid(a))
+            a = softplus(a)
+        inputs.append(a)
+        a = a @ w + b
+    return a, inputs, sigs
 
 
 def init_affine_stack(widths, gen):

@@ -9,7 +9,7 @@ remove.  The jump is one application of the denoiser at the fine scale.  The
 composed pipeline denoises a coarse-noise observation, walks at the fine
 scale, and jumps.
 
-An energy source is any smoothed density (see classifiers.apply_estimator):
+An energy source is any smoothed density (see classifiers.linearize_estimator):
 its energy at scale sigma is the negative log density of its noisy version.
 An exact data model accepts every scale; an EnergyNet only its trained one.
 """

@@ -3,12 +3,18 @@
 Nothing here shares code with the library: the normal CDF is built from a
 power-series erf and a continued-fraction erfc, quantiles come from bisection
 on that CDF, and binomial tails are exact big-integer summations.  Agreement
-between these and the library is therefore evidence, not tautology.
+between these and the library is therefore evidence, not tautology.  The
+single-point views of the attack at the end are the exception: they wrap the
+library's batch routines so that tests can address one point at a time.
 """
 
+import dataclasses
 import math
 
 import numpy as np
+
+from ebsmooth.adversarial import _pgd_batch
+from ebsmooth.classifiers import _neg_log_pi
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -169,3 +175,49 @@ def class_prob_input_grad(soft, x, k):
     for w, a in zip(reversed(soft.weights[:-1]), reversed(pre)):
         d = (d / (1.0 + np.exp(-a))) @ w.T
     return d
+
+
+# -- single-point views of the library's batch attack routines ---------------
+
+
+def soft_pi_with_noise(c, x, noise):
+    """Monte-Carlo soft probabilities of EbClassifier c at x with a fixed
+    (m, d) noise list: the base's probabilities averaged over the denoised
+    noisy copies, denoised through bayes_estimate (not linearize)."""
+    y = np.asarray(x, dtype=float)[None, :] + np.asarray(noise, dtype=float)
+    xhat = y if c.estimator is None else c.estimator.bayes_estimate(y, c.sigma)
+    return c.base.probs(xhat).mean(axis=0)
+
+
+def soft_pi(c, x, gen):
+    """soft_pi_with_noise with c.m fresh noise draws at scale c.sigma."""
+    x = np.asarray(x, dtype=float)
+    return soft_pi_with_noise(c, x, c.sigma * gen.standard_normal((c.m, x.shape[0])))
+
+
+def grad_log_pi(c, x, k, noise):
+    """Input gradient of log of the fixed-noise soft probability of class k
+    (floored at PROB_FLOOR before the log), from the library's batch pass."""
+    _, grads = _neg_log_pi(c, np.asarray(x, float)[None, :], np.array([k]),
+                           np.asarray(noise, float)[None, :, :], grad=True)
+    return -grads[0]
+
+
+@dataclasses.dataclass(frozen=True)
+class PgdResult:
+    """One point's attack outcome: the best iterate, its objective value, the
+    clean objective value, and whether the search hit a non-finite gradient."""
+
+    x_adv: np.ndarray
+    adv_neg_log: float
+    clean_neg_log: float
+    aborted: bool
+
+
+def pgd_attack(c, x, k, spec, noise):
+    """The library's batch attack on the single point x of class k, with the
+    fixed (m, d) noise list reused across every step."""
+    best_z, best_f, f0, aborted = _pgd_batch(
+        c, np.asarray(x, dtype=float)[None, :], np.array([int(k)]), spec,
+        np.asarray(noise, dtype=float)[None, :, :])
+    return PgdResult(best_z[0], float(best_f[0]), float(f0[0]), bool(aborted[0]))

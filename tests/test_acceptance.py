@@ -14,13 +14,7 @@ import pytest
 import oracles
 from ebsmooth.adversarial import AttackSpec, ClassifierTrainConfig, train_xhat
 from ebsmooth.certify import certify, linear_gaussian_oracle, linear_margin, rmax
-from ebsmooth.classifiers import (
-    EbClassifier,
-    LinearClassifier,
-    SoftClassifier,
-    grad_log_pi,
-    soft_pi_with_noise,
-)
+from ebsmooth.classifiers import EbClassifier, LinearClassifier, SoftClassifier
 from ebsmooth.cli import main as cli_main
 from ebsmooth.datasets import GaussianClassSpec, gen_dataset
 from ebsmooth.densities import IsoGaussian, IsoMixture, beta_of
@@ -34,6 +28,7 @@ from ebsmooth.stats import (
     std_normal_cdf,
     std_normal_inv_cdf,
 )
+from oracles import grad_log_pi, soft_pi_with_noise
 
 
 def report(number, ok, detail):

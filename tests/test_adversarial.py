@@ -5,20 +5,15 @@ import ebsmooth.adversarial as adversarial
 from ebsmooth.adversarial import (
     AttackSpec,
     ClassifierTrainConfig,
-    pgd_attack,
     train_xhat,
     xhat_objective_theta_grads,
 )
-from ebsmooth.classifiers import (
-    PROB_FLOOR,
-    EbClassifier,
-    SoftClassifier,
-    soft_pi_with_noise,
-)
+from ebsmooth.classifiers import PROB_FLOOR, EbClassifier, SoftClassifier
 from ebsmooth.datasets import GaussianClassSpec, gen_dataset
 from ebsmooth.densities import IsoMixture
 from ebsmooth.energy import EnergyNet, TrainingDivergedError
 from ebsmooth.stats import rng_stream
+from oracles import pgd_attack, soft_pi_with_noise
 
 
 def zero_energy(dim, sigma):
@@ -130,9 +125,10 @@ class TestPgdAttack:
 
 
 class _CountingDensity:
-    """A smoothed density that counts its denoiser passes and score Jacobian
-    actions.  Empty batches are not counted: EbClassifier runs one at
-    construction only to check the scale."""
+    """A smoothed density that counts its denoiser passes (linearize calls)
+    and score Jacobian actions (calls of the vjp a pass returns).  Empty
+    batches are not counted: EbClassifier runs one at construction only to
+    check the scale."""
 
     def __init__(self, model):
         self.model = model
@@ -142,13 +138,14 @@ class _CountingDensity:
     def __getattr__(self, name):
         return getattr(self.model, name)
 
-    def bayes_estimate(self, y, sigma):
+    def linearize(self, y, sigma):
+        xhat, vjp = self.model.linearize(y, sigma)
         self.passes += len(y) > 0
-        return self.model.bayes_estimate(y, sigma)
 
-    def score_hvp(self, y, v, sigma):
-        self.hvps += len(y) > 0
-        return self.model.score_hvp(y, v, sigma)
+        def counted(u):
+            self.hvps += len(y) > 0
+            return vjp(u)
+        return xhat, counted
 
 
 class TestPassCount:

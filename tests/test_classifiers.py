@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
 
+import ebsmooth.mlp as mlp
 import oracles
-from ebsmooth.classifiers import (
-    EbClassifier,
-    LinearClassifier,
-    SoftClassifier,
-    grad_log_pi,
-    soft_pi,
-    soft_pi_with_noise,
-)
+from ebsmooth.classifiers import EbClassifier, LinearClassifier, SoftClassifier
 from ebsmooth.densities import IsoGaussian, IsoMixture
 from ebsmooth.energy import EnergyNet
 from ebsmooth.stats import rng_stream
+from oracles import grad_log_pi, soft_pi, soft_pi_with_noise
 
 
 def zero_energy(dim, sigma):
@@ -73,6 +68,20 @@ class TestSoftClassifier:
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, np.argmax(soft.probs(xs), axis=1))
         assert soft.predict_class(xs[7]) == got[7]
+
+    def test_only_a_gradient_pass_computes_sigmoids(self, monkeypatch):
+        # predict_class is the certification hot path: the forward pass it
+        # shares with training must not compute softplus derivatives for it
+        soft = SoftClassifier.init(4, (16, 8), 5, rng_stream(3, 0))
+        xs = rng_stream(3, 1).standard_normal((20, 4))
+        calls = []
+        orig = mlp.sigmoid
+        monkeypatch.setattr(mlp, "sigmoid", lambda x: calls.append(1) or orig(x))
+        soft.predict_class(xs)
+        soft.probs(xs)
+        assert not calls
+        _, cache = soft._forward(xs, sigmoids=True)
+        assert len(calls) == 2 and len(cache[1]) == 2
 
     def test_one_non_finite_row_raises(self):
         soft = SoftClassifier.init(2, (8,), 3, rng_stream(3, 2))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ebsmooth.energy as energy
+import ebsmooth.mlp as mlp
 from ebsmooth.energy import (
     EnergyNet,
     EnergyTrainConfig,
@@ -140,6 +141,30 @@ class TestGradientOracles:
         batch = net.input_hvp(ys, vs)
         for i in range(5):
             np.testing.assert_allclose(batch[i], net.input_hvp(ys[i], vs[i]))
+
+
+class TestOnePrimalPass:
+    """No derivative reads the last hidden layer's softplus, and a
+    linearization and its vjp share one primal pass: L hidden layers cost
+    L - 1 softplus calls, however many derivatives are taken."""
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_softplus_calls(self, monkeypatch, layers):
+        net = EnergyNet.init(3, (5,) * layers, 0.4, rng_stream(2, layers))
+        y = rng_stream(3, 0).standard_normal((7, 3))
+        calls = []
+        orig = mlp.softplus
+        monkeypatch.setattr(mlp, "softplus", lambda x: calls.append(1) or orig(x))
+        _, vjp = net.linearize(y, 0.4)
+        vjp(y)
+        vjp(2.0 * y)
+        assert len(calls) == layers - 1
+        calls.clear()
+        net.input_grad(y)
+        assert len(calls) == layers - 1
+        calls.clear()
+        denoise_loss_and_grads(net, y, y + 0.1)
+        assert len(calls) == layers - 1
 
 
 class TestTraining:

@@ -213,6 +213,35 @@ class TestCliExitCodes:
             digests.append(json.loads(manifest.read_text())["config_sha256"])
         assert digests[0] == digests[1]
 
+    @pytest.mark.parametrize("flag, key", [("--sigma", "sigma"),
+                                           ("--epsilon", "attack.epsilon"),
+                                           (None, "dataset.sigma0"),
+                                           (None, "classifier.bias")])
+    def test_digest_does_not_depend_on_number_spelling(self, tmp_path, flag, key):
+        # --sigma 1 reaches the config as 1.0, --set sigma=1 as 1: one
+        # experiment, so one config_sha256
+        path = write_cfg(tmp_path)
+        spellings = [["--set", f"{key}=1"], ["--set", f"{key}=1.0"]]
+        if flag:
+            spellings.append([flag, "1"])
+        digests = set()
+        for args in spellings:
+            assert main(["gen-data", "-c", str(path), *args]) == 0
+            manifest = tmp_path / "out" / "gen_data_manifest.json"
+            digests.add(json.loads(manifest.read_text())["config_sha256"])
+        assert len(digests) == 1
+        assert main(["gen-data", "-c", str(path), "--set", f"{key}=2"]) == 0
+        assert json.loads(manifest.read_text())["config_sha256"] not in digests
+
+    def test_digest_counts_defaults_written_out(self, tmp_path):
+        path = write_cfg(tmp_path)
+        digests = set()
+        for args in ([], ["--set", "attack.steps=16"]):  # 16 is the default
+            assert main(["gen-data", "-c", str(path), *args]) == 0
+            manifest = tmp_path / "out" / "gen_data_manifest.json"
+            digests.add(json.loads(manifest.read_text())["config_sha256"])
+        assert len(digests) == 1
+
 
 class TestGenData:
     def test_writes_deterministic_csvs(self, tmp_path):
@@ -565,6 +594,8 @@ class TestCheckpointMisuse:
         assert out.returncode == 1, out.stderr
         assert out.stderr.startswith(startswith), out.stderr
         assert "Traceback" not in out.stderr
+        config = json.loads(pathlib.Path(args[args.index("-c") + 1]).read_text())
+        assert not os.path.exists(config["output_dir"])
 
     def test_classifier_as_fine_energy(self, tmp_path):
         clf = tmp_path / "clf.ckpt"
@@ -681,8 +712,7 @@ class TestBadConfigValues:
         key = args[-1].split("=")[0] if args[-2] == "--set" else ""
         assert err.startswith(f"config error: {key}"), err
         assert "Traceback" not in err
-        assert set(os.listdir(tmp_path)) <= {"cfg.json", "out"}
-        assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     @pytest.mark.parametrize("args", [
         ["certify", "--set", "classifier.weights=[1,0,0]"],
@@ -704,7 +734,38 @@ class TestBadConfigValues:
         err = capsys.readouterr().err
         assert err.startswith("config error:"), err
         assert "Traceback" not in err
-        assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["oracle-nonlinear", "idx-without-test",
+                                      "walk-jump-without-fine", "energy-as-classifier",
+                                      "classifier-as-estimator"])
+    def test_runner_config_error_makes_no_output_dir(self, tmp_path, capsys, case):
+        # errors found only once a runner resolves its inputs still come
+        # before the first write, so the output directory is never made
+        energy, clf = tmp_path / "e.ckpt", tmp_path / "clf.ckpt"
+        save_checkpoint(energy, EnergyNet.init(2, (4,), 1.0, rng_stream(0, 1)))
+        save_checkpoint(clf, SoftClassifier.init(2, (4,), 2, rng_stream(0, 2)))
+        img, lab = tmp_path / "im.idx", tmp_path / "lb.idx"
+        img.write_bytes(struct.pack(">IIII", 0x803, 2, 1, 2) + bytes([0, 255, 9, 3]))
+        lab.write_bytes(struct.pack(">II", 0x801, 2) + bytes([0, 1]))
+        command, extra = {
+            "oracle-nonlinear": ("oracle-check", {"classifier": {
+                "kind": "checkpoint", "path": str(clf), "weights": None, "bias": None}}),
+            "idx-without-test": ("certify", {"dataset": {
+                "kind": "idx", "means": None,
+                "train_images": str(img), "train_labels": str(lab)}}),
+            "walk-jump-without-fine": ("walk-jump", {
+                "estimator": {"kind": "energy", "path": str(energy)}}),
+            "energy-as-classifier": ("certify", {"classifier": {
+                "kind": "checkpoint", "path": str(energy), "weights": None, "bias": None}}),
+            "classifier-as-estimator": ("train-xhat", {
+                "estimator": {"kind": "energy", "path": str(clf)}}),
+        }[case]
+        path = write_cfg(tmp_path, extra=extra)
+        assert main([command, "-c", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:"), err
+        assert not (tmp_path / "out").exists()
 
     def test_checkpoint_classifier_of_wrong_dimension_rejected(self, tmp_path, capsys):
         clf = tmp_path / "clf.ckpt"

@@ -2,7 +2,9 @@
 
 IsoGaussian and IsoMixture know the density of Y = X + N(0, sigma^2 I) in
 closed form; an EnergyNet learns phi = -log f_Y at one scale.  Consumers
-(apply_estimator, the sampler) rely only on the four methods checked here.
+(the attack, the sampler) rely only on the methods checked here: the four
+density methods and linearize, which gives the denoised point and the
+denoiser's transpose-Jacobian action from one pass.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ MODELS = {
         means=np.array([[1.0, 0.0, -1.0], [-0.5, 1.0, 0.5], [0.0, 0.0, 2.0]]),
         sigma0=0.7, weights=np.array([0.2, 0.5, 0.3])),
     "energy": lambda: EnergyNet.init(3, (8, 6), SIGMA, rng_stream(0, 7)),
+    "energy-no-hidden": lambda: EnergyNet.init(3, (), SIGMA, rng_stream(0, 8)),
 }
 
 
@@ -70,10 +73,36 @@ def test_single_point_matches_batch_row(model):
 def test_scale_mismatch(model):
     y, v = _points(n=1)[0], _points(n=1, seed=2)[0]
     calls = [lambda s: model.log_density_y(y, s), lambda s: model.smoothed_score(y, s),
-             lambda s: model.score_hvp(y, v, s), lambda s: model.bayes_estimate(y, s)]
+             lambda s: model.score_hvp(y, v, s), lambda s: model.bayes_estimate(y, s),
+             lambda s: model.linearize(y, s)[0], lambda s: model.linearize(y, s)[1](v)]
     for call in calls:
         if isinstance(model, EnergyNet):
             with pytest.raises(ValueError):
                 call(SIGMA + 1e-9)
         else:
             assert np.all(np.isfinite(call(SIGMA + 0.3)))
+
+
+@pytest.mark.parametrize("n", [None, 6, 0])
+def test_linearize_is_bayes_estimate_and_hvp_bitwise(model, n):
+    # the attack's gradient pass reads xhat and vjp from linearize; they must
+    # be exactly what the separate calls give, so training runs are the same
+    # bytes whichever path computes them
+    ys, us = _points(n=n or 1, seed=6)[:n], _points(n=n or 1, seed=7)[:n]
+    if n is None:
+        ys, us = ys[0], us[0]
+    xhat, vjp = model.linearize(ys, SIGMA)
+    assert np.array_equal(xhat, model.bayes_estimate(ys, SIGMA))
+    for u in (us, 2.0 * us):  # the cached pass serves any number of vjp calls
+        want = np.asarray(u, dtype=float) + SIGMA**2 * model.score_hvp(ys, u, SIGMA)
+        got = vjp(u)
+        assert got.shape == np.shape(ys)
+        assert np.array_equal(got, want)
+
+
+def test_linearize_vjp_rejects_a_shape_mismatch(model):
+    _, vjp = model.linearize(_points(n=4), SIGMA)
+    if isinstance(model, IsoGaussian):  # its Jacobian reads no y
+        return
+    with pytest.raises(ValueError):
+        vjp(_points(n=3))
