@@ -90,15 +90,30 @@ def certify(classifier, x, sigma, spec, gen, est_gen=None):
     Clopper-Pearson lower bound on the class mass.  Selection and estimation
     never share noise, which is what makes the bound valid.
     """
+    candidate, est_counts = count_votes(classifier, x, sigma, spec, gen, est_gen)
+    return bound_counts([candidate], [est_counts], sigma, spec)[0]
+
+
+def count_votes(classifier, x, sigma, spec, gen, est_gen=None):
+    """certify's two tallies: the selection pass's candidate class and the
+    estimation pass's per-class counts.  Needs no scipy."""
     sel_counts = _tally(classifier, x, sigma, spec.n0, gen)
     candidate = int(np.argmax(sel_counts))
-    est_counts = _tally(classifier, x, sigma, spec.nc, est_gen or gen)
-    hits = int(est_counts[candidate])
+    return candidate, _tally(classifier, x, sigma, spec.nc, est_gen or gen)
+
+
+def bound_counts(candidates, counts, sigma, spec):
+    """One CertResult per point from count_votes' tallies, with one bound
+    call and at most one quantile call for all of them.  Both are
+    elementwise, so each result is bitwise what the point gets alone."""
+    hits = np.array([c[k] for k, c in zip(candidates, counts)], dtype=np.int64)
     pa_lower = binom_lower_bound(hits, spec.nc, spec.alpha)
-    if pa_lower <= 0.5:
-        return CertResult(ABSTAIN, pa_lower, 0.0, est_counts, spec)
-    radius = certified_radius(pa_lower, sigma)
-    return CertResult(candidate, pa_lower, radius, est_counts, spec)
+    certified = pa_lower > 0.5
+    radius = np.zeros(len(hits))
+    if certified.any():
+        radius[certified] = certified_radius(pa_lower[certified], sigma)
+    return [CertResult(int(k) if ok else ABSTAIN, float(p), float(r), c, spec)
+            for k, c, p, r, ok in zip(candidates, counts, pa_lower, radius, certified)]
 
 
 def certified_radius(pa_lower, sigma):

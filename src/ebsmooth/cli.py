@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -77,5 +78,16 @@ def main(argv=None):
     return EXIT_OK
 
 
+def main_and_exit():
+    """Process entry point (`python -m ebsmooth`, the `ebsmooth` script): main,
+    then exit.  gc.freeze() first moves every live object out of the
+    collector's reach, so interpreter shutdown's final collection does not
+    walk the objects numpy and scipy made.  Never call it in a process that
+    goes on running."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    main_and_exit()

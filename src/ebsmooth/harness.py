@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .adversarial import train_xhat
-from .certify import certify, linear_gaussian_oracle
+from .certify import bound_counts, certify, count_votes, linear_gaussian_oracle
 from .checkpoint import load_checkpoint, save_checkpoint
 from .classifiers import EbClassifier, LinearClassifier, SoftClassifier
 from .config import ConfigError, config_digest
@@ -174,32 +174,37 @@ def resolve_hard_classifier(cfg, dim):
 # -- certification ------------------------------------------------------------
 
 
-def _certify_task(task):
+def _streams(seed, index):
+    return (rng_stream(seed, STREAM_CERT_BASE + 2 * index),
+            rng_stream(seed, STREAM_CERT_BASE + 2 * index + 1))
+
+
+def _count_task(task):
     index, classifier, point, sigma, spec, seed = task
-    sel_gen = rng_stream(seed, STREAM_CERT_BASE + 2 * index)
-    est_gen = rng_stream(seed, STREAM_CERT_BASE + 2 * index + 1)
-    return certify(classifier, point, sigma, spec, sel_gen, est_gen)
+    return count_votes(classifier, point, sigma, spec, *_streams(seed, index))
 
 
 def certify_points(classifier, points, sigma, spec, seed, workers=1):
     """Certify each point with its own keyed noise streams.
 
     The streams depend only on (seed, point index), so the results are
-    identical for any worker count; workers > 1 fans points out to a process
-    pool of at most one process per point.
+    identical for any worker count.  workers <= 1 certifies point by point;
+    workers > 1 sends only the tallies to a process pool of at most one
+    process per point and bounds every point in the parent in one call.
     """
-    tasks = [
-        (i, classifier, np.asarray(p, dtype=float), sigma, spec, seed)
-        for i, p in enumerate(points)
-    ]
-    workers = min(workers, len(tasks))
+    points = [np.asarray(p, dtype=float) for p in points]
+    workers = min(workers, len(points))
     if workers <= 1:
-        return [_certify_task(t) for t in tasks]
-    # the bound and the quantile need scipy.special (stats imports it
-    # lazily); importing it before the fork saves each worker the import
-    import scipy.special  # noqa: F401
+        return [certify(classifier, p, sigma, spec, *_streams(seed, i))
+                for i, p in enumerate(points)]
+    tasks = [(i, classifier, p, sigma, spec, seed) for i, p in enumerate(points)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_certify_task, tasks))  # map keeps the task order
+        tallies = pool.map(_count_task, tasks)  # submits every task, keeps their order
+        # the workers need no scipy; the parent's bound does, so it imports
+        # scipy.special while they count
+        import scipy.special  # noqa: F401
+        candidates, counts = zip(*tallies)
+    return bound_counts(candidates, counts, sigma, spec)
 
 
 def write_points_csv(path, results, labels):
@@ -405,14 +410,6 @@ def run(command, cfg, command_line):
     NumericalCheckError that names files already written (oracle-check over
     its allowance) propagates after the manifest is written."""
     t0 = time.perf_counter()
-    # glibc's malloc serves each request above its mmap threshold from
-    # freshly mapped pages and returns free heap above its trim threshold to
-    # the system; both start at 128 KB and rise to the size (and twice the
-    # size) of a mapped chunk when it is freed.  Freeing one 2 MB buffer
-    # first keeps the runners' temporaries (tally blocks, training batches)
-    # in heap pages already faulted in: train-energy at hidden [128, 128]
-    # and batch 128 takes 1k minor page faults instead of 77k.
-    np.empty(1 << 18)
     failure = None
     try:
         outputs = COMMANDS[command][1](cfg)

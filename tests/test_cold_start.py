@@ -2,12 +2,13 @@
 
 scipy.special is imported only inside the stats functions that certification
 uses, so importing the package, and every command that does not certify,
-loads no scipy module at all.
+loads no scipy module at all.  With a process pool only the parent loads it.
 """
 
 import json
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 
@@ -34,6 +35,25 @@ def test_import_loads_no_scipy(module):
     assert run_python(f"import sys, {module}; print({SCIPY_MODULES})") == "[]"
 
 
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_import_keeps_megabyte_temporaries_on_the_heap():
+    # the package frees a 2 MB buffer at import, which raises glibc's mmap
+    # and trim thresholds: a loop of 1 MB temporaries then reuses heap pages
+    # already faulted in (without it, each one faults in about 11 pages), for
+    # library callers as for the CLI
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "import ebsmooth\n"
+        "np.ones(1 << 17)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(20):\n"
+        "    np.ones(1 << 17)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
+    )
+    assert int(run_python(code)) < 20
+
+
 @pytest.mark.parametrize("command", ["gen-data", "train-energy", "train-xhat", "walk-jump"])
 def test_non_certifying_command_loads_no_scipy(tmp_path, command):
     cfg = {
@@ -57,20 +77,26 @@ def test_non_certifying_command_loads_no_scipy(tmp_path, command):
     assert list((tmp_path / "out").iterdir())
 
 
-def test_pool_workers_inherit_scipy_special():
-    # certify_points imports scipy.special in the parent before it forks its
-    # pool, so that each worker does not import it again
+def test_pool_workers_count_without_scipy_special():
+    # with a pool, the workers only tally and the parent computes every bound,
+    # importing scipy.special while they count: no worker loads it
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "import numpy as np\n"
         "from ebsmooth.classifiers import LinearClassifier\n"
         "from ebsmooth.harness import certify_points\n"
         "from ebsmooth.stats import ConfidenceSpec\n"
+        "PARENT = os.getpid()\n"
+        "class Checked(LinearClassifier):\n"
+        "    def predict_class(self, x):\n"
+        "        assert os.getpid() != PARENT, 'tallied in the parent'\n"
+        "        assert 'scipy.special' not in sys.modules, 'worker loaded scipy.special'\n"
+        "        return super().predict_class(x)\n"
         "assert 'scipy.special' not in sys.modules\n"
-        "clf = LinearClassifier(np.array([1.0, 0.0]), 0.1)\n"
+        "clf = Checked(np.array([1.0, 0.0]), 0.1)\n"
         "res = certify_points(clf, np.array([[2.0, 0.0], [-2.0, 1.0]]), 0.5,\n"
         "                     ConfidenceSpec(alpha=0.01, n0=20, nc=200), 1, workers=2)\n"
-        "assert len(res) == 2\n"
+        "assert [r.predicted for r in res] == [1, 0]\n"
         "print('scipy.special' in sys.modules)"
     )
     assert run_python(code) == "True"

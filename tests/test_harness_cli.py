@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import pathlib
@@ -15,7 +16,8 @@ from ebsmooth.config import ConfigError, ExperimentConfig, config_from_dict, loa
 from ebsmooth.harness import COMMANDS, certified_accuracy_at, certify_points
 from ebsmooth.certify import CertResult, OracleResult
 from ebsmooth.checkpoint import save_checkpoint
-from ebsmooth.classifiers import LinearClassifier, SoftClassifier
+from ebsmooth.classifiers import EbClassifier, LinearClassifier, SoftClassifier
+from ebsmooth.densities import IsoMixture
 from ebsmooth.energy import EnergyNet
 from ebsmooth.stats import ConfidenceSpec, RowStreams, rng_stream
 
@@ -484,6 +486,35 @@ class TestOracleCheckCli:
         assert manifest["outputs"] == ["oracle.csv"]
 
 
+class TestProcessExit:
+    """`python -m ebsmooth` freezes the collector's objects before it exits;
+    an in-process main() must not."""
+
+    def test_in_process_main_does_not_freeze(self, tmp_path):
+        path = write_cfg(tmp_path)
+        before = gc.get_freeze_count()
+        assert main(["curve", "-c", str(path), "--max-points", "3", "--workers", "2"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_module_over_allowance_is_2_and_keeps_its_files(self, tmp_path):
+        # alpha = 0.9 makes an unsound bound, so at nc = 20 many certificates
+        # exceed the exact radius
+        path = write_cfg(tmp_path)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "ebsmooth", "oracle-check", "-c", str(path),
+             "--alpha", "0.9", "--nc", "20", "--set", "certify.max_violations=0"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("numerical failure:") and "exceed the allowed 0" in out.stderr
+        outdir = tmp_path / "out"
+        assert sorted(os.listdir(outdir)) == ["oracle.csv", "oracle_check_manifest.json"]
+        assert len((outdir / "oracle.csv").read_text().splitlines()) == 13
+        manifest = json.loads((outdir / "oracle_check_manifest.json").read_text())
+        assert manifest["outputs"] == ["oracle.csv"]
+
+
 # the files each command writes; walk-jump adds trajectory.csv with dump_trajectory
 _COMMAND_OUTPUTS = {
     "gen-data": (["train.csv", "test.csv"], []),
@@ -535,15 +566,37 @@ class TestParallelCertifyHelpers:
         assert certified_accuracy_at(results, labels, 1.1) == 0.0
 
     def test_certify_points_worker_equivalence(self):
-        h = LinearClassifier(np.array([1.0, 0.0]), 0.2)
-        gen_pts = np.array([[1.5, 0.0], [-0.4, 1.0], [0.1, -2.0], [2.5, 0.3]])
-        spec = ConfidenceSpec(0.01, 20, 500)
-        serial = certify_points(h, gen_pts, 0.8, spec, seed=3, workers=1)
-        parallel = certify_points(h, gen_pts, 0.8, spec, seed=3, workers=2)
-        for a, b in zip(serial, parallel):
-            assert a.predicted == b.predicted
-            assert a.pa_lower == b.pa_lower
-            assert a.radius == b.radius
+        # workers=1 bounds point by point; workers=2 tallies in the pool and
+        # bounds every point in the parent in one vectorized call
+        linear = LinearClassifier(np.array([1.0, 0.0]), 0.2)
+        mixture = IsoMixture(means=np.array([[2.0, 0.0], [-1.0, 1.7], [-1.0, -1.7]]),
+                             sigma0=0.5)
+        soft = EbClassifier(SoftClassifier.init(2, (8,), 3, rng_stream(0, 4)), mixture, 0.8)
+        cases = [
+            (linear, np.array([[1.5, 0.0], [-0.4, 1.0], [0.1, -2.0], [2.5, 0.3]]),
+             ConfidenceSpec(0.01, 20, 500)),
+            (soft, np.vstack([np.zeros(2), 1.5 * rng_stream(0, 5).standard_normal((11, 2))]),
+             ConfidenceSpec(0.01, 20, 500)),
+            # class 1 has mass 0.05 here, so a one-sample selection pass
+            # sometimes picks it and the estimation pass then gives it no hit
+            (linear, np.tile([-1.5, 0.0], (200, 1)), ConfidenceSpec(0.01, 1, 20)),
+        ]
+        outcomes = set()
+        for h, pts, spec in cases:
+            serial = certify_points(h, pts, 0.8, spec, seed=3, workers=1)
+            parallel = certify_points(h, pts, 0.8, spec, seed=3, workers=2)
+            assert len(serial) == len(parallel) == len(pts)
+            for a, b in zip(serial, parallel):
+                assert a.predicted == b.predicted
+                assert type(a.pa_lower) is type(b.pa_lower) is float
+                assert type(a.radius) is type(b.radius) is float
+                assert a.pa_lower.hex() == b.pa_lower.hex()
+                assert a.radius.hex() == b.radius.hex()
+                assert a.counts.dtype == b.counts.dtype and np.array_equal(a.counts, b.counts)
+                outcomes.add("zero hits" if a.pa_lower == 0.0 else
+                             "abstain" if a.abstained else f"class {a.predicted}")
+            assert all(r.radius == 0.0 for r in serial if r.abstained)
+        assert outcomes == {"zero hits", "abstain", "class 0", "class 1", "class 2"}
 
     def test_pool_is_no_larger_than_the_point_count(self, monkeypatch):
         started = []
