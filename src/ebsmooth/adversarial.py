@@ -26,7 +26,7 @@ import numpy as np
 
 from .classifiers import PROB_FLOOR, EbClassifier, SoftClassifier, _neg_log_pi, _pi_batch
 from .energy import _check_finite_step
-from .mlp import Adam, check_hidden, check_schedule, schedule_lr
+from .mlp import Adam, check_hidden, check_schedule
 
 MODE_ADVERSARIAL = "adversarial"
 MODE_NO_ATTACK = "no_attack"
@@ -38,13 +38,12 @@ TRAIN_MODES = (MODE_ADVERSARIAL, MODE_NO_ATTACK, MODE_NO_ESTIMATOR)
 class AttackSpec:
     """L2 projected-gradient attack budget.
 
-    step_size of None resolves to 2 * epsilon / steps: the first steps can
-    reach the sphere, the rest refine along it.
+    Each step has length 2 * epsilon / steps: the first steps can reach the
+    sphere, the rest refine along it.
     """
 
     epsilon: float = 1.0
     steps: int = 16
-    step_size: float | None = None
     m: int = 1
 
     def __post_init__(self):
@@ -54,12 +53,8 @@ class AttackSpec:
             raise ValueError("steps must be >= 1 for a positive attack budget")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.step_size is not None and not self.step_size > 0.0:
-            raise ValueError("step_size must be positive when given")
 
     def resolved_step_size(self):
-        if self.step_size is not None:
-            return self.step_size
         return 2.0 * self.epsilon / max(self.steps, 1)
 
 
@@ -133,7 +128,6 @@ class ClassifierTrainConfig:
     steps: int = 1500
     batch_size: int = 64
     lr: float = 1e-3
-    lr_final: float | None = None
     m: int = 1
 
     def __post_init__(self):
@@ -205,7 +199,7 @@ def train_xhat(points, labels, estimator, sigma, hidden, cfg, attack, gen, callb
         if not run_attack:  # zb is xb: the training pass gives the clean loss
             clean_nll = adv_nll = -np.log(np.maximum(pis[np.arange(len(kb)), kb], PROB_FLOOR))
         _check_finite_step(step, loss, grads)
-        opt.step(params, grads, schedule_lr(step, cfg.steps, cfg.lr, cfg.lr_final))
+        opt.step(params, grads, cfg.lr)
         if callback is not None:
             callback(step, {
                 "clean_loss": float(np.mean(clean_nll)),

@@ -24,11 +24,11 @@ class IdxFormatError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class LabeledDataset:
-    """Points with integer labels and a little provenance."""
+    """Points (n, d) with integer labels in [0, n_classes)."""
 
     points: np.ndarray
     labels: np.ndarray
-    metadata: dict
+    n_classes: int
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float)
@@ -37,8 +37,7 @@ class LabeledDataset:
             raise ValueError("points must be a (n, d) array")
         if labels.shape != (points.shape[0],):
             raise ValueError("labels and points must have equal lengths")
-        n_classes = int(self.metadata.get("n_classes", labels.max() + 1 if labels.size else 0))
-        if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
             raise ValueError("labels must lie in [0, n_classes)")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "labels", labels)
@@ -46,10 +45,6 @@ class LabeledDataset:
     @property
     def dim(self):
         return self.points.shape[1]
-
-    @property
-    def n_classes(self):
-        return int(self.metadata["n_classes"])
 
     def __len__(self):
         return self.points.shape[0]
@@ -62,7 +57,6 @@ class GaussianClassSpec:
     means: np.ndarray
     sigma0: float
     n: int
-    balanced: bool = True
 
     def __post_init__(self):
         means = np.atleast_2d(np.asarray(self.means, dtype=float))
@@ -81,20 +75,13 @@ def gen_dataset(spec, gen):
     so a fixed seed reproduces the dataset exactly.
     """
     k, dim = spec.means.shape
-    if spec.balanced:
-        base = spec.n // k
-        counts = np.full(k, base)
-        counts[: spec.n - base * k] += 1
-        labels = np.repeat(np.arange(k), counts)
-    else:
-        labels = gen.integers(0, k, size=spec.n)
+    base = spec.n // k
+    counts = np.full(k, base)
+    counts[: spec.n - base * k] += 1
+    labels = np.repeat(np.arange(k), counts)
     points = spec.means[labels] + spec.sigma0 * gen.standard_normal((spec.n, dim))
     order = gen.permutation(spec.n)
-    return LabeledDataset(
-        points[order],
-        labels[order],
-        {"dim": dim, "n_classes": k, "provenance": "gaussian_classes"},
-    )
+    return LabeledDataset(points[order], labels[order], k)
 
 
 def _read_u32s(blob, count, offset, path):
@@ -155,12 +142,7 @@ def load_idx(images_path, labels_path, limit=None):
     points = pixels.astype(np.float64).reshape(take, rows * cols) / 255.0
     labels = np.frombuffer(lab_blob, dtype=np.uint8, count=take, offset=loff)
     labels = labels.astype(np.int64)
-    n_classes = int(labels.max()) + 1 if take else 0
-    return LabeledDataset(points, labels, {
-        "dim": rows * cols,
-        "n_classes": n_classes,
-        "provenance": f"idx:{images_path}",
-    })
+    return LabeledDataset(points, labels, int(labels.max()) + 1 if take else 0)
 
 
 def save_dataset_csv(path, dataset):
@@ -189,9 +171,4 @@ def load_dataset_csv(path):
             rows.append([float(v) for v in parts[1:]])
     points = np.asarray(rows, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
-    n_classes = int(labels.max()) + 1 if labels.size else 0
-    return LabeledDataset(points, labels, {
-        "dim": points.shape[1] if points.size else 0,
-        "n_classes": n_classes,
-        "provenance": f"csv:{path}",
-    })
+    return LabeledDataset(points, labels, int(labels.max()) + 1 if labels.size else 0)

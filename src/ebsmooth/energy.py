@@ -29,7 +29,7 @@ import numpy as np
 
 from .densities import _as_batch, _unbatch
 from .mlp import (Adam, affine_softplus, check_hidden, check_schedule, init_affine_stack,
-                  schedule_lr, sigmoid, softplus)
+                  sigmoid, softplus)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -261,7 +261,6 @@ class EnergyTrainConfig:
     steps: int = 4000
     batch_size: int = 128
     lr: float = 1e-3
-    lr_final: float | None = None
 
     def __post_init__(self):
         if not self.sigma > 0.0:
@@ -294,7 +293,7 @@ def train_energy(data, cfg, gen, callback=None):
         y = x + cfg.sigma * gen.standard_normal(x.shape)
         loss, grads = denoise_loss_and_grads(net, x, y)
         _check_finite_step(step, loss, grads)
-        opt.step(params, grads, schedule_lr(step, cfg.steps, cfg.lr, cfg.lr_final))
+        opt.step(params, grads, cfg.lr)
         if callback is not None:
             callback(step, {"loss": loss})
     return net

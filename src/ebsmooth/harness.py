@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .config import ConfigError, config_digest
 from .datasets import GaussianClassSpec, gen_dataset, load_idx, save_dataset_csv
 from .densities import IsoGaussian, IsoMixture
 from .energy import EnergyNet, train_energy
-from .sampler import energy_value, walk_jump
+from .sampler import walk_jump
 from .stats import RowStreams, rng_stream
 
 # Stream-id map.  Certification point i draws selection noise from
@@ -197,6 +196,9 @@ def certify_points(classifier, points, sigma, spec, seed, workers=1):
     if workers <= 1:
         return [certify(classifier, p, sigma, spec, *_streams(seed, i))
                 for i, p in enumerate(points)]
+    # imported here, so the commands that make no pool never load it
+    from concurrent.futures import ProcessPoolExecutor
+
     tasks = [(i, classifier, p, sigma, spec, seed) for i, p in enumerate(points)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         tallies = pool.map(_count_task, tasks)  # submits every task, keeps their order
@@ -312,15 +314,23 @@ def run_curve(cfg):
 
 def run_oracle_check(cfg):
     """Certify the closed-form Gaussian pipeline and compare with the exact
-    linear oracle, point by point.  Over the violation allowance it raises
-    NumericalCheckError, after oracle.csv is written."""
+    linear oracle, point by point.  The oracle is exact only for a linear
+    classifier over one centred Gaussian of its dimension, so any other
+    classifier or dataset is a ConfigError.  Over the violation allowance it
+    raises NumericalCheckError, after oracle.csv is written."""
     if cfg.classifier.kind != "linear":
         raise ConfigError("oracle-check needs classifier.kind=linear")
     if cfg.certify.max_points < 1:
         raise ConfigError("oracle-check needs certify.max_points >= 1")
     base = resolve_base_classifier(cfg)
-    sigma0 = cfg.dataset.sigma0
-    model = IsoGaussian(sigma0=sigma0, dim=base.dim)
+    model = resolve_data_model(cfg)
+    k, dim = np.shape(cfg.dataset.means)
+    if (k, dim) != (1, base.dim):
+        raise ConfigError(f"oracle-check needs one dataset mean of the classifier's "
+                          f"dimension {base.dim}, got {k} of dimension {dim}")
+    if np.any(model.mean):
+        raise ConfigError("oracle-check needs an all-zero dataset mean")
+    sigma0 = model.sigma0
     points = model.sample(cfg.certify.max_points, rng_stream(cfg.seed, STREAM_TEST_DATA))
     classifier = EbClassifier(base, model, cfg.sigma)
     results = certify_points(classifier, points, cfg.sigma, cfg.confidence, cfg.seed,
@@ -371,8 +381,8 @@ def run_walk_jump(cfg):
     data_gen = rng_stream(cfg.seed, STREAM_WALK_DATA)
     clean = model.sample(wj.n_samples, data_gen)
     noisy = clean + cfg.sigma * data_gen.standard_normal(clean.shape)
-    chains = RowStreams(rng_stream(cfg.seed, STREAM_WALK_BASE + i)
-                        for i in range(wj.n_samples))
+    chains = RowStreams((rng_stream(cfg.seed, STREAM_WALK_BASE + i)
+                         for i in range(wj.n_samples)), wj.tau)
     # the dump needs chain 0's (tau + 1, d) path, not the (tau + 1, n, d) of all
     walked = walk_jump(coarse, fine, noisy, cfg.sigma, wj, chains,
                        record=0 if wj.dump_trajectory else None)
@@ -385,7 +395,7 @@ def run_walk_jump(cfg):
         return ["samples.csv"]
     write_csv(_out(cfg, "trajectory.csv"),
               ["step", *(f"x{i}" for i in range(dim)), "energy"],
-              ([step, *y, float(energy_value(fine, y, wj.sigma_prime))]
+              ([step, *y, float(-fine.log_density_y(y, wj.sigma_prime))]
                for step, y in enumerate(traj)))
     return ["samples.csv", "trajectory.csv"]
 

@@ -80,13 +80,16 @@ def init_affine_stack(widths, gen):
     return weights, biases
 
 
+# Adam's moment decay rates and denominator offset.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class Adam:
     """Adaptive-moment gradient descent with bias correction."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params):
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -94,14 +97,14 @@ class Adam:
     def step(self, params, grads, lr):
         """Update params in place from grads at learning rate lr."""
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t = 1.0 - BETA1**self.t
+        b2t = 1.0 - BETA2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p -= lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
 
 
 def check_hidden(hidden):
@@ -111,21 +114,10 @@ def check_hidden(hidden):
 
 
 def check_schedule(cfg):
-    """Raise ValueError unless cfg's steps, batch_size, lr and lr_final make
-    a descent schedule: at least one step of at least one example, a
-    positive rate, and a final rate, when given, of at least 0."""
+    """Raise ValueError unless cfg's steps, batch_size and lr make a descent
+    schedule: at least one step of at least one example at a positive rate."""
     for name in ("steps", "batch_size"):
         if getattr(cfg, name) < 1:
             raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
     if not cfg.lr > 0.0:
         raise ValueError(f"lr must be positive, got {cfg.lr}")
-    if cfg.lr_final is not None and not cfg.lr_final >= 0.0:
-        raise ValueError(f"lr_final must be >= 0, got {cfg.lr_final}")
-
-
-def schedule_lr(step, total_steps, lr, lr_final=None):
-    """Constant learning rate, or linear decay to lr_final when it is set."""
-    if lr_final is None or total_steps <= 1:
-        return lr
-    frac = step / (total_steps - 1)
-    return lr + frac * (lr_final - lr)

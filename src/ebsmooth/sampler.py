@@ -38,17 +38,6 @@ class WalkJumpConfig:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
 
 
-def energy_value(source, y, sigma):
-    """Scalar energy -log f_Y(y) of the source at scale sigma (a learned
-    energy knows it only up to an additive constant)."""
-    return -source.log_density_y(y, sigma)
-
-
-def energy_grad(source, y, sigma):
-    """Gradient of the energy at scale sigma: minus the smoothed score."""
-    return -source.smoothed_score(y, sigma)
-
-
 def _require_finite(a, what):
     """Raise FloatingPointError if a has a non-finite entry, naming the first
     bad chain when a is a batch (n, d) of chains."""
@@ -62,15 +51,16 @@ def _require_finite(a, what):
 def langevin_walk(source, y0, cfg, gen, record=None):
     """Unadjusted Langevin chain at the fine scale.
 
-    Iterates y <- y - delta^2 * grad_energy(y) + sqrt(2) * delta * eps' for
-    cfg.tau steps with standard normal eps' = gen.standard_normal(y.shape).
+    Iterates y <- y + delta^2 * score(y) + sqrt(2) * delta * eps' for cfg.tau
+    steps, with score the smoothed score at the fine scale (minus the
+    energy's gradient) and standard normal eps' = gen.standard_normal(y.shape).
     y0 may be one point (d,) or a batch of independent chains (n, d); chains
-    never interact, so batching is exact, and with gen a stats.RowStreams
-    each chain draws from its own stream.  Returns the final iterate, or,
-    with `record` set, the final iterate and the path of y[record]: a
-    (tau + 1, ...) array whose row t is that part of the t-th iterate.
-    record=... keeps every chain; an integer i keeps chain i of a batch
-    alone, (tau + 1, d).
+    never interact, so batching is exact, and with gen a stats.RowStreams of
+    cfg.tau steps each chain draws from its own stream.  Returns the final
+    iterate, or, with `record` set, the final iterate and the path of
+    y[record]: a (tau + 1, ...) array whose row t is that part of the t-th
+    iterate.  record=... keeps every chain; an integer i keeps chain i of a
+    batch alone, (tau + 1, d).
     """
     y = np.asarray(y0, dtype=float).copy()
     drift = cfg.delta**2
@@ -79,7 +69,7 @@ def langevin_walk(source, y0, cfg, gen, record=None):
         path = np.empty((cfg.tau + 1, *y[record].shape))
         path[0] = y[record]
     for step in range(cfg.tau):
-        y = y - drift * energy_grad(source, y, cfg.sigma_prime) \
+        y = y + drift * source.smoothed_score(y, cfg.sigma_prime) \
             + diffusion * gen.standard_normal(y.shape)
         _require_finite(y, f"iterate at walk step {step}")
         if record is not None:

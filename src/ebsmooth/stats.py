@@ -160,19 +160,45 @@ def rng_stream(seed, stream_id):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# A RowStreams block holds at most this many variates (2 MB), whatever the
+# batch, so its buffer stays small while each row's draws come in calls of
+# many steps each.
+_ROW_BLOCK = 1 << 18
+
+
 class RowStreams:
-    """One keyed generator per row of a batch.
+    """One keyed generator per row of a batch, for `steps` draws of one shape.
 
     standard_normal((n, *shape)) stacks gens[i].standard_normal(shape) for
     i < n, so a batch of n rows draws exactly the variates each row would
-    draw from its own stream when run alone, in the same order.
+    draw from its own stream when run alone, in the same order.  Each row
+    draws its next block of calls in one call of its own generator (one
+    (b, *shape) draw is b successive shape draws), never past `steps` calls
+    in all, so after `steps` calls every generator is where per-call draws
+    leave it.  A call past `steps`, or of another shape, raises ValueError.
     """
 
-    def __init__(self, gens):
+    def __init__(self, gens, steps):
         self.gens = list(gens)
+        self._steps_left = steps
+        self._block = np.empty((len(self.gens), 0))  # (n, b, *shape), b calls
+        self._next = 0
 
     def standard_normal(self, shape):
         n, *rest = shape
         if n != len(self.gens):
             raise ValueError(f"{len(self.gens)} row streams cannot draw {n} rows")
-        return np.stack([g.standard_normal(tuple(rest)) for g in self.gens])
+        if self._next == self._block.shape[1]:
+            if self._steps_left < 1:
+                raise ValueError("row streams have drawn all their steps")
+            b = min(self._steps_left, max(1, _ROW_BLOCK // max(1, int(np.prod(shape)))))
+            self._block = np.empty((n, b, *rest))
+            for g, row in zip(self.gens, self._block):
+                g.standard_normal(out=row)
+            self._steps_left -= b
+            self._next = 0
+        elif self._block.shape[2:] != tuple(rest):
+            raise ValueError(f"row streams drawing shape {self._block.shape[2:]} "
+                             f"cannot draw {tuple(rest)}")
+        self._next += 1
+        return self._block[:, self._next - 1]

@@ -17,6 +17,8 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+POOL_MODULES = ("sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('concurrent', 'multiprocessing'))")
 
 
 def run_python(code):
@@ -33,6 +35,14 @@ def test_import_loads_no_scipy(module):
     # scipy.stats costs most of a second and ~45 MB per command, and
     # scipy.special alone as much as the rest of the package
     assert run_python(f"import sys, {module}; print({SCIPY_MODULES})") == "[]"
+
+
+@pytest.mark.parametrize("module", ["ebsmooth", "ebsmooth.cli"])
+def test_import_loads_no_pool_stack(module):
+    # only certify_points at workers > 1 makes a process pool, and it imports
+    # concurrent.futures (and with it multiprocessing, socket, logging and
+    # queue) then, so the commands that never make one never load it
+    assert run_python(f"import sys, {module}; print({POOL_MODULES})") == "[]"
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")

@@ -118,6 +118,6 @@ class TestDatasetCsv:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LabeledDataset(np.zeros((3, 2)), np.array([0, 1]), {"n_classes": 2})
+            LabeledDataset(np.zeros((3, 2)), np.array([0, 1]), n_classes=2)
         with pytest.raises(ValueError):
-            LabeledDataset(np.zeros((2, 2)), np.array([0, 5]), {"n_classes": 2})
+            LabeledDataset(np.zeros((2, 2)), np.array([0, 5]), n_classes=2)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import json
 import os
@@ -22,6 +23,9 @@ from ebsmooth.energy import EnergyNet
 from ebsmooth.stats import ConfidenceSpec, RowStreams, rng_stream
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+# oracle-check referees only one centred Gaussian; write_cfg's default
+# dataset is a two-component mixture
+CENTRED = {"dataset": {"means": [[0.0, 0.0]]}}
 
 
 def write_cfg(tmp_path, extra=None, name="cfg.json"):
@@ -102,11 +106,9 @@ class TestConfig:
     def test_section_defaults(self):
         cfg = ExperimentConfig()
         a, t, e, w = cfg.attack, cfg.train, cfg.energy_train, cfg.walk_jump
-        assert (a.epsilon, a.steps, a.step_size, a.m) == (1.0, 16, None, 1)
-        assert (t.mode, t.steps, t.batch_size, t.lr, t.lr_final, t.m) == (
-            "adversarial", 1500, 64, 1e-3, None, 1)
-        assert (e.hidden, e.steps, e.batch_size, e.lr, e.lr_final) == (
-            [128, 128], 4000, 128, 1e-3, None)
+        assert (a.epsilon, a.steps, a.m) == (1.0, 16, 1)
+        assert (t.mode, t.steps, t.batch_size, t.lr, t.m) == ("adversarial", 1500, 64, 1e-3, 1)
+        assert (e.hidden, e.steps, e.batch_size, e.lr) == ([128, 128], 4000, 128, 1e-3)
         assert (w.sigma_prime, w.delta, w.tau, w.n_samples, w.dump_trajectory,
                 w.fine_energy_path) == (0.05, 0.001, 100, 256, False, None)
         # an empty config is the defaults; energy_train.sigma follows sigma
@@ -389,7 +391,7 @@ class TestWalkJumpCli:
 
         rows = np.loadtxt(tmp_path / "out" / "samples.csv", delimiter=",", skiprows=1)
         mix = IsoMixture(means=means, sigma0=1.0)
-        chains = RowStreams(rng_stream(5, STREAM_WALK_BASE + i) for i in range(8))
+        chains = RowStreams((rng_stream(5, STREAM_WALK_BASE + i) for i in range(8)), 20)
         outs, path = walk_jump(mix, mix, rows[:, 1:3], 1.0, WalkJumpConfig(tau=20), chains,
                                record=...)
         dumped = np.loadtxt(tmp_path / "out" / "trajectory.csv", delimiter=",", skiprows=1)
@@ -475,7 +477,7 @@ class TestOracleCheckCli:
         # radius violation
         monkeypatch.setattr(harness, "linear_gaussian_oracle",
                             lambda *args: OracleResult(predicted=0, radius=-1.0))
-        path = write_cfg(tmp_path)
+        path = write_cfg(tmp_path, extra=CENTRED)
         assert main(["oracle-check", "-c", str(path), "--max-points", "4"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and "exceed the allowed 3" in err, err
@@ -499,7 +501,7 @@ class TestProcessExit:
     def test_module_over_allowance_is_2_and_keeps_its_files(self, tmp_path):
         # alpha = 0.9 makes an unsound bound, so at nc = 20 many certificates
         # exceed the exact radius
-        path = write_cfg(tmp_path)
+        path = write_cfg(tmp_path, extra=CENTRED)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         out = subprocess.run(
@@ -542,7 +544,7 @@ class TestManifests:
         if dump:
             outputs = [*outputs, "trajectory.csv"]
             args = [*args, "--set", "walk_jump.dump_trajectory=true"]
-        path = write_cfg(tmp_path)
+        path = write_cfg(tmp_path, extra=CENTRED if command == "oracle-check" else None)
         assert main([command, "-c", str(path), *args]) == 0
         name = command.replace("-", "_") + "_manifest.json"
         out = tmp_path / "out"
@@ -614,7 +616,7 @@ class TestParallelCertifyHelpers:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         h = LinearClassifier(np.array([1.0, 0.0]), 0.2)
         pts = np.array([[1.5, 0.0], [-0.4, 1.0], [0.1, -2.0]])
         spec = ConfidenceSpec(0.01, 20, 500)
@@ -715,13 +717,18 @@ class TestBadConfigValues:
         ["train-xhat", "--set", "attack.m=2"],
         ["oracle-check", "--workers", "0"],
         ["oracle-check", "--set", "certify.max_violations=-1"],
+        ["train-xhat", "--set", "attack.step_size=-1"],
     ])
     def test_rejected_in_process(self, tmp_path, capsys, args):
-        path = write_cfg(tmp_path)
+        path = write_cfg(tmp_path, extra=CENTRED if args[0] == "oracle-check" else None)
         assert main([args[0], "-c", str(path), *args[1:]]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:"), err
         assert "Traceback" not in err
+        # the learning rate is constant and the attack step 2 * epsilon / steps
+        key = args[-1].split("=")[0]
+        if key in ("train.lr_final", "energy_train.lr_final", "attack.step_size"):
+            assert err.startswith(f"config error: unknown config key: {key}"), err
 
     @pytest.mark.parametrize("args", [
         ["oracle-check", "--set", "certify.max_points=-1"],
@@ -758,7 +765,7 @@ class TestBadConfigValues:
         # as a path (classifier.path=1), or to write into a directory named
         # "[1, 2]"
         monkeypatch.chdir(tmp_path)
-        path = write_cfg(tmp_path)
+        path = write_cfg(tmp_path, extra=CENTRED if args[0] == "oracle-check" else None)
         assert main([args[0], "-c", str(path), *args[1:]]) == 1
         err = capsys.readouterr().err
         # the message names the key the last --set gave
@@ -789,7 +796,9 @@ class TestBadConfigValues:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("case", ["oracle-nonlinear", "idx-without-test",
+    @pytest.mark.parametrize("case", ["oracle-nonlinear", "oracle-off-centre",
+                                      "oracle-wrong-dimension", "oracle-mixture",
+                                      "idx-without-test",
                                       "walk-jump-without-fine", "energy-as-classifier",
                                       "classifier-as-estimator"])
     def test_runner_config_error_makes_no_output_dir(self, tmp_path, capsys, case):
@@ -802,8 +811,14 @@ class TestBadConfigValues:
         img.write_bytes(struct.pack(">IIII", 0x803, 2, 1, 2) + bytes([0, 255, 9, 3]))
         lab.write_bytes(struct.pack(">II", 0x801, 2) + bytes([0, 1]))
         command, extra = {
-            "oracle-nonlinear": ("oracle-check", {"classifier": {
+            "oracle-nonlinear": ("oracle-check", {**CENTRED, "classifier": {
                 "kind": "checkpoint", "path": str(clf), "weights": None, "bias": None}}),
+            # the exact oracle holds only for one centred Gaussian of the
+            # linear classifier's dimension
+            "oracle-off-centre": ("oracle-check", {"dataset": {"means": [[3.0, 0.0]]}}),
+            "oracle-wrong-dimension": ("oracle-check", {**CENTRED, "classifier": {
+                "weights": [1.0] + [0.0] * 9}}),
+            "oracle-mixture": ("oracle-check", {}),
             "idx-without-test": ("certify", {"dataset": {
                 "kind": "idx", "means": None,
                 "train_images": str(img), "train_labels": str(lab)}}),

@@ -5,11 +5,11 @@ from ebsmooth.densities import IsoGaussian, IsoMixture, beta_of
 from ebsmooth.energy import EnergyNet
 from ebsmooth.sampler import (
     WalkJumpConfig,
-    energy_grad,
     jump,
     langevin_walk,
     walk_jump,
 )
+from ebsmooth import stats
 from ebsmooth.stats import RowStreams, rng_stream
 
 
@@ -53,7 +53,7 @@ class TestLangevinWalk:
         cfg = WalkJumpConfig(sigma_prime=0.5, delta=1e-6, tau=1)
         y0 = np.array([2.0, -1.0])
         y1 = langevin_walk(model, y0, cfg, rng_stream(2, 0))
-        bound = 1e-4 * (1.0 + np.linalg.norm(energy_grad(model, y0, 0.5)))
+        bound = 1e-4 * (1.0 + np.linalg.norm(model.smoothed_score(y0, 0.5)))
         assert np.linalg.norm(y1 - y0) <= bound
 
     def test_zero_score_is_pure_random_walk(self):
@@ -90,11 +90,12 @@ class TestLangevinWalk:
         model = IsoMixture(means=np.array([[1.0, 0.0, 0.5], [-1.0, 0.5, 0.0]]), sigma0=0.5)
         cfg = WalkJumpConfig(sigma_prime=0.3, delta=0.05, tau=6)
         y0 = rng_stream(7, 1).standard_normal((4, 3))
-        streams = lambda: RowStreams(rng_stream(7, 10 + i) for i in range(4))  # noqa: E731
+        streams = lambda: RowStreams((rng_stream(7, 10 + i) for i in range(4)),  # noqa: E731
+                                     cfg.tau)
         final, traj = langevin_walk(model, y0, cfg, streams(), record=...)
         gen, y, want = streams(), y0.copy(), [y0.copy()]
         for _ in range(cfg.tau):
-            y = y - cfg.delta**2 * energy_grad(model, y, cfg.sigma_prime) \
+            y = y + cfg.delta**2 * model.smoothed_score(y, cfg.sigma_prime) \
                 + np.sqrt(2.0) * cfg.delta * gen.standard_normal(y.shape)
             want.append(y.copy())
         assert traj.shape == (cfg.tau + 1, 4, 3)
@@ -110,7 +111,8 @@ class TestLangevinWalk:
         model = IsoMixture(means=np.array([[1.0, 0.0, 0.5], [-1.0, 0.5, 0.0]]), sigma0=0.5)
         cfg = WalkJumpConfig(sigma_prime=0.3, delta=0.05, tau=6)
         y0 = rng_stream(7, 2).standard_normal((4, 3))
-        streams = lambda: RowStreams(rng_stream(7, 20 + i) for i in range(4))  # noqa: E731
+        streams = lambda: RowStreams((rng_stream(7, 20 + i) for i in range(4)),  # noqa: E731
+                                     cfg.tau)
         final, path = langevin_walk(model, y0, cfg, streams(), record=chain)
         full_final, full = langevin_walk(model, y0, cfg, streams(), record=...)
         assert path.shape == (cfg.tau + 1, 3)
@@ -218,7 +220,7 @@ class TestNonFinite:
 
 class TestRowStreams:
     def test_batch_draws_what_each_row_draws_alone(self):
-        streams = RowStreams(rng_stream(3, i) for i in range(4))
+        streams = RowStreams((rng_stream(3, i) for i in range(4)), 3)
         batch = [streams.standard_normal((4, 5)) for _ in range(3)]
         for i in range(4):
             alone = rng_stream(3, i)
@@ -226,7 +228,30 @@ class TestRowStreams:
                 np.testing.assert_array_equal(drawn[i], alone.standard_normal(5))
 
     def test_row_count_must_match(self):
-        streams = RowStreams(rng_stream(5, i) for i in range(2))
+        streams = RowStreams((rng_stream(5, i) for i in range(2)), 1)
         with pytest.raises(ValueError):
             streams.standard_normal((3, 2))
+
+    @pytest.mark.parametrize("block", [1, 12, stats._ROW_BLOCK])
+    def test_blocks_draw_what_per_step_draws_do(self, monkeypatch, block):
+        # each row draws several steps per call of its generator (2, 2, 2, 1
+        # at block 12); the steps, and every generator's state after the
+        # last, must be what one draw per row per step gives
+        monkeypatch.setattr(stats, "_ROW_BLOCK", block)
+        steps = 7
+        streams = RowStreams((rng_stream(4, i) for i in range(3)), steps)
+        gens = [rng_stream(4, i) for i in range(3)]
+        for _ in range(steps):
+            want = np.stack([g.standard_normal(2) for g in gens])
+            np.testing.assert_array_equal(streams.standard_normal((3, 2)), want)
+        for blocked, alone in zip(streams.gens, gens):
+            np.testing.assert_equal(blocked.bit_generator.state, alone.bit_generator.state)
+        with pytest.raises(ValueError, match="all their steps"):
+            streams.standard_normal((3, 2))
+
+    def test_shape_is_fixed_within_a_block(self):
+        streams = RowStreams((rng_stream(6, i) for i in range(2)), 3)
+        streams.standard_normal((2, 3))
+        with pytest.raises(ValueError, match="cannot draw"):
+            streams.standard_normal((2, 4))
 
