@@ -42,11 +42,11 @@ def run(means, sigma0, sigma, epsilon, label, grid):
     for mode in ("adversarial", "no_attack", "no_estimator"):
         history = []
         cfg = ClassifierTrainConfig(mode=mode, steps=800, batch_size=64)
-        clf = train_xhat(train.points, train.labels, mix, sigma, [64], cfg, attack,
+        clf = train_xhat(train, mix, sigma, [64], cfg, attack,
                          rng_stream(8, 300),
                          callback=lambda s, rec: history.append(rec))
         estimator = None if mode == "no_estimator" else mix
-        hard = EbClassifier(clf, estimator, sigma, m=1)
+        hard = EbClassifier(clf, estimator, sigma)
         results = certify_points(hard, test.points, sigma, spec, seed=8)
         accs = "  ".join(f"{certified_accuracy_at(results, test.labels, r):.2f}"
                          for r in grid)

@@ -24,7 +24,7 @@ import dataclasses
 
 import numpy as np
 
-from .classifiers import PROB_FLOOR, EbClassifier, SoftClassifier, _neg_log_pi, _pi_batch
+from .classifiers import EbClassifier, SoftClassifier, _neg_log_pi
 from .energy import _check_finite_step
 from .mlp import Adam, check_hidden, check_schedule
 
@@ -69,11 +69,11 @@ def _pgd_batch(c, xs, ks, spec, noise):
     """
     xs = np.asarray(xs, dtype=float)
     if spec.epsilon == 0.0:
-        f0, _ = _neg_log_pi(c, xs, ks, noise)
+        f0, _, _ = _neg_log_pi(c, xs, ks, noise)
         return xs.copy(), f0.copy(), f0, np.zeros(len(xs), dtype=bool)
 
     eta = spec.resolved_step_size()
-    f0, ascent = _neg_log_pi(c, xs, ks, noise, grad=True)
+    f0, _, ascent = _neg_log_pi(c, xs, ks, noise, wrt="input")
     best_f = f0.copy()
     best_z = xs.copy()
     aborted = np.zeros(len(xs), dtype=bool)
@@ -93,7 +93,8 @@ def _pgd_batch(c, xs, ks, spec, noise):
             delta[over] *= (spec.epsilon / dnorm[over])[:, None]
             z = xs + delta
         # the last iterate takes no step, so it needs no gradient
-        f, ascent = _neg_log_pi(c, z, ks, noise, grad=step < spec.steps - 1)
+        f, _, ascent = _neg_log_pi(c, z, ks, noise,
+                                   wrt="input" if step < spec.steps - 1 else None)
         improved = ~aborted & np.isfinite(f) & (f > best_f)
         best_f = np.where(improved, f, best_f)
         best_z[improved] = z[improved]
@@ -106,18 +107,8 @@ def xhat_objective_theta_grads(c, xs, ks, noise):
     The attack points and the noise are held fixed; only the soft
     classifier's parameters receive gradients.  Returns (loss, grads, pis).
     """
-    xs = np.asarray(xs, dtype=float)
-    bsz, m, _ = noise.shape
-    pis, probs, cache, _ = _pi_batch(c, xs, noise, grad=True)
-    pik = np.maximum(pis[np.arange(bsz), ks], PROB_FLOOR)
-    loss = float(np.mean(-np.log(pik)))
-    rep_k = np.repeat(np.asarray(ks), m)
-    coef = np.repeat(-1.0 / (bsz * m * pik), m)
-    pk = probs[np.arange(bsz * m), rep_k]
-    onehot = np.eye(c.base.n_classes)[rep_k]
-    dlogits = (coef * pk)[:, None] * (onehot - probs)
-    _, grads = c.base._backward(cache, dlogits, want_params=True, want_input=False)
-    return loss, grads, pis
+    neg_log, pis, grads = _neg_log_pi(c, np.asarray(xs, dtype=float), ks, noise, wrt="params")
+    return float(np.mean(neg_log)), grads, pis
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,59 +142,51 @@ def runs_attack(cfg, attack):
     return runs
 
 
-def train_xhat(points, labels, estimator, sigma, hidden, cfg, attack, gen, callback=None):
+def train_xhat(data, estimator, sigma, hidden, cfg, attack, gen, callback=None):
     """Train the smoothed soft classifier by minibatch adversarial risk.
 
-    points (n, d) and labels (n,) are the training set; `estimator` is the
-    frozen denoiser (EnergyNet or exact model) the classifier is composed
-    with, ignored in "no_estimator" mode; sigma is the smoothing scale and
-    hidden the classifier's hidden widths.  Every mode draws the same
-    batches and the same noise from `gen`, so runs differing only in mode
-    consume identical randomness.
+    data is the training LabeledDataset, whose n_classes (at least two) sizes
+    the classifier; `estimator` is the frozen denoiser (EnergyNet or exact
+    model) the classifier is composed with, ignored in "no_estimator" mode;
+    sigma is the smoothing scale and hidden the classifier's hidden widths.
+    Every mode draws the same batches and the same noise from `gen`, so runs
+    differing only in mode consume identical randomness.
 
     Returns the trained SoftClassifier.  callback, when given, receives
     (step, record) with the clean loss, adversarial loss, attack success
     rate, and abort count for that step.
     """
-    points = np.asarray(points, dtype=float)
-    labels = np.asarray(labels)
-    if points.ndim != 2 or points.shape[0] == 0:
-        raise ValueError("points must be a nonempty (n, d) array")
-    if labels.shape != (points.shape[0],):
-        raise ValueError("labels must be one integer per point")
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if len(data) == 0:
+        raise ValueError("data must hold at least one point")
     check_hidden(hidden)
     run_attack = runs_attack(cfg, attack)
-    n, dim = points.shape
-    n_classes = int(labels.max()) + 1 if labels.size else 2
-    n_classes = max(n_classes, 2)
+    n, dim = data.points.shape
 
-    clf = SoftClassifier.init(dim, tuple(hidden), n_classes, gen)
+    clf = SoftClassifier.init(dim, tuple(hidden), max(data.n_classes, 2), gen)
     params = clf.parameters()
     opt = Adam(params)
-    est = None if cfg.mode == MODE_NO_ESTIMATOR else estimator
+    # Adam updates clf's arrays in place, so one composed classifier serves
+    # every step
+    c = EbClassifier(clf, None if cfg.mode == MODE_NO_ESTIMATOR else estimator, sigma)
 
     for step in range(cfg.steps):
         idx = gen.integers(0, n, size=cfg.batch_size)
-        xb = points[idx]
-        kb = labels[idx]
+        xb = data.points[idx]
+        kb = data.labels[idx]
         noise = sigma * gen.standard_normal((cfg.batch_size, cfg.m, dim))
-        c = EbClassifier(clf, est, sigma, cfg.m)
+        zb, n_aborted = xb, 0
         if run_attack:
             zb, adv_nll, clean_nll, aborted = _pgd_batch(c, xb, kb, attack, noise)
             n_aborted = int(aborted.sum())
-        else:
-            zb, n_aborted = xb, 0
         loss, grads, pis = xhat_objective_theta_grads(c, zb, kb, noise)
-        if not run_attack:  # zb is xb: the training pass gives the clean loss
-            clean_nll = adv_nll = -np.log(np.maximum(pis[np.arange(len(kb)), kb], PROB_FLOOR))
         _check_finite_step(step, loss, grads)
         opt.step(params, grads, cfg.lr)
         if callback is not None:
+            # without an attack zb is xb: the training loss is the clean and
+            # the adversarial loss
             callback(step, {
-                "clean_loss": float(np.mean(clean_nll)),
-                "adv_loss": float(np.mean(adv_nll)),
+                "clean_loss": float(np.mean(clean_nll)) if run_attack else loss,
+                "adv_loss": float(np.mean(adv_nll)) if run_attack else loss,
                 "attack_success": float(np.mean(np.argmax(pis, axis=1) != kb)),
                 "aborted": n_aborted,
             })

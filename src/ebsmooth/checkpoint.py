@@ -12,9 +12,10 @@ Layout (all integers little-endian):
     then          per affine layer in order: weight matrix (fan_in x fan_out)
                   row-major float64, then bias vector float64
 
-A linear classifier is stored with widths [d, 1], its weight vector as the
-(d, 1) matrix and its bias as the length-1 bias.  Round-trips are bit-exact:
-the parameter bytes written are the raw float64 buffers.
+An energy net's scalar readout is its last, (h, 1) layer, in memory as in
+the file.  A linear classifier is stored with widths [d, 1], its weight
+vector as the (d, 1) matrix and its bias as the length-1 bias.  Round-trips
+are bit-exact: the parameter bytes written are the raw float64 buffers.
 """
 
 from __future__ import annotations
@@ -51,10 +52,7 @@ def _pack(tag, sigma, widths, weights, biases):
 def save_checkpoint(path, model):
     """Write an EnergyNet, SoftClassifier, or LinearClassifier to path."""
     if isinstance(model, EnergyNet):
-        widths = (*model.widths, 1)
-        weights = [*model.weights, model.out_w.reshape(-1, 1)]
-        biases = [*model.biases, model.out_b]
-        blob = _pack(TAG_ENERGY, model.sigma, widths, weights, biases)
+        blob = _pack(TAG_ENERGY, model.sigma, model.widths, model.weights, model.biases)
     elif isinstance(model, SoftClassifier):
         blob = _pack(TAG_SOFT_CLASSIFIER, 0.0, model.widths,
                      model.weights, model.biases)
@@ -108,8 +106,7 @@ def load_checkpoint(path):
     if tag == TAG_ENERGY:
         if widths[-1] != 1:
             raise CheckpointError("energy checkpoint must end in a scalar readout")
-        return EnergyNet(weights[:-1], biases[:-1],
-                         weights[-1].reshape(-1), biases[-1], sigma)
+        return EnergyNet(weights, biases, sigma)
     if tag == TAG_SOFT_CLASSIFIER:
         return SoftClassifier(weights, biases)
     if tag == TAG_LINEAR_CLASSIFIER:

@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 
 from .densities import _as_batch, _unbatch
-from .mlp import affine_softplus, init_affine_stack
+from .mlp import LayerStack, affine_softplus, affine_softplus_backward, init_affine_stack
 
 PROB_FLOOR = 1e-12  # probabilities are floored here before any log
 
@@ -50,35 +50,16 @@ class LinearClassifier:
         return int(out[0]) if single else out
 
 
-class SoftClassifier:
+class SoftClassifier(LayerStack):
     """Softplus MLP with a normalized-exponential output over K classes."""
-
-    def __init__(self, weights, biases):
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
-        widths = [self.weights[0].shape[0]]
-        for w in self.weights:
-            widths.append(w.shape[1])
-        self.widths = tuple(widths)
 
     @classmethod
     def init(cls, dim, hidden, n_classes, gen):
-        ws, bs = init_affine_stack((dim, *hidden, n_classes), gen)
-        return cls(ws, bs)
-
-    @property
-    def dim(self):
-        return self.widths[0]
+        return cls(*init_affine_stack((dim, *hidden, n_classes), gen))
 
     @property
     def n_classes(self):
         return self.widths[-1]
-
-    def parameters(self):
-        params = []
-        for w, b in zip(self.weights, self.biases):
-            params.extend((w, b))
-        return params
 
     def _forward(self, xb, sigmoids=False):
         """Probabilities and the cache _backward reads: the layer inputs and,
@@ -90,28 +71,16 @@ class SoftClassifier:
         probs = e / e.sum(axis=1, keepdims=True)
         return probs, (inputs, sigs)
 
-    def _backward(self, cache, dlogits, want_params=True, want_input=True):
-        """Pull a cotangent on the logits back to parameters and inputs; the
-        cache must come from a forward pass with sigmoids set."""
+    def _backward(self, cache, dlogits, want_params=True):
+        """Pull a cotangent on the logits back to the inputs and, when
+        want_params, to the parameters, in parameters() order (else None);
+        the cache must come from a forward pass with sigmoids set."""
         hs, sigs = cache
-        w_grads = [None] * len(self.weights)
-        b_grads = [None] * len(self.weights)
-        if want_params:
-            w_grads[-1] = hs[-1].T @ dlogits
-            b_grads[-1] = dlogits.sum(axis=0)
-        dh = dlogits @ self.weights[-1].T
-        for i in range(len(self.weights) - 2, -1, -1):
-            da = dh * sigs[i]
-            if want_params:
-                w_grads[i] = hs[i].T @ da
-                b_grads[i] = da.sum(axis=0)
-            dh = da @ self.weights[i].T
+        ds, gs = affine_softplus_backward(dlogits, self.weights, sigs)
         grads = None
         if want_params:
-            grads = []
-            for wg, bg in zip(w_grads, b_grads):
-                grads.extend((wg, bg))
-        return dh if want_input else None, grads
+            grads = [g for h, d in zip(hs, ds) for g in (h.T @ d, d.sum(axis=0))]
+        return gs[0], grads
 
     def probs(self, x):
         xb, single = _as_batch(x, self.dim)
@@ -159,17 +128,13 @@ class EbClassifier:
     `estimator` is a smoothed density (an exact data model or an EnergyNet;
     see linearize_estimator) or None for the identity.  `sigma` is the smoothing
     noise scale; a learned energy accepts only the scale it was trained at.
-    `m` is the Monte-Carlo sample count used by the soft probabilities.
     """
 
     base: object
     estimator: object
     sigma: float
-    m: int = 1
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         # denoising no points still runs the estimator's scale check
@@ -205,39 +170,35 @@ def _require_soft_base(c):
         )
 
 
-def _pi_batch(c, xs, noise, grad=False):
-    """Fixed-noise soft probabilities for a batch: xs (B, d), noise (B, m, d).
+def _neg_log_pi(c, xs, ks, noise, wrt=None):
+    """The fixed-noise objective -log Pi_k for a batch, from one forward pass.
 
-    Returns (pis, probs, cache, vjp): the (B, K) averages, the per-sample
-    probabilities, the base classifier's forward cache (ready for _backward
-    when grad is set) and the denoiser's lazy vjp at the noisy points.
+    xs (B, d) are the points, ks (B,) their classes and noise (B, m, d) the
+    noise added to each; Pi (B, K) averages the base's probabilities over the
+    m denoised noisy copies, and Pi_k is floored at PROB_FLOOR before the
+    log.  Returns (neg_log (B,), pis, grads), where grads is None when wrt is
+    None, the input gradient (B, d) of neg_log when wrt is "input", and the
+    base's parameter gradients of neg_log's mean, in parameters() order, when
+    wrt is "params".
     """
     _require_soft_base(c)
     bsz, m, dim = noise.shape
     y = (xs[:, None, :] + noise).reshape(bsz * m, dim)
     xhat, vjp = linearize_estimator(c.estimator, y, c.sigma)
-    probs, cache = c.base._forward(xhat, sigmoids=grad)
+    probs, cache = c.base._forward(xhat, sigmoids=wrt is not None)
     pis = probs.reshape(bsz, m, -1).mean(axis=1)
-    return pis, probs, cache, vjp
-
-
-def _neg_log_pi(c, xs, ks, noise, grad=False):
-    """The fixed-noise objective -log Pi_k for a batch, from one forward pass.
-
-    Pi_k is floored at PROB_FLOOR before the log.  Returns (neg_log (B,),
-    grads), where grads (B, d) is the input gradient of neg_log when asked
-    for and None otherwise.
-    """
-    bsz, m, dim = noise.shape
-    pis, probs, cache, vjp = _pi_batch(c, xs, noise, grad)
     pik = np.maximum(pis[np.arange(bsz), ks], PROB_FLOOR)
     neg_log = -np.log(pik)
-    if not grad:
-        return neg_log, None
-    onehot = np.eye(c.base.n_classes)[np.repeat(ks, m)]
-    pk = probs[np.arange(bsz * m), np.repeat(ks, m)]
-    dlogits = pk[:, None] * (onehot - probs)
-    dxhat, _ = c.base._backward(cache, dlogits, want_params=False)
+    if wrt is None:
+        return neg_log, pis, None
+    rep_k = np.repeat(ks, m)
+    pk = probs[np.arange(bsz * m), rep_k]
+    onehot = np.eye(c.base.n_classes)[rep_k]
+    if wrt == "params":
+        coef = np.repeat(-1.0 / (bsz * m * pik), m)
+        _, grads = c.base._backward(cache, (coef * pk)[:, None] * (onehot - probs))
+        return neg_log, pis, grads
+    dxhat, _ = c.base._backward(cache, pk[:, None] * (onehot - probs), want_params=False)
     pulled = vjp(dxhat)
     grads = pulled.reshape(bsz, m, dim).sum(axis=1) / (m * pik[:, None])
-    return neg_log, -grads
+    return neg_log, pis, -grads

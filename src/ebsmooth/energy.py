@@ -1,9 +1,11 @@
 """Learnable scalar energy field over noisy inputs.
 
 A small softplus MLP phi(y) is trained so that y - sigma^2 * grad phi(y)
-matches the posterior-mean denoiser of the data at noise scale sigma.  The
-attack and training loops downstream need more than plain evaluation, so this
-module carries, all in closed form:
+matches the posterior-mean denoiser of the data at noise scale sigma.  It is
+an mlp.LayerStack whose last, width-1 layer is the scalar readout, so it
+shares its storage, forward pass and reverse pass with the soft classifier.
+The attack and training loops downstream need more than plain evaluation, so
+this module carries, all in closed form:
 
   * energy(y)                the scalar field,
   * input_grad(y)            exact reverse-mode input gradient,
@@ -28,8 +30,8 @@ import dataclasses
 import numpy as np
 
 from .densities import _as_batch, _unbatch
-from .mlp import (Adam, affine_softplus, check_hidden, check_schedule, init_affine_stack,
-                  sigmoid, softplus)
+from .mlp import (Adam, LayerStack, affine_softplus, affine_softplus_backward, check_hidden,
+                  check_schedule, init_affine_stack, sigmoid)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -50,78 +52,54 @@ def _check_finite_step(step, loss, grads):
         raise TrainingDivergedError(step, "gradient")
 
 
-class EnergyNet:
-    """Fully-connected scalar field with softplus hidden layers.
-
-    Parameters are the hidden affine stack plus a linear readout.  `sigma`
-    records the noise scale this energy was fit for; the smoothed-density
-    methods (log_density_y, smoothed_score, score_hvp, bayes_estimate) raise
+class EnergyNet(LayerStack):
+    """Fully-connected scalar field: softplus hidden layers, then a linear
+    readout that is the stack's last layer, of width 1.  `sigma` records the
+    noise scale this energy was fit for; the smoothed-density methods
+    (log_density_y, smoothed_score, score_hvp, bayes_estimate) raise
     ValueError at any other scale.
     """
 
-    def __init__(self, weights, biases, out_w, out_b, sigma):
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
-        self.out_w = np.asarray(out_w, dtype=float)
-        self.out_b = np.asarray(out_b, dtype=float).reshape(1)
+    def __init__(self, weights, biases, sigma):
+        super().__init__(weights, biases)
         self.sigma = float(sigma)
-        widths = [self.weights[0].shape[0]] if self.weights else [self.out_w.shape[0]]
-        for w in self.weights:
-            widths.append(w.shape[1])
-        self.widths = tuple(widths)
-        if self.out_w.shape != (self.widths[-1],):
-            raise ValueError("readout width does not match last hidden width")
+        if self.widths[-1] != 1:
+            raise ValueError(f"energy readout must have width 1, got {self.widths[-1]}")
 
     @classmethod
     def init(cls, dim, hidden, sigma, gen):
-        """Fresh network with Glorot-normal weights and zero biases."""
+        """Fresh network: Glorot-normal hidden weights, a readout drawn at
+        scale sqrt(1 / width) after them, and zero biases."""
         widths = (dim, *hidden)
         ws, bs = init_affine_stack(widths, gen)
-        scale = np.sqrt(1.0 / widths[-1])
-        out_w = scale * gen.standard_normal(widths[-1])
-        return cls(ws, bs, out_w, np.zeros(1), sigma)
-
-    @property
-    def dim(self):
-        return self.widths[0]
-
-    def parameters(self):
-        params = []
-        for w, b in zip(self.weights, self.biases):
-            params.extend((w, b))
-        params.extend((self.out_w, self.out_b))
-        return params
+        ws.append(np.sqrt(1.0 / widths[-1]) * gen.standard_normal(widths[-1])[:, None])
+        bs.append(np.zeros(1))
+        return cls(ws, bs, sigma)
 
     # -- evaluation ---------------------------------------------------------
 
     def energy(self, y):
         """Scalar energy, one value per input point."""
         yb, single = _as_batch(y, self.dim)
-        a, _, _ = affine_softplus(yb, self.weights, self.biases)
-        h = softplus(a) if self.weights else yb
-        out = h @ self.out_w + self.out_b[0]
+        out = affine_softplus(yb, self.weights, self.biases)[0][:, 0]
         return float(out[0]) if single else out
 
     def _grad(self, yb):
         """One primal pass and the reverse pass of the energy to its input.
 
         Returns (grad phi, cache).  The cache holds what every further
-        derivative reads: each layer's input h_i, the sigmoid s_i of its
-        pre-activation, the cotangent D_i on that pre-activation and
+        derivative reads: each hidden layer's input h_i, the sigmoid s_i of
+        its pre-activation, the cotangent D_i on that pre-activation and
         G_i = D_i W_i^T on its input (G_0 is the gradient).  No derivative
         reads the last hidden layer's softplus, so only energy() computes it.
         """
-        a, inputs, sigs = affine_softplus(yb, self.weights, self.biases, sigmoids=True)
-        if not self.weights:
-            return np.broadcast_to(self.out_w, yb.shape).copy(), ([], [], [], [])
+        hidden = self.weights[:-1]
+        a, inputs, sigs = affine_softplus(yb, hidden, self.biases[:-1], sigmoids=True)
+        readout = self.weights[-1].T
+        if not hidden:
+            return np.broadcast_to(readout, yb.shape).copy(), ([], [], [], [])
         sigs.append(sigmoid(a))
-        ds, gs = [], []
-        d = self.out_w[None, :] * sigs[-1]
-        for i in range(len(self.weights) - 1, -1, -1):
-            ds.insert(0, d)
-            gs.insert(0, d @ self.weights[i].T)
-            if i:
-                d = gs[0] * sigs[i - 1]
+        ds, gs = affine_softplus_backward(readout * sigs[-1], hidden, sigs)
         return gs[0], (inputs, sigs, ds, gs)
 
     def input_grad(self, y):
@@ -142,29 +120,28 @@ class EnergyNet:
 
     def _gdot(self, cache, ub, want_params):
         """Tangent pass of U, then its reverse, on _grad's cache: (w_grads,
-        b_grads, out_w_grad, y_grad), the parameter gradients None unless
-        want_params."""
+        b_grads, readout_grad, y_grad), the hidden layers' and the readout's
+        parameter gradients None unless want_params."""
         inputs, sigs, ds, gs = cache
-        nlayers = len(self.weights)
+        hidden = self.weights[:-1]
         hh = [ub]
         ah = []
-        for w, s in zip(self.weights, sigs):
+        for w, s in zip(hidden, sigs):
             ah.append(hh[-1] @ w)
             hh.append(s * ah[-1])
-        w_grads = [None] * nlayers
-        b_grads = [None] * nlayers
-        hb = np.zeros((ub.shape[0], self.widths[-1]))
-        for i in range(nlayers - 1, -1, -1):
+        w_grads = [None] * len(hidden)
+        b_grads = [None] * len(hidden)
+        hb = np.zeros((ub.shape[0], self.widths[-2]))
+        for i in range(len(hidden) - 1, -1, -1):
             s = sigs[i]
-            hhb = gs[i + 1] if i < nlayers - 1 else self.out_w
+            hhb = gs[i + 1] if i < len(hidden) - 1 else self.weights[-1].T
             ab = (hhb * ah[i]) * s * (1.0 - s) + hb * s
             if want_params:
                 w_grads[i] = inputs[i].T @ ab + hh[i].T @ ds[i]
                 b_grads[i] = ab.sum(axis=0)
-            hb = ab @ self.weights[i].T
-        y_grad = hb if nlayers else np.zeros_like(ub)
-        out_w_grad = hh[-1].sum(axis=0) if want_params else None
-        return w_grads, b_grads, out_w_grad, y_grad
+            hb = ab @ hidden[i].T
+        readout_grad = hh[-1].sum(axis=0)[:, None] if want_params else None
+        return w_grads, b_grads, readout_grad, hb
 
     def input_hvp(self, y, v):
         """Hessian of the energy applied to v, exact to machine precision."""
@@ -243,11 +220,11 @@ def denoise_loss_and_grads(net, x_clean, y_noisy):
     err = xhat - x_clean
     loss = float(np.mean(np.sum(err * err, axis=1)))
     upstream = (2.0 / batch) * err
-    w_grads, b_grads, out_w_grad, _ = net._gdot(cache, upstream, want_params=True)
+    w_grads, b_grads, readout_grad, _ = net._gdot(cache, upstream, want_params=True)
     grads = []
     for wg, bg in zip(w_grads, b_grads):
         grads.extend((-sigma2 * wg, -sigma2 * bg))
-    grads.append(-sigma2 * out_w_grad)
+    grads.append(-sigma2 * readout_grad)
     grads.append(np.zeros(1))
     return loss, grads
 

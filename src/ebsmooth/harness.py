@@ -97,14 +97,13 @@ def resolve_split(cfg, split):
     return load_idx(images, labels, ds.limit)
 
 
-def resolve_data_model(cfg):
-    """Exact generative model implied by a gaussian_classes dataset."""
+def resolve_data_model(cfg, need):
+    """Exact generative model implied by a gaussian_classes dataset.  Any
+    other dataset raises ConfigError(need): the caller says why it needs the
+    model."""
     ds = cfg.dataset
     if ds.kind != "gaussian_classes":
-        raise ConfigError(
-            "closed-form estimators need a gaussian_classes dataset; "
-            "train an energy model for file-based data"
-        )
+        raise ConfigError(need)
     means = np.asarray(ds.means, dtype=float)
     if means.shape[0] == 1:
         return IsoGaussian(sigma0=ds.sigma0, dim=means.shape[1], mean=means[0])
@@ -137,7 +136,8 @@ def resolve_estimator(cfg, dim):
         return None
     if est.kind == "energy":
         return load_energy(est.path, cfg.sigma, "estimator.path", dim)
-    return resolve_data_model(cfg)
+    return resolve_data_model(cfg, "closed-form estimators need a gaussian_classes dataset; "
+                                   "train an energy model for file-based data")
 
 
 def resolve_base_classifier(cfg):
@@ -273,10 +273,10 @@ def run_train_energy(cfg):
 
 def run_train_xhat(cfg):
     train = resolve_split(cfg, "train")
-    estimator = resolve_estimator(cfg, train.points.shape[1])
+    estimator = resolve_estimator(cfg, train.dim)
     history = []
     clf = train_xhat(
-        train.points, train.labels, estimator, cfg.sigma, cfg.classifier.hidden,
+        train, estimator, cfg.sigma, cfg.classifier.hidden,
         cfg.train, cfg.attack, rng_stream(cfg.seed, STREAM_CLASSIFIER_TRAIN),
         callback=lambda step, rec: history.append(rec),
     )
@@ -323,7 +323,7 @@ def run_oracle_check(cfg):
     if cfg.certify.max_points < 1:
         raise ConfigError("oracle-check needs certify.max_points >= 1")
     base = resolve_base_classifier(cfg)
-    model = resolve_data_model(cfg)
+    model = resolve_data_model(cfg, "oracle-check needs a gaussian_classes dataset")
     k, dim = np.shape(cfg.dataset.means)
     if (k, dim) != (1, base.dim):
         raise ConfigError(f"oracle-check needs one dataset mean of the classifier's "
@@ -369,7 +369,10 @@ def run_walk_jump(cfg):
     path in that same batched walk, so it ends where samples.csv row 0 came
     from.  Nothing is written when a chain goes non-finite."""
     wj = cfg.walk_jump
-    model = resolve_data_model(cfg)
+    if cfg.estimator.kind == "identity":
+        raise ConfigError("walk-jump needs estimator.kind closed_form or energy: the walk "
+                          "follows a score, and the identity has none")
+    model = resolve_data_model(cfg, "walk-jump needs a gaussian_classes dataset")
     if cfg.estimator.kind == "energy":
         coarse = load_energy(cfg.estimator.path, cfg.sigma, "estimator.path", model.dim)
         if wj.fine_energy_path is None:

@@ -1,7 +1,8 @@
 """Shared pieces for the small fully-connected networks: smooth activations,
-the affine-softplus forward pass both networks run, weight initialization,
-an Adam optimizer with bias correction, and the checks both trainers'
-configs run on hidden widths and learning schedules.
+the layer stack both networks are, its affine-softplus forward pass and the
+one reverse pass of it, weight initialization, an Adam optimizer with bias
+correction, and the checks both trainers' configs run on hidden widths and
+learning schedules.
 
 The activations are plain numpy, so the training commands never import
 scipy.  Each writes into one output buffer and, for a contiguous input,
@@ -54,10 +55,10 @@ def affine_softplus(x, weights, biases, sigmoids=False):
     between them: h_0 = x and h_{i+1} = softplus(a_i).
 
     Returns (a, inputs, sigs): the last pre-activation a, left as it is for
-    the caller to read out (logits) or differentiate (an energy's last
-    hidden layer); the layer inputs h_i; and, when sigmoids is set, the
-    softplus derivatives sigmoid(a_i) of every layer but the last, which
-    backward passes read.  With no layers, a is x.
+    the caller to read out (logits, an energy's value) or differentiate (an
+    energy's last hidden layer); the layer inputs h_i; and, when sigmoids is
+    set, the softplus derivatives sigmoid(a_i) of every layer but the last,
+    which affine_softplus_backward reads.  With no layers, a is x.
     """
     a, inputs, sigs = x, [], []
     for w, b in zip(weights, biases):
@@ -68,6 +69,46 @@ def affine_softplus(x, weights, biases, sigmoids=False):
         inputs.append(a)
         a = a @ w + b
     return a, inputs, sigs
+
+
+def affine_softplus_backward(dout, weights, sigs):
+    """Reverse pass of affine_softplus: pull the cotangent dout on the last
+    layer's pre-activation (the stack's output) back through every layer.
+    sigs are the softplus derivatives of every layer but the last, as
+    affine_softplus(sigmoids=True) returns them.
+
+    Returns (ds, gs): ds[i] is the cotangent on layer i's pre-activation a_i
+    and gs[i] = ds[i] @ W_i^T the cotangent on its input h_i, so gs[0] is the
+    input gradient.
+    """
+    ds, gs = [None] * len(weights), [None] * len(weights)
+    d = dout
+    for i in range(len(weights) - 1, -1, -1):
+        ds[i] = d
+        gs[i] = d @ weights[i].T
+        if i:
+            d = gs[i] * sigs[i - 1]
+    return ds, gs
+
+
+class LayerStack:
+    """Affine layers a_i = h_i @ W_i + b_i, with softplus between them, held
+    as float64 arrays.  widths are the input dimension, then each layer's
+    output width."""
+
+    def __init__(self, weights, biases):
+        self.weights = [np.asarray(w, dtype=float) for w in weights]
+        self.biases = [np.asarray(b, dtype=float) for b in biases]
+        self.widths = (self.weights[0].shape[0], *(w.shape[1] for w in self.weights))
+
+    @property
+    def dim(self):
+        return self.widths[0]
+
+    def parameters(self):
+        """The weight and bias arrays themselves, layer by layer, so an
+        optimizer that updates them in place updates the network."""
+        return [p for w, b in zip(self.weights, self.biases) for p in (w, b)]
 
 
 def init_affine_stack(widths, gen):

@@ -189,17 +189,17 @@ def soft_pi_with_noise(c, x, noise):
     return c.base.probs(xhat).mean(axis=0)
 
 
-def soft_pi(c, x, gen):
-    """soft_pi_with_noise with c.m fresh noise draws at scale c.sigma."""
+def soft_pi(c, x, m, gen):
+    """soft_pi_with_noise with m fresh noise draws at scale c.sigma."""
     x = np.asarray(x, dtype=float)
-    return soft_pi_with_noise(c, x, c.sigma * gen.standard_normal((c.m, x.shape[0])))
+    return soft_pi_with_noise(c, x, c.sigma * gen.standard_normal((m, x.shape[0])))
 
 
 def grad_log_pi(c, x, k, noise):
     """Input gradient of log of the fixed-noise soft probability of class k
     (floored at PROB_FLOOR before the log), from the library's batch pass."""
-    _, grads = _neg_log_pi(c, np.asarray(x, float)[None, :], np.array([k]),
-                           np.asarray(noise, float)[None, :, :], grad=True)
+    _, _, grads = _neg_log_pi(c, np.asarray(x, float)[None, :], np.array([k]),
+                              np.asarray(noise, float)[None, :, :], wrt="input")
     return -grads[0]
 
 

@@ -53,7 +53,7 @@ def _linear_gaussian_setup():
 def test_criterion_01_analytic_pipeline_end_to_end():
     sigma = 1.0
     h, model, points, spec = _linear_gaussian_setup()
-    pipeline = EbClassifier(h, model, sigma, m=1)
+    pipeline = EbClassifier(h, model, sigma)
     results = certify_points(pipeline, points, sigma, spec, seed=201, workers=2)
 
     class_violations = 0
@@ -170,7 +170,7 @@ def test_criterion_06_gradient_suite():
     mix = IsoMixture.symmetric(np.array([1.5, 0.0]), 0.8)
     for trial in range(50):
         soft = SoftClassifier.init(2, (8,), 3, rng_stream(106, 100 + trial))
-        c = EbClassifier(soft, mix, sigma=0.5, m=3)
+        c = EbClassifier(soft, mix, sigma=0.5)
         x = gen.standard_normal(2)
         noise = 0.5 * gen.standard_normal((3, 2))
         k = int(gen.integers(0, 3))
@@ -185,7 +185,7 @@ def test_criterion_06_gradient_suite():
     from ebsmooth.adversarial import xhat_objective_theta_grads
     rng = np.random.default_rng(42)
     soft = SoftClassifier.init(2, (6,), 3, rng_stream(106, 999))
-    c = EbClassifier(soft, mix, sigma=0.5, m=2)
+    c = EbClassifier(soft, mix, sigma=0.5)
     xs = gen.standard_normal((5, 2))
     ks = np.array([0, 1, 2, 1, 0])
     noise = 0.5 * gen.standard_normal((5, 2, 2))
@@ -250,9 +250,9 @@ def test_criterion_08_adversarial_training_ordering():
         for mode in ("adversarial", "no_attack"):
             cfg = ClassifierTrainConfig(mode=mode, steps=1200, batch_size=64,
                                         lr=1e-3, m=1)
-            clf = train_xhat(train.points, train.labels, mix, sigma, (64,), cfg, attack,
+            clf = train_xhat(train, mix, sigma, (64,), cfg, attack,
                              rng_stream(seed, 300))
-            hard = EbClassifier(clf, mix, sigma, m=1)
+            hard = EbClassifier(clf, mix, sigma)
             results = certify_points(hard, test.points, sigma, spec,
                                      seed=seed, workers=2)
             per_mode[mode] = (

@@ -23,7 +23,6 @@ def zero_energy(dim, sigma):
         w[:] = 0.0
     for b in net.biases:
         b[:] = 0.0
-    net.out_w[:] = 0.0
     return net
 
 
@@ -31,7 +30,7 @@ def small_problem(seed=1):
     gen = rng_stream(seed, 0)
     soft = SoftClassifier.init(2, (8,), 2, gen)
     mix = IsoMixture.symmetric(np.array([1.5, 0.0]), 0.6)
-    c = EbClassifier(soft, mix, sigma=0.4, m=2)
+    c = EbClassifier(soft, mix, sigma=0.4)
     x = gen.standard_normal(2)
     noise = 0.4 * gen.standard_normal((2, 2))
     return c, x, noise, gen
@@ -91,7 +90,7 @@ class TestPgdAttack:
         # attack moves along the normalized gradient of -log softmax_k
         gen = rng_stream(3, 0)
         soft = SoftClassifier.init(3, (), 4, gen)
-        c = EbClassifier(soft, zero_energy(3, 0.0), sigma=0.0, m=1)
+        c = EbClassifier(soft, zero_energy(3, 0.0), sigma=0.0)
         x = gen.standard_normal(3)
         noise = np.zeros((1, 3))
         # the one step, of length 2 * epsilon, is projected back to epsilon
@@ -110,8 +109,7 @@ class TestPgdAttack:
         # values it reports must still be -log Pi_k evaluated afresh
         gen = rng_stream(5, m)
         soft = SoftClassifier.init(2, (8,), 3, gen)
-        c = EbClassifier(soft, IsoMixture.symmetric(np.array([1.5, 0.0]), 0.6),
-                         sigma=0.4, m=m)
+        c = EbClassifier(soft, IsoMixture.symmetric(np.array([1.5, 0.0]), 0.6), sigma=0.4)
         moved = 0
         for trial in range(10):
             x = gen.standard_normal(2)
@@ -157,7 +155,7 @@ class TestPassCount:
         data, mix = _toy_training_setup(20, n=100)
         density = _CountingDensity(mix)
         cfg = ClassifierTrainConfig(mode=mode, steps=self.STEPS, batch_size=8, m=2)
-        train_xhat(data.points, data.labels, density, 0.3, (8,), cfg,
+        train_xhat(data, density, 0.3, (8,), cfg,
                    AttackSpec(epsilon=0.5, steps=attack_steps, m=2), rng_stream(21, 1))
         return density.passes / self.STEPS, density.hvps / self.STEPS
 
@@ -180,7 +178,7 @@ class TestThetaGradients:
         gen = rng_stream(4, 0)
         mix = IsoMixture.symmetric(np.array([1.0, 0.0]), 0.7)
         soft = SoftClassifier.init(2, (6,), 3, gen)
-        c = EbClassifier(soft, mix, sigma=0.5, m=2)
+        c = EbClassifier(soft, mix, sigma=0.5)
         xs = gen.standard_normal((4, 2))
         ks = np.array([0, 1, 2, 1])
         noise = 0.5 * gen.standard_normal((4, 2, 2))
@@ -224,7 +222,7 @@ class TestTrainXhat:
 
         monkeypatch.setattr(adversarial, "xhat_objective_theta_grads", nan_on_last)
         with pytest.raises(TrainingDivergedError, match="non-finite gradient") as err:
-            train_xhat(data.points, data.labels, mix, 0.3, (8,), cfg,
+            train_xhat(data, mix, 0.3, (8,), cfg,
                        AttackSpec(epsilon=0.5, steps=2), rng_stream(17, 1))
         assert err.value.step == cfg.steps - 1
         assert np.all(np.isfinite(calls))
@@ -233,8 +231,8 @@ class TestTrainXhat:
         data, mix = _toy_training_setup(10)
         cfg = ClassifierTrainConfig(mode="adversarial", steps=30, batch_size=16)
         attack = AttackSpec(epsilon=0.5, steps=4)
-        a = train_xhat(data.points, data.labels, mix, 0.3, (8,), cfg, attack, rng_stream(11, 1))
-        b = train_xhat(data.points, data.labels, mix, 0.3, (8,), cfg, attack, rng_stream(11, 1))
+        a = train_xhat(data, mix, 0.3, (8,), cfg, attack, rng_stream(11, 1))
+        b = train_xhat(data, mix, 0.3, (8,), cfg, attack, rng_stream(11, 1))
         for pa, pb in zip(a.parameters(), b.parameters()):
             assert np.array_equal(pa, pb)
 
@@ -246,10 +244,10 @@ class TestTrainXhat:
         attack = AttackSpec(epsilon=0.5, steps=3)
         kwargs = dict(steps=25, batch_size=16)
         vanilla = train_xhat(
-            data.points, data.labels, None, 0.3, (8,),
+            data, None, 0.3, (8,),
             ClassifierTrainConfig(mode="no_estimator", **kwargs), attack, rng_stream(13, 1))
         zeroed = train_xhat(
-            data.points, data.labels, zero_energy(2, 0.3), 0.3, (8,),
+            data, zero_energy(2, 0.3), 0.3, (8,),
             ClassifierTrainConfig(mode="adversarial", **kwargs), attack, rng_stream(13, 1))
         for pa, pb in zip(vanilla.parameters(), zeroed.parameters()):
             assert np.array_equal(pa, pb)
@@ -257,11 +255,11 @@ class TestTrainXhat:
     def test_clean_training_reaches_high_accuracy(self):
         data, mix = _toy_training_setup(14, n=1500)
         cfg = ClassifierTrainConfig(mode="no_attack", steps=500, batch_size=64)
-        clf = train_xhat(data.points, data.labels, mix, 0.3, (16,), cfg,
+        clf = train_xhat(data, mix, 0.3, (16,), cfg,
                          AttackSpec(epsilon=0.0, steps=1), rng_stream(15, 1))
         heldout = gen_dataset(GaussianClassSpec(mix.means, 0.5, 2000),
                               rng_stream(14, 200))
-        hard = EbClassifier(clf, mix, sigma=0.3, m=1)
+        hard = EbClassifier(clf, mix, sigma=0.3)
         acc = np.mean(hard.predict_class(heldout.points) == heldout.labels)
         assert acc >= 0.97
 
@@ -269,7 +267,7 @@ class TestTrainXhat:
         data, mix = _toy_training_setup(16, n=1000)
         records = []
         cfg = ClassifierTrainConfig(mode="adversarial", steps=400, batch_size=32)
-        train_xhat(data.points, data.labels, mix, 0.3, (16,), cfg,
+        train_xhat(data, mix, 0.3, (16,), cfg,
                    AttackSpec(epsilon=0.5, steps=4), rng_stream(17, 1),
                    callback=lambda s, rec: records.append(rec["adv_loss"]))
         losses = np.array(records)
@@ -291,5 +289,5 @@ class TestTrainXhat:
         data, mix = _toy_training_setup(18)
         cfg = ClassifierTrainConfig(mode="adversarial", steps=5, batch_size=8, m=1)
         with pytest.raises(ValueError, match="attack.m"):
-            train_xhat(data.points, data.labels, mix, 0.3, (8,), cfg,
+            train_xhat(data, mix, 0.3, (8,), cfg,
                        AttackSpec(epsilon=0.5, steps=2, m=4), rng_stream(19, 1))

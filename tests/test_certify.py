@@ -263,7 +263,7 @@ class TestOracleProperty:
             h = LinearClassifier(gen.standard_normal(dim), float(gen.standard_normal()))
             sigma = float(gen.uniform(0.25, 1.0))
             x = model.sample(1, gen)[0]
-            res = certify(EbClassifier(h, model, sigma, m=1), x, sigma, spec,
+            res = certify(EbClassifier(h, model, sigma), x, sigma, spec,
                           rng_stream(41, 2 * i + 1), rng_stream(41, 2 * i + 2))
             oracle = linear_gaussian_oracle(h, x, sigma, sigma0)
             if not res.abstained:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,24 @@ def test_energy_roundtrip_bit_exact(tmp_path):
     path2 = tmp_path / "energy2.ckpt"
     save_checkpoint(path2, back)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("hidden", [(16, 8), ()])
+def test_energy_file_is_its_layer_stack(tmp_path, hidden):
+    # the readout is the net's last layer in memory as on disk: the file
+    # holds net.widths, then each layer's raw float64 weights and bias
+    net = EnergyNet.init(4, hidden, 0.37, rng_stream(0, 0))
+    path = tmp_path / "energy.ckpt"
+    save_checkpoint(path, net)
+    blob = path.read_bytes()
+    (n_widths,) = struct.unpack_from("<I", blob, 20)
+    assert struct.unpack_from(f"<{n_widths}I", blob, 24) == net.widths
+    assert net.widths == (4, *hidden, 1)
+    params = b"".join(w.tobytes() + b.tobytes() for w, b in zip(net.weights, net.biases))
+    assert blob[24 + 4 * n_widths:] == params
+    back = load_checkpoint(path)
+    for a, b in zip((*net.weights, *net.biases), (*back.weights, *back.biases)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_soft_classifier_roundtrip_bit_exact(tmp_path):

@@ -17,7 +17,6 @@ def zero_energy(dim, sigma):
         w[:] = 0.0
     for b in net.biases:
         b[:] = 0.0
-    net.out_w[:] = 0.0
     return net
 
 
@@ -129,27 +128,27 @@ class TestSoftPi:
         gen = rng_stream(2, 0)
         soft = SoftClassifier.init(2, (8,), 3, gen)
         model = IsoGaussian(sigma0=1.0, dim=2)
-        c = EbClassifier(soft, model, sigma=0.0, m=1)
+        c = EbClassifier(soft, model, sigma=0.0)
         x = gen.standard_normal(2)
         np.testing.assert_allclose(
-            soft_pi(c, x, rng_stream(2, 1)),
+            soft_pi(c, x, 1, rng_stream(2, 1)),
             soft.probs(model.bayes_estimate(x, 0.0)),
         )
 
     def test_constant_classifier_passes_through(self):
         const = _ConstantSoft([1.0, 0.0, 0.0])
         model = IsoGaussian(sigma0=1.0, dim=2)
-        c = EbClassifier(const, model, sigma=0.7, m=32)
-        out = soft_pi(c, np.array([0.3, -1.0]), rng_stream(3, 0))
+        c = EbClassifier(const, model, sigma=0.7)
+        out = soft_pi(c, np.array([0.3, -1.0]), 32, rng_stream(3, 0))
         np.testing.assert_array_equal(out, [1.0, 0.0, 0.0])
 
     def test_output_is_probability_vector(self):
         gen = rng_stream(4, 0)
         soft = SoftClassifier.init(2, (16,), 5, gen)
         mix = IsoMixture.symmetric(np.array([2.0, 0.0]), 1.0)
-        c = EbClassifier(soft, mix, sigma=0.5, m=8)
+        c = EbClassifier(soft, mix, sigma=0.5)
         for _ in range(50):
-            p = soft_pi(c, gen.standard_normal(2), gen)
+            p = soft_pi(c, gen.standard_normal(2), 8, gen)
             assert np.all(p > 0.0)
             assert abs(p.sum() - 1.0) < 1e-12
 
@@ -158,10 +157,10 @@ class TestSoftPi:
         soft = SoftClassifier.init(2, (8,), 3, gen)
         model = IsoGaussian(sigma0=1.0, dim=2)
         m = 10_000
-        c = EbClassifier(soft, model, sigma=0.5, m=m)
+        c = EbClassifier(soft, model, sigma=0.5)
         x = np.array([0.4, -0.2])
-        a = soft_pi(c, x, rng_stream(5, 1))
-        b = soft_pi(c, x, rng_stream(5, 2))
+        a = soft_pi(c, x, m, rng_stream(5, 1))
+        b = soft_pi(c, x, m, rng_stream(5, 2))
         assert np.max(np.abs(a - b)) < 5.0 / np.sqrt(m)
 
     def test_argmax_stable_in_sample_count(self):
@@ -171,10 +170,9 @@ class TestSoftPi:
         checked = 0
         for i in range(100):
             x = 2.0 * gen.standard_normal(2)
-            c1 = EbClassifier(soft, mix, sigma=0.4, m=10_000)
-            c4 = EbClassifier(soft, mix, sigma=0.4, m=40_000)
-            p1 = soft_pi(c1, x, rng_stream(6, 100 + i))
-            p4 = soft_pi(c4, x, rng_stream(6, 200 + i))
+            c = EbClassifier(soft, mix, sigma=0.4)
+            p1 = soft_pi(c, x, 10_000, rng_stream(6, 100 + i))
+            p4 = soft_pi(c, x, 40_000, rng_stream(6, 200 + i))
             top = np.sort(p4)[::-1]
             if top[0] - top[1] > 0.1:
                 checked += 1
@@ -186,7 +184,7 @@ class TestGradLogPi:
     def test_no_noise_linear_softmax_is_analytic(self):
         gen = rng_stream(7, 0)
         soft = SoftClassifier.init(3, (), 4, gen)  # bare affine + softmax
-        c = EbClassifier(soft, zero_energy(3, 0.0), sigma=0.0, m=2)
+        c = EbClassifier(soft, zero_energy(3, 0.0), sigma=0.0)
         x = gen.standard_normal(3)
         noise = np.zeros((2, 3))
         w = soft.weights[0]
@@ -202,7 +200,7 @@ class TestGradLogPi:
         for trial in range(50):
             soft = SoftClassifier.init(2, (8,), 3, rng_stream(8, trial + 1))
             estimator = mix if trial % 2 == 0 else None
-            c = EbClassifier(soft, estimator, sigma=0.5, m=3)
+            c = EbClassifier(soft, estimator, sigma=0.5)
             x = gen.standard_normal(2)
             noise = 0.5 * gen.standard_normal((3, 2))
             k = int(gen.integers(0, 3))
@@ -225,7 +223,7 @@ class TestGradLogPi:
         for trial in range(20):
             soft = SoftClassifier.init(2, (6,), 2, rng_stream(9, 2 * trial + 1))
             net = EnergyNet.init(2, (8,), 0.4, rng_stream(9, 2 * trial + 2))
-            c = EbClassifier(soft, net, sigma=0.4, m=2)
+            c = EbClassifier(soft, net, sigma=0.4)
             x = gen.standard_normal(2)
             noise = 0.4 * gen.standard_normal((2, 2))
             g = grad_log_pi(c, x, 1, noise)
@@ -244,7 +242,7 @@ class TestGradLogPi:
     def test_identity_jacobian_gives_average_of_base_gradients(self):
         gen = rng_stream(10, 0)
         soft = SoftClassifier.init(2, (8,), 3, gen)
-        c = EbClassifier(soft, zero_energy(2, 0.5), sigma=0.5, m=4)
+        c = EbClassifier(soft, zero_energy(2, 0.5), sigma=0.5)
         x = gen.standard_normal(2)
         noise = 0.5 * gen.standard_normal((4, 2))
         k = 2

@@ -21,8 +21,7 @@ def zero_net(dim, hidden=(8,), sigma=1.0, bias=0.0):
         w[:] = 0.0
     for b in net.biases:
         b[:] = 0.0
-    net.out_w[:] = 0.0
-    net.out_b[:] = bias
+    net.biases[-1][:] = bias
     return net
 
 
@@ -57,7 +56,7 @@ class TestEvaluation:
         # no hidden layers: phi(y) = <a, y> + b, gradient is a everywhere
         gen = rng_stream(3, 0)
         a = gen.standard_normal(5)
-        net = EnergyNet([], [], a, np.array([0.3]), 1.0)
+        net = EnergyNet([a[:, None]], [np.array([0.3])], 1.0)
         y = gen.standard_normal(5)
         np.testing.assert_array_equal(net.input_grad(y), a)
         np.testing.assert_array_equal(net.input_hvp(y, y), np.zeros(5))

@@ -16,7 +16,7 @@ from ebsmooth.cli import _FLAGS, main
 from ebsmooth.config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from ebsmooth.harness import COMMANDS, certified_accuracy_at, certify_points
 from ebsmooth.certify import CertResult, OracleResult
-from ebsmooth.checkpoint import save_checkpoint
+from ebsmooth.checkpoint import load_checkpoint, save_checkpoint
 from ebsmooth.classifiers import EbClassifier, LinearClassifier, SoftClassifier
 from ebsmooth.densities import IsoMixture
 from ebsmooth.energy import EnergyNet
@@ -333,6 +333,19 @@ class TestTrainCli:
         assert (tmp_path / "out" / "training_log.csv").read_bytes() == log
         header = log.decode().splitlines()[0]
         assert header == "step,clean_loss,adv_loss,attack_success,aborted"
+
+    def test_classifier_has_every_dataset_class(self, tmp_path):
+        # two training points of three classes draw labels 0 and 1 only; the
+        # classifier is still sized from the dataset, so the test split's
+        # class 2 can be predicted
+        path = write_cfg(tmp_path, extra={
+            "train": {"steps": 3, "batch_size": 4, "mode": "no_attack"},
+            "classifier": {"kind": "mlp", "hidden": [8], "weights": None, "bias": None},
+            "dataset": {"means": [[2.0, 0.0], [-2.0, 0.0], [0.0, 2.0]], "n_train": 2,
+                        "n_test": 30},
+        })
+        assert main(["train-xhat", "-c", str(path)]) == 0
+        assert load_checkpoint(tmp_path / "out" / "classifier.ckpt").n_classes == 3
 
     def test_certify_trained_checkpoint(self, tmp_path):
         path = write_cfg(tmp_path, extra={
@@ -798,9 +811,9 @@ class TestBadConfigValues:
 
     @pytest.mark.parametrize("case", ["oracle-nonlinear", "oracle-off-centre",
                                       "oracle-wrong-dimension", "oracle-mixture",
-                                      "idx-without-test",
-                                      "walk-jump-without-fine", "energy-as-classifier",
-                                      "classifier-as-estimator"])
+                                      "oracle-idx", "idx-without-test", "walk-jump-idx",
+                                      "walk-jump-identity", "walk-jump-without-fine",
+                                      "energy-as-classifier", "classifier-as-estimator"])
     def test_runner_config_error_makes_no_output_dir(self, tmp_path, capsys, case):
         # errors found only once a runner resolves its inputs still come
         # before the first write, so the output directory is never made
@@ -810,6 +823,7 @@ class TestBadConfigValues:
         img, lab = tmp_path / "im.idx", tmp_path / "lb.idx"
         img.write_bytes(struct.pack(">IIII", 0x803, 2, 1, 2) + bytes([0, 255, 9, 3]))
         lab.write_bytes(struct.pack(">II", 0x801, 2) + bytes([0, 1]))
+        idx = {"kind": "idx", "means": None, "train_images": str(img), "train_labels": str(lab)}
         command, extra = {
             "oracle-nonlinear": ("oracle-check", {**CENTRED, "classifier": {
                 "kind": "checkpoint", "path": str(clf), "weights": None, "bias": None}}),
@@ -819,9 +833,11 @@ class TestBadConfigValues:
             "oracle-wrong-dimension": ("oracle-check", {**CENTRED, "classifier": {
                 "weights": [1.0] + [0.0] * 9}}),
             "oracle-mixture": ("oracle-check", {}),
-            "idx-without-test": ("certify", {"dataset": {
-                "kind": "idx", "means": None,
-                "train_images": str(img), "train_labels": str(lab)}}),
+            "oracle-idx": ("oracle-check", {"dataset": idx}),
+            "idx-without-test": ("certify", {"dataset": idx}),
+            "walk-jump-idx": ("walk-jump", {"dataset": idx}),
+            # walk-jump walks on a score, which the identity does not have
+            "walk-jump-identity": ("walk-jump", {"estimator": {"kind": "identity"}}),
             "walk-jump-without-fine": ("walk-jump", {
                 "estimator": {"kind": "energy", "path": str(energy)}}),
             "energy-as-classifier": ("certify", {"classifier": {
@@ -834,6 +850,10 @@ class TestBadConfigValues:
         err = capsys.readouterr().err
         assert err.startswith("config error:"), err
         assert not (tmp_path / "out").exists()
+        if case in ("oracle-idx", "walk-jump-idx"):
+            # no estimator, learned or not, lets these commands run on file data
+            assert err.startswith(f"config error: {command} needs a gaussian_classes"), err
+            assert "energy" not in err
 
     def test_checkpoint_classifier_of_wrong_dimension_rejected(self, tmp_path, capsys):
         clf = tmp_path / "clf.ckpt"

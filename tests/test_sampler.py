@@ -20,7 +20,6 @@ def zero_energy(dim, sigma):
         w[:] = 0.0
     for b in net.biases:
         b[:] = 0.0
-    net.out_w[:] = 0.0
     return net
 
 
