@@ -27,7 +27,6 @@ from .certify import (
     certify,
     linear_gaussian_oracle,
     linear_margin,
-    predict,
     rmax,
 )
 from .adversarial import (
@@ -83,7 +82,6 @@ __all__ = [
     "linear_margin",
     "load_checkpoint",
     "load_idx",
-    "predict",
     "rmax",
     "rng_stream",
     "save_checkpoint",

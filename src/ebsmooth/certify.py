@@ -1,4 +1,4 @@
-"""Randomized-smoothing prediction and certification.
+"""Randomized-smoothing certification.
 
 Certification follows the standard two-pass recipe: a selection pass guesses
 the majority class under noise, an estimation pass with fresh noise lower
@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 
 from .densities import beta_of
-from .stats import ConfidenceSpec, binom_lower_bound, binom_test_half, std_normal_inv_cdf
+from .stats import binom_lower_bound, std_normal_inv_cdf
 
 ABSTAIN = -1
 
@@ -46,7 +46,6 @@ class CertResult:
     pa_lower: float
     radius: float
     counts: np.ndarray
-    spec: ConfidenceSpec
 
     @property
     def abstained(self):
@@ -66,19 +65,6 @@ def _tally(classifier, x, sigma, n, gen):
         noisy += x
         counts += np.bincount(classifier.predict_class(noisy), minlength=k)
     return counts
-
-
-def predict(classifier, x, sigma, spec, gen):
-    """Smoothed prediction with an abstention guard.
-
-    Draws spec.n0 noisy samples and returns the top class if the two-sided
-    binomial test at p = 1/2 (stats.binom_test_half, top count against all
-    the rest) rejects at level spec.alpha; otherwise ABSTAIN.
-    """
-    counts = _tally(classifier, x, sigma, spec.n0, gen)
-    top = int(np.argmax(counts))
-    pvalue = binom_test_half(counts[top], spec.n0)
-    return top if pvalue <= spec.alpha else ABSTAIN
 
 
 def certify(classifier, x, sigma, spec, gen, est_gen=None):
@@ -112,7 +98,7 @@ def bound_counts(candidates, counts, sigma, spec):
     radius = np.zeros(len(hits))
     if certified.any():
         radius[certified] = certified_radius(pa_lower[certified], sigma)
-    return [CertResult(int(k) if ok else ABSTAIN, float(p), float(r), c, spec)
+    return [CertResult(int(k) if ok else ABSTAIN, float(p), float(r), c)
             for k, c, p, r, ok in zip(candidates, counts, pa_lower, radius, certified)]
 
 

@@ -110,11 +110,11 @@ def linearize_estimator(estimator, y, sigma):
     None means the identity (plain smoothing with no denoiser).  Anything else
     is a smoothed density of Y = X + N(0, sigma^2 I), exact (IsoGaussian,
     IsoMixture) or learned (EnergyNet), with the methods log_density_y,
-    smoothed_score, score_hvp, bayes_estimate and linearize.  Returns
-    (xhat, vjp): the Bayes estimate y + sigma^2 * grad log f_Y(y), and the map
+    smoothed_score, bayes_estimate and linearize.  Returns (xhat, vjp): the
+    Bayes estimate y + sigma^2 * grad log f_Y(y), and the map
     u -> u + sigma^2 * hessian(log f_Y)(y) u.  That is the denoiser's
-    Jacobian, which is symmetric, so vjp is also its forward action.  vjp
-    does no work until it is called.
+    Jacobian, which is symmetric, so vjp is also its forward action, and
+    vjp is the only way to it.  vjp does no work until it is called.
     """
     if estimator is None:
         return np.asarray(y, dtype=float), _identity

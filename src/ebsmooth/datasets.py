@@ -2,9 +2,9 @@
 
 Synthetic datasets are class-conditional isotropic Gaussians (one component
 per class, shared scale).  Real data comes in through the IDX binary format;
-pixel bytes are scaled to [0, 1] doubles.  Datasets round-trip through a CSV
-whose floats are printed with 17 significant digits, so a written file loads
-back bit-exact.
+pixel bytes are scaled to [0, 1] doubles.  Datasets are written as CSV with
+floats printed at 17 significant digits, so a parser reads them back
+bit-exact.
 """
 
 from __future__ import annotations
@@ -93,16 +93,31 @@ def _read_u32s(blob, count, offset, path):
     return struct.unpack(f">{count}I", blob[offset:end]), end
 
 
+def _read_idx_labels(path):
+    """Every label of an IDX label file, one unsigned byte each, with the
+    big-endian header checked against the canonical magic."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    (magic,), off = _read_u32s(blob, 1, 0, path)
+    if magic != IDX_LABELS_MAGIC:
+        raise IdxFormatError(f"{path}: bad magic 0x{magic:08x} at byte offset 0, "
+                             f"expected 0x{IDX_LABELS_MAGIC:08x}")
+    (n_labels,), off = _read_u32s(blob, 1, off, path)
+    if len(blob) < off + n_labels:
+        raise IdxFormatError(f"{path}: truncated label data, wanted {off + n_labels} "
+                             f"bytes, file has {len(blob)}")
+    return np.frombuffer(blob, dtype=np.uint8, count=n_labels, offset=off).astype(np.int64)
+
+
 def load_idx(images_path, labels_path, limit=None):
     """Load an IDX image/label pair into a LabeledDataset.
 
     Big-endian headers are checked against the canonical magics; pixels are
-    unsigned bytes scaled so that 255 maps to exactly 1.0.
+    unsigned bytes scaled so that 255 maps to exactly 1.0.  n_classes is one
+    more than the largest label in the whole label file, whatever the limit.
     """
     with open(images_path, "rb") as fh:
         img_blob = fh.read()
-    with open(labels_path, "rb") as fh:
-        lab_blob = fh.read()
 
     (img_magic,), off = _read_u32s(img_blob, 1, 0, images_path)
     if img_magic != IDX_IMAGES_MAGIC:
@@ -118,31 +133,18 @@ def load_idx(images_path, labels_path, limit=None):
             f"file has {len(img_blob)}"
         )
 
-    (lab_magic,), loff = _read_u32s(lab_blob, 1, 0, labels_path)
-    if lab_magic != IDX_LABELS_MAGIC:
-        raise IdxFormatError(
-            f"{labels_path}: bad magic 0x{lab_magic:08x} at byte offset 0, "
-            f"expected 0x{IDX_LABELS_MAGIC:08x}"
-        )
-    (n_labels,), loff = _read_u32s(lab_blob, 1, loff, labels_path)
-    if len(lab_blob) < loff + n_labels:
-        raise IdxFormatError(
-            f"{labels_path}: truncated label data, wanted {loff + n_labels} "
-            f"bytes, file has {len(lab_blob)}"
-        )
-    if n_labels != n_images:
+    all_labels = _read_idx_labels(labels_path)
+    if all_labels.size != n_images:
         raise IdxFormatError(
             f"count mismatch: {n_images} images in {images_path} but "
-            f"{n_labels} labels in {labels_path}"
+            f"{all_labels.size} labels in {labels_path}"
         )
 
     take = n_images if limit is None else min(int(limit), n_images)
     pixels = np.frombuffer(img_blob, dtype=np.uint8, count=take * rows * cols,
                            offset=off)
     points = pixels.astype(np.float64).reshape(take, rows * cols) / 255.0
-    labels = np.frombuffer(lab_blob, dtype=np.uint8, count=take, offset=loff)
-    labels = labels.astype(np.int64)
-    return LabeledDataset(points, labels, int(labels.max()) + 1 if take else 0)
+    return LabeledDataset(points, all_labels[:take], int(all_labels.max(initial=-1)) + 1)
 
 
 def save_dataset_csv(path, dataset):
@@ -154,21 +156,3 @@ def save_dataset_csv(path, dataset):
         for label, row in zip(dataset.labels, dataset.points):
             coords = ",".join(format(v, ".17g") for v in row)
             fh.write(f"{int(label)},{coords}\n")
-
-
-def load_dataset_csv(path):
-    rows = []
-    labels = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if not header or header[0] != "label":
-            raise ValueError(f"{path}: not a dataset CSV (header {header!r})")
-        for line in fh:
-            parts = line.strip().split(",")
-            if not parts or parts == [""]:
-                continue
-            labels.append(int(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
-    points = np.asarray(rows, dtype=float)
-    labels = np.asarray(labels, dtype=np.int64)
-    return LabeledDataset(points, labels, int(labels.max()) + 1 if labels.size else 0)

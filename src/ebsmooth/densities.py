@@ -2,8 +2,9 @@
 
 These are the ground truth the learned pieces are judged against.  Every model
 knows the density of its Gaussian-corrupted version Y = X + N(0, sigma^2 I),
-the score of that density, the score's Jacobian action, and therefore the
-exact posterior-mean denoiser xhat(y) = y + sigma^2 * score(y).
+the score of that density, the exact posterior-mean denoiser
+xhat(y) = y + sigma^2 * score(y), and, through linearize's vjp, that
+denoiser's Jacobian.
 
 All evaluation methods are vectorized: y may be a single point of shape (d,)
 or a batch of shape (n, d), and the output matches.
@@ -79,22 +80,20 @@ class IsoGaussian:
         s2 = sigma * sigma + self.sigma0 * self.sigma0
         return _unbatch((self.mean - yb) / s2, single)
 
-    def score_hvp(self, y, v, sigma):
-        """Hessian of log f_Y applied to v; constant -v / (sigma^2 + sigma0^2)."""
-        vb, single = _as_batch(v, self.dim)
-        s2 = sigma * sigma + self.sigma0 * self.sigma0
-        return _unbatch(-vb / s2, single)
-
     def bayes_estimate(self, y, sigma):
         """Posterior mean of X given Y = y: y + sigma^2 * score(y)."""
         yb, single = _as_batch(y, self.dim)
         return _unbatch(yb + sigma * sigma * self.smoothed_score(yb, sigma), single)
 
     def linearize(self, y, sigma):
-        """(bayes_estimate(y, sigma), vjp) with vjp(u) = u + sigma^2 *
-        score_hvp(y, u, sigma); the Jacobian is constant, so vjp reads no y."""
+        """(bayes_estimate(y, sigma), vjp) with vjp(u) = u + sigma^2 * H u, where
+        H = -I / (sigma^2 + sigma0^2) is the constant Hessian of log f_Y, so
+        vjp reads no y."""
+        s2 = sigma * sigma + self.sigma0 * self.sigma0
+
         def vjp(u):
-            return np.asarray(u, dtype=float) + sigma**2 * self.score_hvp(y, u, sigma)
+            u = np.asarray(u, dtype=float)
+            return u + sigma**2 * (-u / s2)
 
         return self.bayes_estimate(y, sigma), vjp
 
@@ -184,8 +183,9 @@ class IsoMixture:
         resp = self._responsibilities(yb, s2)
         return _unbatch((resp @ self.means - yb) / s2, single)
 
-    def score_hvp(self, y, v, sigma):
-        """Hessian of log f_Y applied to v.
+    def _hvp(self, resp, v, s2):
+        """Hessian of log f_Y applied to v, at the points with responsibilities
+        resp.
 
         With r the responsibilities and g_k = (mu_k - y)/s2 the per-component
         pulls, the Hessian action is (sum_k r_k (c_k - cbar) (mu_k - y) - v)/s2
@@ -195,11 +195,6 @@ class IsoMixture:
         part of the pull: the action is (w @ means - v) / s2 with
         c = v @ means.T / s2.
         """
-        yb, ysingle = _as_batch(y, self.dim)
-        s2 = sigma * sigma + self.sigma0 * self.sigma0
-        return _unbatch(self._hvp(self._responsibilities(yb, s2), v, s2), ysingle)
-
-    def _hvp(self, resp, v, s2):
         vb, _ = _as_batch(v, self.dim)
         if vb.shape != (resp.shape[0], self.dim):
             raise ValueError("y and v must have matching shapes")
@@ -212,8 +207,8 @@ class IsoMixture:
         return self.linearize(y, sigma)[0]
 
     def linearize(self, y, sigma):
-        """(bayes_estimate(y, sigma), vjp) with vjp(u) = u + sigma^2 *
-        score_hvp(y, u, sigma), both from one set of responsibilities."""
+        """(bayes_estimate(y, sigma), vjp) with vjp(u) = u + sigma^2 * H u, H
+        the Hessian of log f_Y at y, both from one set of responsibilities."""
         yb, single = _as_batch(y, self.dim)
         s2 = sigma * sigma + self.sigma0 * self.sigma0
         resp = self._responsibilities(yb, s2)

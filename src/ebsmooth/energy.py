@@ -4,19 +4,17 @@ A small softplus MLP phi(y) is trained so that y - sigma^2 * grad phi(y)
 matches the posterior-mean denoiser of the data at noise scale sigma.  It is
 an mlp.LayerStack whose last, width-1 layer is the scalar readout, so it
 shares its storage, forward pass and reverse pass with the soft classifier.
+Read as phi = -log f_Y, the net implements the smoothed-density protocol of
+the exact models in densities.py, so every consumer treats the two alike.
 The attack and training loops downstream need more than plain evaluation, so
 this module carries, all in closed form:
 
-  * energy(y)                the scalar field,
-  * input_grad(y)            exact reverse-mode input gradient,
-  * input_hvp(y, v)          exact Hessian-vector products
-                             (forward-over-reverse, no finite differences),
-  * parameter gradients of losses that contain input_grad inside them
-                             (the denoising loss differentiates through the
-                             gradient, i.e. double backpropagation).
-
-Read as phi = -log f_Y, the net also implements the smoothed-density protocol
-of the exact models in densities.py, so every consumer treats the two alike.
+  * the input gradient of phi, by one reverse pass,
+  * Hessian-vector products of phi, exact (forward-over-reverse, no finite
+    differences), which linearize's vjp applies,
+  * parameter gradients of losses that contain grad phi inside them
+    (the denoising loss differentiates through the gradient, i.e. double
+    backpropagation).
 
 Softplus is used throughout because the chain rule through the denoiser needs
 a continuous second derivative; piecewise-linear activations would make the
@@ -56,7 +54,7 @@ class EnergyNet(LayerStack):
     """Fully-connected scalar field: softplus hidden layers, then a linear
     readout that is the stack's last layer, of width 1.  `sigma` records the
     noise scale this energy was fit for; the smoothed-density methods
-    (log_density_y, smoothed_score, score_hvp, bayes_estimate) raise
+    (log_density_y, smoothed_score, bayes_estimate, linearize) raise
     ValueError at any other scale.
     """
 
@@ -78,12 +76,6 @@ class EnergyNet(LayerStack):
 
     # -- evaluation ---------------------------------------------------------
 
-    def energy(self, y):
-        """Scalar energy, one value per input point."""
-        yb, single = _as_batch(y, self.dim)
-        out = affine_softplus(yb, self.weights, self.biases)[0][:, 0]
-        return float(out[0]) if single else out
-
     def _grad(self, yb):
         """One primal pass and the reverse pass of the energy to its input.
 
@@ -91,7 +83,7 @@ class EnergyNet(LayerStack):
         derivative reads: each hidden layer's input h_i, the sigmoid s_i of
         its pre-activation, the cotangent D_i on that pre-activation and
         G_i = D_i W_i^T on its input (G_0 is the gradient).  No derivative
-        reads the last hidden layer's softplus, so only energy() computes it.
+        reads the last hidden layer's softplus, so only log_density_y computes it.
         """
         hidden = self.weights[:-1]
         a, inputs, sigs = affine_softplus(yb, hidden, self.biases[:-1], sigmoids=True)
@@ -101,11 +93,6 @@ class EnergyNet(LayerStack):
         sigs.append(sigmoid(a))
         ds, gs = affine_softplus_backward(readout * sigs[-1], hidden, sigs)
         return gs[0], (inputs, sigs, ds, gs)
-
-    def input_grad(self, y):
-        """Exact gradient of the energy with respect to its input."""
-        yb, single = _as_batch(y, self.dim)
-        return _unbatch(self._grad(yb)[0], single)
 
     # -- gradient-dot machinery --------------------------------------------
     #
@@ -143,20 +130,11 @@ class EnergyNet(LayerStack):
         readout_grad = hh[-1].sum(axis=0)[:, None] if want_params else None
         return w_grads, b_grads, readout_grad, hb
 
-    def input_hvp(self, y, v):
-        """Hessian of the energy applied to v, exact to machine precision."""
-        yb, single = _as_batch(y, self.dim)
-        vb, _ = _as_batch(v, self.dim)
-        if vb.shape != yb.shape:
-            raise ValueError("y and v must have matching shapes")
-        _, cache = self._grad(yb)
-        return _unbatch(self._gdot(cache, vb, want_params=False)[3], single)
-
     # -- smoothed-density protocol -----------------------------------------
     #
-    # The energy is phi = -log f_Y at the trained scale, so the interface the
-    # exact data models in densities.py implement is a sign flip of the
-    # primitives above.  Only the trained scale is accepted.
+    # The energy is phi = -log f_Y at the trained scale, so each method of the
+    # exact data models in densities.py is a sign flip of phi or of its
+    # derivatives above.  Only the trained scale is accepted.
 
     def _check_scale(self, sigma):
         if not abs(self.sigma - sigma) <= 1e-12:  # a NaN scale fails too
@@ -167,17 +145,15 @@ class EnergyNet(LayerStack):
     def log_density_y(self, y, sigma):
         """-phi(y): the log density of Y up to an unknown constant."""
         self._check_scale(sigma)
-        return -self.energy(y)
+        yb, single = _as_batch(y, self.dim)
+        out = -affine_softplus(yb, self.weights, self.biases)[0][:, 0]
+        return float(out[0]) if single else out
 
     def smoothed_score(self, y, sigma):
         """-grad phi(y): the learned score of Y."""
         self._check_scale(sigma)
-        return -self.input_grad(y)
-
-    def score_hvp(self, y, v, sigma):
-        """-hessian(phi)(y) v: the learned score's Jacobian applied to v."""
-        self._check_scale(sigma)
-        return -self.input_hvp(y, v)
+        yb, single = _as_batch(y, self.dim)
+        return _unbatch(-self._grad(yb)[0], single)
 
     def bayes_estimate(self, y, sigma):
         """Denoised point y - sigma^2 * grad phi(y) at the trained scale."""
@@ -185,8 +161,8 @@ class EnergyNet(LayerStack):
 
     def linearize(self, y, sigma):
         """(bayes_estimate(y, sigma), vjp) from one primal pass, where
-        vjp(u) = u + sigma^2 * score_hvp(y, u, sigma) runs only the tangent
-        and reverse passes on the primal pass's cache, and only when called."""
+        vjp(u) = u - sigma^2 * hessian(phi)(y) u runs only the tangent and
+        reverse passes on the primal pass's cache, and only when called."""
         self._check_scale(sigma)
         yb, single = _as_batch(y, self.dim)
         grad, cache = self._grad(yb)

@@ -11,6 +11,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import time
@@ -23,7 +24,7 @@ from .certify import bound_counts, certify, count_votes, linear_gaussian_oracle
 from .checkpoint import load_checkpoint, save_checkpoint
 from .classifiers import EbClassifier, LinearClassifier, SoftClassifier
 from .config import ConfigError, config_digest
-from .datasets import GaussianClassSpec, gen_dataset, load_idx, save_dataset_csv
+from .datasets import GaussianClassSpec, _read_idx_labels, gen_dataset, load_idx, save_dataset_csv
 from .densities import IsoGaussian, IsoMixture
 from .energy import EnergyNet, train_energy
 from .sampler import walk_jump
@@ -84,7 +85,9 @@ def write_manifest(outdir, name, cfg, command, wall_time_s, outputs):
 def resolve_split(cfg, split):
     """The "train" or "test" LabeledDataset of the dataset section, or None
     for an idx dataset without test files.  Each generated split draws from
-    its own stream, so it is the same whether or not the other is made."""
+    its own stream, so it is the same whether or not the other is made.  An
+    idx split counts the classes of every label file the section names, so
+    neither dataset.limit nor the split changes its n_classes."""
     ds = cfg.dataset
     if ds.kind == "gaussian_classes":
         n, stream = ((ds.n_train, STREAM_TRAIN_DATA) if split == "train"
@@ -94,7 +97,9 @@ def resolve_split(cfg, split):
     images, labels = getattr(ds, f"{split}_images"), getattr(ds, f"{split}_labels")
     if images is None or labels is None:
         return None
-    return load_idx(images, labels, ds.limit)
+    n_classes = max(int(_read_idx_labels(p).max(initial=-1)) + 1
+                    for p in (ds.train_labels, ds.test_labels) if p is not None)
+    return dataclasses.replace(load_idx(images, labels, ds.limit), n_classes=n_classes)
 
 
 def resolve_data_model(cfg, need):

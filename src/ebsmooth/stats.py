@@ -1,18 +1,16 @@
 """Statistical primitives used by certification.
 
-Four things live here: the standard-normal quantile function (the certified
+Three things live here: the standard-normal quantile function (the certified
 radius is linear in it, so it carries the whole error budget), the
-one-sided Clopper-Pearson lower confidence bound for binomial proportions, the
-closed-form two-sided binomial test at p = 1/2 behind prediction's abstain
-rule, and keyed deterministic random streams so that per-point noise is
+one-sided Clopper-Pearson lower confidence bound for binomial proportions,
+and keyed deterministic random streams so that per-point noise is
 reproducible regardless of how work is scheduled across processes or
 batched into one array.
 
 Every CLI command is a fresh process, so the import cost counts.  Only
-scipy.special is used, never scipy.stats, and it is imported inside the four
-functions that need it (the normal CDF and quantile, the bound and the
-binomial test): only the certifying commands pay for it.  The keyed streams
-are plain numpy.
+scipy.special is used, never scipy.stats, and it is imported inside the
+three functions that need it (the normal CDF and quantile, and the bound):
+only the certifying commands pay for it.  The keyed streams are plain numpy.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ _TAIL_SLACK = 4e-12
 
 @dataclasses.dataclass(frozen=True)
 class ConfidenceSpec:
-    """Sampling budget for smoothed prediction and certification.
+    """Sampling budget for certification.
 
     alpha is the failure probability of the whole procedure, n0 the number of
     noisy samples spent selecting the candidate class, nc the number of fresh
@@ -126,25 +124,6 @@ def binom_lower_bound(k, n, alpha):
         above = special.betainc(a, b, p) > target
     out = np.where(karr == 0, 0.0, p)
     return float(out) if out.ndim == 0 else out
-
-
-def binom_test_half(k, n):
-    """Two-sided binomial test p-value of k successes in n trials at p = 1/2.
-
-    The null is symmetric, so the p-value is twice the upper tail at the
-    larger of k and n - k, capped at 1, and exactly 1 when 2k = n.  It is
-    the same test as scipy.stats.binomtest(k, n, 0.5).
-    """
-    from scipy import special
-    k, n = int(k), int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= k <= n:
-        raise ValueError("k must satisfy 0 <= k <= n")
-    if 2 * k == n:
-        return 1.0
-    # bdtrc(m - 1, n, p) = P[Bin(n, p) >= m]
-    return min(1.0, 2.0 * float(special.bdtrc(max(k, n - k) - 1, n, 0.5)))
 
 
 def rng_stream(seed, stream_id):

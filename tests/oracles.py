@@ -74,12 +74,19 @@ def normal_quantile(p, lo=-40.0, hi=40.0, iters=200):
 
 
 def binom_upper_tail(k, n, p):
-    """P(Bin(n, p) >= k), exact combinatorics times float powers."""
-    if k <= 0:
+    """P(Bin(n, p) >= k).  Each term is exp of the log of the exact integer
+    binomial coefficient plus the log powers, so no term overflows however
+    large the coefficient."""
+    if k <= 0 or p >= 1.0:
         return 1.0
+    if p <= 0.0:
+        return 0.0
+    log_p, log_q = math.log(p), math.log1p(-p)
+    comb = math.comb(n, k)
     total = 0.0
     for j in range(k, n + 1):
-        total += math.comb(n, j) * p**j * (1.0 - p) ** (n - j)
+        total += math.exp(math.log(comb) + j * log_p + (n - j) * log_q)
+        comb = comb * (n - j) // (j + 1)
     return min(total, 1.0)
 
 

@@ -158,13 +158,15 @@ def test_criterion_06_gradient_suite():
         net = EnergyNet.init(4, (12,), 1.0, rng_stream(106, trial + 1))
         y = gen.standard_normal(4)
         v = gen.standard_normal(4)
-        g = net.input_grad(y)
+        # the score and log density at the net's scale are -grad phi and -phi;
+        # (vjp(v) - v) / sigma^2 is the score's Jacobian applied to v
+        g = net.smoothed_score(y, 1.0)
         h = 1e-4
-        fd = np.array([(net.energy(y + h * e) - net.energy(y - h * e)) / (2 * h)
-                       for e in np.eye(4)])
+        fd = np.array([(net.log_density_y(y + h * e, 1.0)
+                        - net.log_density_y(y - h * e, 1.0)) / (2 * h) for e in np.eye(4)])
         grad_fail += np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-8) > 1e-5
-        hv = net.input_hvp(y, v)
-        fd_hv = (net.input_grad(y + h * v) - net.input_grad(y - h * v)) / (2 * h)
+        hv = net.linearize(y, 1.0)[1](v) - v
+        fd_hv = (net.smoothed_score(y + h * v, 1.0) - net.smoothed_score(y - h * v, 1.0)) / (2 * h)
         hvp_fail += np.linalg.norm(fd_hv - hv) / max(np.linalg.norm(hv), 1e-8) > 1e-4
 
     mix = IsoMixture.symmetric(np.array([1.5, 0.0]), 0.8)
@@ -206,8 +208,8 @@ def test_criterion_06_gradient_suite():
         theta_fail += abs(fd - grads[pi][idx]) > 1e-4 * max(abs(fd), abs(grads[pi][idx]), 1e-6)
 
     ok = grad_fail == hvp_fail == logpi_fail == theta_fail == 0
-    report(6, ok, f"failures out of 50 each: input_grad {grad_fail}, "
-                  f"input_hvp {hvp_fail}, grad_log_pi {logpi_fail}, "
+    report(6, ok, f"failures out of 50 each: score {grad_fail}, "
+                  f"score Jacobian {hvp_fail}, grad_log_pi {logpi_fail}, "
                   f"theta-grad {theta_fail}")
 
 

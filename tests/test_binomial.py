@@ -1,59 +1,14 @@
-"""Closed-form binomial pieces of certification and their referees.
+"""The Clopper-Pearson bound of certification and its referees.
 
-scipy.stats stays out of the library's import path, but it is the reference
-for the two-sided test here.  The bound is checked with scipy.special.betainc
-on a grid, and, where mpmath is installed, against a 40-digit sum of the
-binomial tail.
+The bound is checked with scipy.special.betainc on a grid, and, where mpmath
+is installed, against a 40-digit sum of the binomial tail.
 """
 
 import numpy as np
 import pytest
 from scipy import special
-from scipy.stats import binomtest
 
-from ebsmooth.stats import binom_lower_bound, binom_test_half
-
-TINY = np.finfo(float).tiny  # below it the p-values are subnormal noise
-
-
-def _pvalue_grid(every_n):
-    """Every k at each n in every_n, and a grid over k at n = 1e3 and 1e4."""
-    cases = [(k, n) for n in every_n for k in range(n + 1)]
-    for n in (1_000, 10_000):
-        ks = np.unique(np.concatenate([
-            np.linspace(0, n, 201).astype(int),
-            np.arange(n // 2 - 60, n // 2 + 61),
-        ]))
-        cases += [(int(k), n) for k in ks]
-    return cases
-
-
-def _check_against_binomtest(cases):
-    worst = 0.0
-    for k, n in cases:
-        got = binom_test_half(k, n)
-        want = binomtest(k, n, 0.5).pvalue
-        assert abs(got - want) <= 1e-9 * want + TINY, (k, n, got, want)
-        if want >= TINY:
-            worst = max(worst, abs(got - want) / want)
-        for alpha in (1e-3, 0.05):
-            assert (got <= alpha) == (want <= alpha), (k, n, alpha)
-    assert worst < 1e-9
-
-
-class TestBinomTestHalf:
-    def test_matches_scipy_binomtest(self):
-        _check_against_binomtest(_pvalue_grid([*range(1, 61), 97, 150, 199, 256, 300]))
-
-    @pytest.mark.slow
-    def test_matches_scipy_binomtest_every_k_to_300(self):
-        # ~45k binomtest calls, about a millisecond each
-        _check_against_binomtest(_pvalue_grid(range(1, 301)))
-
-    @pytest.mark.parametrize("k, n", [(0, 0), (-1, 5), (6, 5)])
-    def test_domain_errors(self, k, n):
-        with pytest.raises(ValueError):
-            binom_test_half(k, n)
+from ebsmooth.stats import binom_lower_bound
 
 
 def _bound_grid():

@@ -11,7 +11,6 @@ from ebsmooth.certify import (
     certify,
     linear_gaussian_oracle,
     linear_margin,
-    predict,
     rmax,
 )
 from ebsmooth.classifiers import EbClassifier, LinearClassifier, SoftClassifier
@@ -86,38 +85,6 @@ class TestTallyBlocks:
         x = rng_stream(9, 0).uniform(-1.0, 1.0, 5)
         counts = _tally(_Buckets(), x, 0.4, 333, rng_stream(9, 1))
         np.testing.assert_array_equal(counts, self._one_shot(x, 0.4, 333, rng_stream(9, 1)))
-
-
-class TestPredict:
-    def test_constant_classifier_never_abstains(self):
-        spec = ConfidenceSpec(alpha=0.001, n0=100, nc=1000)
-        c = _ConstantHard(2)
-        for i in range(20):
-            out = predict(c, np.zeros(2), 1.0, spec, rng_stream(0, i))
-            assert out == 2
-
-    def test_on_boundary_abstains(self):
-        # exactly on the decision boundary each noisy vote is a fair coin,
-        # so the test at level alpha = 0.001 abstains almost always
-        h = LinearClassifier(np.array([1.0, 0.0]), 0.0)
-        spec = ConfidenceSpec(alpha=0.001, n0=100, nc=1000)
-        x = np.array([0.0, 1.3])
-        abstained = sum(
-            predict(h, x, 1.0, spec, rng_stream(1, i)) == ABSTAIN
-            for i in range(1000)
-        )
-        assert abstained >= 990
-
-    def test_wide_margin_recovers_base_label(self):
-        # margin of 3 sigma: the noisy majority matches h(x) essentially
-        # always (class mass 0.99865)
-        h = LinearClassifier(np.array([1.0, 0.0]), 0.0)
-        spec = ConfidenceSpec(alpha=0.001, n0=100, nc=1000)
-        x = np.array([3.0, 0.0])
-        outcomes = [predict(h, x, 1.0, spec, rng_stream(2, i)) for i in range(1000)]
-        returned = [o for o in outcomes if o != ABSTAIN]
-        assert len(returned) >= 990
-        assert all(o == 1 for o in returned)
 
 
 class TestCertify:
@@ -348,7 +315,7 @@ class TestNonFiniteModels:
         soft.weights[-1][:] = np.nan
         spec = ConfidenceSpec(alpha=0.001, n0=100, nc=1_000)
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
-            predict(soft, np.zeros(2), 1.0, spec, rng_stream(4, 0))
+            certify(soft, np.zeros(2), 1.0, spec, rng_stream(4, 0))
 
 
 class TestCertifiedRadius:

@@ -74,8 +74,8 @@ def test_evaluations_survive_roundtrip(tmp_path):
     save_checkpoint(path, net)
     back = load_checkpoint(path)
     y = rng_stream(2, 1).standard_normal((10, 3))
-    assert np.array_equal(net.energy(y), back.energy(y))
-    assert np.array_equal(net.input_grad(y), back.input_grad(y))
+    assert np.array_equal(net.log_density_y(y, 0.5), back.log_density_y(y, 0.5))
+    assert np.array_equal(net.smoothed_score(y, 0.5), back.smoothed_score(y, 0.5))
 
 
 def test_bad_magic_names_offset(tmp_path):

@@ -8,7 +8,6 @@ from ebsmooth.datasets import (
     IdxFormatError,
     LabeledDataset,
     gen_dataset,
-    load_dataset_csv,
     load_idx,
     save_dataset_csv,
 )
@@ -104,6 +103,7 @@ class TestLoadIdx:
         img, lab = make_idx_pair(tmp_path)
         ds = load_idx(img, lab, limit=2)
         assert len(ds) == 2
+        assert ds.n_classes == 4  # from every label in the file
 
 
 class TestDatasetCsv:
@@ -112,9 +112,11 @@ class TestDatasetCsv:
         ds = gen_dataset(GaussianClassSpec(means, 1.0, 50), rng_stream(4, 0))
         path = tmp_path / "d.csv"
         save_dataset_csv(path, ds)
-        back = load_dataset_csv(path)
-        assert np.array_equal(back.points, ds.points)
-        assert np.array_equal(back.labels, ds.labels)
+        header, *lines = path.read_text().splitlines()
+        assert header == "label,x0,x1,x2"
+        rows = [line.split(",") for line in lines]
+        assert [int(r[0]) for r in rows] == ds.labels.tolist()
+        assert np.array_equal(np.array([[float(v) for v in r[1:]] for r in rows]), ds.points)
 
     def test_validation(self):
         with pytest.raises(ValueError):

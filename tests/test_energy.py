@@ -25,22 +25,37 @@ def zero_net(dim, hidden=(8,), sigma=1.0, bias=0.0):
     return net
 
 
+def phi(net, y):
+    """The energy, read through the protocol: phi = -log f_Y."""
+    return -net.log_density_y(y, net.sigma)
+
+
+def grad_phi(net, y):
+    return -net.smoothed_score(y, net.sigma)
+
+
+def hess_phi(net, y, v):
+    """Hessian of phi applied to v, from linearize's vjp(v) = v - sigma^2 H v."""
+    _, vjp = net.linearize(y, net.sigma)
+    return (v - vjp(v)) / net.sigma**2
+
+
 class TestEvaluation:
     def test_zero_weight_net_returns_bias(self):
         net = zero_net(3, bias=0.75)
-        assert net.energy(np.array([1.0, -2.0, 0.5])) == 0.75
+        assert phi(net, np.array([1.0, -2.0, 0.5])) == 0.75
 
     def test_zero_weight_net_grad_and_hvp_vanish(self):
         net = zero_net(3)
         y = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_array_equal(net.input_grad(y), np.zeros(3))
-        np.testing.assert_array_equal(net.input_hvp(y, y), np.zeros(3))
+        np.testing.assert_array_equal(grad_phi(net, y), np.zeros(3))
+        np.testing.assert_array_equal(hess_phi(net, y, y), np.zeros(3))
 
     def test_deterministic(self):
         gen = rng_stream(1, 0)
         net = EnergyNet.init(4, (16, 8), 1.0, gen)
         y = gen.standard_normal(4)
-        assert net.energy(y) == net.energy(y)
+        assert phi(net, y) == phi(net, y)
 
     def test_first_order_taylor(self):
         gen = rng_stream(2, 0)
@@ -49,8 +64,8 @@ class TestEvaluation:
         e1 = np.zeros(4)
         e1[0] = 1.0
         h = 1e-6
-        delta = net.energy(y + h * e1) - net.energy(y)
-        assert abs(delta - h * net.input_grad(y)[0]) <= 1e-9
+        delta = phi(net, y + h * e1) - phi(net, y)
+        assert abs(delta - h * grad_phi(net, y)[0]) <= 1e-9
 
     def test_linear_readout_net_has_constant_gradient(self):
         # no hidden layers: phi(y) = <a, y> + b, gradient is a everywhere
@@ -58,15 +73,15 @@ class TestEvaluation:
         a = gen.standard_normal(5)
         net = EnergyNet([a[:, None]], [np.array([0.3])], 1.0)
         y = gen.standard_normal(5)
-        np.testing.assert_array_equal(net.input_grad(y), a)
-        np.testing.assert_array_equal(net.input_hvp(y, y), np.zeros(5))
+        np.testing.assert_array_equal(grad_phi(net, y), a)
+        np.testing.assert_array_equal(hess_phi(net, y, y), np.zeros(5))
 
     def test_dimension_mismatch(self):
         net = zero_net(3)
         with pytest.raises(ValueError):
-            net.energy(np.zeros(4))
+            phi(net, np.zeros(4))
         with pytest.raises(ValueError):
-            net.input_grad(np.zeros((2, 4)))
+            grad_phi(net, np.zeros((2, 4)))
 
 
 class TestGradientOracles:
@@ -76,10 +91,10 @@ class TestGradientOracles:
         for trial in range(100):
             net = EnergyNet.init(5, (16,), 1.0, rng_stream(10, trial + 1))
             y = gen.standard_normal(5)
-            g = net.input_grad(y)
+            g = grad_phi(net, y)
             h = 1e-4
             fd = np.array([
-                (net.energy(y + h * e) - net.energy(y - h * e)) / (2 * h)
+                (phi(net, y + h * e) - phi(net, y - h * e)) / (2 * h)
                 for e in np.eye(5)
             ])
             rel = np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-8)
@@ -93,9 +108,9 @@ class TestGradientOracles:
             net = EnergyNet.init(4, (12, 8), 1.0, rng_stream(11, trial + 1))
             y = gen.standard_normal(4)
             v = gen.standard_normal(4)
-            hv = net.input_hvp(y, v)
+            hv = hess_phi(net, y, v)
             h = 1e-4
-            fd = (net.input_grad(y + h * v) - net.input_grad(y - h * v)) / (2 * h)
+            fd = (grad_phi(net, y + h * v) - grad_phi(net, y - h * v)) / (2 * h)
             rel = np.linalg.norm(fd - hv) / max(np.linalg.norm(hv), 1e-8)
             fails += rel > 1e-4
         assert fails == 0
@@ -105,8 +120,8 @@ class TestGradientOracles:
         for trial in range(100):
             net = EnergyNet.init(4, (10,), 1.0, rng_stream(12, trial + 1))
             y, u, v = gen.standard_normal((3, 4))
-            lhs = u @ net.input_hvp(y, v)
-            rhs = v @ net.input_hvp(y, u)
+            lhs = u @ hess_phi(net, y, v)
+            rhs = v @ hess_phi(net, y, u)
             assert abs(lhs - rhs) < 1e-8
 
     def test_denoise_loss_parameter_gradients(self):
@@ -137,9 +152,9 @@ class TestGradientOracles:
         net = EnergyNet.init(3, (8,), 1.0, gen)
         ys = gen.standard_normal((5, 3))
         vs = gen.standard_normal((5, 3))
-        batch = net.input_hvp(ys, vs)
+        batch = hess_phi(net, ys, vs)
         for i in range(5):
-            np.testing.assert_allclose(batch[i], net.input_hvp(ys[i], vs[i]))
+            np.testing.assert_allclose(batch[i], hess_phi(net, ys[i], vs[i]))
 
 
 class TestOnePrimalPass:
@@ -159,7 +174,7 @@ class TestOnePrimalPass:
         vjp(2.0 * y)
         assert len(calls) == layers - 1
         calls.clear()
-        net.input_grad(y)
+        grad_phi(net, y)
         assert len(calls) == layers - 1
         calls.clear()
         denoise_loss_and_grads(net, y, y + 0.1)

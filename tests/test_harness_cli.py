@@ -347,6 +347,30 @@ class TestTrainCli:
         assert main(["train-xhat", "-c", str(path)]) == 0
         assert load_checkpoint(tmp_path / "out" / "classifier.ckpt").n_classes == 3
 
+    def test_idx_classes_come_from_every_label_file(self, tmp_path):
+        # the first four training labels hold no class 2; the fifth training
+        # label and the test labels do, so both splits and the classifier
+        # have three classes
+        files = {}
+        for split, labels in (("train", [0, 1, 0, 1, 2]), ("test", [2, 2, 0, 1, 2, 0])):
+            img, lab = tmp_path / f"{split}-im.idx", tmp_path / f"{split}-lb.idx"
+            pixels = rng_stream(0, len(labels)).integers(0, 256, 4 * len(labels))
+            img.write_bytes(struct.pack(">IIII", 0x803, len(labels), 2, 2)
+                            + bytes(pixels.tolist()))
+            lab.write_bytes(struct.pack(">II", 0x801, len(labels)) + bytes(labels))
+            files.update({f"{split}_images": str(img), f"{split}_labels": str(lab)})
+        path = write_cfg(tmp_path, extra={
+            "dataset": {"kind": "idx", "means": None, "limit": 4, **files},
+            "estimator": {"kind": "identity"},
+            "train": {"steps": 3, "batch_size": 4, "mode": "no_attack"},
+            "classifier": {"kind": "mlp", "hidden": [8], "weights": None, "bias": None},
+        })
+        cfg, _ = load_config(path)
+        for split in ("train", "test"):
+            assert harness.resolve_split(cfg, split).n_classes == 3
+        assert main(["train-xhat", "-c", str(path)]) == 0
+        assert load_checkpoint(tmp_path / "out" / "classifier.ckpt").widths[-1] == 3
+
     def test_certify_trained_checkpoint(self, tmp_path):
         path = write_cfg(tmp_path, extra={
             "train": {"steps": 40, "batch_size": 32, "mode": "no_attack"},
@@ -569,11 +593,10 @@ class TestManifests:
 
 class TestParallelCertifyHelpers:
     def test_accuracy_counts_abstains_as_errors(self):
-        spec = ConfidenceSpec(0.05, 10, 100)
         results = [
-            CertResult(1, 0.9, 1.0, np.array([0, 100]), spec),
-            CertResult(-1, 0.4, 0.0, np.array([50, 50]), spec),
-            CertResult(0, 0.8, 0.5, np.array([90, 10]), spec),
+            CertResult(1, 0.9, 1.0, np.array([0, 100])),
+            CertResult(-1, 0.4, 0.0, np.array([50, 50])),
+            CertResult(0, 0.8, 0.5, np.array([90, 10])),
         ]
         labels = [1, 1, 1]
         assert certified_accuracy_at(results, labels, 0.0) == pytest.approx(1 / 3)

@@ -2,9 +2,10 @@
 
 IsoGaussian and IsoMixture know the density of Y = X + N(0, sigma^2 I) in
 closed form; an EnergyNet learns phi = -log f_Y at one scale.  Consumers
-(the attack, the sampler) rely only on the methods checked here: the four
+(the attack, the sampler) rely only on the methods checked here: the three
 density methods and linearize, which gives the denoised point and the
-denoiser's transpose-Jacobian action from one pass.
+denoiser's transpose-Jacobian action from one pass; that vjp is the only
+route to the score's Jacobian.
 """
 
 import numpy as np
@@ -52,19 +53,20 @@ def test_score_matches_finite_differences_of_log_density(model):
 
 def test_score_hvp_is_symmetric(model):
     ys, us, vs = _points(seed=1), _points(seed=2), _points(seed=3)
-    uhv = np.sum(us * model.score_hvp(ys, vs, SIGMA), axis=1)
-    vhu = np.sum(vs * model.score_hvp(ys, us, SIGMA), axis=1)
+    _, vjp = model.linearize(ys, SIGMA)
+    uhv = np.sum(us * vjp(vs), axis=1)
+    vhu = np.sum(vs * vjp(us), axis=1)
     np.testing.assert_allclose(uhv, vhu, rtol=1e-12, atol=1e-14)
 
 
 def test_single_point_matches_batch_row(model):
     ys, vs = _points(seed=4), _points(seed=5)
     batch = [model.log_density_y(ys, SIGMA), model.smoothed_score(ys, SIGMA),
-             model.score_hvp(ys, vs, SIGMA), model.bayes_estimate(ys, SIGMA)]
+             model.linearize(ys, SIGMA)[1](vs), model.bayes_estimate(ys, SIGMA)]
     assert [np.shape(b) for b in batch] == [(6,), (6, 3), (6, 3), (6, 3)]
     for i in range(len(ys)):
         single = [model.log_density_y(ys[i], SIGMA), model.smoothed_score(ys[i], SIGMA),
-                  model.score_hvp(ys[i], vs[i], SIGMA), model.bayes_estimate(ys[i], SIGMA)]
+                  model.linearize(ys[i], SIGMA)[1](vs[i]), model.bayes_estimate(ys[i], SIGMA)]
         assert [np.shape(s) for s in single] == [(), (3,), (3,), (3,)]
         for got, rows in zip(single, batch):
             np.testing.assert_allclose(got, rows[i], rtol=1e-14, atol=1e-14)
@@ -73,8 +75,8 @@ def test_single_point_matches_batch_row(model):
 def test_scale_mismatch(model):
     y, v = _points(n=1)[0], _points(n=1, seed=2)[0]
     calls = [lambda s: model.log_density_y(y, s), lambda s: model.smoothed_score(y, s),
-             lambda s: model.score_hvp(y, v, s), lambda s: model.bayes_estimate(y, s),
-             lambda s: model.linearize(y, s)[0], lambda s: model.linearize(y, s)[1](v)]
+             lambda s: model.bayes_estimate(y, s), lambda s: model.linearize(y, s)[0],
+             lambda s: model.linearize(y, s)[1](v)]
     for call in calls:
         if isinstance(model, EnergyNet):
             with pytest.raises(ValueError):
@@ -85,19 +87,23 @@ def test_scale_mismatch(model):
 
 @pytest.mark.parametrize("n", [None, 6, 0])
 def test_linearize_is_bayes_estimate_and_hvp_bitwise(model, n):
-    # the attack's gradient pass reads xhat and vjp from linearize; they must
-    # be exactly what the separate calls give, so training runs are the same
-    # bytes whichever path computes them
+    # the attack's gradient pass reads xhat and vjp from linearize: xhat must
+    # be bitwise the Bayes estimate, so training runs are the same bytes
+    # whichever path computes it, and (vjp(u) - u) / sigma^2 the score's
+    # Jacobian applied to u
     ys, us = _points(n=n or 1, seed=6)[:n], _points(n=n or 1, seed=7)[:n]
     if n is None:
         ys, us = ys[0], us[0]
     xhat, vjp = model.linearize(ys, SIGMA)
     assert np.array_equal(xhat, model.bayes_estimate(ys, SIGMA))
-    for u in (us, 2.0 * us):  # the cached pass serves any number of vjp calls
-        want = np.asarray(u, dtype=float) + SIGMA**2 * model.score_hvp(ys, u, SIGMA)
-        got = vjp(u)
-        assert got.shape == np.shape(ys)
-        assert np.array_equal(got, want)
+    got = vjp(us)
+    assert got.shape == np.shape(ys)
+    h = 1e-5
+    fd = (model.smoothed_score(ys + h * us, SIGMA)
+          - model.smoothed_score(ys - h * us, SIGMA)) / (2 * h)
+    np.testing.assert_allclose((got - us) / SIGMA**2, fd, rtol=0, atol=1e-7)
+    # the cached pass serves any number of vjp calls, and each is linear
+    assert np.array_equal(vjp(2.0 * us), 2.0 * got)
 
 
 def test_linearize_vjp_rejects_a_shape_mismatch(model):

@@ -91,7 +91,9 @@ class TestBinomLowerBound:
     def test_against_bruteforce_oracle(self):
         # frozen from oracles.binom_lower_confidence(90, 100, 0.05)
         assert abs(binom_lower_bound(90, 100, 0.05) - 0.8362823767241852) < 1e-9
-        for k, n, alpha in [(3, 10, 0.2), (55, 80, 0.001), (1, 7, 0.05)]:
+        # the last two have binomial coefficients past the float range
+        for k, n, alpha in [(3, 10, 0.2), (55, 80, 0.001), (1, 7, 0.05),
+                            (600, 1100, 0.001), (9000, 10000, 0.001)]:
             want = oracles.binom_lower_confidence(k, n, alpha)
             assert abs(binom_lower_bound(k, n, alpha) - want) < 1e-9
 
