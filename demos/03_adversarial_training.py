@@ -24,6 +24,7 @@ from ebsmooth import (
     ConfidenceSpec,
     EbClassifier,
     GaussianClassSpec,
+    Identity,
     IsoMixture,
     gen_dataset,
     rng_stream,
@@ -45,7 +46,7 @@ def run(means, sigma0, sigma, epsilon, label, grid):
         clf = train_xhat(train, mix, sigma, [64], cfg, attack,
                          rng_stream(8, 300),
                          callback=lambda s, rec: history.append(rec))
-        estimator = None if mode == "no_estimator" else mix
+        estimator = Identity() if mode == "no_estimator" else mix
         hard = EbClassifier(clf, estimator, sigma)
         results = certify_points(hard, test.points, sigma, spec, seed=8)
         accs = "  ".join(f"{certified_accuracy_at(results, test.labels, r):.2f}"

@@ -17,7 +17,7 @@ from .stats import (
     std_normal_cdf,
     std_normal_inv_cdf,
 )
-from .densities import IsoGaussian, IsoMixture, beta_of
+from .densities import Identity, IsoGaussian, IsoMixture, beta_of
 from .energy import EnergyNet, EnergyTrainConfig, TrainingDivergedError, train_energy
 from .classifiers import EbClassifier, LinearClassifier, SoftClassifier
 from .certify import (
@@ -64,6 +64,7 @@ __all__ = [
     "EnergyNet",
     "EnergyTrainConfig",
     "GaussianClassSpec",
+    "Identity",
     "IsoGaussian",
     "IsoMixture",
     "LabeledDataset",

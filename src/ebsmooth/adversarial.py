@@ -25,6 +25,7 @@ import dataclasses
 import numpy as np
 
 from .classifiers import EbClassifier, SoftClassifier, _neg_log_pi
+from .densities import Identity
 from .energy import _check_finite_step
 from .mlp import Adam, check_hidden, check_schedule
 
@@ -146,8 +147,9 @@ def train_xhat(data, estimator, sigma, hidden, cfg, attack, gen, callback=None):
     """Train the smoothed soft classifier by minibatch adversarial risk.
 
     data is the training LabeledDataset, whose n_classes (at least two) sizes
-    the classifier; `estimator` is the frozen denoiser (EnergyNet or exact
-    model) the classifier is composed with, ignored in "no_estimator" mode;
+    the classifier; `estimator` is the frozen denoiser (EnergyNet, exact
+    model or Identity) the classifier is composed with, replaced by Identity
+    in "no_estimator" mode;
     sigma is the smoothing scale and hidden the classifier's hidden widths.
     Every mode draws the same batches and the same noise from `gen`, so runs
     differing only in mode consume identical randomness.
@@ -167,7 +169,7 @@ def train_xhat(data, estimator, sigma, hidden, cfg, attack, gen, callback=None):
     opt = Adam(params)
     # Adam updates clf's arrays in place, so one composed classifier serves
     # every step
-    c = EbClassifier(clf, None if cfg.mode == MODE_NO_ESTIMATOR else estimator, sigma)
+    c = EbClassifier(clf, Identity() if cfg.mode == MODE_NO_ESTIMATOR else estimator, sigma)
 
     for step in range(cfg.steps):
         idx = gen.integers(0, n, size=cfg.batch_size)

@@ -116,11 +116,10 @@ def rmax(spec, sigma):
 
 
 def linear_margin(classifier, x):
-    """Distance from x to the linear decision boundary."""
+    """Distance from the point x to the linear decision boundary."""
     x = np.asarray(x, dtype=float)
     wnorm = float(np.linalg.norm(classifier.w))
-    raw = np.abs(x @ classifier.w + classifier.b) / wnorm
-    return float(raw) if x.ndim == 1 else raw
+    return float(np.abs(x @ classifier.w + classifier.b) / wnorm)
 
 
 @dataclasses.dataclass(frozen=True)

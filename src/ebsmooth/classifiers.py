@@ -1,10 +1,12 @@
 """Base classifiers and their denoiser-composed counterparts.
 
-A hard classifier maps points to class indices.  The denoiser-composed
-classifier evaluates its base at the Bayes estimate of the input instead of
-at the input itself; its soft counterpart averages the base soft classifier
-over denoised noisy copies and exposes the exact input gradient of its
-log-probabilities, which is what the projected-gradient attack consumes.
+A hard classifier maps a batch of points (n, d) to their class indices (n,).
+The denoiser-composed classifier evaluates its base at the Bayes estimate of
+the input instead of at the input itself; with densities.Identity as its
+denoiser it is the plainly smoothed base.  Its soft counterpart averages the
+base soft classifier over denoised noisy copies and exposes the exact input
+gradient of its log-probabilities, which is what the projected-gradient
+attack consumes.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import dataclasses
 
 import numpy as np
 
-from .densities import _as_batch, _unbatch
+from .densities import _as_batch
 from .mlp import LayerStack, affine_softplus, affine_softplus_backward, init_affine_stack
 
 PROB_FLOOR = 1e-12  # probabilities are floored here before any log
@@ -45,9 +47,7 @@ class LinearClassifier:
         return 2
 
     def predict_class(self, x):
-        xb, single = _as_batch(x, self.dim)
-        out = (xb @ self.w + self.b > 0.0).astype(np.int64)
-        return int(out[0]) if single else out
+        return (_as_batch(x, self.dim) @ self.w + self.b > 0.0).astype(np.int64)
 
 
 class SoftClassifier(LayerStack):
@@ -83,51 +83,31 @@ class SoftClassifier(LayerStack):
         return gs[0], grads
 
     def probs(self, x):
-        xb, single = _as_batch(x, self.dim)
-        p, _ = self._forward(xb)
-        return _unbatch(p, single)
+        return self._forward(_as_batch(x, self.dim))[0]
 
     def predict_class(self, x):
         """Index of the largest logit: the softmax is monotone, so it is
         never formed."""
-        xb, single = _as_batch(x, self.dim)
-        logits, _, _ = affine_softplus(xb, self.weights, self.biases)
+        logits, _, _ = affine_softplus(_as_batch(x, self.dim), self.weights, self.biases)
         # argmax of NaN logits is the NaN's index, which would count as a vote
         if not np.all(np.isfinite(logits)):
             raise FloatingPointError("classifier logits are not finite")
-        out = np.argmax(logits, axis=1).astype(np.int64)
-        return int(out[0]) if single else out
-
-
-def _identity(u):
-    return np.asarray(u, dtype=float)
-
-
-def linearize_estimator(estimator, y, sigma):
-    """Denoise y with whichever estimator is configured, and linearize the
-    denoiser there.
-
-    None means the identity (plain smoothing with no denoiser).  Anything else
-    is a smoothed density of Y = X + N(0, sigma^2 I), exact (IsoGaussian,
-    IsoMixture) or learned (EnergyNet), with the methods log_density_y,
-    smoothed_score, bayes_estimate and linearize.  Returns (xhat, vjp): the
-    Bayes estimate y + sigma^2 * grad log f_Y(y), and the map
-    u -> u + sigma^2 * hessian(log f_Y)(y) u.  That is the denoiser's
-    Jacobian, which is symmetric, so vjp is also its forward action, and
-    vjp is the only way to it.  vjp does no work until it is called.
-    """
-    if estimator is None:
-        return np.asarray(y, dtype=float), _identity
-    return estimator.linearize(y, sigma)
+        return np.argmax(logits, axis=1).astype(np.int64)
 
 
 @dataclasses.dataclass(frozen=True)
 class EbClassifier:
     """Base classifier composed with a denoiser, plus its smoothed soft view.
 
-    `estimator` is a smoothed density (an exact data model or an EnergyNet;
-    see linearize_estimator) or None for the identity.  `sigma` is the smoothing
-    noise scale; a learned energy accepts only the scale it was trained at.
+    `estimator` is the denoiser: densities.Identity, or a smoothed density
+    of Y = X + N(0, sigma^2 I), exact (IsoGaussian, IsoMixture) or learned
+    (EnergyNet).  The composition reads only its bayes_estimate(y, sigma)
+    and its linearize(y, sigma) -> (xhat, vjp): the Bayes estimate
+    y + sigma^2 * grad log f_Y(y), and the map
+    u -> u + sigma^2 * hessian(log f_Y)(y) u, the denoiser's symmetric
+    Jacobian, which vjp alone reaches and computes only when called.
+    `sigma` is the smoothing noise scale; a learned energy accepts only the
+    scale it was trained at.
     """
 
     base: object
@@ -138,7 +118,7 @@ class EbClassifier:
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         # denoising no points still runs the estimator's scale check
-        linearize_estimator(self.estimator, np.zeros((0, self.dim)), self.sigma)
+        self.estimator.linearize(np.zeros((0, self.dim)), self.sigma)
 
     @property
     def dim(self):
@@ -149,17 +129,14 @@ class EbClassifier:
         return self.base.n_classes
 
     def predict_class(self, x):
-        xb, single = _as_batch(x, self.dim)
-        xhat = xb
-        if self.estimator is not None:
-            # NaN arithmetic need not warn: the result is checked right below
-            with np.errstate(invalid="ignore"):
-                xhat = self.estimator.bayes_estimate(xb, self.sigma)
+        xb = _as_batch(x, self.dim)
+        # NaN arithmetic need not warn: the result is checked right below
+        with np.errstate(invalid="ignore"):
+            xhat = self.estimator.bayes_estimate(xb, self.sigma)
         # a NaN point falls on one side of every comparison, so it would vote
         if not np.all(np.isfinite(xhat)):
             raise FloatingPointError("denoised points are not finite")
-        out = self.base.predict_class(xhat)
-        return int(out[0]) if single else out
+        return self.base.predict_class(xhat)
 
 
 def _require_soft_base(c):
@@ -184,7 +161,7 @@ def _neg_log_pi(c, xs, ks, noise, wrt=None):
     _require_soft_base(c)
     bsz, m, dim = noise.shape
     y = (xs[:, None, :] + noise).reshape(bsz * m, dim)
-    xhat, vjp = linearize_estimator(c.estimator, y, c.sigma)
+    xhat, vjp = c.estimator.linearize(y, c.sigma)
     probs, cache = c.base._forward(xhat, sigmoids=wrt is not None)
     pis = probs.reshape(bsz, m, -1).mean(axis=1)
     pik = np.maximum(pis[np.arange(bsz), ks], PROB_FLOOR)

@@ -125,6 +125,8 @@ class DatasetSection:
                 count = getattr(self, name)
                 if count < 1:
                     raise ConfigError(f"dataset.{name} must be >= 1, got {count}")
+        if self.limit is not None and self.limit < 1:
+            raise ConfigError(f"dataset.limit must be >= 1, got {self.limit}")
         if self.kind == "idx":
             for name in ("train_images", "train_labels"):
                 p = getattr(self, name)

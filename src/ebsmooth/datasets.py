@@ -2,9 +2,7 @@
 
 Synthetic datasets are class-conditional isotropic Gaussians (one component
 per class, shared scale).  Real data comes in through the IDX binary format;
-pixel bytes are scaled to [0, 1] doubles.  Datasets are written as CSV with
-floats printed at 17 significant digits, so a parser reads them back
-bit-exact.
+pixel bytes are scaled to [0, 1] doubles.
 """
 
 from __future__ import annotations
@@ -113,9 +111,13 @@ def load_idx(images_path, labels_path, limit=None):
     """Load an IDX image/label pair into a LabeledDataset.
 
     Big-endian headers are checked against the canonical magics; pixels are
-    unsigned bytes scaled so that 255 maps to exactly 1.0.  n_classes is one
-    more than the largest label in the whole label file, whatever the limit.
+    unsigned bytes scaled so that 255 maps to exactly 1.0.  A limit keeps
+    only the first `limit` points, and a negative one is a ValueError.
+    n_classes is one more than the largest label in the whole label file,
+    whatever the limit.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     with open(images_path, "rb") as fh:
         img_blob = fh.read()
 
@@ -146,13 +148,3 @@ def load_idx(images_path, labels_path, limit=None):
     points = pixels.astype(np.float64).reshape(take, rows * cols) / 255.0
     return LabeledDataset(points, all_labels[:take], int(all_labels.max(initial=-1)) + 1)
 
-
-def save_dataset_csv(path, dataset):
-    """Write label plus coordinates per row, floats at 17 significant digits."""
-    dim = dataset.dim
-    header = "label," + ",".join(f"x{i}" for i in range(dim))
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for label, row in zip(dataset.labels, dataset.points):
-            coords = ",".join(format(v, ".17g") for v in row)
-            fh.write(f"{int(label)},{coords}\n")

@@ -1,13 +1,15 @@
-"""Analytic data models with exact scores and Bayes estimators.
+"""Analytic data models with exact scores and Bayes estimators, and the
+identity denoiser.
 
 These are the ground truth the learned pieces are judged against.  Every model
 knows the density of its Gaussian-corrupted version Y = X + N(0, sigma^2 I),
 the score of that density, the exact posterior-mean denoiser
 xhat(y) = y + sigma^2 * score(y), and, through linearize's vjp, that
-denoiser's Jacobian.
+denoiser's Jacobian.  Identity is the denoiser of plain randomized
+smoothing: xhat(y) = y, with the identity as its Jacobian.
 
-All evaluation methods are vectorized: y may be a single point of shape (d,)
-or a batch of shape (n, d), and the output matches.
+Every model method takes a batch y of shape (n, d) and returns one value or
+row per point; a single point (d,) is a ValueError.
 """
 
 from __future__ import annotations
@@ -26,21 +28,36 @@ def beta_of(sigma, sigma0):
     return 1.0 / (1.0 + (sigma / sigma0) ** 2)
 
 
-def _as_batch(y, dim):
+def _as_batch(y, dim=None):
+    """y as a float (n, dim) batch of points (any width when dim is None)."""
     y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        if y.shape[0] != dim:
-            raise ValueError(f"point has dimension {y.shape[0]}, expected {dim}")
-        return y[None, :], True
-    if y.ndim == 2:
-        if y.shape[1] != dim:
-            raise ValueError(f"points have dimension {y.shape[1]}, expected {dim}")
-        return y, False
-    raise ValueError(f"expected a point or a batch of points, got shape {y.shape}")
+    if y.ndim != 2:
+        raise ValueError(f"expected a batch of points (n, d), got shape {y.shape}")
+    if dim is not None and y.shape[1] != dim:
+        raise ValueError(f"points have dimension {y.shape[1]}, expected {dim}")
+    return y
 
 
-def _unbatch(out, single):
-    return out[0] if single else out
+def _vjp_input(u, yb):
+    """The cotangent batch u of a vjp linearized at the batch yb."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != yb.shape:
+        raise ValueError("y and u must have matching shapes")
+    return u
+
+
+@dataclasses.dataclass(frozen=True)
+class Identity:
+    """The identity denoiser xhat(y) = y, at every scale: composed with it, a
+    classifier is plainly smoothed."""
+
+    def bayes_estimate(self, y, sigma):
+        return _as_batch(y)
+
+    def linearize(self, y, sigma):
+        """(y, vjp) with vjp the identity."""
+        yb = _as_batch(y)
+        return yb, lambda u: _vjp_input(u, yb)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,34 +85,34 @@ class IsoGaussian:
 
     def log_density_y(self, y, sigma):
         """Log density of Y = X + N(0, sigma^2 I) at y."""
-        yb, single = _as_batch(y, self.dim)
+        yb = _as_batch(y, self.dim)
         s2 = sigma * sigma + self.sigma0 * self.sigma0
         sq = np.sum((yb - self.mean) ** 2, axis=1)
-        out = -0.5 * sq / s2 - 0.5 * self.dim * np.log(2.0 * np.pi * s2)
-        return _unbatch(out, single)
+        return -0.5 * sq / s2 - 0.5 * self.dim * np.log(2.0 * np.pi * s2)
 
     def smoothed_score(self, y, sigma):
         """Gradient of log f_Y at y: -(y - mean) / (sigma^2 + sigma0^2)."""
-        yb, single = _as_batch(y, self.dim)
+        yb = _as_batch(y, self.dim)
         s2 = sigma * sigma + self.sigma0 * self.sigma0
-        return _unbatch((self.mean - yb) / s2, single)
+        return (self.mean - yb) / s2
 
     def bayes_estimate(self, y, sigma):
         """Posterior mean of X given Y = y: y + sigma^2 * score(y)."""
-        yb, single = _as_batch(y, self.dim)
-        return _unbatch(yb + sigma * sigma * self.smoothed_score(yb, sigma), single)
+        yb = _as_batch(y, self.dim)
+        return yb + sigma * sigma * self.smoothed_score(yb, sigma)
 
     def linearize(self, y, sigma):
         """(bayes_estimate(y, sigma), vjp) with vjp(u) = u + sigma^2 * H u, where
         H = -I / (sigma^2 + sigma0^2) is the constant Hessian of log f_Y, so
-        vjp reads no y."""
+        vjp reads only y's shape."""
         s2 = sigma * sigma + self.sigma0 * self.sigma0
+        xhat = self.bayes_estimate(y, sigma)
 
         def vjp(u):
-            u = np.asarray(u, dtype=float)
+            u = _vjp_input(u, xhat)
             return u + sigma**2 * (-u / s2)
 
-        return self.bayes_estimate(y, sigma), vjp
+        return xhat, vjp
 
 
 @dataclasses.dataclass(frozen=True)
@@ -166,26 +183,25 @@ class IsoMixture:
         return w / w.sum(axis=1, keepdims=True)
 
     def log_density_y(self, y, sigma):
-        yb, single = _as_batch(y, self.dim)
+        yb = _as_batch(y, self.dim)
         s2 = sigma * sigma + self.sigma0 * self.sigma0
         sq_y = np.sum(yb * yb, axis=1)
         logits = self._logits(yb, s2)
         top = logits.max(axis=1)
         lse = top + np.log(np.sum(np.exp(logits - top[:, None]), axis=1))
-        out = lse - 0.5 * sq_y / s2 - 0.5 * self.dim * np.log(2.0 * np.pi * s2)
-        return _unbatch(out, single)
+        return lse - 0.5 * sq_y / s2 - 0.5 * self.dim * np.log(2.0 * np.pi * s2)
 
     def smoothed_score(self, y, sigma):
         """Gradient of log f_Y: responsibility-weighted pull toward the means,
         sum_k r_k (mu_k - y) / s2 = (r @ means - y) / s2."""
-        yb, single = _as_batch(y, self.dim)
+        yb = _as_batch(y, self.dim)
         s2 = sigma * sigma + self.sigma0 * self.sigma0
         resp = self._responsibilities(yb, s2)
-        return _unbatch((resp @ self.means - yb) / s2, single)
+        return (resp @ self.means - yb) / s2
 
     def _hvp(self, resp, v, s2):
-        """Hessian of log f_Y applied to v, at the points with responsibilities
-        resp.
+        """Hessian of log f_Y applied to the batch v, at the points with
+        responsibilities resp.
 
         With r the responsibilities and g_k = (mu_k - y)/s2 the per-component
         pulls, the Hessian action is (sum_k r_k (c_k - cbar) (mu_k - y) - v)/s2
@@ -195,12 +211,9 @@ class IsoMixture:
         part of the pull: the action is (w @ means - v) / s2 with
         c = v @ means.T / s2.
         """
-        vb, _ = _as_batch(v, self.dim)
-        if vb.shape != (resp.shape[0], self.dim):
-            raise ValueError("y and v must have matching shapes")
-        c = (vb @ self.means.T) / s2
+        c = (v @ self.means.T) / s2
         w = resp * (c - np.sum(resp * c, axis=1, keepdims=True))
-        return (w @ self.means - vb) / s2
+        return (w @ self.means - v) / s2
 
     def bayes_estimate(self, y, sigma):
         """Posterior mean of X given Y = y: y + sigma^2 * score(y)."""
@@ -209,13 +222,13 @@ class IsoMixture:
     def linearize(self, y, sigma):
         """(bayes_estimate(y, sigma), vjp) with vjp(u) = u + sigma^2 * H u, H
         the Hessian of log f_Y at y, both from one set of responsibilities."""
-        yb, single = _as_batch(y, self.dim)
+        yb = _as_batch(y, self.dim)
         s2 = sigma * sigma + self.sigma0 * self.sigma0
         resp = self._responsibilities(yb, s2)
         xhat = yb + sigma * sigma * ((resp @ self.means - yb) / s2)
 
         def vjp(u):
-            return _unbatch(np.asarray(u, dtype=float) + sigma**2 * self._hvp(resp, u, s2),
-                            single)
+            u = _vjp_input(u, yb)
+            return u + sigma**2 * self._hvp(resp, u, s2)
 
-        return _unbatch(xhat, single), vjp
+        return xhat, vjp

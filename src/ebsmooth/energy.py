@@ -27,7 +27,7 @@ import dataclasses
 
 import numpy as np
 
-from .densities import _as_batch, _unbatch
+from .densities import _as_batch, _vjp_input
 from .mlp import (Adam, LayerStack, affine_softplus, affine_softplus_backward, check_hidden,
                   check_schedule, init_affine_stack, sigmoid)
 
@@ -145,15 +145,12 @@ class EnergyNet(LayerStack):
     def log_density_y(self, y, sigma):
         """-phi(y): the log density of Y up to an unknown constant."""
         self._check_scale(sigma)
-        yb, single = _as_batch(y, self.dim)
-        out = -affine_softplus(yb, self.weights, self.biases)[0][:, 0]
-        return float(out[0]) if single else out
+        return -affine_softplus(_as_batch(y, self.dim), self.weights, self.biases)[0][:, 0]
 
     def smoothed_score(self, y, sigma):
         """-grad phi(y): the learned score of Y."""
         self._check_scale(sigma)
-        yb, single = _as_batch(y, self.dim)
-        return _unbatch(-self._grad(yb)[0], single)
+        return -self._grad(_as_batch(y, self.dim))[0]
 
     def bayes_estimate(self, y, sigma):
         """Denoised point y - sigma^2 * grad phi(y) at the trained scale."""
@@ -164,18 +161,16 @@ class EnergyNet(LayerStack):
         vjp(u) = u - sigma^2 * hessian(phi)(y) u runs only the tangent and
         reverse passes on the primal pass's cache, and only when called."""
         self._check_scale(sigma)
-        yb, single = _as_batch(y, self.dim)
+        yb = _as_batch(y, self.dim)
         grad, cache = self._grad(yb)
         xhat = yb - self.sigma**2 * grad
 
         def vjp(u):
-            ub, _ = _as_batch(u, self.dim)
-            if ub.shape != yb.shape:
-                raise ValueError("y and u must have matching shapes")
+            ub = _vjp_input(u, yb)
             hvp = self._gdot(cache, ub, want_params=False)[3]
-            return _unbatch(ub + sigma**2 * -hvp, single)
+            return ub + sigma**2 * -hvp
 
-        return _unbatch(xhat, single), vjp
+        return xhat, vjp
 
 
 def denoise_loss_and_grads(net, x_clean, y_noisy):

@@ -24,8 +24,8 @@ from .certify import bound_counts, certify, count_votes, linear_gaussian_oracle
 from .checkpoint import load_checkpoint, save_checkpoint
 from .classifiers import EbClassifier, LinearClassifier, SoftClassifier
 from .config import ConfigError, config_digest
-from .datasets import GaussianClassSpec, _read_idx_labels, gen_dataset, load_idx, save_dataset_csv
-from .densities import IsoGaussian, IsoMixture
+from .datasets import GaussianClassSpec, _read_idx_labels, gen_dataset, load_idx
+from .densities import Identity, IsoGaussian, IsoMixture
 from .energy import EnergyNet, train_energy
 from .sampler import walk_jump
 from .stats import RowStreams, rng_stream
@@ -134,11 +134,11 @@ def load_energy(path, sigma, key, dim):
 
 
 def resolve_estimator(cfg, dim):
-    """None (identity), an EnergyNet checkpoint for dim-dimensional data, or
-    the closed-form model."""
+    """The Identity, an EnergyNet checkpoint for dim-dimensional data, or the
+    closed-form model."""
     est = cfg.estimator
     if est.kind == "identity":
-        return None
+        return Identity()
     if est.kind == "energy":
         return load_energy(est.path, cfg.sigma, "estimator.path", dim)
     return resolve_data_model(cfg, "closed-form estimators need a gaussian_classes dataset; "
@@ -161,18 +161,15 @@ def resolve_base_classifier(cfg):
 
 
 def resolve_hard_classifier(cfg, dim):
-    """The hard classifier certification runs on dim-dimensional points: base
-    composed with the configured estimator, or the bare base for identity."""
+    """The hard classifier certification runs on dim-dimensional points: the
+    base composed with the configured estimator."""
     base = resolve_base_classifier(cfg)
     if base.dim != dim:
         what = ("classifier.weights" if cfg.classifier.kind == "linear"
                 else f"classifier.path {cfg.classifier.path}")
         raise ConfigError(f"{what} has dimension {base.dim}, but the data have "
                           f"dimension {dim}")
-    estimator = resolve_estimator(cfg, dim)
-    if estimator is None:
-        return base
-    return EbClassifier(base, estimator, cfg.sigma)
+    return EbClassifier(base, resolve_estimator(cfg, dim), cfg.sigma)
 
 
 # -- certification ------------------------------------------------------------
@@ -255,12 +252,17 @@ def _out(cfg, name):
     return os.path.join(cfg.output_dir, name)
 
 
+def write_dataset_csv(path, dataset):
+    write_csv(path, ["label", *(f"x{i}" for i in range(dataset.dim))],
+              ([int(label), *row] for label, row in zip(dataset.labels, dataset.points)))
+
+
 def run_gen_data(cfg):
     train, test = resolve_split(cfg, "train"), resolve_split(cfg, "test")
-    save_dataset_csv(_out(cfg, "train.csv"), train)
+    write_dataset_csv(_out(cfg, "train.csv"), train)
     if test is None:
         return ["train.csv"]
-    save_dataset_csv(_out(cfg, "test.csv"), test)
+    write_dataset_csv(_out(cfg, "test.csv"), test)
     return ["train.csv", "test.csv"]
 
 
@@ -391,7 +393,6 @@ def run_walk_jump(cfg):
     noisy = clean + cfg.sigma * data_gen.standard_normal(clean.shape)
     chains = RowStreams((rng_stream(cfg.seed, STREAM_WALK_BASE + i)
                          for i in range(wj.n_samples)), wj.tau)
-    # the dump needs chain 0's (tau + 1, d) path, not the (tau + 1, n, d) of all
     walked = walk_jump(coarse, fine, noisy, cfg.sigma, wj, chains,
                        record=0 if wj.dump_trajectory else None)
     outs, traj = walked if wj.dump_trajectory else (walked, None)
@@ -403,7 +404,7 @@ def run_walk_jump(cfg):
         return ["samples.csv"]
     write_csv(_out(cfg, "trajectory.csv"),
               ["step", *(f"x{i}" for i in range(dim)), "energy"],
-              ([step, *y, float(-fine.log_density_y(y, wj.sigma_prime))]
+              ([step, *y, float(-fine.log_density_y(y[None], wj.sigma_prime)[0])]
                for step, y in enumerate(traj)))
     return ["samples.csv", "trajectory.csv"]
 

@@ -9,9 +9,11 @@ remove.  The jump is one application of the denoiser at the fine scale.  The
 composed pipeline denoises a coarse-noise observation, walks at the fine
 scale, and jumps.
 
-An energy source is any smoothed density (see classifiers.linearize_estimator):
-its energy at scale sigma is the negative log density of its noisy version.
-An exact data model accepts every scale; an EnergyNet only its trained one.
+An energy source is any smoothed density (see densities and
+classifiers.EbClassifier): its energy at scale sigma is the negative log
+density of its noisy version.  An exact data model accepts every scale; an
+EnergyNet only its trained one.  Every function here takes a batch (n, d) of
+independent chains.
 """
 
 from __future__ import annotations
@@ -39,13 +41,12 @@ class WalkJumpConfig:
 
 
 def _require_finite(a, what):
-    """Raise FloatingPointError if a has a non-finite entry, naming the first
-    bad chain when a is a batch (n, d) of chains."""
+    """Raise FloatingPointError if the batch a (n, d) of chains has a
+    non-finite entry, naming the first bad chain."""
     finite = np.isfinite(a)
-    if np.all(finite):
-        return
-    where = f" in chain {int(np.argmin(finite.all(axis=1)))}" if np.ndim(a) == 2 else ""
-    raise FloatingPointError(f"non-finite {what}{where}")
+    if not np.all(finite):
+        raise FloatingPointError(
+            f"non-finite {what} in chain {int(np.argmin(finite.all(axis=1)))}")
 
 
 def langevin_walk(source, y0, cfg, gen, record=None):
@@ -54,19 +55,17 @@ def langevin_walk(source, y0, cfg, gen, record=None):
     Iterates y <- y + delta^2 * score(y) + sqrt(2) * delta * eps' for cfg.tau
     steps, with score the smoothed score at the fine scale (minus the
     energy's gradient) and standard normal eps' = gen.standard_normal(y.shape).
-    y0 may be one point (d,) or a batch of independent chains (n, d); chains
-    never interact, so batching is exact, and with gen a stats.RowStreams of
-    cfg.tau steps each chain draws from its own stream.  Returns the final
-    iterate, or, with `record` set, the final iterate and the path of
-    y[record]: a (tau + 1, ...) array whose row t is that part of the t-th
-    iterate.  record=... keeps every chain; an integer i keeps chain i of a
-    batch alone, (tau + 1, d).
+    y0 is a batch of independent chains (n, d); chains never interact, so
+    batching is exact, and with gen a stats.RowStreams of cfg.tau steps each
+    chain draws from its own stream.  Returns the final iterates, or, with
+    `record` a chain index i, the final iterates and chain i's path: a
+    (tau + 1, d) array whose row t is chain i's t-th iterate.
     """
     y = np.asarray(y0, dtype=float).copy()
     drift = cfg.delta**2
     diffusion = np.sqrt(2.0) * cfg.delta
     if record is not None:
-        path = np.empty((cfg.tau + 1, *y[record].shape))
+        path = np.empty((cfg.tau + 1, y.shape[-1]))
         path[0] = y[record]
     for step in range(cfg.tau):
         y = y + drift * source.smoothed_score(y, cfg.sigma_prime) \
@@ -86,14 +85,14 @@ def jump(source, y, sigma_prime):
 def walk_jump(coarse_source, fine_source, y, sigma, cfg, gen, record=None):
     """Denoise a coarse-noise observation, walk at the fine scale, jump.
 
-    y is a point corrupted at scale sigma.  The coarse denoiser output seeds
-    the Langevin walk on the fine-scale energy; one final jump removes the
-    fine noise.  The run-to-run spread of the output is therefore set by the
-    fine scale and the walk diffusion, not by sigma.  With `record` set, the
-    walk's path of y[record] (see langevin_walk) is returned beside the
-    output.  A non-finite coarse estimate, walk iterate or jump raises
-    FloatingPointError naming the first bad chain of a batch, so numpy's
-    invalid-value warnings are not printed.
+    y is a batch (n, d) of points corrupted at scale sigma.  The coarse
+    denoiser output seeds the Langevin walk on the fine-scale energy; one
+    final jump removes the fine noise.  The run-to-run spread of the output
+    is therefore set by the fine scale and the walk diffusion, not by sigma.
+    With `record` a chain index, that chain's walk path (see langevin_walk)
+    is returned beside the output.  A non-finite coarse estimate, walk
+    iterate or jump raises FloatingPointError naming the first bad chain, so
+    numpy's invalid-value warnings are not printed.
     """
     with np.errstate(invalid="ignore"):
         y0 = coarse_source.bayes_estimate(y, sigma)

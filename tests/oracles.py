@@ -192,8 +192,7 @@ def soft_pi_with_noise(c, x, noise):
     (m, d) noise list: the base's probabilities averaged over the denoised
     noisy copies, denoised through bayes_estimate (not linearize)."""
     y = np.asarray(x, dtype=float)[None, :] + np.asarray(noise, dtype=float)
-    xhat = y if c.estimator is None else c.estimator.bayes_estimate(y, c.sigma)
-    return c.base.probs(xhat).mean(axis=0)
+    return c.base.probs(c.estimator.bayes_estimate(y, c.sigma)).mean(axis=0)
 
 
 def soft_pi(c, x, m, gen):

@@ -92,7 +92,7 @@ def test_criterion_02_vanilla_smoothing_matches_margin():
         if res.abstained:
             continue
         checked += 1
-        if res.predicted != h.predict_class(x):
+        if res.predicted != h.predict_class(x[None])[0]:
             identity_violations += 1
         margin = linear_margin(h, x)
         p_a = min(std_normal_cdf(margin / sigma), 1.0 - 1e-16)
@@ -120,9 +120,9 @@ def test_criterion_04_mixture_estimator_closed_form():
                     axis=-1).reshape(-1, 2)
     worst = 0.0
     for y in grid:
-        got = mix.bayes_estimate(y, sigma)
+        got = mix.bayes_estimate(y[None], sigma)[0]
         fd_score = oracles.central_difference(
-            lambda z: mix.log_density_y(z, sigma), y, h=1e-5)
+            lambda z: mix.log_density_y(z[None], sigma)[0], y, h=1e-5)
         want = y + sigma**2 * fd_score
         worst = max(worst, float(np.max(np.abs(got - want))))
     ok = worst <= 1e-5
@@ -156,14 +156,15 @@ def test_criterion_06_gradient_suite():
 
     for trial in range(50):
         net = EnergyNet.init(4, (12,), 1.0, rng_stream(106, trial + 1))
-        y = gen.standard_normal(4)
-        v = gen.standard_normal(4)
+        y = gen.standard_normal((1, 4))
+        v = gen.standard_normal((1, 4))
         # the score and log density at the net's scale are -grad phi and -phi;
         # (vjp(v) - v) / sigma^2 is the score's Jacobian applied to v
         g = net.smoothed_score(y, 1.0)
         h = 1e-4
-        fd = np.array([(net.log_density_y(y + h * e, 1.0)
-                        - net.log_density_y(y - h * e, 1.0)) / (2 * h) for e in np.eye(4)])
+        fd = np.stack([(net.log_density_y(y + h * e, 1.0)
+                        - net.log_density_y(y - h * e, 1.0)) / (2 * h) for e in np.eye(4)],
+                      axis=1)
         grad_fail += np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-8) > 1e-5
         hv = net.linearize(y, 1.0)[1](v) - v
         fd_hv = (net.smoothed_score(y + h * v, 1.0) - net.smoothed_score(y - h * v, 1.0)) / (2 * h)

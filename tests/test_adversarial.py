@@ -97,7 +97,7 @@ class TestPgdAttack:
         spec = AttackSpec(epsilon=0.3, steps=1)
         res = pgd_attack(c, x, 2, spec, noise)
         w = soft.weights[0]
-        p = soft.probs(x)
+        p = soft.probs(x[None])[0]
         grad_neg_log = -(w[:, 2] - w @ p)
         want = x + 0.3 * grad_neg_log / np.linalg.norm(grad_neg_log)
         np.testing.assert_allclose(res.x_adv, want, atol=1e-10)

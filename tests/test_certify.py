@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
+import oracles
 from ebsmooth.certify import (
     ABSTAIN,
     _tally,
@@ -14,7 +15,7 @@ from ebsmooth.certify import (
     rmax,
 )
 from ebsmooth.classifiers import EbClassifier, LinearClassifier, SoftClassifier
-from ebsmooth.densities import IsoGaussian, beta_of
+from ebsmooth.densities import IsoGaussian, IsoMixture, beta_of
 from ebsmooth.energy import EnergyNet
 from ebsmooth.harness import STREAM_CERT_BASE, certify_points
 from ebsmooth.stats import (
@@ -35,7 +36,6 @@ class _ConstantHard:
         self.dim = dim
 
     def predict_class(self, x):
-        x = np.atleast_2d(x)
         return np.full(x.shape[0], self.label, dtype=np.int64)
 
 
@@ -144,7 +144,7 @@ class TestCertify:
             x = 2.0 * gen.standard_normal(2)
             res = certify(h, x, 0.7, spec, rng_stream(6, 2 * i), rng_stream(6, 2 * i + 1))
             if not res.abstained:
-                assert res.predicted == h.predict_class(x)
+                assert res.predicted == h.predict_class(x[None])[0]
 
 
 class TestRmax:
@@ -183,7 +183,7 @@ class TestLinearGaussianOracle:
         h = LinearClassifier(np.array([1.0, 2.0]), 0.5)
         x = np.array([0.7, -0.3])
         res = linear_gaussian_oracle(h, x, sigma=0.0, sigma0=1.0)
-        assert res.predicted == h.predict_class(x)
+        assert res.predicted == h.predict_class(x[None])[0]
         assert abs(res.radius - linear_margin(h, x)) < 1e-12
 
     def test_zero_bias_radius_is_contraction_free(self):
@@ -242,29 +242,16 @@ class TestOracleProperty:
 
 
 class TestCoverage:
-    def test_bound_rarely_exceeds_exact_class_mass(self):
-        # 200 points x 10 seeds of linear-over-Gaussian certification at
-        # alpha = 0.05, nc = 100.  The exact class-1 mass at x is
-        # Phi((beta w.x + b) / (beta sigma |w|)); pa_lower may exceed the
-        # exact mass of the selected class with probability at most alpha,
-        # so the count of such cases stays below the Binomial(N, alpha)
-        # upper 1e-6 quantile.  Abstentions count too: their candidate is
-        # rebuilt from the same keyed selection stream.
-        alpha, sigma, sigma0, dim = 0.05, 0.5, 1.0, 3
-        spec = ConfidenceSpec(alpha=alpha, n0=10, nc=100)
-        model = IsoGaussian(sigma0=sigma0, dim=dim)
-        gen = rng_stream(51, 0)
-        h = LinearClassifier(gen.standard_normal(dim), 0.3)
-        clf = EbClassifier(h, model, sigma)
-        beta = beta_of(sigma, sigma0)
-        wnorm = float(np.linalg.norm(h.w))
-        # class-1 masses spread over [0.05, 0.95], where the bound is tight
-        t = std_normal_inv_cdf(gen.uniform(0.05, 0.95, 200))
-        side = gen.standard_normal((200, dim))
-        side -= np.outer(side @ h.w, h.w) / wnorm**2
-        points = np.outer(t * sigma - h.b / (beta * wnorm), h.w / wnorm) + side
-        mass1 = std_normal_cdf((beta * (points @ h.w) + h.b) / (beta * sigma * wnorm))
-        np.testing.assert_allclose(mass1, std_normal_cdf(t), rtol=0, atol=1e-12)
+    ALPHA = 0.05
+    SPEC = ConfidenceSpec(alpha=ALPHA, n0=10, nc=100)
+
+    def _check_coverage(self, clf, points, mass1, sigma):
+        """Certify the 200 points under 10 seeds at alpha = 0.05, nc = 100.
+        pa_lower may exceed the exact mass of the selected class with
+        probability at most alpha, so the count of such cases stays below
+        the Binomial(N, alpha) upper 1e-6 quantile.  Abstentions count too:
+        their candidate is rebuilt from the same keyed selection stream."""
+        spec = self.SPEC
         violations = certified = total = 0
         for seed in range(10):
             for i, res in enumerate(certify_points(clf, points, sigma, spec, seed)):
@@ -278,8 +265,60 @@ class TestCoverage:
                 violations += res.pa_lower > mass
                 total += 1
         assert total == 2000
-        assert 0 < violations <= binom.ppf(1.0 - 1e-6, total, alpha)
+        assert 0 < violations <= binom.ppf(1.0 - 1e-6, total, self.ALPHA)
         assert certified >= total // 4  # the bound is exercised, not vacuous
+
+    def test_bound_rarely_exceeds_exact_class_mass(self):
+        # linear-over-Gaussian: the exact class-1 mass at x is
+        # Phi((beta w.x + b) / (beta sigma |w|))
+        sigma, sigma0, dim = 0.5, 1.0, 3
+        model = IsoGaussian(sigma0=sigma0, dim=dim)
+        gen = rng_stream(51, 0)
+        h = LinearClassifier(gen.standard_normal(dim), 0.3)
+        clf = EbClassifier(h, model, sigma)
+        beta = beta_of(sigma, sigma0)
+        wnorm = float(np.linalg.norm(h.w))
+        # class-1 masses spread over [0.05, 0.95], where the bound is tight
+        t = std_normal_inv_cdf(gen.uniform(0.05, 0.95, 200))
+        side = gen.standard_normal((200, dim))
+        side -= np.outer(side @ h.w, h.w) / wnorm**2
+        points = np.outer(t * sigma - h.b / (beta * wnorm), h.w / wnorm) + side
+        mass1 = std_normal_cdf((beta * (points @ h.w) + h.b) / (beta * sigma * wnorm))
+        np.testing.assert_allclose(mass1, std_normal_cdf(t), rtol=0, atol=1e-12)
+        self._check_coverage(clf, points, mass1, sigma)
+
+    def test_bound_rarely_exceeds_exact_class_mass_through_a_mixture(self):
+        # the symmetric mixture +-m u (|u| = 1) under the base c u.x + b, a
+        # nonlinear denoiser: u.xhat(y) = g(u.y) with g strictly increasing,
+        # and the rest of xhat is orthogonal to the base, so the composed
+        # classifier says class 1 iff u.y > t*, where g(t*) = -b/c, and the
+        # exact class-1 mass at x is Phi((u.x - t*) / sigma).  t* is found by
+        # bisection on the closed form of oracles.py, which shares no code
+        # with IsoMixture.
+        sigma, sigma0, dim, m, c, b = 0.6, 0.5, 8, 1.5, 1.3, 0.4
+        gen = rng_stream(52, 0)
+        u = gen.standard_normal(dim)
+        u /= np.linalg.norm(u)
+        clf = EbClassifier(LinearClassifier(c * u, b), IsoMixture.symmetric(m * u, sigma0),
+                           sigma)
+
+        def g(t):
+            return u @ oracles.symmetric_mixture_estimate(m * u, sigma0, t * u, sigma)
+
+        lo, hi = -10.0, 10.0
+        assert g(lo) < -b / c < g(hi)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if g(mid) < -b / c else (lo, mid)
+        t_star = 0.5 * (lo + hi)
+        # class-1 masses spread over [0.05, 0.95], where the bound is tight
+        t = std_normal_inv_cdf(gen.uniform(0.05, 0.95, 200))
+        side = gen.standard_normal((200, dim))
+        side -= np.outer(side @ u, u)
+        points = np.outer(t_star + sigma * t, u) + side
+        mass1 = std_normal_cdf((points @ u - t_star) / sigma)
+        np.testing.assert_allclose(mass1, std_normal_cdf(t), rtol=0, atol=1e-12)
+        self._check_coverage(clf, points, mass1, sigma)
 
 
 class TestCertResult:

@@ -4,7 +4,7 @@ import pytest
 import ebsmooth.mlp as mlp
 import oracles
 from ebsmooth.classifiers import EbClassifier, LinearClassifier, SoftClassifier
-from ebsmooth.densities import IsoGaussian, IsoMixture
+from ebsmooth.densities import Identity, IsoGaussian, IsoMixture
 from ebsmooth.energy import EnergyNet
 from ebsmooth.stats import rng_stream
 from oracles import grad_log_pi, soft_pi, soft_pi_with_noise
@@ -35,22 +35,34 @@ class _ConstantSoft:
         return 2
 
     def probs(self, x):
-        x = np.atleast_2d(x)
         return np.tile(self._p, (x.shape[0], 1))
+
+
+def test_a_single_point_is_a_value_error():
+    # every classifier takes a batch (n, d) of points and nothing else
+    lin = LinearClassifier(np.array([1.0, 0.0]), 0.0)
+    soft = SoftClassifier.init(2, (4,), 3, rng_stream(3, 3))
+    calls = [lin.predict_class, soft.predict_class, soft.probs,
+             EbClassifier(lin, IsoGaussian(sigma0=1.0, dim=2), 0.5).predict_class,
+             EbClassifier(soft, Identity(), 0.5).predict_class]
+    for call in calls:
+        np.testing.assert_array_equal(np.shape(call(np.zeros((1, 2))))[:1], [1])
+        with pytest.raises(ValueError, match="shape"):
+            call(np.zeros(2))
 
 
 class TestLinearClassifier:
     def test_sign_of_positive_margin(self):
         h = LinearClassifier(np.array([1.0, 0.0]), 0.0)
-        assert h.predict_class(np.array([2.0, 0.0])) == 1
+        assert h.predict_class(np.array([[2.0, 0.0]])).tolist() == [1]
 
     def test_negative_side(self):
         h = LinearClassifier(np.array([1.0, 0.0]), 0.0)
-        assert h.predict_class(np.array([-0.5, 3.0])) == 0
+        assert h.predict_class(np.array([[-0.5, 3.0]])).tolist() == [0]
 
     def test_tie_goes_to_lowest_index(self):
         h = LinearClassifier(np.array([1.0, 0.0]), 0.0)
-        assert h.predict_class(np.array([0.0, 1.0])) == 0
+        assert h.predict_class(np.array([[0.0, 1.0]])).tolist() == [0]
 
     def test_zero_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -66,7 +78,7 @@ class TestSoftClassifier:
         got = soft.predict_class(xs)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, np.argmax(soft.probs(xs), axis=1))
-        assert soft.predict_class(xs[7]) == got[7]
+        assert soft.predict_class(xs[7:8]).tolist() == got[7:8].tolist()
 
     def test_only_a_gradient_pass_computes_sigmoids(self, monkeypatch):
         # predict_class is the certification hot path: the forward pass it
@@ -96,7 +108,7 @@ class TestHardEbClassifier:
         h = LinearClassifier(np.array([1.0, 0.0]), 0.0)
         c = EbClassifier(h, model, sigma=1.0)
         # x = (2, 0) is denoised to (1, 0), still class 1
-        assert c.predict_class(np.array([2.0, 0.0])) == 1
+        assert c.predict_class(np.array([[2.0, 0.0]])).tolist() == [1]
 
     def test_denoising_can_flip_the_base_decision(self):
         # with beta = 1/2, w = (1, 0), b = -0.4: the base says class 1 at
@@ -104,10 +116,10 @@ class TestHardEbClassifier:
         # margin -0.15, so the composed classifier says class 0
         model = IsoGaussian(sigma0=1.0, dim=2)
         h = LinearClassifier(np.array([1.0, 0.0]), -0.4)
-        x = np.array([0.5, 0.0])
-        assert h.predict_class(x) == 1
+        x = np.array([[0.5, 0.0]])
+        assert h.predict_class(x).tolist() == [1]
         c = EbClassifier(h, model, sigma=1.0)
-        assert c.predict_class(x) == 0
+        assert c.predict_class(x).tolist() == [0]
 
     def test_zero_energy_reduces_to_base(self):
         gen = rng_stream(1, 0)
@@ -132,7 +144,7 @@ class TestSoftPi:
         x = gen.standard_normal(2)
         np.testing.assert_allclose(
             soft_pi(c, x, 1, rng_stream(2, 1)),
-            soft.probs(model.bayes_estimate(x, 0.0)),
+            soft.probs(model.bayes_estimate(x[None], 0.0))[0],
         )
 
     def test_constant_classifier_passes_through(self):
@@ -188,7 +200,7 @@ class TestGradLogPi:
         x = gen.standard_normal(3)
         noise = np.zeros((2, 3))
         w = soft.weights[0]
-        p = soft.probs(x)
+        p = soft.probs(x[None])[0]
         for k in range(4):
             want = w[:, k] - w @ p
             np.testing.assert_allclose(grad_log_pi(c, x, k, noise), want, atol=1e-12)
@@ -199,7 +211,7 @@ class TestGradLogPi:
         fails = 0
         for trial in range(50):
             soft = SoftClassifier.init(2, (8,), 3, rng_stream(8, trial + 1))
-            estimator = mix if trial % 2 == 0 else None
+            estimator = mix if trial % 2 == 0 else Identity()
             c = EbClassifier(soft, estimator, sigma=0.5)
             x = gen.standard_normal(2)
             noise = 0.5 * gen.standard_normal((3, 2))

@@ -9,8 +9,8 @@ from ebsmooth.datasets import (
     LabeledDataset,
     gen_dataset,
     load_idx,
-    save_dataset_csv,
 )
+from ebsmooth.harness import write_dataset_csv
 from ebsmooth.stats import rng_stream
 
 
@@ -105,13 +105,18 @@ class TestLoadIdx:
         assert len(ds) == 2
         assert ds.n_classes == 4  # from every label in the file
 
+    def test_negative_limit_rejected(self, tmp_path):
+        img, lab = make_idx_pair(tmp_path)
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            load_idx(img, lab, limit=-1)
+
 
 class TestDatasetCsv:
     def test_roundtrip_bit_exact(self, tmp_path):
         means = np.array([[2.0, 0.0, 1.0], [-2.0, 0.5, 0.0]])
         ds = gen_dataset(GaussianClassSpec(means, 1.0, 50), rng_stream(4, 0))
         path = tmp_path / "d.csv"
-        save_dataset_csv(path, ds)
+        write_dataset_csv(path, ds)
         header, *lines = path.read_text().splitlines()
         assert header == "label,x0,x1,x2"
         rows = [line.split(",") for line in lines]

@@ -17,7 +17,7 @@ class TestBeta:
         beta = beta_of(1e6, 1.0)
         assert beta < 1e-11
         model = IsoGaussian(sigma0=1.0, dim=2)
-        out = model.bayes_estimate(np.array([3.0, -4.0]), 1e6)
+        out = model.bayes_estimate(np.array([[3.0, -4.0]]), 1e6)
         assert np.linalg.norm(out) < 1e-5  # collapsed toward the origin
 
     def test_domain_error(self):
@@ -29,13 +29,13 @@ class TestIsoGaussian:
     def test_score_simple(self):
         model = IsoGaussian(sigma0=1.0, dim=2)
         np.testing.assert_allclose(
-            model.smoothed_score(np.array([2.0, 0.0]), 1.0), [-1.0, 0.0]
+            model.smoothed_score(np.array([[2.0, 0.0]]), 1.0), [[-1.0, 0.0]]
         )
 
     def test_bayes_estimate_halves(self):
         model = IsoGaussian(sigma0=1.0, dim=2)
         np.testing.assert_allclose(
-            model.bayes_estimate(np.array([2.0, -2.0]), 1.0), [1.0, -1.0]
+            model.bayes_estimate(np.array([[2.0, -2.0]]), 1.0), [[1.0, -1.0]]
         )
 
     def test_estimate_equals_beta_y(self):
@@ -66,8 +66,8 @@ class TestIsoGaussian:
         sigma = 0.9
         beta = beta_of(sigma, 1.0)
         for _ in range(20):
-            x = gen.standard_normal(4)
-            eps = gen.standard_normal(4)
+            x = gen.standard_normal((1, 4))
+            eps = gen.standard_normal((1, 4))
             lhs = model.bayes_estimate(x + eps, sigma) - model.bayes_estimate(x, sigma)
             assert abs(np.linalg.norm(lhs) - beta * np.linalg.norm(eps)) < 1e-12
 
@@ -105,23 +105,23 @@ class TestIsoGaussian:
         with pytest.raises(ValueError):
             IsoGaussian(sigma0=0.0, dim=2)
         with pytest.raises(ValueError):
-            IsoGaussian(sigma0=1.0, dim=2).smoothed_score(np.zeros(3), 1.0)
+            IsoGaussian(sigma0=1.0, dim=2).smoothed_score(np.zeros((1, 3)), 1.0)
 
 
 class TestIsoMixture:
     def test_score_zero_at_symmetry_point(self):
         mix = IsoMixture.symmetric(np.array([2.0, 1.0]), 0.8)
-        np.testing.assert_allclose(mix.smoothed_score(np.zeros(2), 0.5), 0.0)
+        np.testing.assert_allclose(mix.smoothed_score(np.zeros((1, 2)), 0.5), 0.0)
 
     def test_estimate_zero_at_origin(self):
         mix = IsoMixture.symmetric(np.array([3.0, -1.0]), 1.0)
-        np.testing.assert_allclose(mix.bayes_estimate(np.zeros(2), 1.0), 0.0)
+        np.testing.assert_allclose(mix.bayes_estimate(np.zeros((1, 2)), 1.0), 0.0)
 
     def test_score_matches_finite_difference(self):
         mix = IsoMixture.symmetric(np.array([2.0, 0.0]), 1.0)
         y = np.array([1.0, 1.0])
-        got = mix.smoothed_score(y, 0.5)
-        want = oracles.central_difference(lambda z: mix.log_density_y(z, 0.5), y)
+        got = mix.smoothed_score(y[None], 0.5)[0]
+        want = oracles.central_difference(lambda z: mix.log_density_y(z[None], 0.5)[0], y)
         np.testing.assert_allclose(got, want, atol=1e-5)
 
     def test_general_mixture_score_matches_finite_difference(self):
@@ -133,8 +133,8 @@ class TestIsoMixture:
         )
         for _ in range(10):
             y = 2.0 * gen.standard_normal(3)
-            got = mix.smoothed_score(y, 0.4)
-            want = oracles.central_difference(lambda z: mix.log_density_y(z, 0.4), y)
+            got = mix.smoothed_score(y[None], 0.4)[0]
+            want = oracles.central_difference(lambda z: mix.log_density_y(z[None], 0.4)[0], y)
             np.testing.assert_allclose(got, want, atol=1e-5)
 
     def test_symmetric_closed_form(self):
@@ -142,7 +142,7 @@ class TestIsoMixture:
         # y = (4, 0), mu = (2, 0): (2 + tanh(4), 0)
         mu = np.array([2.0, 0.0])
         mix = IsoMixture.symmetric(mu, 1.0)
-        got = mix.bayes_estimate(np.array([4.0, 0.0]), 1.0)
+        got = mix.bayes_estimate(np.array([[4.0, 0.0]]), 1.0)[0]
         np.testing.assert_allclose(got, [2.0 + np.tanh(4.0), 0.0], rtol=1e-12)
         np.testing.assert_allclose(got[0], 2.9993292997390673, rtol=1e-12)
 
@@ -175,8 +175,8 @@ class TestIsoMixture:
         mix = IsoMixture.symmetric(np.array([2.0, 0.0]), 1.0)
         gen = rng_stream(8, 0)
         for _ in range(10):
-            y = 2.0 * gen.standard_normal(2)
-            v = gen.standard_normal(2)
+            y = 2.0 * gen.standard_normal((1, 2))
+            v = gen.standard_normal((1, 2))
             got = (mix.linearize(y, 0.5)[1](v) - v) / 0.5**2
             h = 1e-5
             want = (mix.smoothed_score(y + h * v, 0.5)
@@ -187,7 +187,7 @@ class TestIsoMixture:
         # log-sum-exp with max subtraction keeps the score finite where the
         # raw component masses underflow
         mix = IsoMixture.symmetric(np.array([2.0, 0.0]), 1.0)
-        y = np.array([60.0, 45.0])
+        y = np.array([[60.0, 45.0]])
         s = mix.smoothed_score(y, 0.5)
         assert np.all(np.isfinite(s))
         assert np.linalg.norm(s) > 1.0

@@ -26,7 +26,8 @@ def zero_net(dim, hidden=(8,), sigma=1.0, bias=0.0):
 
 
 def phi(net, y):
-    """The energy, read through the protocol: phi = -log f_Y."""
+    """The energy at a batch of points, read through the protocol:
+    phi = -log f_Y."""
     return -net.log_density_y(y, net.sigma)
 
 
@@ -43,43 +44,43 @@ def hess_phi(net, y, v):
 class TestEvaluation:
     def test_zero_weight_net_returns_bias(self):
         net = zero_net(3, bias=0.75)
-        assert phi(net, np.array([1.0, -2.0, 0.5])) == 0.75
+        assert phi(net, np.array([[1.0, -2.0, 0.5]])) == [0.75]
 
     def test_zero_weight_net_grad_and_hvp_vanish(self):
         net = zero_net(3)
-        y = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_array_equal(grad_phi(net, y), np.zeros(3))
-        np.testing.assert_array_equal(hess_phi(net, y, y), np.zeros(3))
+        y = np.array([[1.0, -2.0, 0.5]])
+        np.testing.assert_array_equal(grad_phi(net, y), np.zeros((1, 3)))
+        np.testing.assert_array_equal(hess_phi(net, y, y), np.zeros((1, 3)))
 
     def test_deterministic(self):
         gen = rng_stream(1, 0)
         net = EnergyNet.init(4, (16, 8), 1.0, gen)
-        y = gen.standard_normal(4)
+        y = gen.standard_normal((1, 4))
         assert phi(net, y) == phi(net, y)
 
     def test_first_order_taylor(self):
         gen = rng_stream(2, 0)
         net = EnergyNet.init(4, (16,), 1.0, gen)
-        y = gen.standard_normal(4)
+        y = gen.standard_normal((1, 4))
         e1 = np.zeros(4)
         e1[0] = 1.0
         h = 1e-6
         delta = phi(net, y + h * e1) - phi(net, y)
-        assert abs(delta - h * grad_phi(net, y)[0]) <= 1e-9
+        assert abs(delta[0] - h * grad_phi(net, y)[0, 0]) <= 1e-9
 
     def test_linear_readout_net_has_constant_gradient(self):
         # no hidden layers: phi(y) = <a, y> + b, gradient is a everywhere
         gen = rng_stream(3, 0)
         a = gen.standard_normal(5)
         net = EnergyNet([a[:, None]], [np.array([0.3])], 1.0)
-        y = gen.standard_normal(5)
-        np.testing.assert_array_equal(grad_phi(net, y), a)
-        np.testing.assert_array_equal(hess_phi(net, y, y), np.zeros(5))
+        y = gen.standard_normal((1, 5))
+        np.testing.assert_array_equal(grad_phi(net, y), a[None])
+        np.testing.assert_array_equal(hess_phi(net, y, y), np.zeros((1, 5)))
 
     def test_dimension_mismatch(self):
         net = zero_net(3)
         with pytest.raises(ValueError):
-            phi(net, np.zeros(4))
+            phi(net, np.zeros((1, 4)))
         with pytest.raises(ValueError):
             grad_phi(net, np.zeros((2, 4)))
 
@@ -90,11 +91,11 @@ class TestGradientOracles:
         fails = 0
         for trial in range(100):
             net = EnergyNet.init(5, (16,), 1.0, rng_stream(10, trial + 1))
-            y = gen.standard_normal(5)
-            g = grad_phi(net, y)
+            y = gen.standard_normal((1, 5))
+            g = grad_phi(net, y)[0]
             h = 1e-4
             fd = np.array([
-                (phi(net, y + h * e) - phi(net, y - h * e)) / (2 * h)
+                (phi(net, y + h * e)[0] - phi(net, y - h * e)[0]) / (2 * h)
                 for e in np.eye(5)
             ])
             rel = np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-8)
@@ -106,8 +107,8 @@ class TestGradientOracles:
         fails = 0
         for trial in range(100):
             net = EnergyNet.init(4, (12, 8), 1.0, rng_stream(11, trial + 1))
-            y = gen.standard_normal(4)
-            v = gen.standard_normal(4)
+            y = gen.standard_normal((1, 4))
+            v = gen.standard_normal((1, 4))
             hv = hess_phi(net, y, v)
             h = 1e-4
             fd = (grad_phi(net, y + h * v) - grad_phi(net, y - h * v)) / (2 * h)
@@ -119,9 +120,9 @@ class TestGradientOracles:
         gen = rng_stream(12, 0)
         for trial in range(100):
             net = EnergyNet.init(4, (10,), 1.0, rng_stream(12, trial + 1))
-            y, u, v = gen.standard_normal((3, 4))
-            lhs = u @ hess_phi(net, y, v)
-            rhs = v @ hess_phi(net, y, u)
+            y, u, v = gen.standard_normal((3, 1, 4))
+            lhs = np.sum(u * hess_phi(net, y, v))
+            rhs = np.sum(v * hess_phi(net, y, u))
             assert abs(lhs - rhs) < 1e-8
 
     def test_denoise_loss_parameter_gradients(self):
@@ -154,7 +155,7 @@ class TestGradientOracles:
         vs = gen.standard_normal((5, 3))
         batch = hess_phi(net, ys, vs)
         for i in range(5):
-            np.testing.assert_allclose(batch[i], hess_phi(net, ys[i], vs[i]))
+            np.testing.assert_allclose(batch[i], hess_phi(net, ys[i:i + 1], vs[i:i + 1])[0])
 
 
 class TestOnePrimalPass:

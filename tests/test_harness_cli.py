@@ -430,9 +430,9 @@ class TestWalkJumpCli:
         mix = IsoMixture(means=means, sigma0=1.0)
         chains = RowStreams((rng_stream(5, STREAM_WALK_BASE + i) for i in range(8)), 20)
         outs, path = walk_jump(mix, mix, rows[:, 1:3], 1.0, WalkJumpConfig(tau=20), chains,
-                               record=...)
+                               record=0)
         dumped = np.loadtxt(tmp_path / "out" / "trajectory.csv", delimiter=",", skiprows=1)
-        assert np.array_equal(dumped[:, 1:3], path[:, 0])
+        assert np.array_equal(dumped[:, 1:3], path)
         assert np.array_equal(rows[:, 3:], outs)
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -480,9 +480,9 @@ class TestWalkJumpCli:
             coarse = fine = IsoMixture(means=means, sigma0=1.0)
         cfg = WalkJumpConfig(sigma_prime=0.05, delta=0.001, tau=30)
         for i in range(7):
-            alone = walk_jump(coarse, fine, noisy[i], 1.0, cfg,
+            alone = walk_jump(coarse, fine, noisy[i:i + 1], 1.0, cfg,
                               rng_stream(5, STREAM_WALK_BASE + i))
-            np.testing.assert_allclose(got[i], alone, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(got[i], alone[0], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("nan, stage", [("coarse", "coarse estimate"),
                                             ("fine", "iterate at walk step 0")])
@@ -835,6 +835,7 @@ class TestBadConfigValues:
     @pytest.mark.parametrize("case", ["oracle-nonlinear", "oracle-off-centre",
                                       "oracle-wrong-dimension", "oracle-mixture",
                                       "oracle-idx", "idx-without-test", "walk-jump-idx",
+                                      "idx-limit-negative", "idx-limit-zero",
                                       "walk-jump-identity", "walk-jump-without-fine",
                                       "energy-as-classifier", "classifier-as-estimator"])
     def test_runner_config_error_makes_no_output_dir(self, tmp_path, capsys, case):
@@ -859,6 +860,11 @@ class TestBadConfigValues:
             "oracle-idx": ("oracle-check", {"dataset": idx}),
             "idx-without-test": ("certify", {"dataset": idx}),
             "walk-jump-idx": ("walk-jump", {"dataset": idx}),
+            # a limit below 1 would leave no training point
+            "idx-limit-negative": ("train-xhat", {"dataset": {**idx, "limit": -1},
+                                                  "estimator": {"kind": "identity"}}),
+            "idx-limit-zero": ("train-xhat", {"dataset": {**idx, "limit": 0},
+                                              "estimator": {"kind": "identity"}}),
             # walk-jump walks on a score, which the identity does not have
             "walk-jump-identity": ("walk-jump", {"estimator": {"kind": "identity"}}),
             "walk-jump-without-fine": ("walk-jump", {
@@ -877,6 +883,8 @@ class TestBadConfigValues:
             # no estimator, learned or not, lets these commands run on file data
             assert err.startswith(f"config error: {command} needs a gaussian_classes"), err
             assert "energy" not in err
+        if case.startswith("idx-limit"):
+            assert err.startswith("config error: dataset.limit must be >= 1"), err
 
     def test_checkpoint_classifier_of_wrong_dimension_rejected(self, tmp_path, capsys):
         clf = tmp_path / "clf.ckpt"

@@ -101,7 +101,8 @@ class TestMixtureLogDensity:
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
     def test_single_point(self):
+        # one point is a one-row batch
         model = IsoMixture.symmetric(np.array([1.0, -2.0]), 0.5)
-        y = np.array([0.3, 0.1])
-        assert model.log_density_y(y, 0.2) == pytest.approx(
-            float(self.reference(model, y[None, :], 0.2)[0]), rel=1e-14)
+        y = np.array([[0.3, 0.1]])
+        assert model.log_density_y(y, 0.2)[0] == pytest.approx(
+            float(self.reference(model, y, 0.2)[0]), rel=1e-14)

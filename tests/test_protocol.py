@@ -5,13 +5,15 @@ closed form; an EnergyNet learns phi = -log f_Y at one scale.  Consumers
 (the attack, the sampler) rely only on the methods checked here: the three
 density methods and linearize, which gives the denoised point and the
 denoiser's transpose-Jacobian action from one pass; that vjp is the only
-route to the score's Jacobian.
+route to the score's Jacobian.  Every method takes a batch (n, d) of points
+and rejects a single point (d,).  Identity, the denoiser of plain
+smoothing, has only bayes_estimate and linearize.
 """
 
 import numpy as np
 import pytest
 
-from ebsmooth.densities import IsoGaussian, IsoMixture
+from ebsmooth.densities import Identity, IsoGaussian, IsoMixture
 from ebsmooth.energy import EnergyNet
 from ebsmooth.stats import rng_stream
 
@@ -43,12 +45,12 @@ def test_bayes_estimate_is_y_plus_sigma2_score(model):
 
 def test_score_matches_finite_differences_of_log_density(model):
     h = 1e-5
-    for y in _points():
-        fd = np.array([
-            (model.log_density_y(y + h * e, SIGMA) - model.log_density_y(y - h * e, SIGMA))
-            / (2 * h) for e in np.eye(3)
-        ])
-        np.testing.assert_allclose(model.smoothed_score(y, SIGMA), fd, rtol=0, atol=1e-7)
+    ys = _points()
+    fd = np.stack([
+        (model.log_density_y(ys + h * e, SIGMA) - model.log_density_y(ys - h * e, SIGMA))
+        / (2 * h) for e in np.eye(3)
+    ], axis=1)
+    np.testing.assert_allclose(model.smoothed_score(ys, SIGMA), fd, rtol=0, atol=1e-7)
 
 
 def test_score_hvp_is_symmetric(model):
@@ -59,21 +61,35 @@ def test_score_hvp_is_symmetric(model):
     np.testing.assert_allclose(uhv, vhu, rtol=1e-12, atol=1e-14)
 
 
+def _evaluations(model, ys, vs):
+    return [model.log_density_y(ys, SIGMA), model.smoothed_score(ys, SIGMA),
+            model.linearize(ys, SIGMA)[1](vs), model.bayes_estimate(ys, SIGMA)]
+
+
 def test_single_point_matches_batch_row(model):
+    # a single point is a one-row batch, and its row is the batch's
     ys, vs = _points(seed=4), _points(seed=5)
-    batch = [model.log_density_y(ys, SIGMA), model.smoothed_score(ys, SIGMA),
-             model.linearize(ys, SIGMA)[1](vs), model.bayes_estimate(ys, SIGMA)]
+    batch = _evaluations(model, ys, vs)
     assert [np.shape(b) for b in batch] == [(6,), (6, 3), (6, 3), (6, 3)]
     for i in range(len(ys)):
-        single = [model.log_density_y(ys[i], SIGMA), model.smoothed_score(ys[i], SIGMA),
-                  model.linearize(ys[i], SIGMA)[1](vs[i]), model.bayes_estimate(ys[i], SIGMA)]
-        assert [np.shape(s) for s in single] == [(), (3,), (3,), (3,)]
+        single = _evaluations(model, ys[i:i + 1], vs[i:i + 1])
+        assert [np.shape(s) for s in single] == [(1,), (1, 3), (1, 3), (1, 3)]
         for got, rows in zip(single, batch):
-            np.testing.assert_allclose(got, rows[i], rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(got[0], rows[i], rtol=1e-14, atol=1e-14)
+
+
+def test_a_single_point_is_a_value_error(model):
+    y, v = _points(n=1)[0], _points(n=1, seed=2)[0]
+    calls = [lambda: model.log_density_y(y, SIGMA), lambda: model.smoothed_score(y, SIGMA),
+             lambda: model.bayes_estimate(y, SIGMA), lambda: model.linearize(y, SIGMA),
+             lambda: model.linearize(y[None], SIGMA)[1](v)]
+    for call in calls:
+        with pytest.raises(ValueError, match="shape"):
+            call()
 
 
 def test_scale_mismatch(model):
-    y, v = _points(n=1)[0], _points(n=1, seed=2)[0]
+    y, v = _points(n=1), _points(n=1, seed=2)
     calls = [lambda s: model.log_density_y(y, s), lambda s: model.smoothed_score(y, s),
              lambda s: model.bayes_estimate(y, s), lambda s: model.linearize(y, s)[0],
              lambda s: model.linearize(y, s)[1](v)]
@@ -91,9 +107,11 @@ def test_linearize_is_bayes_estimate_and_hvp_bitwise(model, n):
     # be bitwise the Bayes estimate, so training runs are the same bytes
     # whichever path computes it, and (vjp(u) - u) / sigma^2 the score's
     # Jacobian applied to u
-    ys, us = _points(n=n or 1, seed=6)[:n], _points(n=n or 1, seed=7)[:n]
-    if n is None:
-        ys, us = ys[0], us[0]
+    # n None: one point, which is a one-row batch; n 0: an empty (0, d) batch
+    k = 1 if n is None else n
+    ys = _points(n=max(k, 1), seed=6)[:k]
+    us = _points(n=max(k, 1), seed=7)[:k]
+    assert ys.shape == (k, 3)
     xhat, vjp = model.linearize(ys, SIGMA)
     assert np.array_equal(xhat, model.bayes_estimate(ys, SIGMA))
     got = vjp(us)
@@ -108,7 +126,23 @@ def test_linearize_is_bayes_estimate_and_hvp_bitwise(model, n):
 
 def test_linearize_vjp_rejects_a_shape_mismatch(model):
     _, vjp = model.linearize(_points(n=4), SIGMA)
-    if isinstance(model, IsoGaussian):  # its Jacobian reads no y
-        return
     with pytest.raises(ValueError):
         vjp(_points(n=3))
+
+
+class TestIdentity:
+    def test_estimate_and_vjp_are_the_input(self):
+        ys, us = _points(seed=8), _points(seed=9)
+        xhat, vjp = Identity().linearize(ys, SIGMA)
+        assert np.array_equal(xhat, ys) and np.array_equal(vjp(us), us)
+        assert np.array_equal(Identity().bayes_estimate(ys.astype(np.float32), SIGMA),
+                              ys.astype(np.float32).astype(float))
+        assert Identity().bayes_estimate(ys, SIGMA).dtype == np.float64
+
+    def test_a_single_point_is_a_value_error(self):
+        y = _points(n=1)
+        for call in (lambda: Identity().bayes_estimate(y[0], SIGMA),
+                     lambda: Identity().linearize(y[0], SIGMA),
+                     lambda: Identity().linearize(y, SIGMA)[1](y[0])):
+            with pytest.raises(ValueError):
+                call()

@@ -50,7 +50,7 @@ class TestLangevinWalk:
     def test_tiny_step_barely_moves(self):
         model = IsoGaussian(sigma0=1.0, dim=2)
         cfg = WalkJumpConfig(sigma_prime=0.5, delta=1e-6, tau=1)
-        y0 = np.array([2.0, -1.0])
+        y0 = np.array([[2.0, -1.0]])
         y1 = langevin_walk(model, y0, cfg, rng_stream(2, 0))
         bound = 1e-4 * (1.0 + np.linalg.norm(model.smoothed_score(y0, 0.5)))
         assert np.linalg.norm(y1 - y0) <= bound
@@ -68,77 +68,88 @@ class TestLangevinWalk:
         # consuming the same generator stream
         model = IsoMixture.symmetric(np.array([1.0, 0.0]), 0.5)
         cfg = WalkJumpConfig(sigma_prime=0.3, delta=0.01, tau=7)
-        y0 = np.array([0.4, -0.2])
+        y0 = np.array([[0.4, -0.2]])
         got = langevin_walk(model, y0, cfg, rng_stream(4, 0))
         gen = rng_stream(4, 0)
         y = y0.copy()
         for _ in range(cfg.tau):
             drift = -model.smoothed_score(y, cfg.sigma_prime)
-            y = y - cfg.delta**2 * drift + np.sqrt(2.0) * cfg.delta * gen.standard_normal(2)
+            y = y - cfg.delta**2 * drift + np.sqrt(2.0) * cfg.delta * gen.standard_normal((1, 2))
         np.testing.assert_array_equal(got, y)
 
     def test_trajectory_shape(self):
         model = IsoGaussian(sigma0=1.0, dim=3)
         cfg = WalkJumpConfig(sigma_prime=0.1, delta=0.01, tau=5)
-        _, traj = langevin_walk(model, np.zeros(3), cfg, rng_stream(5, 0), record=...)
+        _, traj = langevin_walk(model, np.zeros((2, 3)), cfg, rng_stream(5, 0), record=1)
         assert traj.shape == (6, 3)
 
+    def test_a_single_point_is_a_value_error(self):
+        model = IsoGaussian(sigma0=1.0, dim=3)
+        cfg = WalkJumpConfig(sigma_prime=0.1, delta=0.01, tau=2)
+        with pytest.raises(ValueError, match="shape"):
+            langevin_walk(model, np.zeros(3), cfg, rng_stream(5, 0))
+        with pytest.raises(ValueError, match="shape"):
+            walk_jump(model, model, np.zeros(3), 1.0, cfg, rng_stream(5, 0))
+
     def test_batch_trajectory_matches_list_and_stack(self):
-        # the trajectory is preallocated; it must hold exactly the iterates
-        # a list of per-step copies, stacked at the end, would hold
+        # the trajectory is preallocated; for each recorded chain it must
+        # hold exactly the iterates a list of per-step copies of the batch,
+        # stacked at the end, would hold
         model = IsoMixture(means=np.array([[1.0, 0.0, 0.5], [-1.0, 0.5, 0.0]]), sigma0=0.5)
         cfg = WalkJumpConfig(sigma_prime=0.3, delta=0.05, tau=6)
         y0 = rng_stream(7, 1).standard_normal((4, 3))
         streams = lambda: RowStreams((rng_stream(7, 10 + i) for i in range(4)),  # noqa: E731
                                      cfg.tau)
-        final, traj = langevin_walk(model, y0, cfg, streams(), record=...)
         gen, y, want = streams(), y0.copy(), [y0.copy()]
         for _ in range(cfg.tau):
             y = y + cfg.delta**2 * model.smoothed_score(y, cfg.sigma_prime) \
                 + np.sqrt(2.0) * cfg.delta * gen.standard_normal(y.shape)
             want.append(y.copy())
-        assert traj.shape == (cfg.tau + 1, 4, 3)
-        np.testing.assert_array_equal(traj, np.asarray(want))
-        np.testing.assert_array_equal(final, traj[-1])
-        np.testing.assert_array_equal(
-            traj[-1], langevin_walk(model, y0, cfg, streams()))
+        want = np.asarray(want)
+        for chain in range(4):
+            final, traj = langevin_walk(model, y0, cfg, streams(), record=chain)
+            assert traj.shape == (cfg.tau + 1, 3)
+            np.testing.assert_array_equal(traj, want[:, chain])
+            np.testing.assert_array_equal(final, want[-1])
+        np.testing.assert_array_equal(want[-1], langevin_walk(model, y0, cfg, streams()))
 
     @pytest.mark.parametrize("chain", [0, 2])
     def test_recorded_chain_is_that_chain_of_the_batch(self, chain):
-        # recording one chain keeps (tau + 1, d) values, bit for bit the
-        # chain's rows of the full trajectory, and walks the batch as before
+        # recording one chain keeps (tau + 1, d) values, and walks the batch
+        # as before; walk_jump records the walk from the coarse estimates
         model = IsoMixture(means=np.array([[1.0, 0.0, 0.5], [-1.0, 0.5, 0.0]]), sigma0=0.5)
         cfg = WalkJumpConfig(sigma_prime=0.3, delta=0.05, tau=6)
         y0 = rng_stream(7, 2).standard_normal((4, 3))
         streams = lambda: RowStreams((rng_stream(7, 20 + i) for i in range(4)),  # noqa: E731
                                      cfg.tau)
         final, path = langevin_walk(model, y0, cfg, streams(), record=chain)
-        full_final, full = langevin_walk(model, y0, cfg, streams(), record=...)
         assert path.shape == (cfg.tau + 1, 3)
-        np.testing.assert_array_equal(path, full[:, chain])
-        np.testing.assert_array_equal(final, full_final)
+        np.testing.assert_array_equal(path[0], y0[chain])
+        np.testing.assert_array_equal(path[-1], final[chain])
+        np.testing.assert_array_equal(final, langevin_walk(model, y0, cfg, streams()))
         out, wj_path = walk_jump(model, model, y0, 1.0, cfg, streams(), record=chain)
-        _, wj_full = walk_jump(model, model, y0, 1.0, cfg, streams(), record=...)
         np.testing.assert_array_equal(out, walk_jump(model, model, y0, 1.0, cfg, streams()))
-        np.testing.assert_array_equal(wj_path, wj_full[:, chain])
+        _, walked = langevin_walk(model, model.bayes_estimate(y0, 1.0), cfg, streams(),
+                                  record=chain)
+        np.testing.assert_array_equal(wj_path, walked)
 
     def test_energy_net_scale_mismatch_rejected(self):
         net = zero_energy(2, 0.2)
         cfg = WalkJumpConfig(sigma_prime=0.3, delta=0.01, tau=2)
         with pytest.raises(ValueError):
-            langevin_walk(net, np.zeros(2), cfg, rng_stream(6, 0))
+            langevin_walk(net, np.zeros((1, 2)), cfg, rng_stream(6, 0))
 
 
 class TestJump:
     def test_gaussian_closed_form_contracts_by_beta(self):
         model = IsoGaussian(sigma0=1.0, dim=2)
-        y = np.array([1.5, -2.0])
+        y = np.array([[1.5, -2.0]])
         bp = beta_of(0.05, 1.0)
         np.testing.assert_allclose(jump(model, y, 0.05), bp * y, rtol=1e-12)
 
     def test_zero_score_is_identity(self):
         net = zero_energy(2, 0.05)
-        y = np.array([0.3, 0.9])
+        y = np.array([[0.3, 0.9]])
         np.testing.assert_array_equal(jump(net, y, 0.05), y)
 
 
@@ -149,7 +160,7 @@ class TestWalkJump:
         model = IsoGaussian(sigma0=1.0, dim=2)
         sigma, sp = 1.0, 0.05
         cfg = WalkJumpConfig(sigma_prime=sp, delta=1e-9, tau=1)
-        y = np.array([2.0, -1.0])
+        y = np.array([[2.0, -1.0]])
         out = walk_jump(model, model, y, sigma, cfg, rng_stream(7, 0))
         want = beta_of(sp, 1.0) * (beta_of(sigma, 1.0) * y)
         np.testing.assert_allclose(out, want, atol=1e-6)
