@@ -14,7 +14,6 @@ from .stats import (
     ConfidenceSpec,
     binom_lower_bound,
     rng_stream,
-    std_normal_cdf,
     std_normal_inv_cdf,
 )
 from .densities import Identity, IsoGaussian, IsoMixture, beta_of
@@ -40,7 +39,7 @@ from .sampler import (
     langevin_walk,
     walk_jump,
 )
-from .datasets import LabeledDataset, GaussianClassSpec, gen_dataset, load_idx
+from .datasets import LabeledDataset, gen_dataset, load_idx
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __version__ = "0.1.0"
@@ -63,7 +62,6 @@ __all__ = [
     "EbClassifier",
     "EnergyNet",
     "EnergyTrainConfig",
-    "GaussianClassSpec",
     "Identity",
     "IsoGaussian",
     "IsoMixture",
@@ -86,7 +84,6 @@ __all__ = [
     "rmax",
     "rng_stream",
     "save_checkpoint",
-    "std_normal_cdf",
     "std_normal_inv_cdf",
     "train_energy",
     "train_xhat",

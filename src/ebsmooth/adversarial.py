@@ -11,11 +11,11 @@ loss comes from the same forward pass as its gradient; only the last iterate,
 which takes no further step, is evaluated on its own.
 
 Modes: "adversarial" runs the full loop; "no_attack" trains on clean points
-(attack budget treated as zero); "no_estimator" keeps the attack but replaces
-the denoiser with the identity, giving the plain smoothed-adversarial
-baseline.  The energy parameters never receive gradients: the backward pass
-only ever produces classifier parameter gradients, and the denoiser enters
-parameter gradients as a fixed input transform.
+(attack budget treated as zero).  The denoiser is the trainer's input, not a
+mode: densities.Identity gives the plain smoothed-adversarial baseline.  The
+energy parameters never receive gradients: the backward pass only ever
+produces classifier parameter gradients, and the denoiser enters parameter
+gradients as a fixed input transform.
 """
 
 from __future__ import annotations
@@ -25,14 +25,12 @@ import dataclasses
 import numpy as np
 
 from .classifiers import EbClassifier, SoftClassifier, _neg_log_pi
-from .densities import Identity
 from .energy import _check_finite_step
 from .mlp import Adam, check_hidden, check_schedule
 
 MODE_ADVERSARIAL = "adversarial"
 MODE_NO_ATTACK = "no_attack"
-MODE_NO_ESTIMATOR = "no_estimator"
-TRAIN_MODES = (MODE_ADVERSARIAL, MODE_NO_ATTACK, MODE_NO_ESTIMATOR)
+TRAIN_MODES = (MODE_ADVERSARIAL, MODE_NO_ATTACK)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,7 +122,8 @@ class ClassifierTrainConfig:
 
     def __post_init__(self):
         if self.mode not in TRAIN_MODES:
-            raise ValueError(f"mode must be one of {TRAIN_MODES}, got {self.mode!r}")
+            raise ValueError(f"mode must be one of {TRAIN_MODES} (estimator.kind=identity "
+                             f"trains without a denoiser), got {self.mode!r}")
         check_schedule(self)
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
@@ -148,9 +147,8 @@ def train_xhat(data, estimator, sigma, hidden, cfg, attack, gen, callback=None):
 
     data is the training LabeledDataset, whose n_classes (at least two) sizes
     the classifier; `estimator` is the frozen denoiser (EnergyNet, exact
-    model or Identity) the classifier is composed with, replaced by Identity
-    in "no_estimator" mode;
-    sigma is the smoothing scale and hidden the classifier's hidden widths.
+    model or Identity) the classifier is composed with; sigma is the
+    smoothing scale and hidden the classifier's hidden widths.
     Every mode draws the same batches and the same noise from `gen`, so runs
     differing only in mode consume identical randomness.
 
@@ -169,7 +167,7 @@ def train_xhat(data, estimator, sigma, hidden, cfg, attack, gen, callback=None):
     opt = Adam(params)
     # Adam updates clf's arrays in place, so one composed classifier serves
     # every step
-    c = EbClassifier(clf, Identity() if cfg.mode == MODE_NO_ESTIMATOR else estimator, sigma)
+    c = EbClassifier(clf, estimator, sigma)
 
     for step in range(cfg.steps):
         idx = gen.integers(0, n, size=cfg.batch_size)

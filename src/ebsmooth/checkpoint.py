@@ -4,8 +4,7 @@ Layout (all integers little-endian):
 
     bytes 0..3    magic b"EBCK"
     bytes 4..7    format version, uint32 (currently 1)
-    bytes 8..11   type tag, uint32: 1 energy net, 2 soft classifier,
-                  3 linear classifier
+    bytes 8..11   type tag, uint32: 1 energy net, 2 soft classifier
     bytes 12..19  sigma, float64 (0.0 for models that carry no noise scale)
     bytes 20..23  number of widths, uint32
     then          widths, uint32 each, input dimension first, output last
@@ -13,8 +12,8 @@ Layout (all integers little-endian):
                   row-major float64, then bias vector float64
 
 An energy net's scalar readout is its last, (h, 1) layer, in memory as in
-the file.  A linear classifier is stored with widths [d, 1], its weight
-vector as the (d, 1) matrix and its bias as the length-1 bias.  Round-trips
+the file.  Only trained models are checkpointed: a linear classifier is
+configured by its weights and bias, never loaded from a file.  Round-trips
 are bit-exact: the parameter bytes written are the raw float64 buffers.
 """
 
@@ -24,14 +23,13 @@ import struct
 
 import numpy as np
 
-from .classifiers import LinearClassifier, SoftClassifier
+from .classifiers import SoftClassifier
 from .energy import EnergyNet
 
 MAGIC = b"EBCK"
 FORMAT_VERSION = 1
 TAG_ENERGY = 1
 TAG_SOFT_CLASSIFIER = 2
-TAG_LINEAR_CLASSIFIER = 3
 
 
 class CheckpointError(ValueError):
@@ -50,15 +48,12 @@ def _pack(tag, sigma, widths, weights, biases):
 
 
 def save_checkpoint(path, model):
-    """Write an EnergyNet, SoftClassifier, or LinearClassifier to path."""
+    """Write an EnergyNet or a SoftClassifier to path."""
     if isinstance(model, EnergyNet):
         blob = _pack(TAG_ENERGY, model.sigma, model.widths, model.weights, model.biases)
     elif isinstance(model, SoftClassifier):
         blob = _pack(TAG_SOFT_CLASSIFIER, 0.0, model.widths,
                      model.weights, model.biases)
-    elif isinstance(model, LinearClassifier):
-        blob = _pack(TAG_LINEAR_CLASSIFIER, 0.0, (model.dim, 1),
-                     [model.w.reshape(-1, 1)], [np.array([model.b])])
     else:
         raise TypeError(f"cannot checkpoint object of type {type(model).__name__}")
     with open(path, "wb") as fh:
@@ -109,8 +104,4 @@ def load_checkpoint(path):
         return EnergyNet(weights, biases, sigma)
     if tag == TAG_SOFT_CLASSIFIER:
         return SoftClassifier(weights, biases)
-    if tag == TAG_LINEAR_CLASSIFIER:
-        if widths[-1] != 1 or len(weights) != 1:
-            raise CheckpointError("linear checkpoint must be a single (d, 1) layer")
-        return LinearClassifier(weights[0].reshape(-1), float(biases[0][0]))
     raise CheckpointError(f"unknown checkpoint type tag {tag}")

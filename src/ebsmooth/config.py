@@ -125,9 +125,12 @@ class DatasetSection:
                 count = getattr(self, name)
                 if count < 1:
                     raise ConfigError(f"dataset.{name} must be >= 1, got {count}")
-        if self.limit is not None and self.limit < 1:
-            raise ConfigError(f"dataset.limit must be >= 1, got {self.limit}")
+            if self.limit is not None:
+                raise ConfigError("dataset.limit applies only to idx data; set dataset.n_train "
+                                  "and dataset.n_test to size a generated dataset")
         if self.kind == "idx":
+            if self.limit is not None and self.limit < 1:
+                raise ConfigError(f"dataset.limit must be >= 1, got {self.limit}")
             for name in ("train_images", "train_labels"):
                 p = getattr(self, name)
                 if p is None:

@@ -1,7 +1,8 @@
 """Dataset generation and ingestion.
 
 Synthetic datasets are class-conditional isotropic Gaussians (one component
-per class, shared scale).  Real data comes in through the IDX binary format;
+per class, shared scale), drawn by gen_dataset(means, sigma0, n, gen), which
+checks its own arguments.  Real data comes in through the IDX binary format;
 pixel bytes are scaled to [0, 1] doubles.
 """
 
@@ -48,37 +49,26 @@ class LabeledDataset:
         return self.points.shape[0]
 
 
-@dataclasses.dataclass(frozen=True)
-class GaussianClassSpec:
-    """One isotropic Gaussian per class: means (K, d), shared scale, total count."""
-
-    means: np.ndarray
-    sigma0: float
-    n: int
-
-    def __post_init__(self):
-        means = np.atleast_2d(np.asarray(self.means, dtype=float))
-        object.__setattr__(self, "means", means)
-        if self.sigma0 <= 0.0:
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-
-
-def gen_dataset(spec, gen):
-    """Draw a labeled dataset from the class-conditional Gaussian spec.
+def gen_dataset(means, sigma0, n, gen):
+    """Draw n labeled points, one isotropic Gaussian of scale sigma0 per row
+    of means (K, d).
 
     Classes are exactly balanced up to remainder (earlier classes get the
     extra points), then the order is shuffled; everything is driven by `gen`,
     so a fixed seed reproduces the dataset exactly.
     """
-    k, dim = spec.means.shape
-    base = spec.n // k
+    means = np.atleast_2d(np.asarray(means, dtype=float))
+    if not sigma0 > 0.0:
+        raise ValueError(f"sigma0 must be positive, got {sigma0}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    k, dim = means.shape
+    base = n // k
     counts = np.full(k, base)
-    counts[: spec.n - base * k] += 1
+    counts[: n - base * k] += 1
     labels = np.repeat(np.arange(k), counts)
-    points = spec.means[labels] + spec.sigma0 * gen.standard_normal((spec.n, dim))
-    order = gen.permutation(spec.n)
+    points = means[labels] + sigma0 * gen.standard_normal((n, dim))
+    order = gen.permutation(n)
     return LabeledDataset(points[order], labels[order], k)
 
 

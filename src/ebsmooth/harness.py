@@ -24,7 +24,7 @@ from .certify import bound_counts, certify, count_votes, linear_gaussian_oracle
 from .checkpoint import load_checkpoint, save_checkpoint
 from .classifiers import EbClassifier, LinearClassifier, SoftClassifier
 from .config import ConfigError, config_digest
-from .datasets import GaussianClassSpec, _read_idx_labels, gen_dataset, load_idx
+from .datasets import _read_idx_labels, gen_dataset, load_idx
 from .densities import Identity, IsoGaussian, IsoMixture
 from .energy import EnergyNet, train_energy
 from .sampler import walk_jump
@@ -50,18 +50,15 @@ class NumericalCheckError(RuntimeError):
         self.outputs = list(outputs)
 
 
-def fmt(x):
-    """Float to text at 17 significant digits (lossless round-trip)."""
-    return format(float(x), ".17g")
-
-
 def write_csv(path, header, rows):
-    """A header line, then one line per row: floats through fmt, anything
-    else through str."""
+    """A header line, then one line per row, formatted by one % string:
+    floats at 17 significant digits (a lossless round-trip), anything else
+    through str."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row)
+            row = tuple(row)
+            fh.write(",".join(["%.17g" if isinstance(v, float) else "%s" for v in row]) % row
                      + "\n")
 
 
@@ -92,8 +89,7 @@ def resolve_split(cfg, split):
     if ds.kind == "gaussian_classes":
         n, stream = ((ds.n_train, STREAM_TRAIN_DATA) if split == "train"
                      else (ds.n_test, STREAM_TEST_DATA))
-        return gen_dataset(GaussianClassSpec(np.asarray(ds.means, dtype=float), ds.sigma0, n),
-                           rng_stream(cfg.seed, stream))
+        return gen_dataset(ds.means, ds.sigma0, n, rng_stream(cfg.seed, stream))
     images, labels = getattr(ds, f"{split}_images"), getattr(ds, f"{split}_labels")
     if images is None or labels is None:
         return None
@@ -151,7 +147,7 @@ def resolve_base_classifier(cfg):
         return LinearClassifier(np.asarray(cl.weights, dtype=float), float(cl.bias))
     if cl.kind == "checkpoint":
         model = load_checkpoint(cl.path)
-        if not isinstance(model, (SoftClassifier, LinearClassifier)):
+        if not isinstance(model, SoftClassifier):
             raise ConfigError(f"classifier.path {cl.path} is not a classifier checkpoint")
         return model
     raise ConfigError(
@@ -217,20 +213,13 @@ def write_points_csv(path, results, labels):
                for i, (res, label) in enumerate(zip(results, labels))))
 
 
-def _certified_correct(results, labels, radius):
-    return sum(not res.abstained and res.predicted == int(label) and res.radius >= radius
-               for res, label in zip(results, labels))
-
-
-def certified_accuracy_at(results, labels, radius):
-    """Fraction certified correct at the given radius; abstentions count as
-    errors."""
-    return _certified_correct(results, labels, radius) / max(len(results), 1)
-
-
 def write_curve_csv(path, results, labels, radius_grid):
+    """One row per grid radius: the share and the count of points certified
+    correct at that radius or beyond.  Abstentions count as errors."""
     total = len(results)
-    correct = [_certified_correct(results, labels, r) for r in radius_grid] if total else []
+    correct = [sum(not res.abstained and res.predicted == int(label) and res.radius >= r
+                   for res, label in zip(results, labels))
+               for r in radius_grid] if total else []
     write_csv(path, ["radius", "certified_accuracy", "certified_correct", "total"],
               ((float(r), ok / total, ok, total) for r, ok in zip(radius_grid, correct)))
 

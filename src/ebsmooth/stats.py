@@ -8,9 +8,9 @@ reproducible regardless of how work is scheduled across processes or
 batched into one array.
 
 Every CLI command is a fresh process, so the import cost counts.  Only
-scipy.special is used, never scipy.stats, and it is imported inside the
-three functions that need it (the normal CDF and quantile, and the bound):
-only the certifying commands pay for it.  The keyed streams are plain numpy.
+scipy.special is used, never scipy.stats, and it is imported inside the two
+functions that need it (the normal quantile and the bound): only the
+certifying commands pay for it.  The keyed streams are plain numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import dataclasses
 
 import numpy as np
 
-_SQRT2 = float(np.sqrt(2.0))
 _MASK64 = (1 << 64) - 1
 # Relative slack the Clopper-Pearson bound keeps below alpha in its tail.
 # scipy.special.betainc's relative error, measured against 40-digit direct
@@ -49,14 +48,6 @@ class ConfidenceSpec:
             raise ValueError(f"n0 must be >= 1, got {self.n0}")
         if self.nc < 1:
             raise ValueError(f"nc must be >= 1, got {self.nc}")
-
-
-def std_normal_cdf(z):
-    """Standard normal CDF, computed through erfc for accuracy in both tails."""
-    from scipy import special
-    z = np.asarray(z, dtype=float)
-    out = 0.5 * special.erfc(-z / _SQRT2)
-    return float(out) if out.ndim == 0 else out
 
 
 def std_normal_inv_cdf(p):

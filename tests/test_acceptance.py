@@ -10,22 +10,22 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import oracles
 from ebsmooth.adversarial import AttackSpec, ClassifierTrainConfig, train_xhat
 from ebsmooth.certify import certify, linear_gaussian_oracle, linear_margin, rmax
 from ebsmooth.classifiers import EbClassifier, LinearClassifier, SoftClassifier
 from ebsmooth.cli import main as cli_main
-from ebsmooth.datasets import GaussianClassSpec, gen_dataset
+from ebsmooth.datasets import gen_dataset
 from ebsmooth.densities import IsoGaussian, IsoMixture, beta_of
 from ebsmooth.energy import EnergyNet, EnergyTrainConfig, train_energy
-from ebsmooth.harness import certified_accuracy_at, certify_points
+from ebsmooth.harness import certify_points, write_curve_csv
 from ebsmooth.sampler import WalkJumpConfig, walk_jump
 from ebsmooth.stats import (
     ConfidenceSpec,
     binom_lower_bound,
     rng_stream,
-    std_normal_cdf,
     std_normal_inv_cdf,
 )
 from oracles import grad_log_pi, soft_pi_with_noise
@@ -95,7 +95,7 @@ def test_criterion_02_vanilla_smoothing_matches_margin():
         if res.predicted != h.predict_class(x[None])[0]:
             identity_violations += 1
         margin = linear_margin(h, x)
-        p_a = min(std_normal_cdf(margin / sigma), 1.0 - 1e-16)
+        p_a = min(ndtr(margin / sigma), 1.0 - 1e-16)
         slack = sigma * (std_normal_inv_cdf(p_a) - std_normal_inv_cdf(res.pa_lower))
         if not (margin - slack - 1e-9 <= res.radius <= margin + 1e-9):
             violations += 1
@@ -235,7 +235,7 @@ def test_criterion_07_binomial_bound():
 
 
 @pytest.mark.slow
-def test_criterion_08_adversarial_training_ordering():
+def test_criterion_08_adversarial_training_ordering(tmp_path):
     # pilot (seed 21, steps 1200, batch 64, hidden (64,)): both modes reach
     # clean certified accuracy 1.00 and accuracy 0.98 at radius 0.9
     means = np.array([[2.0, 0.0], [-2.0, 0.0]])
@@ -247,8 +247,8 @@ def test_criterion_08_adversarial_training_ordering():
     acc_clean_at0, acc_adv_at09, acc_clean_at09 = [], [], []
     acc_adv_at0 = []
     for seed in (31, 32, 33):
-        train = gen_dataset(GaussianClassSpec(means, 0.5, 4000), rng_stream(seed, 100))
-        test = gen_dataset(GaussianClassSpec(means, 0.5, 100), rng_stream(seed, 101))
+        train = gen_dataset(means, 0.5, 4000, rng_stream(seed, 100))
+        test = gen_dataset(means, 0.5, 100, rng_stream(seed, 101))
         per_mode = {}
         for mode in ("adversarial", "no_attack"):
             cfg = ClassifierTrainConfig(mode=mode, steps=1200, batch_size=64,
@@ -258,10 +258,10 @@ def test_criterion_08_adversarial_training_ordering():
             hard = EbClassifier(clf, mix, sigma)
             results = certify_points(hard, test.points, sigma, spec,
                                      seed=seed, workers=2)
-            per_mode[mode] = (
-                certified_accuracy_at(results, test.labels, 0.0),
-                certified_accuracy_at(results, test.labels, 0.9),
-            )
+            # certified accuracy at radius 0 and 0.9, read from curve.csv
+            write_curve_csv(tmp_path / "curve.csv", results, test.labels, [0.0, 0.9])
+            per_mode[mode] = tuple(np.loadtxt(tmp_path / "curve.csv", delimiter=",",
+                                              skiprows=1, usecols=1))
         acc_adv_at0.append(per_mode["adversarial"][0])
         acc_adv_at09.append(per_mode["adversarial"][1])
         acc_clean_at0.append(per_mode["no_attack"][0])

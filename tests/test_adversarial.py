@@ -9,8 +9,8 @@ from ebsmooth.adversarial import (
     xhat_objective_theta_grads,
 )
 from ebsmooth.classifiers import PROB_FLOOR, EbClassifier, SoftClassifier
-from ebsmooth.datasets import GaussianClassSpec, gen_dataset
-from ebsmooth.densities import IsoMixture
+from ebsmooth.datasets import gen_dataset
+from ebsmooth.densities import Identity, IsoMixture
 from ebsmooth.energy import EnergyNet, TrainingDivergedError
 from ebsmooth.stats import rng_stream
 from oracles import pgd_attack, soft_pi_with_noise
@@ -202,7 +202,7 @@ class TestThetaGradients:
 
 def _toy_training_setup(seed, n=600):
     means = np.array([[2.0, 0.0], [-2.0, 0.0]])
-    data = gen_dataset(GaussianClassSpec(means, 0.5, n), rng_stream(seed, 100))
+    data = gen_dataset(means, 0.5, n, rng_stream(seed, 100))
     mix = IsoMixture(means=means, sigma0=0.5)
     return data, mix
 
@@ -237,18 +237,15 @@ class TestTrainXhat:
             assert np.array_equal(pa, pb)
 
     def test_identity_denoiser_modes_agree_bitwise(self):
-        # "no_estimator" hard-wires the identity; "adversarial" with a zero
+        # Identity() is the plain smoothed-adversarial baseline; a zero
         # energy net computes the identity through the full chain rule; the
         # two parameter trajectories must coincide exactly
         data, _ = _toy_training_setup(12)
         attack = AttackSpec(epsilon=0.5, steps=3)
-        kwargs = dict(steps=25, batch_size=16)
-        vanilla = train_xhat(
-            data, None, 0.3, (8,),
-            ClassifierTrainConfig(mode="no_estimator", **kwargs), attack, rng_stream(13, 1))
-        zeroed = train_xhat(
-            data, zero_energy(2, 0.3), 0.3, (8,),
-            ClassifierTrainConfig(mode="adversarial", **kwargs), attack, rng_stream(13, 1))
+        cfg = ClassifierTrainConfig(mode="adversarial", steps=25, batch_size=16)
+        vanilla = train_xhat(data, Identity(), 0.3, (8,), cfg, attack, rng_stream(13, 1))
+        zeroed = train_xhat(data, zero_energy(2, 0.3), 0.3, (8,), cfg, attack,
+                            rng_stream(13, 1))
         for pa, pb in zip(vanilla.parameters(), zeroed.parameters()):
             assert np.array_equal(pa, pb)
 
@@ -257,8 +254,7 @@ class TestTrainXhat:
         cfg = ClassifierTrainConfig(mode="no_attack", steps=500, batch_size=64)
         clf = train_xhat(data, mix, 0.3, (16,), cfg,
                          AttackSpec(epsilon=0.0, steps=1), rng_stream(15, 1))
-        heldout = gen_dataset(GaussianClassSpec(mix.means, 0.5, 2000),
-                              rng_stream(14, 200))
+        heldout = gen_dataset(mix.means, 0.5, 2000, rng_stream(14, 200))
         hard = EbClassifier(clf, mix, sigma=0.3)
         acc = np.mean(hard.predict_class(heldout.points) == heldout.labels)
         assert acc >= 0.97

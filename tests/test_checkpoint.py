@@ -13,6 +13,12 @@ from ebsmooth.energy import EnergyNet
 from ebsmooth.stats import rng_stream
 
 
+def linear_tag_blob(w, b):
+    """Checkpoint bytes with type tag 3 and one (d, 1) layer holding w, b."""
+    return (b"EBCK" + struct.pack("<IIdI", 1, 3, 0.0, 2) + struct.pack("<II", len(w), 1)
+            + np.asarray(w, dtype="<f8").tobytes() + struct.pack("<d", b))
+
+
 def test_energy_roundtrip_bit_exact(tmp_path):
     net = EnergyNet.init(4, (16, 8), 0.37, rng_stream(0, 0))
     path = tmp_path / "energy.ckpt"
@@ -58,14 +64,20 @@ def test_soft_classifier_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(a, b)
 
 
-def test_linear_classifier_roundtrip(tmp_path):
-    h = LinearClassifier(np.array([0.25, -1.5, 3.0]), -0.125)
+def test_linear_classifier_is_not_checkpointed(tmp_path):
+    # a linear base comes only from classifier.kind=linear
     path = tmp_path / "lin.ckpt"
-    save_checkpoint(path, h)
-    back = load_checkpoint(path)
-    assert isinstance(back, LinearClassifier)
-    assert np.array_equal(back.w, h.w)
-    assert back.b == h.b
+    with pytest.raises(TypeError, match="LinearClassifier"):
+        save_checkpoint(path, LinearClassifier(np.array([0.25, -1.5, 3.0]), -0.125))
+    assert not path.exists()
+
+
+def test_linear_type_tag_rejected(tmp_path):
+    # a well-formed file in the layout type tag 3 once held: one (d, 1) layer
+    path = tmp_path / "lin.ckpt"
+    path.write_bytes(linear_tag_blob([0.25, -1.5, 3.0], -0.125))
+    with pytest.raises(CheckpointError, match="unknown checkpoint type tag 3"):
+        load_checkpoint(path)
 
 
 def test_evaluations_survive_roundtrip(tmp_path):

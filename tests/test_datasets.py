@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ebsmooth.datasets import (
-    GaussianClassSpec,
     IdxFormatError,
     LabeledDataset,
     gen_dataset,
@@ -30,19 +29,19 @@ def make_idx_pair(tmp_path, n=4, rows=28, cols=28, labels=(0, 1, 2, 3),
 class TestGenDataset:
     def test_balanced_labels(self):
         means = np.array([[3.0, 0.0], [-3.0, 0.0]])
-        ds = gen_dataset(GaussianClassSpec(means, 1.0, 1000), rng_stream(0, 0))
+        ds = gen_dataset(means, 1.0, 1000, rng_stream(0, 0))
         assert np.bincount(ds.labels).tolist() == [500, 500]
 
     def test_deterministic_under_seed(self):
         means = np.array([[1.0], [-1.0]])
-        a = gen_dataset(GaussianClassSpec(means, 0.5, 64), rng_stream(1, 7))
-        b = gen_dataset(GaussianClassSpec(means, 0.5, 64), rng_stream(1, 7))
+        a = gen_dataset(means, 0.5, 64, rng_stream(1, 7))
+        b = gen_dataset(means, 0.5, 64, rng_stream(1, 7))
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.labels, b.labels)
 
     def test_class_means_recovered(self):
         means = np.array([[4.0, 0.0], [-4.0, 0.0], [0.0, 4.0]])
-        ds = gen_dataset(GaussianClassSpec(means, 1.0, 30_000), rng_stream(2, 0))
+        ds = gen_dataset(means, 1.0, 30_000, rng_stream(2, 0))
         for k in range(3):
             sample_mean = ds.points[ds.labels == k].mean(axis=0)
             tol = 4.0 / np.sqrt(30_000 / 3)
@@ -50,8 +49,20 @@ class TestGenDataset:
 
     def test_remainder_goes_to_early_classes(self):
         means = np.array([[1.0], [-1.0]])
-        ds = gen_dataset(GaussianClassSpec(means, 1.0, 7), rng_stream(3, 0))
+        ds = gen_dataset(means, 1.0, 7, rng_stream(3, 0))
         assert np.bincount(ds.labels).tolist() == [4, 3]
+
+    @pytest.mark.parametrize("sigma0, n, match", [(0.0, 5, "sigma0"), (-1.0, 5, "sigma0"),
+                                                  (np.nan, 5, "sigma0"), (1.0, 0, "n must")])
+    def test_bad_scale_or_count_rejected(self, sigma0, n, match):
+        with pytest.raises(ValueError, match=match):
+            gen_dataset([[1.0], [-1.0]], sigma0, n, rng_stream(3, 0))
+
+    def test_one_mean_may_be_a_vector(self):
+        a = gen_dataset([1.0, -2.0], 0.5, 6, rng_stream(3, 1))
+        b = gen_dataset([[1.0, -2.0]], 0.5, 6, rng_stream(3, 1))
+        assert a.n_classes == 1 and a.dim == 2
+        assert np.array_equal(a.points, b.points)
 
 
 class TestLoadIdx:
@@ -114,7 +125,7 @@ class TestLoadIdx:
 class TestDatasetCsv:
     def test_roundtrip_bit_exact(self, tmp_path):
         means = np.array([[2.0, 0.0, 1.0], [-2.0, 0.5, 0.0]])
-        ds = gen_dataset(GaussianClassSpec(means, 1.0, 50), rng_stream(4, 0))
+        ds = gen_dataset(means, 1.0, 50, rng_stream(4, 0))
         path = tmp_path / "d.csv"
         write_dataset_csv(path, ds)
         header, *lines = path.read_text().splitlines()

@@ -14,7 +14,7 @@ import pytest
 import ebsmooth.harness as harness
 from ebsmooth.cli import _FLAGS, main
 from ebsmooth.config import ConfigError, ExperimentConfig, config_from_dict, load_config
-from ebsmooth.harness import COMMANDS, certified_accuracy_at, certify_points
+from ebsmooth.harness import COMMANDS, certify_points, write_csv, write_curve_csv
 from ebsmooth.certify import CertResult, OracleResult
 from ebsmooth.checkpoint import load_checkpoint, save_checkpoint
 from ebsmooth.classifiers import EbClassifier, LinearClassifier, SoftClassifier
@@ -91,6 +91,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="train.mode"):
             config_from_dict({"train": {"mode": "nonsense"}})
 
+    def test_no_estimator_mode_is_estimator_kind_identity(self, tmp_path, capsys):
+        # training without a denoiser is spelled estimator.kind=identity; the
+        # error lists the two modes and names that spelling
+        path = write_cfg(tmp_path)
+        assert main(["train-xhat", "-c", str(path), "--mode", "no_estimator",
+                     "--set", "train.steps=1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: train.mode"), err
+        assert "('adversarial', 'no_attack')" in err and "estimator.kind=identity" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name", ["mixture_experiment.json", "oracle_check.json"])
     def test_demo_configs_load_every_key(self, name):
         path = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs" / name
@@ -136,6 +147,17 @@ class TestCliExitCodes:
             "train_images": str(img), "train_labels": str(lab),
         }})
         assert main(["gen-data", "-c", str(path)]) == 3
+
+    def test_linear_type_tag_is_3(self, tmp_path, capsys):
+        # type tag 3 (a linear classifier) is no longer a checkpoint type
+        lin = tmp_path / "lin.ckpt"
+        lin.write_bytes(b"EBCK" + struct.pack("<IIdIII", 1, 3, 0.0, 2, 2, 1)
+                        + struct.pack("<3d", 1.0, 0.0, 0.1))
+        path = write_cfg(tmp_path, extra={"classifier": {
+            "kind": "checkpoint", "path": str(lin), "weights": None, "bias": None}})
+        assert main(["certify", "-c", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "i/o error: unknown checkpoint type tag 3\n", err
 
     def test_nan_energy_is_2(self, tmp_path):
         from ebsmooth.checkpoint import save_checkpoint
@@ -591,17 +613,43 @@ class TestManifests:
         assert manifest["command"] == " ".join(["ebsmooth", command, "-c", str(path), *args])
 
 
+class TestWriteCsv:
+    def test_text_is_the_per_value_spelling(self, tmp_path):
+        # every CSV the commands write goes through write_csv: floats at 17
+        # significant digits as format(float(v), ".17g") spells them, any
+        # other value as str(v); a writer change that moves a byte fails here
+        rows = [
+            [0.0, -0.0, 5e-324, -5e-324, float("inf"), float("-inf"), float("nan")],
+            [0.1, 1e16, 1 / 3, -2.5e-310, 1.7976931348623157e308, 123456789.0, 1.0],
+            [np.float64(0.1), np.float64(-0.0), np.float64(np.nan), np.float64(-np.inf),
+             np.float64(1e16), np.float64(2.0), np.float64(-1 / 7)],
+            [np.int64(7), np.int64(-3), 0, -12, 2**70, True, np.float32(0.1)],
+            [3, np.float64(0.5), "label", np.int64(0), 1e-5, -1e-320, 1e22],
+        ]
+        path = tmp_path / "pin.csv"
+        write_csv(path, ["a", "b", "c", "d", "e", "f", "g"], rows)
+        lines = path.read_text().split("\n")
+        assert lines[0] == "a,b,c,d,e,f,g" and lines[-1] == ""
+        for line, row in zip(lines[1:-1], rows, strict=True):
+            assert line == ",".join(format(float(v), ".17g") if isinstance(v, float)
+                                    else str(v) for v in row)
+        assert lines[1] == "0,-0,4.9406564584124654e-324,-4.9406564584124654e-324,inf,-inf,nan"
+        assert lines[2].startswith("0.10000000000000001,10000000000000000,0.33333333333333331,")
+
+
 class TestParallelCertifyHelpers:
-    def test_accuracy_counts_abstains_as_errors(self):
+    def test_accuracy_counts_abstains_as_errors(self, tmp_path):
         results = [
             CertResult(1, 0.9, 1.0, np.array([0, 100])),
             CertResult(-1, 0.4, 0.0, np.array([50, 50])),
             CertResult(0, 0.8, 0.5, np.array([90, 10])),
         ]
         labels = [1, 1, 1]
-        assert certified_accuracy_at(results, labels, 0.0) == pytest.approx(1 / 3)
-        assert certified_accuracy_at(results, labels, 0.6) == pytest.approx(1 / 3)
-        assert certified_accuracy_at(results, labels, 1.1) == 0.0
+        write_curve_csv(tmp_path / "curve.csv", results, labels, [0.0, 0.6, 1.1])
+        rows = np.loadtxt(tmp_path / "curve.csv", delimiter=",", skiprows=1)
+        assert rows[:, 2].tolist() == [1, 1, 0]  # certified_correct
+        assert rows[:, 3].tolist() == [3, 3, 3]  # total
+        assert rows[:, 1] == pytest.approx([1 / 3, 1 / 3, 0.0])
 
     def test_certify_points_worker_equivalence(self):
         # workers=1 bounds point by point; workers=2 tallies in the pool and
@@ -836,7 +884,7 @@ class TestBadConfigValues:
                                       "oracle-wrong-dimension", "oracle-mixture",
                                       "oracle-idx", "idx-without-test", "walk-jump-idx",
                                       "idx-limit-negative", "idx-limit-zero",
-                                      "walk-jump-identity", "walk-jump-without-fine",
+                                      "generated-limit", "walk-jump-identity", "walk-jump-without-fine",
                                       "energy-as-classifier", "classifier-as-estimator"])
     def test_runner_config_error_makes_no_output_dir(self, tmp_path, capsys, case):
         # errors found only once a runner resolves its inputs still come
@@ -865,6 +913,8 @@ class TestBadConfigValues:
                                                   "estimator": {"kind": "identity"}}),
             "idx-limit-zero": ("train-xhat", {"dataset": {**idx, "limit": 0},
                                               "estimator": {"kind": "identity"}}),
+            # a generated dataset is sized by n_train and n_test alone
+            "generated-limit": ("gen-data", {"dataset": {"limit": 5}}),
             # walk-jump walks on a score, which the identity does not have
             "walk-jump-identity": ("walk-jump", {"estimator": {"kind": "identity"}}),
             "walk-jump-without-fine": ("walk-jump", {
@@ -885,6 +935,8 @@ class TestBadConfigValues:
             assert "energy" not in err
         if case.startswith("idx-limit"):
             assert err.startswith("config error: dataset.limit must be >= 1"), err
+        if case == "generated-limit":
+            assert err.startswith("config error: dataset.limit applies only to idx"), err
 
     def test_checkpoint_classifier_of_wrong_dimension_rejected(self, tmp_path, capsys):
         clf = tmp_path / "clf.ckpt"
