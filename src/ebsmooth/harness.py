@@ -45,7 +45,7 @@ class NumericalCheckError(RuntimeError):
     """Raised when a run-level numerical check fails (exit code 2).  outputs
     names the files the run wrote before the check failed."""
 
-    def __init__(self, message, outputs=()):
+    def __init__(self, message, outputs):
         super().__init__(message)
         self.outputs = list(outputs)
 
@@ -415,15 +415,13 @@ COMMANDS = {
 def run(command, cfg, command_line):
     """Run one of COMMANDS and write <command>_manifest.json (dashes as
     underscores) into cfg.output_dir, naming the files it wrote.  A
-    NumericalCheckError that names files already written (oracle-check over
-    its allowance) propagates after the manifest is written."""
+    NumericalCheckError (oracle-check over its allowance) names the files
+    already written; it propagates after the manifest is written."""
     t0 = time.perf_counter()
     failure = None
     try:
         outputs = COMMANDS[command][1](cfg)
     except NumericalCheckError as exc:
-        if not exc.outputs:
-            raise
         outputs, failure = exc.outputs, exc
     write_manifest(cfg.output_dir, command.replace("-", "_"), cfg, command_line,
                    time.perf_counter() - t0, outputs)

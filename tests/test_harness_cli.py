@@ -15,6 +15,7 @@ import ebsmooth.harness as harness
 from ebsmooth.cli import _FLAGS, main
 from ebsmooth.config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from ebsmooth.harness import COMMANDS, certify_points, write_csv, write_curve_csv
+from ebsmooth.adversarial import AttackSpec, ClassifierTrainConfig
 from ebsmooth.certify import CertResult, OracleResult
 from ebsmooth.checkpoint import load_checkpoint, save_checkpoint
 from ebsmooth.classifiers import EbClassifier, LinearClassifier, SoftClassifier
@@ -113,6 +114,12 @@ class TestConfig:
             else:
                 assert getattr(cfg, key) == value, key
         assert cfg.energy_train.sigma == cfg.sigma
+
+    def test_attack_m_must_equal_train_m(self):
+        # the attack and the loss share one noise list per example, so a
+        # config that runs the attack cannot be built with the two apart
+        with pytest.raises(ValueError, match=r"attack\.m \(2\) must equal train\.m \(1\)"):
+            ExperimentConfig(train=ClassifierTrainConfig(m=1), attack=AttackSpec(m=2))
 
     def test_section_defaults(self):
         cfg = ExperimentConfig()
@@ -876,9 +883,15 @@ class TestBadConfigValues:
         path = write_cfg(tmp_path)
         assert main([args[0], "-c", str(path), *args[1:]]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error:"), err
+        key, value = args[-1].split("=")
+        assert err.startswith(f"config error: {key}"), err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+        # a bad element is named by its index
+        element = {'[[1,"a"]]': "dataset.means[0][1]", "[[1,Infinity]]": "dataset.means[0][1]",
+                   "[1,NaN]": "classifier.weights[1]"}.get(value)
+        if element is not None:
+            assert err.startswith(f"config error: {element} must be a finite number"), err
 
     @pytest.mark.parametrize("case", ["oracle-nonlinear", "oracle-off-centre",
                                       "oracle-wrong-dimension", "oracle-mixture",
