@@ -64,7 +64,7 @@ def main(argv=None):
     overrides = args.overrides + [f"{key}={json.dumps(getattr(args, key))}"
                                   for _, _, key in _FLAGS if getattr(args, key) is not None]
     try:
-        cfg, _ = load_config(args.config, overrides)
+        cfg = load_config(args.config, overrides)
         run(args.command, cfg, "ebsmooth " + " ".join(argv))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -56,8 +56,6 @@ def _build(cls, data, path=""):
         return cls(**data)
     except ValueError as exc:
         raise ConfigError(f"{prefix}{exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _check_type(value, hint, name):
@@ -279,7 +277,7 @@ def load_config(path, overrides=()):
             if not isinstance(node, dict):
                 raise ConfigError(f"override path {dotted!r} crosses a non-object")
         node[parts[-1]] = value
-    return config_from_dict(data), data
+    return config_from_dict(data)
 
 
 def config_digest(cfg):

@@ -9,6 +9,7 @@ pixel bytes are scaled to [0, 1] doubles.
 from __future__ import annotations
 
 import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -75,66 +76,47 @@ def gen_dataset(means, sigma0, n, gen):
 def _read_u32s(blob, count, offset, path):
     end = offset + 4 * count
     if end > len(blob):
-        raise IdxFormatError(
-            f"{path}: truncated header, wanted {end} bytes, file has {len(blob)}"
-        )
+        raise IdxFormatError(f"{path}: truncated header, wanted {end} bytes, "
+                             f"file has {len(blob)}")
     return struct.unpack(f">{count}I", blob[offset:end]), end
 
 
-def _read_idx_labels(path):
-    """Every label of an IDX label file, one unsigned byte each, with the
-    big-endian header checked against the canonical magic."""
+def read_idx(path, magic):
+    """The uint8 array an IDX file holds.  The big-endian magic must be
+    `magic`, whose low byte is the number of big-endian uint32 dimensions
+    that follow; a zero dimension (an empty file, zero-size images) and a
+    file shorter than that shape are IdxFormatErrors."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    (magic,), off = _read_u32s(blob, 1, 0, path)
-    if magic != IDX_LABELS_MAGIC:
-        raise IdxFormatError(f"{path}: bad magic 0x{magic:08x} at byte offset 0, "
-                             f"expected 0x{IDX_LABELS_MAGIC:08x}")
-    (n_labels,), off = _read_u32s(blob, 1, off, path)
-    if len(blob) < off + n_labels:
-        raise IdxFormatError(f"{path}: truncated label data, wanted {off + n_labels} "
-                             f"bytes, file has {len(blob)}")
-    return np.frombuffer(blob, dtype=np.uint8, count=n_labels, offset=off).astype(np.int64)
+    (found,), off = _read_u32s(blob, 1, 0, path)
+    if found != magic:
+        raise IdxFormatError(f"{path}: bad magic 0x{found:08x} at byte offset 0, "
+                             f"expected 0x{magic:08x}")
+    shape, off = _read_u32s(blob, magic & 0xFF, off, path)
+    if 0 in shape:
+        raise IdxFormatError(f"{path}: shape {shape} holds no data")
+    end = off + math.prod(shape)
+    if len(blob) < end:
+        what = "label" if magic == IDX_LABELS_MAGIC else "pixel"
+        raise IdxFormatError(f"{path}: truncated {what} data, wanted {end} bytes, "
+                             f"file has {len(blob)}")
+    return np.frombuffer(blob, dtype=np.uint8, count=end - off, offset=off).reshape(shape)
 
 
 def load_idx(images_path, labels_path, limit=None):
     """Load an IDX image/label pair into a LabeledDataset.
 
-    Big-endian headers are checked against the canonical magics; pixels are
-    unsigned bytes scaled so that 255 maps to exactly 1.0.  A limit keeps
-    only the first `limit` points, and a negative one is a ValueError.
-    n_classes is one more than the largest label in the whole label file,
-    whatever the limit.
+    Both files are read by read_idx; pixels are unsigned bytes scaled so
+    that 255 maps to exactly 1.0.  A limit keeps only the first `limit`
+    points, and a negative one is a ValueError.  n_classes is one more than
+    the largest label in the whole label file, whatever the limit.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    with open(images_path, "rb") as fh:
-        img_blob = fh.read()
-
-    (img_magic,), off = _read_u32s(img_blob, 1, 0, images_path)
-    if img_magic != IDX_IMAGES_MAGIC:
-        raise IdxFormatError(
-            f"{images_path}: bad magic 0x{img_magic:08x} at byte offset 0, "
-            f"expected 0x{IDX_IMAGES_MAGIC:08x}"
-        )
-    (n_images, rows, cols), off = _read_u32s(img_blob, 3, off, images_path)
-    expected = off + n_images * rows * cols
-    if len(img_blob) < expected:
-        raise IdxFormatError(
-            f"{images_path}: truncated pixel data, wanted {expected} bytes, "
-            f"file has {len(img_blob)}"
-        )
-
-    all_labels = _read_idx_labels(labels_path)
-    if all_labels.size != n_images:
-        raise IdxFormatError(
-            f"count mismatch: {n_images} images in {images_path} but "
-            f"{all_labels.size} labels in {labels_path}"
-        )
-
-    take = n_images if limit is None else min(int(limit), n_images)
-    pixels = np.frombuffer(img_blob, dtype=np.uint8, count=take * rows * cols,
-                           offset=off)
-    points = pixels.astype(np.float64).reshape(take, rows * cols) / 255.0
-    return LabeledDataset(points, all_labels[:take], int(all_labels.max(initial=-1)) + 1)
-
+    images = read_idx(images_path, IDX_IMAGES_MAGIC)
+    labels = read_idx(labels_path, IDX_LABELS_MAGIC)
+    if len(labels) != len(images):
+        raise IdxFormatError(f"count mismatch: {len(images)} images in {images_path} "
+                             f"but {len(labels)} labels in {labels_path}")
+    points = images.reshape(len(images), -1)[:limit].astype(np.float64) / 255.0
+    return LabeledDataset(points, labels[:limit], int(labels.max()) + 1)

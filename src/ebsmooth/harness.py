@@ -24,7 +24,7 @@ from .certify import bound_counts, certify, count_votes, linear_gaussian_oracle
 from .checkpoint import load_checkpoint, save_checkpoint
 from .classifiers import EbClassifier, LinearClassifier, SoftClassifier
 from .config import ConfigError, config_digest
-from .datasets import _read_idx_labels, gen_dataset, load_idx
+from .datasets import IDX_LABELS_MAGIC, gen_dataset, load_idx, read_idx
 from .densities import Identity, IsoGaussian, IsoMixture
 from .energy import EnergyNet, train_energy
 from .sampler import walk_jump
@@ -93,7 +93,7 @@ def resolve_split(cfg, split):
     images, labels = getattr(ds, f"{split}_images"), getattr(ds, f"{split}_labels")
     if images is None or labels is None:
         return None
-    n_classes = max(int(_read_idx_labels(p).max(initial=-1)) + 1
+    n_classes = max(int(read_idx(p, IDX_LABELS_MAGIC).max()) + 1
                     for p in (ds.train_labels, ds.test_labels) if p is not None)
     return dataclasses.replace(load_idx(images, labels, ds.limit), n_classes=n_classes)
 
@@ -111,16 +111,24 @@ def resolve_data_model(cfg, need):
     return IsoMixture(means=means, sigma0=ds.sigma0)
 
 
-def load_energy(path, sigma, key, dim):
-    """The EnergyNet checkpoint at `path`, named by config key `key`, checked
-    to be of the data dimension `dim` and to have been trained at the noise
-    scale `sigma` it is about to be used at."""
-    net = load_checkpoint(path)
-    if not isinstance(net, EnergyNet):
-        raise ConfigError(f"{key} {path} is not an energy checkpoint")
-    if net.dim != dim:
-        raise ConfigError(f"{key} {path} has dimension {net.dim}, but the data have "
+def load_model(path, key, kind, dim):
+    """The checkpoint at `path`, named by config key `key`, checked to hold a
+    `kind` (EnergyNet or SoftClassifier) of the data dimension `dim`: the one
+    check every checkpoint a command loads passes."""
+    model = load_checkpoint(path)
+    if not isinstance(model, kind):
+        noun = "an energy" if kind is EnergyNet else "a classifier"
+        raise ConfigError(f"{key} {path} is not {noun} checkpoint")
+    if model.dim != dim:
+        raise ConfigError(f"{key} {path} has dimension {model.dim}, but the data have "
                           f"dimension {dim}")
+    return model
+
+
+def load_energy(path, sigma, key, dim):
+    """load_model's EnergyNet, also checked to have been trained at the noise
+    scale `sigma` it is about to be used at."""
+    net = load_model(path, key, EnergyNet, dim)
     try:
         # denoising no points runs only the energy's scale check
         net.bayes_estimate(np.zeros((0, net.dim)), sigma)
@@ -141,30 +149,20 @@ def resolve_estimator(cfg, dim):
                                    "train an energy model for file-based data")
 
 
-def resolve_base_classifier(cfg):
-    cl = cfg.classifier
-    if cl.kind == "linear":
-        return LinearClassifier(np.asarray(cl.weights, dtype=float), float(cl.bias))
-    if cl.kind == "checkpoint":
-        model = load_checkpoint(cl.path)
-        if not isinstance(model, SoftClassifier):
-            raise ConfigError(f"classifier.path {cl.path} is not a classifier checkpoint")
-        return model
-    raise ConfigError(
-        "classifier.kind=mlp has no parameters yet; train one with train-xhat "
-        "and point classifier.path at the checkpoint"
-    )
-
-
 def resolve_hard_classifier(cfg, dim):
     """The hard classifier certification runs on dim-dimensional points: the
-    base composed with the configured estimator."""
-    base = resolve_base_classifier(cfg)
-    if base.dim != dim:
-        what = ("classifier.weights" if cfg.classifier.kind == "linear"
-                else f"classifier.path {cfg.classifier.path}")
-        raise ConfigError(f"{what} has dimension {base.dim}, but the data have "
-                          f"dimension {dim}")
+    configured base composed with the configured estimator."""
+    cl = cfg.classifier
+    if cl.kind == "mlp":
+        raise ConfigError("classifier.kind=mlp has no parameters yet; train one with "
+                          "train-xhat and point classifier.path at the checkpoint")
+    if cl.kind == "checkpoint":
+        base = load_model(cl.path, "classifier.path", SoftClassifier, dim)
+    else:
+        base = LinearClassifier(np.asarray(cl.weights, dtype=float), float(cl.bias))
+        if base.dim != dim:
+            raise ConfigError(f"classifier.weights has dimension {base.dim}, but the data "
+                              f"have dimension {dim}")
     return EbClassifier(base, resolve_estimator(cfg, dim), cfg.sigma)
 
 
@@ -311,29 +309,28 @@ def run_curve(cfg):
 def run_oracle_check(cfg):
     """Certify the closed-form Gaussian pipeline and compare with the exact
     linear oracle, point by point.  The oracle is exact only for a linear
-    classifier over one centred Gaussian of its dimension, so any other
-    classifier or dataset is a ConfigError.  Over the violation allowance it
-    raises NumericalCheckError, after oracle.csv is written."""
-    if cfg.classifier.kind != "linear":
-        raise ConfigError("oracle-check needs classifier.kind=linear")
+    classifier denoised by the closed-form model of one centred Gaussian, so
+    any other classifier, estimator or dataset is a ConfigError, and so is a
+    classifier of another dimension (resolve_hard_classifier).  Over the
+    violation allowance it raises NumericalCheckError, after oracle.csv is
+    written."""
+    if (cfg.classifier.kind, cfg.estimator.kind) != ("linear", "closed_form"):
+        raise ConfigError("oracle-check needs classifier.kind=linear and "
+                          "estimator.kind=closed_form")
     if cfg.certify.max_points < 1:
         raise ConfigError("oracle-check needs certify.max_points >= 1")
-    base = resolve_base_classifier(cfg)
     model = resolve_data_model(cfg, "oracle-check needs a gaussian_classes dataset")
-    k, dim = np.shape(cfg.dataset.means)
-    if (k, dim) != (1, base.dim):
-        raise ConfigError(f"oracle-check needs one dataset mean of the classifier's "
-                          f"dimension {base.dim}, got {k} of dimension {dim}")
+    if not isinstance(model, IsoGaussian):
+        raise ConfigError(f"oracle-check needs one dataset mean, got {len(model.means)}")
     if np.any(model.mean):
         raise ConfigError("oracle-check needs an all-zero dataset mean")
-    sigma0 = model.sigma0
+    classifier = resolve_hard_classifier(cfg, model.dim)
     points = model.sample(cfg.certify.max_points, rng_stream(cfg.seed, STREAM_TEST_DATA))
-    classifier = EbClassifier(base, model, cfg.sigma)
     results = certify_points(classifier, points, cfg.sigma, cfg.confidence, cfg.seed,
                              workers=cfg.certify.workers)
     rows = []
     for i, (x, res) in enumerate(zip(points, results)):
-        oracle = linear_gaussian_oracle(base, x, cfg.sigma, sigma0)
+        oracle = linear_gaussian_oracle(classifier.base, x, cfg.sigma, model.sigma0)
         cv = int(not res.abstained and res.predicted != oracle.predicted)
         rv = int(res.radius > oracle.radius + 1e-9)
         rows.append((i, oracle.predicted, oracle.radius, res.predicted, res.pa_lower,
@@ -363,20 +360,20 @@ def run_walk_jump(cfg):
     keyed stream STREAM_WALK_BASE + i (stats.RowStreams), so each row is what
     that chain gives when walked alone.  The dumped trajectory is chain 0's
     path in that same batched walk, so it ends where samples.csv row 0 came
-    from.  Nothing is written when a chain goes non-finite."""
+    from.  Nothing is written when a chain goes non-finite.  The coarse source
+    is resolve_estimator's; walk_jump.fine_energy_path, when set, is the fine
+    one, which is otherwise the coarse source itself."""
     wj = cfg.walk_jump
     if cfg.estimator.kind == "identity":
         raise ConfigError("walk-jump needs estimator.kind closed_form or energy: the walk "
                           "follows a score, and the identity has none")
     model = resolve_data_model(cfg, "walk-jump needs a gaussian_classes dataset")
-    if cfg.estimator.kind == "energy":
-        coarse = load_energy(cfg.estimator.path, cfg.sigma, "estimator.path", model.dim)
-        if wj.fine_energy_path is None:
-            raise ConfigError("walk_jump.fine_energy_path is required with energy sources")
+    coarse = fine = resolve_estimator(cfg, model.dim)
+    if wj.fine_energy_path is not None:
         fine = load_energy(wj.fine_energy_path, wj.sigma_prime,
                            "walk_jump.fine_energy_path", model.dim)
-    else:
-        coarse = fine = model
+    elif cfg.estimator.kind == "energy":
+        raise ConfigError("walk_jump.fine_energy_path is required with energy sources")
     data_gen = rng_stream(cfg.seed, STREAM_WALK_DATA)
     clean = model.sample(wj.n_samples, data_gen)
     noisy = clean + cfg.sigma * data_gen.standard_normal(clean.shape)

@@ -8,6 +8,7 @@ from ebsmooth.datasets import (
     LabeledDataset,
     gen_dataset,
     load_idx,
+    read_idx,
 )
 from ebsmooth.harness import write_dataset_csv
 from ebsmooth.stats import rng_stream
@@ -115,6 +116,13 @@ class TestLoadIdx:
         ds = load_idx(img, lab, limit=2)
         assert len(ds) == 2
         assert ds.n_classes == 4  # from every label in the file
+
+    def test_read_idx_shape_and_top_label(self, tmp_path):
+        # a label of 255 makes 256 classes; the uint8 labels must not wrap
+        img, lab = make_idx_pair(tmp_path, labels=(0, 1, 2, 255))
+        pixels = read_idx(img, 0x803)
+        assert pixels.dtype == np.uint8 and pixels.shape == (4, 28, 28)
+        assert load_idx(img, lab).n_classes == 256
 
     def test_negative_limit_rejected(self, tmp_path):
         img, lab = make_idx_pair(tmp_path)

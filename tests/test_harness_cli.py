@@ -77,7 +77,7 @@ class TestConfig:
 
     def test_override_paths(self, tmp_path):
         path = write_cfg(tmp_path)
-        cfg, _ = load_config(path, ["confidence.nc=777", "sigma=0.5"])
+        cfg = load_config(path, ["confidence.nc=777", "sigma=0.5"])
         assert cfg.confidence.nc == 777
         assert cfg.sigma == 0.5
 
@@ -106,8 +106,8 @@ class TestConfig:
     @pytest.mark.parametrize("name", ["mixture_experiment.json", "oracle_check.json"])
     def test_demo_configs_load_every_key(self, name):
         path = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs" / name
-        cfg, raw = load_config(path)
-        for key, value in raw.items():
+        cfg = load_config(path)
+        for key, value in json.loads(path.read_text()).items():
             if isinstance(value, dict):
                 for field, item in value.items():
                     assert getattr(getattr(cfg, key), field) == item, f"{key}.{field}"
@@ -144,16 +144,25 @@ class TestCliExitCodes:
     def test_missing_config_is_1(self, tmp_path):
         assert main(["certify", "-c", str(tmp_path / "none.json")]) == 1
 
-    def test_corrupt_idx_is_3(self, tmp_path):
+    @pytest.mark.parametrize("magic, n, rows, cols", [
+        (0xDEAD, 1, 2, 2),  # bad magic
+        (0x803, 0, 2, 2),  # no images
+        (0x803, 3, 0, 5),  # images of no pixels
+    ], ids=["bad-magic", "zero-images", "zero-size-images"])
+    def test_corrupt_idx_is_3(self, tmp_path, capsys, magic, n, rows, cols):
+        # an empty file or zero-size images used to end in a traceback or a
+        # header-only CSV
         img = tmp_path / "im.idx"
         lab = tmp_path / "lb.idx"
-        img.write_bytes(struct.pack(">IIII", 0xDEAD, 1, 2, 2) + b"\x00" * 4)
-        lab.write_bytes(struct.pack(">II", 0x801, 1) + b"\x00")
+        img.write_bytes(struct.pack(">IIII", magic, n, rows, cols) + b"\x00" * (n * rows * cols))
+        lab.write_bytes(struct.pack(">II", 0x801, n) + b"\x00" * n)
         path = write_cfg(tmp_path, extra={"dataset": {
             "kind": "idx", "means": None,
             "train_images": str(img), "train_labels": str(lab),
         }})
         assert main(["gen-data", "-c", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(f"i/o error: {tmp_path}")
+        assert not (tmp_path / "out").exists()
 
     def test_linear_type_tag_is_3(self, tmp_path, capsys):
         # type tag 3 (a linear classifier) is no longer a checkpoint type
@@ -394,7 +403,7 @@ class TestTrainCli:
             "train": {"steps": 3, "batch_size": 4, "mode": "no_attack"},
             "classifier": {"kind": "mlp", "hidden": [8], "weights": None, "bias": None},
         })
-        cfg, _ = load_config(path)
+        cfg = load_config(path)
         for split in ("train", "test"):
             assert harness.resolve_split(cfg, split).n_classes == 3
         assert main(["train-xhat", "-c", str(path)]) == 0
@@ -485,7 +494,7 @@ class TestWalkJumpCli:
             "walk_jump": {"n_samples": 7, "tau": 30, "fine_energy_path": str(paths["fine"])},
         }
 
-    @pytest.mark.parametrize("source", ["mixture", "energy"])
+    @pytest.mark.parametrize("source", ["mixture", "energy", "mixture-energy"])
     def test_batch_equals_chains_walked_alone(self, tmp_path, source):
         # every row of samples.csv is its chain walked alone on its own keyed
         # stream, up to the summation order of the batched matmuls
@@ -496,17 +505,19 @@ class TestWalkJumpCli:
         means = rng_stream(9, 0).standard_normal((4, 6))
         extra = {"dataset": {"means": means.tolist()},
                  "walk_jump": {"n_samples": 7, "tau": 30}}
-        if source == "energy":
+        if source != "mixture":
             extra.update(self._energy_sources(tmp_path, 6))
+        if source == "mixture-energy":  # the closed-form coarse source, a learned fine one
+            del extra["estimator"]
         path = write_cfg(tmp_path, extra=extra)
         assert main(["walk-jump", "-c", str(path)]) == 0
         rows = np.loadtxt(tmp_path / "out" / "samples.csv", delimiter=",", skiprows=1)
         noisy, got = rows[:, 1:7], rows[:, 7:]
+        coarse = fine = IsoMixture(means=means, sigma0=1.0)
         if source == "energy":
             coarse = load_energy(extra["estimator"]["path"], 1.0, "coarse", 6)
+        if source != "mixture":
             fine = load_energy(extra["walk_jump"]["fine_energy_path"], 0.05, "fine", 6)
-        else:
-            coarse = fine = IsoMixture(means=means, sigma0=1.0)
         cfg = WalkJumpConfig(sigma_prime=0.05, delta=0.001, tau=30)
         for i in range(7):
             alone = walk_jump(coarse, fine, noisy[i:i + 1], 1.0, cfg,
@@ -898,7 +909,9 @@ class TestBadConfigValues:
                                       "oracle-idx", "idx-without-test", "walk-jump-idx",
                                       "idx-limit-negative", "idx-limit-zero",
                                       "generated-limit", "walk-jump-identity", "walk-jump-without-fine",
-                                      "energy-as-classifier", "classifier-as-estimator"])
+                                      "energy-as-classifier", "classifier-as-estimator",
+                                      "oracle-identity", "oracle-energy",
+                                      "walk-jump-fine-not-energy"])
     def test_runner_config_error_makes_no_output_dir(self, tmp_path, capsys, case):
         # errors found only once a runner resolves its inputs still come
         # before the first write, so the output directory is never made
@@ -919,6 +932,10 @@ class TestBadConfigValues:
                 "weights": [1.0] + [0.0] * 9}}),
             "oracle-mixture": ("oracle-check", {}),
             "oracle-idx": ("oracle-check", {"dataset": idx}),
+            # the oracle is exact only through the closed-form denoiser
+            "oracle-identity": ("oracle-check", {**CENTRED, "estimator": {"kind": "identity"}}),
+            "oracle-energy": ("oracle-check", {**CENTRED, "estimator": {
+                "kind": "energy", "path": str(energy)}}),
             "idx-without-test": ("certify", {"dataset": idx}),
             "walk-jump-idx": ("walk-jump", {"dataset": idx}),
             # a limit below 1 would leave no training point
@@ -932,6 +949,9 @@ class TestBadConfigValues:
             "walk-jump-identity": ("walk-jump", {"estimator": {"kind": "identity"}}),
             "walk-jump-without-fine": ("walk-jump", {
                 "estimator": {"kind": "energy", "path": str(energy)}}),
+            # the fine source is read whatever the coarse one is
+            "walk-jump-fine-not-energy": ("walk-jump", {
+                "walk_jump": {"n_samples": 2, "tau": 2, "fine_energy_path": str(clf)}}),
             "energy-as-classifier": ("certify", {"classifier": {
                 "kind": "checkpoint", "path": str(energy), "weights": None, "bias": None}}),
             "classifier-as-estimator": ("train-xhat", {
@@ -950,6 +970,16 @@ class TestBadConfigValues:
             assert err.startswith("config error: dataset.limit must be >= 1"), err
         if case == "generated-limit":
             assert err.startswith("config error: dataset.limit applies only to idx"), err
+        expected = {
+            "oracle-identity": "oracle-check needs classifier.kind=linear and estimator.kind",
+            "oracle-energy": "oracle-check needs classifier.kind=linear and estimator.kind",
+            # oracle-check resolves its classifier as certify does
+            "oracle-wrong-dimension": "classifier.weights has dimension 10, but the data have "
+                                      "dimension 2",
+            "walk-jump-fine-not-energy": f"walk_jump.fine_energy_path {clf} is not an energy",
+        }.get(case)
+        if expected is not None:
+            assert err.startswith(f"config error: {expected}"), err
 
     def test_checkpoint_classifier_of_wrong_dimension_rejected(self, tmp_path, capsys):
         clf = tmp_path / "clf.ckpt"
