@@ -17,7 +17,8 @@ from .stats import (
     std_normal_inv_cdf,
 )
 from .densities import Identity, IsoGaussian, IsoMixture, beta_of
-from .energy import EnergyNet, EnergyTrainConfig, TrainingDivergedError, train_energy
+from .energy import EnergyNet, EnergyTrainConfig, train_energy
+from .mlp import TrainingDivergedError
 from .classifiers import EbClassifier, LinearClassifier, SoftClassifier
 from .certify import (
     ABSTAIN,

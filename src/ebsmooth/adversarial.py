@@ -8,7 +8,9 @@ and reused across all attack iterations and the final parameter-gradient
 evaluation (common random numbers), which makes the inner problem a
 deterministic optimization and the whole step reproducible.  Each iterate's
 loss comes from the same forward pass as its gradient; only the last iterate,
-which takes no further step, is evaluated on its own.
+which takes no further step, is evaluated on its own.  This module owns only
+the attack and the batch step: every objective and gradient is the soft view
+EbClassifier.neg_log_pi, and the loop is mlp.descend.
 
 Modes: "adversarial" runs the full loop; "no_attack" trains on clean points
 (attack budget treated as zero).  The denoiser is the trainer's input, not a
@@ -24,9 +26,8 @@ import dataclasses
 
 import numpy as np
 
-from .classifiers import EbClassifier, SoftClassifier, _neg_log_pi
-from .energy import _check_finite_step
-from .mlp import Adam, check_hidden, check_schedule
+from .classifiers import EbClassifier, SoftClassifier
+from .mlp import check_hidden, check_schedule, descend
 
 MODE_ADVERSARIAL = "adversarial"
 MODE_NO_ATTACK = "no_attack"
@@ -68,11 +69,11 @@ def _pgd_batch(c, xs, ks, spec, noise):
     """
     xs = np.asarray(xs, dtype=float)
     if spec.epsilon == 0.0:
-        f0, _, _ = _neg_log_pi(c, xs, ks, noise)
+        f0, _, _ = c.neg_log_pi(xs, ks, noise)
         return xs.copy(), f0.copy(), f0, np.zeros(len(xs), dtype=bool)
 
     eta = spec.resolved_step_size()
-    f0, _, ascent = _neg_log_pi(c, xs, ks, noise, wrt="input")
+    f0, _, ascent = c.neg_log_pi(xs, ks, noise, wrt="input")
     best_f = f0.copy()
     best_z = xs.copy()
     aborted = np.zeros(len(xs), dtype=bool)
@@ -92,8 +93,8 @@ def _pgd_batch(c, xs, ks, spec, noise):
             delta[over] *= (spec.epsilon / dnorm[over])[:, None]
             z = xs + delta
         # the last iterate takes no step, so it needs no gradient
-        f, _, ascent = _neg_log_pi(c, z, ks, noise,
-                                   wrt="input" if step < spec.steps - 1 else None)
+        f, _, ascent = c.neg_log_pi(z, ks, noise,
+                                    wrt="input" if step < spec.steps - 1 else None)
         improved = ~aborted & np.isfinite(f) & (f > best_f)
         best_f = np.where(improved, f, best_f)
         best_z[improved] = z[improved]
@@ -106,7 +107,7 @@ def xhat_objective_theta_grads(c, xs, ks, noise):
     The attack points and the noise are held fixed; only the soft
     classifier's parameters receive gradients.  Returns (loss, grads, pis).
     """
-    neg_log, pis, grads = _neg_log_pi(c, np.asarray(xs, dtype=float), ks, noise, wrt="params")
+    neg_log, pis, grads = c.neg_log_pi(np.asarray(xs, dtype=float), ks, noise, wrt="params")
     return float(np.mean(neg_log)), grads, pis
 
 
@@ -152,9 +153,11 @@ def train_xhat(data, estimator, sigma, hidden, cfg, attack, gen, callback=None):
     Every mode draws the same batches and the same noise from `gen`, so runs
     differing only in mode consume identical randomness.
 
-    Returns the trained SoftClassifier.  callback, when given, receives
-    (step, record) with the clean loss, adversarial loss, attack success
-    rate, and abort count for that step.
+    Returns the trained SoftClassifier.  The loop is mlp.descend, so a
+    non-finite loss or gradient raises mlp.TrainingDivergedError before the
+    step.  callback, when given, receives (step, record) with the clean
+    loss, adversarial loss, attack success rate, and abort count for that
+    step.
     """
     if len(data) == 0:
         raise ValueError("data must hold at least one point")
@@ -163,14 +166,11 @@ def train_xhat(data, estimator, sigma, hidden, cfg, attack, gen, callback=None):
     n, dim = data.points.shape
 
     clf = SoftClassifier.init(dim, tuple(hidden), max(data.n_classes, 2), gen)
-    params = clf.parameters()
-    opt = Adam(params)
     # Adam updates clf's arrays in place, so one composed classifier serves
     # every step
     c = EbClassifier(clf, estimator, sigma)
 
-    for step in range(cfg.steps):
-        idx = gen.integers(0, n, size=cfg.batch_size)
+    def batch_step(idx):
         xb = data.points[idx]
         kb = data.labels[idx]
         noise = sigma * gen.standard_normal((cfg.batch_size, cfg.m, dim))
@@ -179,15 +179,14 @@ def train_xhat(data, estimator, sigma, hidden, cfg, attack, gen, callback=None):
             zb, adv_nll, clean_nll, aborted = _pgd_batch(c, xb, kb, attack, noise)
             n_aborted = int(aborted.sum())
         loss, grads, pis = xhat_objective_theta_grads(c, zb, kb, noise)
-        _check_finite_step(step, loss, grads)
-        opt.step(params, grads, cfg.lr)
-        if callback is not None:
-            # without an attack zb is xb: the training loss is the clean and
-            # the adversarial loss
-            callback(step, {
-                "clean_loss": float(np.mean(clean_nll)) if run_attack else loss,
-                "adv_loss": float(np.mean(adv_nll)) if run_attack else loss,
-                "attack_success": float(np.mean(np.argmax(pis, axis=1) != kb)),
-                "aborted": n_aborted,
-            })
+        # without an attack zb is xb: the training loss is the clean and the
+        # adversarial loss
+        return loss, grads, {
+            "clean_loss": float(np.mean(clean_nll)) if run_attack else loss,
+            "adv_loss": float(np.mean(adv_nll)) if run_attack else loss,
+            "attack_success": float(np.mean(np.argmax(pis, axis=1) != kb)),
+            "aborted": n_aborted,
+        }
+
+    descend(clf.parameters(), cfg, n, gen, batch_step, callback)
     return clf

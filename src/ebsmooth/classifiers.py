@@ -1,12 +1,14 @@
 """Base classifiers and their denoiser-composed counterparts.
 
-A hard classifier maps a batch of points (n, d) to their class indices (n,).
-The denoiser-composed classifier evaluates its base at the Bayes estimate of
-the input instead of at the input itself; with densities.Identity as its
-denoiser it is the plainly smoothed base.  Its soft counterpart averages the
-base soft classifier over denoised noisy copies and exposes the exact input
-gradient of its log-probabilities, which is what the projected-gradient
-attack consumes.
+A hard classifier maps a batch of points (n, d) to their class indices (n,),
+checked by densities.as_batch.  The denoiser-composed EbClassifier evaluates
+its base at the Bayes estimate of the input instead of at the input itself;
+with densities.Identity as its denoiser it is the plainly smoothed base.  Its
+soft view, the method EbClassifier.neg_log_pi, averages a SoftClassifier base
+over denoised noisy copies and gives the exact input and parameter gradients
+of its log-probabilities, which the projected-gradient attack and the
+trainer consume; only this module reaches into SoftClassifier's forward and
+reverse passes.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import dataclasses
 
 import numpy as np
 
-from .densities import _as_batch
+from .densities import as_batch
 from .mlp import LayerStack, affine_softplus, affine_softplus_backward, init_affine_stack
 
 PROB_FLOOR = 1e-12  # probabilities are floored here before any log
@@ -47,7 +49,7 @@ class LinearClassifier:
         return 2
 
     def predict_class(self, x):
-        return (_as_batch(x, self.dim) @ self.w + self.b > 0.0).astype(np.int64)
+        return (as_batch(x, self.dim) @ self.w + self.b > 0.0).astype(np.int64)
 
 
 class SoftClassifier(LayerStack):
@@ -83,12 +85,12 @@ class SoftClassifier(LayerStack):
         return gs[0], grads
 
     def probs(self, x):
-        return self._forward(_as_batch(x, self.dim))[0]
+        return self._forward(as_batch(x, self.dim))[0]
 
     def predict_class(self, x):
         """Index of the largest logit: the softmax is monotone, so it is
         never formed."""
-        logits, _, _ = affine_softplus(_as_batch(x, self.dim), self.weights, self.biases)
+        logits, _, _ = affine_softplus(as_batch(x, self.dim), self.weights, self.biases)
         # argmax of NaN logits is the NaN's index, which would count as a vote
         if not np.all(np.isfinite(logits)):
             raise FloatingPointError("classifier logits are not finite")
@@ -129,7 +131,7 @@ class EbClassifier:
         return self.base.n_classes
 
     def predict_class(self, x):
-        xb = _as_batch(x, self.dim)
+        xb = as_batch(x, self.dim)
         # NaN arithmetic need not warn: the result is checked right below
         with np.errstate(invalid="ignore"):
             xhat = self.estimator.bayes_estimate(xb, self.sigma)
@@ -138,44 +140,36 @@ class EbClassifier:
             raise FloatingPointError("denoised points are not finite")
         return self.base.predict_class(xhat)
 
+    def neg_log_pi(self, xs, ks, noise, wrt=None):
+        """The soft view's fixed-noise objective -log Pi_k for a batch, from
+        one forward pass; a base that is no SoftClassifier is a TypeError.
 
-def _require_soft_base(c):
-    if not hasattr(c.base, "probs"):
-        raise TypeError(
-            "soft-classifier operations need a base with probabilities; "
-            "represent two-class problems as K=2 soft classifiers"
-        )
-
-
-def _neg_log_pi(c, xs, ks, noise, wrt=None):
-    """The fixed-noise objective -log Pi_k for a batch, from one forward pass.
-
-    xs (B, d) are the points, ks (B,) their classes and noise (B, m, d) the
-    noise added to each; Pi (B, K) averages the base's probabilities over the
-    m denoised noisy copies, and Pi_k is floored at PROB_FLOOR before the
-    log.  Returns (neg_log (B,), pis, grads), where grads is None when wrt is
-    None, the input gradient (B, d) of neg_log when wrt is "input", and the
-    base's parameter gradients of neg_log's mean, in parameters() order, when
-    wrt is "params".
-    """
-    _require_soft_base(c)
-    bsz, m, dim = noise.shape
-    y = (xs[:, None, :] + noise).reshape(bsz * m, dim)
-    xhat, vjp = c.estimator.linearize(y, c.sigma)
-    probs, cache = c.base._forward(xhat, sigmoids=wrt is not None)
-    pis = probs.reshape(bsz, m, -1).mean(axis=1)
-    pik = np.maximum(pis[np.arange(bsz), ks], PROB_FLOOR)
-    neg_log = -np.log(pik)
-    if wrt is None:
-        return neg_log, pis, None
-    rep_k = np.repeat(ks, m)
-    pk = probs[np.arange(bsz * m), rep_k]
-    onehot = np.eye(c.base.n_classes)[rep_k]
-    if wrt == "params":
-        coef = np.repeat(-1.0 / (bsz * m * pik), m)
-        _, grads = c.base._backward(cache, (coef * pk)[:, None] * (onehot - probs))
-        return neg_log, pis, grads
-    dxhat, _ = c.base._backward(cache, pk[:, None] * (onehot - probs), want_params=False)
-    pulled = vjp(dxhat)
-    grads = pulled.reshape(bsz, m, dim).sum(axis=1) / (m * pik[:, None])
-    return neg_log, pis, -grads
+        xs (B, d) are the points, ks (B,) their classes and noise (B, m, d)
+        the noise added to each; Pi (B, K) averages the base's probabilities
+        over the m denoised noisy copies, and Pi_k is floored at PROB_FLOOR
+        before the log.  Returns (neg_log (B,), pis, grads), where grads is
+        None when wrt is None, the input gradient (B, d) of neg_log when wrt
+        is "input", and the base's parameter gradients of neg_log's mean, in
+        parameters() order, when wrt is "params".
+        """
+        if not isinstance(self.base, SoftClassifier):
+            raise TypeError("the soft view needs a SoftClassifier base (K=2 for two classes)")
+        bsz, m, dim = noise.shape
+        y = (xs[:, None, :] + noise).reshape(bsz * m, dim)
+        xhat, vjp = self.estimator.linearize(y, self.sigma)
+        probs, cache = self.base._forward(xhat, sigmoids=wrt is not None)
+        pis = probs.reshape(bsz, m, -1).mean(axis=1)
+        pik = np.maximum(pis[np.arange(bsz), ks], PROB_FLOOR)
+        neg_log = -np.log(pik)
+        if wrt is None:
+            return neg_log, pis, None
+        rep_k = np.repeat(ks, m)
+        pk = probs[np.arange(bsz * m), rep_k]
+        onehot = np.eye(self.n_classes)[rep_k]
+        if wrt == "params":
+            coef = np.repeat(-1.0 / (bsz * m * pik), m)
+            _, grads = self.base._backward(cache, (coef * pk)[:, None] * (onehot - probs))
+            return neg_log, pis, grads
+        dxhat, _ = self.base._backward(cache, pk[:, None] * (onehot - probs), want_params=False)
+        grads = vjp(dxhat).reshape(bsz, m, dim).sum(axis=1) / (m * pik[:, None])
+        return neg_log, pis, -grads

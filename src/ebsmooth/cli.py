@@ -16,7 +16,7 @@ import sys
 from .checkpoint import CheckpointError
 from .config import ConfigError, load_config
 from .datasets import IdxFormatError
-from .energy import TrainingDivergedError
+from .mlp import TrainingDivergedError
 from .harness import COMMANDS, NumericalCheckError, run
 
 EXIT_OK = 0

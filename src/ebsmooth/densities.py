@@ -9,7 +9,8 @@ denoiser's Jacobian.  Identity is the denoiser of plain randomized
 smoothing: xhat(y) = y, with the identity as its Jacobian.
 
 Every model method takes a batch y of shape (n, d) and returns one value or
-row per point; a single point (d,) is a ValueError.
+row per point; a single point (d,) is a ValueError.  Its checks, as_batch
+and vjp_input, serve the classifiers and the learned energy too.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def beta_of(sigma, sigma0):
     return 1.0 / (1.0 + (sigma / sigma0) ** 2)
 
 
-def _as_batch(y, dim=None):
+def as_batch(y, dim=None):
     """y as a float (n, dim) batch of points (any width when dim is None)."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
@@ -38,7 +39,7 @@ def _as_batch(y, dim=None):
     return y
 
 
-def _vjp_input(u, yb):
+def vjp_input(u, yb):
     """The cotangent batch u of a vjp linearized at the batch yb."""
     u = np.asarray(u, dtype=float)
     if u.shape != yb.shape:
@@ -52,12 +53,12 @@ class Identity:
     classifier is plainly smoothed."""
 
     def bayes_estimate(self, y, sigma):
-        return _as_batch(y)
+        return as_batch(y)
 
     def linearize(self, y, sigma):
         """(y, vjp) with vjp the identity."""
-        yb = _as_batch(y)
-        return yb, lambda u: _vjp_input(u, yb)
+        yb = as_batch(y)
+        return yb, lambda u: vjp_input(u, yb)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,20 +86,20 @@ class IsoGaussian:
 
     def log_density_y(self, y, sigma):
         """Log density of Y = X + N(0, sigma^2 I) at y."""
-        yb = _as_batch(y, self.dim)
+        yb = as_batch(y, self.dim)
         s2 = sigma * sigma + self.sigma0 * self.sigma0
         sq = np.sum((yb - self.mean) ** 2, axis=1)
         return -0.5 * sq / s2 - 0.5 * self.dim * np.log(2.0 * np.pi * s2)
 
     def smoothed_score(self, y, sigma):
         """Gradient of log f_Y at y: -(y - mean) / (sigma^2 + sigma0^2)."""
-        yb = _as_batch(y, self.dim)
+        yb = as_batch(y, self.dim)
         s2 = sigma * sigma + self.sigma0 * self.sigma0
         return (self.mean - yb) / s2
 
     def bayes_estimate(self, y, sigma):
         """Posterior mean of X given Y = y: y + sigma^2 * score(y)."""
-        yb = _as_batch(y, self.dim)
+        yb = as_batch(y, self.dim)
         return yb + sigma * sigma * self.smoothed_score(yb, sigma)
 
     def linearize(self, y, sigma):
@@ -109,7 +110,7 @@ class IsoGaussian:
         xhat = self.bayes_estimate(y, sigma)
 
         def vjp(u):
-            u = _vjp_input(u, xhat)
+            u = vjp_input(u, xhat)
             return u + sigma**2 * (-u / s2)
 
         return xhat, vjp
@@ -183,7 +184,7 @@ class IsoMixture:
         return w / w.sum(axis=1, keepdims=True)
 
     def log_density_y(self, y, sigma):
-        yb = _as_batch(y, self.dim)
+        yb = as_batch(y, self.dim)
         s2 = sigma * sigma + self.sigma0 * self.sigma0
         sq_y = np.sum(yb * yb, axis=1)
         logits = self._logits(yb, s2)
@@ -194,7 +195,7 @@ class IsoMixture:
     def smoothed_score(self, y, sigma):
         """Gradient of log f_Y: responsibility-weighted pull toward the means,
         sum_k r_k (mu_k - y) / s2 = (r @ means - y) / s2."""
-        yb = _as_batch(y, self.dim)
+        yb = as_batch(y, self.dim)
         s2 = sigma * sigma + self.sigma0 * self.sigma0
         resp = self._responsibilities(yb, s2)
         return (resp @ self.means - yb) / s2
@@ -222,13 +223,13 @@ class IsoMixture:
     def linearize(self, y, sigma):
         """(bayes_estimate(y, sigma), vjp) with vjp(u) = u + sigma^2 * H u, H
         the Hessian of log f_Y at y, both from one set of responsibilities."""
-        yb = _as_batch(y, self.dim)
+        yb = as_batch(y, self.dim)
         s2 = sigma * sigma + self.sigma0 * self.sigma0
         resp = self._responsibilities(yb, s2)
         xhat = yb + sigma * sigma * ((resp @ self.means - yb) / s2)
 
         def vjp(u):
-            u = _vjp_input(u, yb)
+            u = vjp_input(u, yb)
             return u + sigma**2 * self._hvp(resp, u, s2)
 
         return xhat, vjp

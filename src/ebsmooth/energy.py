@@ -16,6 +16,9 @@ this module carries, all in closed form:
     (the denoising loss differentiates through the gradient, i.e. double
     backpropagation).
 
+Batches are checked by densities.as_batch and vjp_input, as in the exact
+models.  train_energy owns only its batch step; the loop is mlp.descend.
+
 Softplus is used throughout because the chain rule through the denoiser needs
 a continuous second derivative; piecewise-linear activations would make the
 Hessian-vector products above undefined.
@@ -27,27 +30,9 @@ import dataclasses
 
 import numpy as np
 
-from .densities import _as_batch, _vjp_input
-from .mlp import (Adam, LayerStack, affine_softplus, affine_softplus_backward, check_hidden,
-                  check_schedule, init_affine_stack, sigmoid)
-
-
-class TrainingDivergedError(RuntimeError):
-    """Raised when a training loss or gradient stops being finite; carries
-    the step index."""
-
-    def __init__(self, step, what="loss"):
-        super().__init__(f"non-finite {what} at training step {step}")
-        self.step = step
-
-
-def _check_finite_step(step, loss, grads):
-    """Raise TrainingDivergedError unless the loss and every parameter
-    gradient are finite, so no optimizer step writes NaN into parameters."""
-    if not np.isfinite(loss):
-        raise TrainingDivergedError(step)
-    if not all(np.all(np.isfinite(g)) for g in grads):
-        raise TrainingDivergedError(step, "gradient")
+from .densities import as_batch, vjp_input
+from .mlp import (LayerStack, affine_softplus, affine_softplus_backward, check_hidden,
+                  check_schedule, descend, init_affine_stack, sigmoid)
 
 
 class EnergyNet(LayerStack):
@@ -145,12 +130,12 @@ class EnergyNet(LayerStack):
     def log_density_y(self, y, sigma):
         """-phi(y): the log density of Y up to an unknown constant."""
         self._check_scale(sigma)
-        return -affine_softplus(_as_batch(y, self.dim), self.weights, self.biases)[0][:, 0]
+        return -affine_softplus(as_batch(y, self.dim), self.weights, self.biases)[0][:, 0]
 
     def smoothed_score(self, y, sigma):
         """-grad phi(y): the learned score of Y."""
         self._check_scale(sigma)
-        return -self._grad(_as_batch(y, self.dim))[0]
+        return -self._grad(as_batch(y, self.dim))[0]
 
     def bayes_estimate(self, y, sigma):
         """Denoised point y - sigma^2 * grad phi(y) at the trained scale."""
@@ -161,12 +146,12 @@ class EnergyNet(LayerStack):
         vjp(u) = u - sigma^2 * hessian(phi)(y) u runs only the tangent and
         reverse passes on the primal pass's cache, and only when called."""
         self._check_scale(sigma)
-        yb = _as_batch(y, self.dim)
+        yb = as_batch(y, self.dim)
         grad, cache = self._grad(yb)
         xhat = yb - self.sigma**2 * grad
 
         def vjp(u):
-            ub = _vjp_input(u, yb)
+            ub = vjp_input(u, yb)
             hvp = self._gdot(cache, ub, want_params=False)[3]
             return ub + sigma**2 * -hvp
 
@@ -185,19 +170,14 @@ def denoise_loss_and_grads(net, x_clean, y_noisy):
     zero.
     """
     sigma2 = net.sigma**2
-    batch = x_clean.shape[0]
     grad, cache = net._grad(y_noisy)
     xhat = y_noisy - sigma2 * grad
     err = xhat - x_clean
     loss = float(np.mean(np.sum(err * err, axis=1)))
-    upstream = (2.0 / batch) * err
+    upstream = (2.0 / x_clean.shape[0]) * err
     w_grads, b_grads, readout_grad, _ = net._gdot(cache, upstream, want_params=True)
-    grads = []
-    for wg, bg in zip(w_grads, b_grads):
-        grads.extend((-sigma2 * wg, -sigma2 * bg))
-    grads.append(-sigma2 * readout_grad)
-    grads.append(np.zeros(1))
-    return loss, grads
+    grads = [-sigma2 * g for wg, bg in zip(w_grads, b_grads) for g in (wg, bg)]
+    return loss, grads + [-sigma2 * readout_grad, np.zeros(1)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -224,24 +204,20 @@ def train_energy(data, cfg, gen, callback=None):
 
     One fresh noise draw per data point per step keeps the stochastic loss
     unbiased.  All randomness flows through `gen`, so a fixed stream
-    reproduces the final parameters bit for bit.  A non-finite loss or
-    gradient raises TrainingDivergedError before the step.  callback, when
-    given, receives (step, {"loss": loss}).
+    reproduces the final parameters bit for bit.  The loop is mlp.descend:
+    a non-finite loss or gradient raises mlp.TrainingDivergedError before
+    the step.  callback, when given, receives (step, {"loss": loss}).
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("data must be a nonempty (n, d) array")
     n, dim = data.shape
     net = EnergyNet.init(dim, tuple(cfg.hidden), cfg.sigma, gen)
-    params = net.parameters()
-    opt = Adam(params)
-    for step in range(cfg.steps):
-        idx = gen.integers(0, n, size=cfg.batch_size)
+
+    def batch_step(idx):
         x = data[idx]
-        y = x + cfg.sigma * gen.standard_normal(x.shape)
-        loss, grads = denoise_loss_and_grads(net, x, y)
-        _check_finite_step(step, loss, grads)
-        opt.step(params, grads, cfg.lr)
-        if callback is not None:
-            callback(step, {"loss": loss})
+        loss, grads = denoise_loss_and_grads(net, x, x + cfg.sigma * gen.standard_normal(x.shape))
+        return loss, grads, {"loss": loss}
+
+    descend(net.parameters(), cfg, n, gen, batch_step, callback)
     return net

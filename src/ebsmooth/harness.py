@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .adversarial import train_xhat
 from .certify import bound_counts, certify, count_votes, linear_gaussian_oracle
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .classifiers import EbClassifier, LinearClassifier, SoftClassifier
 from .config import ConfigError, config_digest
 from .datasets import IDX_LABELS_MAGIC, gen_dataset, load_idx, read_idx
@@ -84,7 +84,7 @@ def resolve_split(cfg, split):
     for an idx dataset without test files.  Each generated split draws from
     its own stream, so it is the same whether or not the other is made.  An
     idx split counts the classes of every label file the section names, so
-    neither dataset.limit nor the split changes its n_classes."""
+    neither dataset.limit nor the split changes its n_classes, and reads each file once."""
     ds = cfg.dataset
     if ds.kind == "gaussian_classes":
         n, stream = ((ds.n_train, STREAM_TRAIN_DATA) if split == "train"
@@ -93,9 +93,10 @@ def resolve_split(cfg, split):
     images, labels = getattr(ds, f"{split}_images"), getattr(ds, f"{split}_labels")
     if images is None or labels is None:
         return None
-    n_classes = max(int(read_idx(p, IDX_LABELS_MAGIC).max()) + 1
-                    for p in (ds.train_labels, ds.test_labels) if p is not None)
-    return dataclasses.replace(load_idx(images, labels, ds.limit), n_classes=n_classes)
+    data = load_idx(images, labels, ds.limit)  # its n_classes reads the whole label file
+    other = ds.test_labels if split == "train" else ds.train_labels
+    top = -1 if other is None else int(read_idx(other, IDX_LABELS_MAGIC).max())
+    return dataclasses.replace(data, n_classes=max(data.n_classes, top + 1))
 
 
 def resolve_data_model(cfg, need):
@@ -112,10 +113,14 @@ def resolve_data_model(cfg, need):
 
 
 def load_model(path, key, kind, dim):
-    """The checkpoint at `path`, named by config key `key`, checked to hold a
-    `kind` (EnergyNet or SoftClassifier) of the data dimension `dim`: the one
-    check every checkpoint a command loads passes."""
-    model = load_checkpoint(path)
+    """The checkpoint config key `key` names at `path`, checked to hold a `kind`
+    (EnergyNet or SoftClassifier) of data dimension `dim`: every checkpoint a
+    command loads passes here, and an unreadable one is a CheckpointError naming
+    key and path."""
+    try:
+        model = load_checkpoint(path)
+    except (CheckpointError, OSError) as exc:
+        raise CheckpointError(f"{key} {path}: {getattr(exc, 'strerror', None) or exc}") from None
     if not isinstance(model, kind):
         noun = "an energy" if kind is EnergyNet else "a classifier"
         raise ConfigError(f"{key} {path} is not {noun} checkpoint")
@@ -311,9 +316,9 @@ def run_oracle_check(cfg):
     linear oracle, point by point.  The oracle is exact only for a linear
     classifier denoised by the closed-form model of one centred Gaussian, so
     any other classifier, estimator or dataset is a ConfigError, and so is a
-    classifier of another dimension (resolve_hard_classifier).  Over the
-    violation allowance it raises NumericalCheckError, after oracle.csv is
-    written."""
+    classifier of another dimension (resolve_hard_classifier).  When more points
+    than certify.max_violations carry a violation (a point with both flags
+    counts once), it raises NumericalCheckError, after oracle.csv is written."""
     if (cfg.classifier.kind, cfg.estimator.kind) != ("linear", "closed_form"):
         raise ConfigError("oracle-check needs classifier.kind=linear and "
                           "estimator.kind=closed_form")
@@ -340,15 +345,13 @@ def run_oracle_check(cfg):
                "abstain", "class_violation", "radius_violation"], rows)
     class_violations = sum(row[-2] for row in rows)
     radius_violations = sum(row[-1] for row in rows)
+    violating = sum(row[-2] or row[-1] for row in rows)  # a point with both counts once
+    allowed = cfg.certify.max_violations
     print(f"oracle-check: {len(results)} points, {class_violations} class and "
-          f"{radius_violations} radius violations "
-          f"(allowed {cfg.certify.max_violations})")
-    total = class_violations + radius_violations
-    if total > cfg.certify.max_violations:
-        raise NumericalCheckError(
-            f"{total} oracle violations exceed the allowed {cfg.certify.max_violations}",
-            outputs=["oracle.csv"],
-        )
+          f"{radius_violations} radius violations on {violating} points (allowed {allowed})")
+    if violating > allowed:
+        raise NumericalCheckError(f"{violating} points with oracle violations exceed the "
+                                  f"allowed {allowed}", outputs=["oracle.csv"])
     return ["oracle.csv"]
 
 

@@ -1,8 +1,8 @@
 """Shared pieces for the small fully-connected networks: smooth activations,
 the layer stack both networks are, its affine-softplus forward pass and the
 one reverse pass of it, weight initialization, an Adam optimizer with bias
-correction, and the checks both trainers' configs run on hidden widths and
-learning schedules.
+correction, the one minibatch descent loop both trainers run on it, and the
+checks both trainers' configs run on hidden widths and learning schedules.
 
 The activations are plain numpy, so the training commands never import
 scipy.  Each writes into one output buffer and, for a contiguous input,
@@ -146,6 +146,32 @@ class Adam:
             v *= BETA2
             v += (1.0 - BETA2) * g * g
             p -= lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
+
+
+class TrainingDivergedError(RuntimeError):
+    """A training loss or gradient stopped being finite at step `step`."""
+
+    def __init__(self, step, what="loss"):
+        super().__init__(f"non-finite {what} at training step {step}")
+        self.step = step
+
+
+def descend(params, cfg, n, gen, batch_step, callback=None):
+    """Minibatch Adam descent on params, in place, under cfg's steps,
+    batch_size and lr.  Each step draws cfg.batch_size indices below n from
+    gen; batch_step(idx) returns (loss, grads, record), a non-finite loss or
+    gradient raises TrainingDivergedError before the update, and callback,
+    when given, then receives (step, record)."""
+    opt = Adam(params)
+    for step in range(cfg.steps):
+        loss, grads, record = batch_step(gen.integers(0, n, size=cfg.batch_size))
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(step)
+        if not all(np.all(np.isfinite(g)) for g in grads):
+            raise TrainingDivergedError(step, "gradient")
+        opt.step(params, grads, cfg.lr)
+        if callback is not None:
+            callback(step, record)
 
 
 def check_hidden(hidden):

@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from ebsmooth.adversarial import _pgd_batch
-from ebsmooth.classifiers import _neg_log_pi
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -204,8 +203,8 @@ def soft_pi(c, x, m, gen):
 def grad_log_pi(c, x, k, noise):
     """Input gradient of log of the fixed-noise soft probability of class k
     (floored at PROB_FLOOR before the log), from the library's batch pass."""
-    _, _, grads = _neg_log_pi(c, np.asarray(x, float)[None, :], np.array([k]),
-                              np.asarray(noise, float)[None, :, :], wrt="input")
+    _, _, grads = c.neg_log_pi(np.asarray(x, float)[None, :], np.array([k]),
+                               np.asarray(noise, float)[None, :, :], wrt="input")
     return -grads[0]
 
 

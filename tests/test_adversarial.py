@@ -11,7 +11,8 @@ from ebsmooth.adversarial import (
 from ebsmooth.classifiers import PROB_FLOOR, EbClassifier, SoftClassifier
 from ebsmooth.datasets import gen_dataset
 from ebsmooth.densities import Identity, IsoMixture
-from ebsmooth.energy import EnergyNet, TrainingDivergedError
+from ebsmooth.energy import EnergyNet
+from ebsmooth.mlp import TrainingDivergedError
 from ebsmooth.stats import rng_stream
 from oracles import pgd_attack, soft_pi_with_noise
 

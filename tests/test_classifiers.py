@@ -193,6 +193,15 @@ class TestSoftPi:
 
 
 class TestGradLogPi:
+    @pytest.mark.parametrize("base", [LinearClassifier(np.array([1.0, 0.0]), 0.0),
+                                      _ConstantSoft([0.5, 0.5])], ids=["linear", "duck-typed"])
+    def test_soft_view_needs_a_soft_classifier_base(self, base):
+        # a duck-typed base with probs used to pass the check, then fail
+        # with an AttributeError on the missing forward pass
+        c = EbClassifier(base, Identity(), 0.5)
+        with pytest.raises(TypeError, match="SoftClassifier base"):
+            c.neg_log_pi(np.zeros((1, 2)), np.array([0]), np.zeros((1, 1, 2)))
+
     def test_no_noise_linear_softmax_is_analytic(self):
         gen = rng_stream(7, 0)
         soft = SoftClassifier.init(3, (), 4, gen)  # bare affine + softmax

@@ -6,11 +6,11 @@ import ebsmooth.mlp as mlp
 from ebsmooth.energy import (
     EnergyNet,
     EnergyTrainConfig,
-    TrainingDivergedError,
     denoise_loss_and_grads,
     train_energy,
 )
 from ebsmooth.densities import IsoGaussian, beta_of
+from ebsmooth.mlp import TrainingDivergedError
 from ebsmooth.stats import rng_stream
 
 

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ebsmooth.datasets as datasets
 import ebsmooth.harness as harness
 from ebsmooth.cli import _FLAGS, main
 from ebsmooth.config import ConfigError, ExperimentConfig, config_from_dict, load_config
@@ -173,7 +174,33 @@ class TestCliExitCodes:
             "kind": "checkpoint", "path": str(lin), "weights": None, "bias": None}})
         assert main(["certify", "-c", str(path)]) == 3
         err = capsys.readouterr().err
-        assert err == "i/o error: unknown checkpoint type tag 3\n", err
+        assert err == f"i/o error: classifier.path {lin}: unknown checkpoint type tag 3\n", err
+
+    @pytest.mark.parametrize("bad", ["json", "truncated", "directory"])
+    @pytest.mark.parametrize("key", ["classifier.path", "estimator.path",
+                                     "walk_jump.fine_energy_path"])
+    def test_unreadable_checkpoint_is_3_naming_key_and_path(self, tmp_path, capsys, key, bad):
+        # these used to say only "bad magic ...", "truncated checkpoint ..."
+        # or "[Errno 21] Is a directory", naming neither the key nor the file
+        ckpt = tmp_path / "model.ckpt"
+        if bad == "json":
+            ckpt.write_text('{"a": 1}')
+        elif bad == "truncated":
+            ckpt.write_bytes(b"EBCK\x01\x00")
+        else:
+            ckpt.mkdir()
+        command, extra = {
+            "classifier.path": ("certify", {"classifier": {
+                "kind": "checkpoint", "path": str(ckpt), "weights": None, "bias": None}}),
+            "estimator.path": ("certify", {"estimator": {"kind": "energy", "path": str(ckpt)}}),
+            "walk_jump.fine_energy_path": ("walk-jump", {"walk_jump": {
+                "n_samples": 2, "tau": 2, "fine_energy_path": str(ckpt)}}),
+        }[key]
+        path = write_cfg(tmp_path, extra=extra)
+        assert main([command, "-c", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: {key} {ckpt}: "), err
+        assert not (tmp_path / "out").exists()
 
     def test_nan_energy_is_2(self, tmp_path):
         from ebsmooth.checkpoint import save_checkpoint
@@ -409,6 +436,33 @@ class TestTrainCli:
         assert main(["train-xhat", "-c", str(path)]) == 0
         assert load_checkpoint(tmp_path / "out" / "classifier.ckpt").widths[-1] == 3
 
+    def test_resolve_split_reads_each_idx_file_once(self, tmp_path, monkeypatch):
+        # the split's label file used to be read twice: once to count the
+        # classes, once by load_idx
+        files = {}
+        for split, labels in (("train", [0, 1, 0]), ("test", [2, 1])):
+            img, lab = tmp_path / f"{split}-im.idx", tmp_path / f"{split}-lb.idx"
+            img.write_bytes(struct.pack(">IIII", 0x803, len(labels), 1, 2)
+                            + bytes(2 * len(labels)))
+            lab.write_bytes(struct.pack(">II", 0x801, len(labels)) + bytes(labels))
+            files.update({f"{split}_images": str(img), f"{split}_labels": str(lab)})
+        cfg = load_config(write_cfg(tmp_path, extra={
+            "dataset": {"kind": "idx", "means": None, **files}}))
+        reads = []
+        real = datasets.read_idx
+
+        def counting(path, magic):
+            reads.append(str(path))
+            return real(path, magic)
+
+        monkeypatch.setattr(datasets, "read_idx", counting)
+        monkeypatch.setattr(harness, "read_idx", counting)
+        for split in ("train", "test"):
+            reads.clear()
+            assert harness.resolve_split(cfg, split).n_classes == 3
+            expected = [files[f"{split}_images"], files["train_labels"], files["test_labels"]]
+            assert sorted(reads) == sorted(expected)
+
     def test_certify_trained_checkpoint(self, tmp_path):
         path = write_cfg(tmp_path, extra={
             "train": {"steps": 40, "batch_size": 32, "mode": "no_attack"},
@@ -563,6 +617,25 @@ class TestOracleCheckCli:
         assert len((out / "oracle.csv").read_text().splitlines()) == 5
         manifest = json.loads((out / "oracle_check_manifest.json").read_text())
         assert manifest["outputs"] == ["oracle.csv"]
+
+    def test_a_point_with_both_violations_counts_once(self, tmp_path, capsys):
+        # alpha = 0.49 at nc = 20 makes many unsound certificates; 4 points
+        # carry a class and 48 a radius violation, but only 49 points carry
+        # either, and the check used to report and compare 52
+        path = SRC.parent / "demos" / "configs" / "oracle_check.json"
+        out = tmp_path / "out"
+        assert main(["oracle-check", "-c", str(path), "--nc", "20", "--n0", "5",
+                     "--alpha", "0.49", "--workers", "1", "--output-dir", str(out)]) == 2
+        lines = (out / "oracle.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        flagged = sum(row["class_violation"] == "1" or row["radius_violation"] == "1"
+                      for row in rows)
+        assert (len(rows), flagged) == (200, 49)
+        captured = capsys.readouterr()
+        assert "4 class and 48 radius violations on 49 points (allowed 3)" in captured.out
+        assert captured.err == ("numerical failure: 49 points with oracle violations "
+                                "exceed the allowed 3\n")
 
 
 class TestProcessExit:
@@ -782,7 +855,7 @@ class TestCheckpointMisuse:
         ("walk-jump", "coarse"), ("walk-jump", "fine"),
     ])
     def test_energy_of_wrong_dimension(self, tmp_path, command, wrong):
-        # a 3-d energy on 2-d data used to die in densities._as_batch with a
+        # a 3-d energy on 2-d data used to die in densities.as_batch with a
         # traceback
         dims = {"coarse": 2, "fine": 2, wrong: 3}
         path = write_cfg(tmp_path, extra={
