@@ -130,16 +130,14 @@ class DatasetSection:
         if self.kind == "idx":
             if self.limit is not None and self.limit < 1:
                 raise ValueError(f"limit must be >= 1, got {self.limit}")
-            for name in ("train_images", "train_labels"):
+            for name in ("train_images", "train_labels", "test_images", "test_labels"):
                 p = getattr(self, name)
-                if p is None:
+                if p is None and name.startswith("train"):
                     raise ValueError(f"{name} is required for idx datasets")
-                if not os.path.exists(p):
-                    raise ValueError(f"{name}: file not found: {p}")
-            for name in ("test_images", "test_labels"):
-                p = getattr(self, name)
                 if p is not None and not os.path.exists(p):
                     raise ValueError(f"{name}: file not found: {p}")
+            if (self.test_images is None) != (self.test_labels is None):
+                raise ValueError("test_images and test_labels must be given together")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -42,12 +42,7 @@ STREAM_CERT_BASE = 1_000_000
 
 
 class NumericalCheckError(RuntimeError):
-    """Raised when a run-level numerical check fails (exit code 2).  outputs
-    names the files the run wrote before the check failed."""
-
-    def __init__(self, message, outputs):
-        super().__init__(message)
-        self.outputs = list(outputs)
+    """Raised when a run-level numerical check fails (exit code 2)."""
 
 
 def write_csv(path, header, rows):
@@ -91,7 +86,7 @@ def resolve_split(cfg, split):
                      else (ds.n_test, STREAM_TEST_DATA))
         return gen_dataset(ds.means, ds.sigma0, n, rng_stream(cfg.seed, stream))
     images, labels = getattr(ds, f"{split}_images"), getattr(ds, f"{split}_labels")
-    if images is None or labels is None:
+    if images is None:  # the section gives a split's two files together
         return None
     data = load_idx(images, labels, ds.limit)  # its n_classes reads the whole label file
     other = ds.test_labels if split == "train" else ds.train_labels
@@ -227,21 +222,17 @@ def write_curve_csv(path, results, labels, radius_grid):
               ((float(r), ok / total, ok, total) for r, ok in zip(radius_grid, correct)))
 
 
-def write_training_log(path, rows, columns):
-    write_csv(path, ["step", *columns],
-              ([step, *(record[c] for c in columns)] for step, record in enumerate(rows)))
+def write_training_log(path, rows):
+    """One line per step; the columns are the first record's keys, in order."""
+    write_csv(path, ["step", *rows[0]],
+              ([step, *record.values()] for step, record in enumerate(rows)))
 
 
 # -- runners ------------------------------------------------------------------
-# Each runner takes the config, writes into cfg.output_dir and returns the
-# names of the files it wrote; run() times the runner and writes the
-# manifest.  The directory is made at the first write, so a runner that
-# fails on its config first leaves none behind.
-
-
-def _out(cfg, name):
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    return os.path.join(cfg.output_dir, name)
+# Each runner takes the config and run()'s path function, and opens every
+# file it writes at path(name): that makes cfg.output_dir on first use and
+# records the name for the manifest.  So the directory is made at the first
+# write, and a runner that fails on its config first leaves none behind.
 
 
 def write_dataset_csv(path, dataset):
@@ -249,28 +240,25 @@ def write_dataset_csv(path, dataset):
               ([int(label), *row] for label, row in zip(dataset.labels, dataset.points)))
 
 
-def run_gen_data(cfg):
+def run_gen_data(cfg, path):
     train, test = resolve_split(cfg, "train"), resolve_split(cfg, "test")
-    write_dataset_csv(_out(cfg, "train.csv"), train)
-    if test is None:
-        return ["train.csv"]
-    write_dataset_csv(_out(cfg, "test.csv"), test)
-    return ["train.csv", "test.csv"]
+    write_dataset_csv(path("train.csv"), train)
+    if test is not None:
+        write_dataset_csv(path("test.csv"), test)
 
 
-def run_train_energy(cfg):
+def run_train_energy(cfg, path):
     train = resolve_split(cfg, "train")
     history = []
     net = train_energy(
         train.points, cfg.energy_train, rng_stream(cfg.seed, STREAM_ENERGY_TRAIN),
         callback=lambda step, rec: history.append(rec),
     )
-    save_checkpoint(_out(cfg, "energy.ckpt"), net)
-    write_training_log(_out(cfg, "energy_train_log.csv"), history, ["loss"])
-    return ["energy.ckpt", "energy_train_log.csv"]
+    save_checkpoint(path("energy.ckpt"), net)
+    write_training_log(path("energy_train_log.csv"), history)
 
 
-def run_train_xhat(cfg):
+def run_train_xhat(cfg, path):
     train = resolve_split(cfg, "train")
     estimator = resolve_estimator(cfg, train.dim)
     history = []
@@ -279,14 +267,13 @@ def run_train_xhat(cfg):
         cfg.train, cfg.attack, rng_stream(cfg.seed, STREAM_CLASSIFIER_TRAIN),
         callback=lambda step, rec: history.append(rec),
     )
-    save_checkpoint(_out(cfg, "classifier.ckpt"), clf)
-    write_training_log(_out(cfg, "training_log.csv"), history,
-                       ["clean_loss", "adv_loss", "attack_success", "aborted"])
-    return ["classifier.ckpt", "training_log.csv"]
+    save_checkpoint(path("classifier.ckpt"), clf)
+    write_training_log(path("training_log.csv"), history)
 
 
-def _certify_test_split(cfg):
-    """Certify the first certify.max_points test points and write points.csv."""
+def run_certify(cfg, path):
+    """Certify the first certify.max_points test points and write one row
+    each; returns the results and their labels."""
     test = resolve_split(cfg, "test")
     if test is None:
         raise ConfigError("certification needs a test split (dataset.test_* for idx)")
@@ -296,29 +283,23 @@ def _certify_test_split(cfg):
         print("warning: empty test set, writing empty result CSVs")
     results = certify_points(classifier, test.points[:n], cfg.sigma, cfg.confidence,
                              cfg.seed, workers=cfg.certify.workers)
-    write_points_csv(_out(cfg, "points.csv"), results, test.labels[:n])
+    write_points_csv(path("points.csv"), results, test.labels[:n])
     return results, test.labels[:n]
 
 
-def run_certify(cfg):
-    _certify_test_split(cfg)
-    return ["points.csv"]
+def run_curve(cfg, path):
+    results, labels = run_certify(cfg, path)
+    write_curve_csv(path("curve.csv"), results, labels, cfg.certify.radius_grid)
 
 
-def run_curve(cfg):
-    results, labels = _certify_test_split(cfg)
-    write_curve_csv(_out(cfg, "curve.csv"), results, labels, cfg.certify.radius_grid)
-    return ["points.csv", "curve.csv"]
-
-
-def run_oracle_check(cfg):
+def run_oracle_check(cfg, path):
     """Certify the closed-form Gaussian pipeline and compare with the exact
     linear oracle, point by point.  The oracle is exact only for a linear
     classifier denoised by the closed-form model of one centred Gaussian, so
     any other classifier, estimator or dataset is a ConfigError, and so is a
     classifier of another dimension (resolve_hard_classifier).  When more points
     than certify.max_violations carry a violation (a point with both flags
-    counts once), it raises NumericalCheckError, after oracle.csv is written."""
+    counts once), it raises NumericalCheckError, after the per-point CSV is written."""
     if (cfg.classifier.kind, cfg.estimator.kind) != ("linear", "closed_form"):
         raise ConfigError("oracle-check needs classifier.kind=linear and "
                           "estimator.kind=closed_form")
@@ -340,7 +321,7 @@ def run_oracle_check(cfg):
         rv = int(res.radius > oracle.radius + 1e-9)
         rows.append((i, oracle.predicted, oracle.radius, res.predicted, res.pa_lower,
                      res.radius, int(res.abstained), cv, rv))
-    write_csv(_out(cfg, "oracle.csv"),
+    write_csv(path("oracle.csv"),
               ["index", "oracle_class", "oracle_radius", "predicted", "pa_lower", "radius",
                "abstain", "class_violation", "radius_violation"], rows)
     class_violations = sum(row[-2] for row in rows)
@@ -351,19 +332,18 @@ def run_oracle_check(cfg):
           f"{radius_violations} radius violations on {violating} points (allowed {allowed})")
     if violating > allowed:
         raise NumericalCheckError(f"{violating} points with oracle violations exceed the "
-                                  f"allowed {allowed}", outputs=["oracle.csv"])
-    return ["oracle.csv"]
+                                  f"allowed {allowed}")
 
 
-def run_walk_jump(cfg):
+def run_walk_jump(cfg, path):
     """Draw coarse-noise observations and push them through denoise, walk,
     jump; one CSV row per sample, optional trajectory dump for the first.
 
     All chains run as one batch, chain i drawing its walk noise from its own
     keyed stream STREAM_WALK_BASE + i (stats.RowStreams), so each row is what
     that chain gives when walked alone.  The dumped trajectory is chain 0's
-    path in that same batched walk, so it ends where samples.csv row 0 came
-    from.  Nothing is written when a chain goes non-finite.  The coarse source
+    path in that same batched walk, so it ends where the first sample row
+    came from.  Nothing is written when a chain goes non-finite.  The coarse source
     is resolve_estimator's; walk_jump.fine_energy_path, when set, is the fine
     one, which is otherwise the coarse source itself."""
     wj = cfg.walk_jump
@@ -386,16 +366,13 @@ def run_walk_jump(cfg):
                        record=0 if wj.dump_trajectory else None)
     outs, traj = walked if wj.dump_trajectory else (walked, None)
     dim = model.dim
-    write_csv(_out(cfg, "samples.csv"),
+    write_csv(path("samples.csv"),
               ["index", *(f"y{i}" for i in range(dim)), *(f"out{i}" for i in range(dim))],
               ([i, *y, *out] for i, (y, out) in enumerate(zip(noisy, outs))))
-    if not wj.dump_trajectory:
-        return ["samples.csv"]
-    write_csv(_out(cfg, "trajectory.csv"),
-              ["step", *(f"x{i}" for i in range(dim)), "energy"],
-              ([step, *y, float(-fine.log_density_y(y[None], wj.sigma_prime)[0])]
-               for step, y in enumerate(traj)))
-    return ["samples.csv", "trajectory.csv"]
+    if wj.dump_trajectory:
+        write_csv(path("trajectory.csv"), ["step", *(f"x{i}" for i in range(dim)), "energy"],
+                  ([step, *y, float(-fine.log_density_y(y[None], wj.sigma_prime)[0])]
+                   for step, y in enumerate(traj)))
 
 
 # The CLI's commands: name -> (help text, runner).
@@ -414,16 +391,25 @@ COMMANDS = {
 
 def run(command, cfg, command_line):
     """Run one of COMMANDS and write <command>_manifest.json (dashes as
-    underscores) into cfg.output_dir, naming the files it wrote.  A
-    NumericalCheckError (oracle-check over its allowance) names the files
-    already written; it propagates after the manifest is written."""
+    underscores) into cfg.output_dir.  Its outputs are the names the runner
+    passed to the path function, the one place a run's files are named.  The
+    manifest is written when the runner returns and when it raises a
+    NumericalCheckError (oracle-check over its allowance), which then
+    propagates; any other exception propagates with no manifest."""
+    opened = set()
+
+    def path(name):
+        os.makedirs(cfg.output_dir, exist_ok=True)
+        opened.add(name)
+        return os.path.join(cfg.output_dir, name)
+
     t0 = time.perf_counter()
     failure = None
     try:
-        outputs = COMMANDS[command][1](cfg)
+        COMMANDS[command][1](cfg, path)
     except NumericalCheckError as exc:
-        outputs, failure = exc.outputs, exc
+        failure = exc
     write_manifest(cfg.output_dir, command.replace("-", "_"), cfg, command_line,
-                   time.perf_counter() - t0, outputs)
+                   time.perf_counter() - t0, opened)
     if failure is not None:
         raise failure

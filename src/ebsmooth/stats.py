@@ -64,7 +64,8 @@ def std_normal_inv_cdf(p):
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("p must lie strictly inside (0, 1)")
     # 1 - p is exact in floating point for p >= 0.5, so both halves see the
-    # same tail mass and the result is antisymmetric by construction.
+    # same tail mass and the result is antisymmetric by construction.  Bare
+    # ndtri is not: one ulp off at p = 1 - exp(-2), where it switches formulas.
     q = np.where(arr <= 0.5, arr, 1.0 - arr)
     # z >= 0 with upper-tail mass q; 0.0 - x rather than -x keeps z(0.5) = +0.0
     z = 0.0 - special.ndtri(q)

@@ -704,6 +704,47 @@ class TestManifests:
         assert manifest["command"] == " ".join(["ebsmooth", command, "-c", str(path), *args])
 
 
+class TestRun:
+    """run()'s contract, through a stand-in runner: the manifest lists the
+    names the runner opened through the path function."""
+
+    @staticmethod
+    def _run(tmp_path, monkeypatch, runner):
+        monkeypatch.setitem(COMMANDS, "stand-in", ("a stand-in runner", runner))
+        harness.run("stand-in", load_config(write_cfg(tmp_path)), "ebsmooth stand-in")
+        return tmp_path / "out"
+
+    def test_numerical_failure_keeps_the_manifest_of_what_was_written(self, tmp_path,
+                                                                        monkeypatch):
+        def runner(cfg, path):
+            for name in ("b.csv", "a.csv"):
+                pathlib.Path(path(name)).write_text("x\n")
+            raise harness.NumericalCheckError("over the allowance")
+
+        with pytest.raises(harness.NumericalCheckError, match="over the allowance"):
+            self._run(tmp_path, monkeypatch, runner)
+        out = tmp_path / "out"
+        assert sorted(os.listdir(out)) == ["a.csv", "b.csv", "stand_in_manifest.json"]
+        manifest = json.loads((out / "stand_in_manifest.json").read_text())
+        assert manifest["outputs"] == ["a.csv", "b.csv"]
+
+    def test_config_error_before_any_write_makes_no_directory(self, tmp_path, monkeypatch):
+        def runner(cfg, path):
+            raise ConfigError("refused")
+
+        with pytest.raises(ConfigError, match="refused"):
+            self._run(tmp_path, monkeypatch, runner)
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_training_log_columns_are_the_record_keys(self, tmp_path, monkeypatch):
+        def runner(cfg, path):
+            harness.write_training_log(path("log.csv"), [{"b": 1, "a": 2.0}, {"b": 3, "a": 0.5}])
+
+        out = self._run(tmp_path, monkeypatch, runner)
+        assert (out / "log.csv").read_text() == "step,b,a\n0,1,2\n1,3,0.5\n"
+        assert json.loads((out / "stand_in_manifest.json").read_text())["outputs"] == ["log.csv"]
+
+
 class TestWriteCsv:
     def test_text_is_the_per_value_spelling(self, tmp_path):
         # every CSV the commands write goes through write_csv: floats at 17
@@ -984,7 +1025,8 @@ class TestBadConfigValues:
                                       "generated-limit", "walk-jump-identity", "walk-jump-without-fine",
                                       "energy-as-classifier", "classifier-as-estimator",
                                       "oracle-identity", "oracle-energy",
-                                      "walk-jump-fine-not-energy"])
+                                      "walk-jump-fine-not-energy",
+                                      "idx-test-images-only", "idx-test-labels-only"])
     def test_runner_config_error_makes_no_output_dir(self, tmp_path, capsys, case):
         # errors found only once a runner resolves its inputs still come
         # before the first write, so the output directory is never made
@@ -1029,6 +1071,9 @@ class TestBadConfigValues:
                 "kind": "checkpoint", "path": str(energy), "weights": None, "bias": None}}),
             "classifier-as-estimator": ("train-xhat", {
                 "estimator": {"kind": "energy", "path": str(clf)}}),
+            # half a test pair used to be ignored: gen-data wrote train.csv alone
+            "idx-test-images-only": ("gen-data", {"dataset": {**idx, "test_images": str(img)}}),
+            "idx-test-labels-only": ("gen-data", {"dataset": {**idx, "test_labels": str(lab)}}),
         }[case]
         path = write_cfg(tmp_path, extra=extra)
         assert main([command, "-c", str(path)]) == 1
@@ -1050,6 +1095,8 @@ class TestBadConfigValues:
             "oracle-wrong-dimension": "classifier.weights has dimension 10, but the data have "
                                       "dimension 2",
             "walk-jump-fine-not-energy": f"walk_jump.fine_energy_path {clf} is not an energy",
+            "idx-test-images-only": "dataset.test_images and test_labels must be given together",
+            "idx-test-labels-only": "dataset.test_images and test_labels must be given together",
         }.get(case)
         if expected is not None:
             assert err.startswith(f"config error: {expected}"), err

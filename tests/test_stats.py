@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -64,8 +66,12 @@ class TestStdNormalInvCdf:
         assert np.max(np.abs(zs)) < 1e-12
 
     def test_antisymmetry_exact_for_representable_pairs(self):
-        for p in [0.25, 0.125, 0.375, 0.5]:
-            assert std_normal_inv_cdf(p) + std_normal_inv_cdf(1.0 - p) == 0.0
+        # 1 - 2**-k is exact for every k <= 52.  The last p is exp(-2), where
+        # ndtri switches between its tail and central formulas: bare
+        # ndtri(1 - p) lies one ulp above -ndtri(p) there
+        ps = [0.375, 0.5, *(2.0 ** -k for k in range(2, 53)), math.exp(-2)]
+        for p in ps:
+            assert std_normal_inv_cdf(p) + std_normal_inv_cdf(1.0 - p) == 0.0, p
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, np.nan])
     def test_domain_errors(self, p):
