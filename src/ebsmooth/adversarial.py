@@ -68,10 +68,6 @@ def _pgd_batch(c, xs, ks, spec, noise):
     at their best iterate and flagged.
     """
     xs = np.asarray(xs, dtype=float)
-    if spec.epsilon == 0.0:
-        f0, _, _ = c.neg_log_pi(xs, ks, noise)
-        return xs.copy(), f0.copy(), f0, np.zeros(len(xs), dtype=bool)
-
     eta = spec.resolved_step_size()
     f0, _, ascent = c.neg_log_pi(xs, ks, noise, wrt="input")
     best_f = f0.copy()

@@ -67,12 +67,12 @@ def _tally(classifier, x, sigma, n, gen):
     return counts
 
 
-def certify(classifier, x, sigma, spec, gen, est_gen=None):
+def certify(classifier, x, sigma, spec, gen, est_gen):
     """Certified prediction and L2 radius at x.
 
     The selection pass (spec.n0 samples from `gen`) picks the candidate
-    class; the estimation pass (spec.nc samples from `est_gen`, or the same
-    generator continued) counts its hits and converts them into a one-sided
+    class; the estimation pass (spec.nc samples from `est_gen`, a stream
+    independent of `gen`) counts its hits and converts them into a one-sided
     Clopper-Pearson lower bound on the class mass.  Selection and estimation
     never share noise, which is what makes the bound valid.
     """
@@ -80,12 +80,12 @@ def certify(classifier, x, sigma, spec, gen, est_gen=None):
     return bound_counts([candidate], [est_counts], sigma, spec)[0]
 
 
-def count_votes(classifier, x, sigma, spec, gen, est_gen=None):
-    """certify's two tallies: the selection pass's candidate class and the
-    estimation pass's per-class counts.  Needs no scipy."""
+def count_votes(classifier, x, sigma, spec, gen, est_gen):
+    """certify's two tallies: the selection pass's candidate class from `gen`
+    and the estimation pass's per-class counts from `est_gen`.  Needs no scipy."""
     sel_counts = _tally(classifier, x, sigma, spec.n0, gen)
     candidate = int(np.argmax(sel_counts))
-    return candidate, _tally(classifier, x, sigma, spec.nc, est_gen or gen)
+    return candidate, _tally(classifier, x, sigma, spec.nc, est_gen)
 
 
 def bound_counts(candidates, counts, sigma, spec):

@@ -57,16 +57,17 @@ def write_csv(path, header, rows):
                      + "\n")
 
 
-def write_manifest(outdir, name, cfg, command, wall_time_s, outputs):
+def write_manifest(path, cfg, command, wall_time_s, outputs):
+    """Write the run manifest, listing the names in outputs, at path."""
     payload = {
         "config_sha256": config_digest(cfg),
         "seed": cfg.seed,
         "version": f"ebsmooth-v{__version__}",
         "command": command,
         "wall_time_s": wall_time_s,
-        "outputs": sorted(outputs),
+        "outputs": outputs,
     }
-    with open(os.path.join(outdir, f"{name}_manifest.json"), "w") as fh:
+    with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -231,8 +232,8 @@ def write_training_log(path, rows):
 # -- runners ------------------------------------------------------------------
 # Each runner takes the config and run()'s path function, and opens every
 # file it writes at path(name): that makes cfg.output_dir on first use and
-# records the name for the manifest.  So the directory is made at the first
-# write, and a runner that fails on its config first leaves none behind.
+# records the name for the manifest, which run() also opens through path.  So
+# a runner that fails on its config before any write leaves no directory.
 
 
 def write_dataset_csv(path, dataset):
@@ -390,12 +391,12 @@ COMMANDS = {
 
 
 def run(command, cfg, command_line):
-    """Run one of COMMANDS and write <command>_manifest.json (dashes as
-    underscores) into cfg.output_dir.  Its outputs are the names the runner
-    passed to the path function, the one place a run's files are named.  The
-    manifest is written when the runner returns and when it raises a
-    NumericalCheckError (oracle-check over its allowance), which then
-    propagates; any other exception propagates with no manifest."""
+    """Run one of COMMANDS, then write its manifest (the command's name, dashes
+    as underscores) through the same path function as the runner's files, so
+    its outputs are the names the runner opened.  It is written when the runner
+    returns and when it raises a NumericalCheckError, which then propagates: a
+    check failing before any write leaves a manifest with empty outputs.  Any
+    other exception propagates with no manifest."""
     opened = set()
 
     def path(name):
@@ -409,7 +410,8 @@ def run(command, cfg, command_line):
         COMMANDS[command][1](cfg, path)
     except NumericalCheckError as exc:
         failure = exc
-    write_manifest(cfg.output_dir, command.replace("-", "_"), cfg, command_line,
-                   time.perf_counter() - t0, opened)
+    outputs = sorted(opened)
+    write_manifest(path(command.replace("-", "_") + "_manifest.json"), cfg, command_line,
+                   time.perf_counter() - t0, outputs)
     if failure is not None:
         raise failure

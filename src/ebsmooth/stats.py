@@ -59,8 +59,6 @@ def std_normal_inv_cdf(p):
     """
     from scipy import special
     arr = np.asarray(p, dtype=float)
-    if arr.size == 0:
-        return arr.copy()
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("p must lie strictly inside (0, 1)")
     # 1 - p is exact in floating point for p >= 0.5, so both halves see the
@@ -79,10 +77,10 @@ def binom_lower_bound(k, n, alpha):
     The exact bound is the p at which observing >= k successes in n trials
     has probability exactly alpha under Binomial(n, p), i.e. the alpha
     quantile of Beta(k, n - k + 1).  k = 0 gives 0.  The result is rounded
-    down, never above the exact bound: it is the largest double whose tail,
-    as scipy.special.betainc computes it, is at most alpha * (1 - 4e-12),
-    which covers betainc's own error.  Below the Beta mode that lowers p by
-    at most 4e-12 of its value.
+    down, never above the exact bound: its tail, as scipy.special.betainc
+    computes it, is at most alpha * (1 - 4e-12), which covers betainc's own
+    error, and it is within about 5e-12 of the exact bound, relative to it.
+    It need not be the largest such double; one up to 30 ulps higher may pass.
     The quantile comes from scipy.special.betaincinv, polished with one
     Newton step on the tail, then stepped down one ulp at a time while the
     tail is still too large.

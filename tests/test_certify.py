@@ -346,7 +346,7 @@ class TestNonFiniteModels:
         c = EbClassifier(LinearClassifier(np.array([1.0, 0.0]), 0.0), net, sigma=1.0)
         spec = ConfidenceSpec(alpha=0.001, n0=100, nc=10_000)
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
-            certify(c, np.array([2.0, 0.0]), 1.0, spec, rng_stream(3, 0))
+            certify(c, np.array([2.0, 0.0]), 1.0, spec, rng_stream(3, 0), rng_stream(3, 1))
 
     def test_nan_classifier_never_votes(self):
         # argmax of NaN logits is the NaN's index, which would vote
@@ -354,7 +354,7 @@ class TestNonFiniteModels:
         soft.weights[-1][:] = np.nan
         spec = ConfidenceSpec(alpha=0.001, n0=100, nc=1_000)
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
-            certify(soft, np.zeros(2), 1.0, spec, rng_stream(4, 0))
+            certify(soft, np.zeros(2), 1.0, spec, rng_stream(4, 0), rng_stream(4, 1))
 
 
 class TestCertifiedRadius:

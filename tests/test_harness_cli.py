@@ -728,6 +728,22 @@ class TestRun:
         manifest = json.loads((out / "stand_in_manifest.json").read_text())
         assert manifest["outputs"] == ["a.csv", "b.csv"]
 
+    def test_numerical_failure_before_any_write_leaves_an_empty_manifest(
+            self, tmp_path, monkeypatch, capsys):
+        # the manifest is opened through the runner's path function, so it
+        # makes the directory a runner that wrote nothing never made
+        def runner(cfg, path):
+            raise harness.NumericalCheckError("over the allowance")
+
+        with pytest.raises(harness.NumericalCheckError, match="over the allowance"):
+            self._run(tmp_path, monkeypatch, runner)
+        out = tmp_path / "out"
+        assert os.listdir(out) == ["stand_in_manifest.json"]
+        assert json.loads((out / "stand_in_manifest.json").read_text())["outputs"] == []
+        capsys.readouterr()
+        assert main(["stand-in", "-c", str(tmp_path / "cfg.json")]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: over the allowance")
+
     def test_config_error_before_any_write_makes_no_directory(self, tmp_path, monkeypatch):
         def runner(cfg, path):
             raise ConfigError("refused")

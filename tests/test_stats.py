@@ -73,6 +73,11 @@ class TestStdNormalInvCdf:
         for p in ps:
             assert std_normal_inv_cdf(p) + std_normal_inv_cdf(1.0 - p) == 0.0, p
 
+    @pytest.mark.parametrize("p", [np.array([]), np.empty((0, 3)), np.array([], dtype=int)])
+    def test_empty_input_gives_empty_float_array_of_its_shape(self, p):
+        z = std_normal_inv_cdf(p)
+        assert z.dtype == np.float64 and z.shape == p.shape
+
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, np.nan])
     def test_domain_errors(self, p):
         with pytest.raises(ValueError):
