@@ -32,8 +32,8 @@ TAG_ENERGY = 1
 TAG_SOFT_CLASSIFIER = 2
 
 
-class CheckpointError(ValueError):
-    """Raised for malformed checkpoint files."""
+class CheckpointError(OSError):
+    """Raised for malformed checkpoint files (an OSError, as gzip.BadGzipFile is)."""
 
 
 def _pack(tag, sigma, widths, weights, biases):

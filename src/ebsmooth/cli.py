@@ -2,8 +2,9 @@
 
 Every subcommand takes one JSON config (see config.py for the schema); common
 keys can be overridden with flags or with repeated --set dotted.key=value.
-Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 I/O or file-format error.
+Exit codes, one exception type each: 0 success, 1 ConfigError, 2 any
+ArithmeticError (a numerical failure: a non-finite value, diverged training,
+an overflowing scale), 3 any OSError (an I/O or file-format error).
 """
 
 from __future__ import annotations
@@ -13,11 +14,8 @@ import gc
 import json
 import sys
 
-from .checkpoint import CheckpointError
 from .config import ConfigError, load_config
-from .datasets import IdxFormatError
-from .mlp import TrainingDivergedError
-from .harness import COMMANDS, NumericalCheckError, run
+from .harness import COMMANDS, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -69,10 +67,10 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TrainingDivergedError, NumericalCheckError, FloatingPointError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (IdxFormatError, CheckpointError, OSError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK

@@ -170,8 +170,8 @@ class ClassifierSection:
         if self.kind == "linear":
             if self.weights is None or self.bias is None:
                 raise ValueError("weights and bias are required for kind=linear")
-            if not self.weights:
-                raise ValueError("weights must be a non-empty list of finite numbers, "
+            if not any(self.weights):  # empty or all zero
+                raise ValueError("weights must be a list of finite numbers, not all zero, "
                                  f"got {self.weights!r}")
         if self.kind == "checkpoint":
             if self.path is None:
@@ -188,7 +188,7 @@ class CertifySection:
     max_violations: int = 3
 
     def __post_init__(self):
-        for name, low in (("max_points", 0), ("workers", 1), ("max_violations", 0)):
+        for name, low in (("max_points", 1), ("workers", 1), ("max_violations", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 

@@ -18,8 +18,8 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
-class IdxFormatError(ValueError):
-    """Raised for malformed IDX files."""
+class IdxFormatError(OSError):
+    """Raised for malformed IDX files (an OSError, as gzip.BadGzipFile is)."""
 
 
 @dataclasses.dataclass(frozen=True)

@@ -41,10 +41,6 @@ STREAM_WALK_BASE = 2_000_000
 STREAM_CERT_BASE = 1_000_000
 
 
-class NumericalCheckError(RuntimeError):
-    """Raised when a run-level numerical check fails (exit code 2)."""
-
-
 def write_csv(path, header, rows):
     """A header line, then one line per row, formatted by one % string:
     floats at 17 significant digits (a lossless round-trip), anything else
@@ -111,11 +107,11 @@ def resolve_data_model(cfg, need):
 def load_model(path, key, kind, dim):
     """The checkpoint config key `key` names at `path`, checked to hold a `kind`
     (EnergyNet or SoftClassifier) of data dimension `dim`: every checkpoint a
-    command loads passes here, and an unreadable one is a CheckpointError naming
-    key and path."""
+    command loads passes here, and an unreadable one (any OSError, a
+    CheckpointError included) is a CheckpointError naming key and path."""
     try:
         model = load_checkpoint(path)
-    except (CheckpointError, OSError) as exc:
+    except OSError as exc:
         raise CheckpointError(f"{key} {path}: {getattr(exc, 'strerror', None) or exc}") from None
     if not isinstance(model, kind):
         noun = "an energy" if kind is EnergyNet else "a classifier"
@@ -218,7 +214,7 @@ def write_curve_csv(path, results, labels, radius_grid):
     total = len(results)
     correct = [sum(not res.abstained and res.predicted == int(label) and res.radius >= r
                    for res, label in zip(results, labels))
-               for r in radius_grid] if total else []
+               for r in radius_grid]
     write_csv(path, ["radius", "certified_accuracy", "certified_correct", "total"],
               ((float(r), ok / total, ok, total) for r, ok in zip(radius_grid, correct)))
 
@@ -233,7 +229,8 @@ def write_training_log(path, rows):
 # Each runner takes the config and run()'s path function, and opens every
 # file it writes at path(name): that makes cfg.output_dir on first use and
 # records the name for the manifest, which run() also opens through path.  So
-# a runner that fails on its config before any write leaves no directory.
+# a config error before any write leaves no directory, and a numerical failure
+# (an ArithmeticError) leaves the manifest of what the runner wrote.
 
 
 def write_dataset_csv(path, dataset):
@@ -280,8 +277,6 @@ def run_certify(cfg, path):
         raise ConfigError("certification needs a test split (dataset.test_* for idx)")
     n = min(cfg.certify.max_points, len(test))
     classifier = resolve_hard_classifier(cfg, test.points.shape[1])
-    if n == 0:
-        print("warning: empty test set, writing empty result CSVs")
     results = certify_points(classifier, test.points[:n], cfg.sigma, cfg.confidence,
                              cfg.seed, workers=cfg.certify.workers)
     write_points_csv(path("points.csv"), results, test.labels[:n])
@@ -300,12 +295,10 @@ def run_oracle_check(cfg, path):
     any other classifier, estimator or dataset is a ConfigError, and so is a
     classifier of another dimension (resolve_hard_classifier).  When more points
     than certify.max_violations carry a violation (a point with both flags
-    counts once), it raises NumericalCheckError, after the per-point CSV is written."""
+    counts once), it raises FloatingPointError, after the per-point CSV is written."""
     if (cfg.classifier.kind, cfg.estimator.kind) != ("linear", "closed_form"):
         raise ConfigError("oracle-check needs classifier.kind=linear and "
                           "estimator.kind=closed_form")
-    if cfg.certify.max_points < 1:
-        raise ConfigError("oracle-check needs certify.max_points >= 1")
     model = resolve_data_model(cfg, "oracle-check needs a gaussian_classes dataset")
     if not isinstance(model, IsoGaussian):
         raise ConfigError(f"oracle-check needs one dataset mean, got {len(model.means)}")
@@ -332,8 +325,8 @@ def run_oracle_check(cfg, path):
     print(f"oracle-check: {len(results)} points, {class_violations} class and "
           f"{radius_violations} radius violations on {violating} points (allowed {allowed})")
     if violating > allowed:
-        raise NumericalCheckError(f"{violating} points with oracle violations exceed the "
-                                  f"allowed {allowed}")
+        raise FloatingPointError(f"{violating} points with oracle violations exceed the "
+                                 f"allowed {allowed}")
 
 
 def run_walk_jump(cfg, path):
@@ -394,9 +387,9 @@ def run(command, cfg, command_line):
     """Run one of COMMANDS, then write its manifest (the command's name, dashes
     as underscores) through the same path function as the runner's files, so
     its outputs are the names the runner opened.  It is written when the runner
-    returns and when it raises a NumericalCheckError, which then propagates: a
-    check failing before any write leaves a manifest with empty outputs.  Any
-    other exception propagates with no manifest."""
+    returns and when it raises any ArithmeticError (a numerical failure), which
+    then propagates: a failure before any write leaves a manifest with empty
+    outputs.  Any other exception propagates with no manifest."""
     opened = set()
 
     def path(name):
@@ -408,7 +401,7 @@ def run(command, cfg, command_line):
     failure = None
     try:
         COMMANDS[command][1](cfg, path)
-    except NumericalCheckError as exc:
+    except ArithmeticError as exc:
         failure = exc
     outputs = sorted(opened)
     write_manifest(path(command.replace("-", "_") + "_manifest.json"), cfg, command_line,

@@ -148,8 +148,9 @@ class Adam:
             p -= lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
 
 
-class TrainingDivergedError(RuntimeError):
-    """A training loss or gradient stopped being finite at step `step`."""
+class TrainingDivergedError(FloatingPointError):
+    """A training loss or gradient stopped being finite at step `step`: a
+    numerical failure like any other non-finite value."""
 
     def __init__(self, step, what="loss"):
         super().__init__(f"non-finite {what} at training step {step}")

@@ -22,9 +22,11 @@ from ebsmooth.checkpoint import load_checkpoint, save_checkpoint
 from ebsmooth.classifiers import EbClassifier, LinearClassifier, SoftClassifier
 from ebsmooth.densities import IsoMixture
 from ebsmooth.energy import EnergyNet
+from ebsmooth.mlp import TrainingDivergedError
 from ebsmooth.stats import ConfidenceSpec, RowStreams, rng_stream
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+DEMO_CONFIGS = SRC.parent / "demos" / "configs"
 # oracle-check referees only one centred Gaussian; write_cfg's default
 # dataset is a two-component mixture
 CENTRED = {"dataset": {"means": [[0.0, 0.0]]}}
@@ -106,7 +108,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("name", ["mixture_experiment.json", "oracle_check.json"])
     def test_demo_configs_load_every_key(self, name):
-        path = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs" / name
+        path = DEMO_CONFIGS / name
         cfg = load_config(path)
         for key, value in json.loads(path.read_text()).items():
             if isinstance(value, dict):
@@ -240,6 +242,35 @@ class TestCliExitCodes:
         assert len(calls) == steps
         assert not (tmp_path / "out" / "energy.ckpt").exists()
 
+    @pytest.mark.parametrize("args", [
+        # a Python-float sigma**2, delta**2 or (sigma/sigma0)**2 overflows
+        ["train-energy", "-c", "mixture_experiment.json", "--sigma", "1e200",
+         "--set", "energy_train.steps=2", "--set", "energy_train.hidden=[4]"],
+        ["train-xhat", "-c", "mixture_experiment.json", "--sigma", "1e200",
+         "--set", "train.steps=2"],
+        ["walk-jump", "-c", "mixture_experiment.json", "--set", "walk_jump.delta=1e300",
+         "--set", "walk_jump.n_samples=2", "--set", "walk_jump.tau=2"],
+        ["oracle-check", "-c", "oracle_check.json", "--set", "dataset.sigma0=1e-200",
+         "--nc", "100", "--max-points", "2", "--workers", "1"],
+        # the first step overshoots and the loss is no longer finite
+        ["train-energy", "-c", "mixture_experiment.json", "--set", "energy_train.lr=1e300",
+         "--set", "energy_train.steps=2", "--set", "energy_train.hidden=[4]"],
+    ], ids=["train-energy-sigma", "train-xhat-sigma", "walk-jump-delta",
+            "oracle-check-sigma0", "train-energy-lr"])
+    def test_overflow_and_divergence_are_2_and_leave_an_empty_manifest(self, tmp_path, capsys,
+                                                                      args):
+        # these used to end in an OverflowError traceback or, for the
+        # diverged training, in exit 2 with no directory at all
+        command, _, name, *rest = args
+        out = tmp_path / "out"
+        code = main([command, "-c", str(DEMO_CONFIGS / name), *rest, "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("numerical failure:") and "Traceback" not in err, err
+        manifest = out / (command.replace("-", "_") + "_manifest.json")
+        assert os.listdir(out) == [manifest.name]
+        assert json.loads(manifest.read_text())["outputs"] == []
+
     def test_success_is_0(self, tmp_path):
         path = write_cfg(tmp_path)
         assert main(["gen-data", "-c", str(path)]) == 0
@@ -357,14 +388,6 @@ class TestCertifyCli:
         serial = (tmp_path / "out" / "points.csv").read_bytes()
         main(["certify", "-c", str(path), "--workers", "2"])
         assert (tmp_path / "out" / "points.csv").read_bytes() == serial
-
-    def test_empty_test_set_succeeds(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, extra={"certify": {"max_points": 0}})
-        assert main(["curve", "-c", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "warning" in out
-        curve = (tmp_path / "out" / "curve.csv").read_text().splitlines()
-        assert curve == ["radius,certified_accuracy,certified_correct,total"]
 
     def test_flag_overrides_reach_the_run(self, tmp_path):
         path = write_cfg(tmp_path)
@@ -622,7 +645,7 @@ class TestOracleCheckCli:
         # alpha = 0.49 at nc = 20 makes many unsound certificates; 4 points
         # carry a class and 48 a radius violation, but only 49 points carry
         # either, and the check used to report and compare 52
-        path = SRC.parent / "demos" / "configs" / "oracle_check.json"
+        path = DEMO_CONFIGS / "oracle_check.json"
         out = tmp_path / "out"
         assert main(["oracle-check", "-c", str(path), "--nc", "20", "--n0", "5",
                      "--alpha", "0.49", "--workers", "1", "--output-dir", str(out)]) == 2
@@ -708,41 +731,58 @@ class TestRun:
     """run()'s contract, through a stand-in runner: the manifest lists the
     names the runner opened through the path function."""
 
+    # every ArithmeticError is a numerical failure: oracle-check over its
+    # allowance and a non-finite value raise FloatingPointError, a Python
+    # float that overflows OverflowError, and diverged training a
+    # FloatingPointError that keeps its step; each is made afresh per raise
+    _NUMERICAL_FAILURES = pytest.mark.parametrize("failure", [
+        lambda: FloatingPointError("over the allowance"),
+        lambda: OverflowError(34, "Numerical result out of range"),
+        lambda: TrainingDivergedError(3),
+    ], ids=["FloatingPointError", "OverflowError", "TrainingDivergedError"])
+
     @staticmethod
     def _run(tmp_path, monkeypatch, runner):
         monkeypatch.setitem(COMMANDS, "stand-in", ("a stand-in runner", runner))
         harness.run("stand-in", load_config(write_cfg(tmp_path)), "ebsmooth stand-in")
         return tmp_path / "out"
 
-    def test_numerical_failure_keeps_the_manifest_of_what_was_written(self, tmp_path,
-                                                                        monkeypatch):
+    @staticmethod
+    def _fail(tmp_path, monkeypatch, capsys, runner, failure):
+        """Run the stand-in through run() and then main(): run() re-raises
+        the failure after the manifest, and main() exits 2 naming it."""
+        with pytest.raises(type(failure())) as caught:
+            TestRun._run(tmp_path, monkeypatch, runner)
+        assert str(caught.value) == str(failure())
+        capsys.readouterr()
+        assert main(["stand-in", "-c", str(tmp_path / "cfg.json")]) == 2
+        assert capsys.readouterr().err == f"numerical failure: {failure()}\n"
+        return tmp_path / "out"
+
+    @_NUMERICAL_FAILURES
+    def test_numerical_failure_keeps_the_manifest_of_what_was_written(
+            self, tmp_path, monkeypatch, capsys, failure):
         def runner(cfg, path):
             for name in ("b.csv", "a.csv"):
                 pathlib.Path(path(name)).write_text("x\n")
-            raise harness.NumericalCheckError("over the allowance")
+            raise failure()
 
-        with pytest.raises(harness.NumericalCheckError, match="over the allowance"):
-            self._run(tmp_path, monkeypatch, runner)
-        out = tmp_path / "out"
+        out = self._fail(tmp_path, monkeypatch, capsys, runner, failure)
         assert sorted(os.listdir(out)) == ["a.csv", "b.csv", "stand_in_manifest.json"]
         manifest = json.loads((out / "stand_in_manifest.json").read_text())
         assert manifest["outputs"] == ["a.csv", "b.csv"]
 
+    @_NUMERICAL_FAILURES
     def test_numerical_failure_before_any_write_leaves_an_empty_manifest(
-            self, tmp_path, monkeypatch, capsys):
+            self, tmp_path, monkeypatch, capsys, failure):
         # the manifest is opened through the runner's path function, so it
         # makes the directory a runner that wrote nothing never made
         def runner(cfg, path):
-            raise harness.NumericalCheckError("over the allowance")
+            raise failure()
 
-        with pytest.raises(harness.NumericalCheckError, match="over the allowance"):
-            self._run(tmp_path, monkeypatch, runner)
-        out = tmp_path / "out"
+        out = self._fail(tmp_path, monkeypatch, capsys, runner, failure)
         assert os.listdir(out) == ["stand_in_manifest.json"]
         assert json.loads((out / "stand_in_manifest.json").read_text())["outputs"] == []
-        capsys.readouterr()
-        assert main(["stand-in", "-c", str(tmp_path / "cfg.json")]) == 2
-        assert capsys.readouterr().err.startswith("numerical failure: over the allowance")
 
     def test_config_error_before_any_write_makes_no_directory(self, tmp_path, monkeypatch):
         def runner(cfg, path):
@@ -965,6 +1005,8 @@ class TestBadConfigValues:
     @pytest.mark.parametrize("args", [
         ["oracle-check", "--set", "certify.max_points=-1"],
         ["oracle-check", "--max-points", "0"],
+        ["certify", "--max-points", "0"],
+        ["curve", "--set", "certify.max_points=0"],
         ["certify", "--set", "certify.max_points=-1"],
         ["certify", "--set", "certify.max_violations=1e3"],
         ["certify", "--set", "confidence.nc=true"],
@@ -993,7 +1035,8 @@ class TestBadConfigValues:
     def test_wrong_type_or_count_rejected(self, tmp_path, capsys, monkeypatch, args):
         # config.py checks int, list and string fields against their
         # annotations; these used to fail with a traceback, to drop a point
-        # without a word (a negative max_points), to open a file descriptor
+        # without a word (a negative max_points), to certify no point at all
+        # (certify or curve at max_points 0), to open a file descriptor
         # as a path (classifier.path=1), or to write into a directory named
         # "[1, 2]"
         monkeypatch.chdir(tmp_path)
@@ -1016,11 +1059,12 @@ class TestBadConfigValues:
         ["gen-data", "--set", "dataset.means=[]"],
         ["gen-data", "--set", "dataset.means=[[]]"],
         ["gen-data", "--set", "dataset.means=[[1,Infinity]]"],
+        ["certify", "--set", "classifier.weights=[0,0]"],
     ])
     def test_bad_means_or_weights_rejected(self, tmp_path, capsys, args):
         # a ragged, empty, non-numeric or non-finite matrix, or linear weights
-        # that do not match the data dimension, used to die with a traceback
-        # or, for means=[], to write a 0-dimension dataset
+        # that do not match the data dimension or are all zero, used to die
+        # with a traceback or, for means=[], to write a 0-dimension dataset
         path = write_cfg(tmp_path)
         assert main([args[0], "-c", str(path), *args[1:]]) == 1
         err = capsys.readouterr().err
