@@ -230,6 +230,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         runs_attack(self.train, self.attack)
+        wj, s0 = self.walk_jump, self.dataset.sigma0
+        for key, scale in (("sigma", self.sigma), ("energy_train.sigma", self.energy_train.sigma),
+                           ("walk_jump.delta", wj.delta), ("walk_jump.sigma_prime", wj.sigma_prime),
+                           ("dataset.sigma0 (as sigma / sigma0)", self.sigma / s0 if s0 else 0.0)):
+            if not math.isfinite(scale * scale):  # the code takes scale**2
+                raise ValueError(f"{key} is out of range: the square of {scale!r} overflows")
 
 
 def config_from_dict(data):

@@ -3,9 +3,9 @@
 Three things live here: the standard-normal quantile function (the certified
 radius is linear in it, so it carries the whole error budget), the
 one-sided Clopper-Pearson lower confidence bound for binomial proportions,
-and keyed deterministic random streams so that per-point noise is
-reproducible regardless of how work is scheduled across processes or
-batched into one array.
+and keyed deterministic random streams (SFC64, seeded through SeedSequence)
+so that per-point noise is reproducible however work is scheduled across
+processes or batched into one array.
 
 Every CLI command is a fresh process, so the import cost counts.  Only
 scipy.special is used, never scipy.stats, and it is imported inside the two
@@ -117,16 +117,18 @@ def binom_lower_bound(k, n, alpha):
 
 
 def rng_stream(seed, stream_id):
-    """Deterministic generator keyed by (seed, stream_id).
+    """Deterministic generator keyed by (seed, stream_id), each mod 2^64.
 
-    Built on the counter-based Philox bit generator with the 128-bit key set
-    to the pair, so identical keys reproduce identical variate sequences on
-    any machine and under any work scheduling, and distinct stream ids give
-    statistically independent streams.  Normal variates come from the
-    generator's ziggurat rejection transform of its uniform output.
+    The key is exactly four 32-bit words, so it is injective: a list of the
+    two ints would split each into as many words as it needs, so that the
+    keys (5, 3 + 9 * 2^32) and (5 + 3 * 2^32, 9) would collide.  numpy's
+    SeedSequence hashes the words into an SFC64 state, as the numpy.random
+    docs advise for independent streams (NEP 19), and the same key gives the
+    same variates on any machine and under any work scheduling.
     """
-    key = np.array([int(seed) & _MASK64, int(stream_id) & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    s, t = int(seed) & _MASK64, int(stream_id) & _MASK64
+    words = [s & 0xFFFFFFFF, s >> 32, t & 0xFFFFFFFF, t >> 32]
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
 
 
 # A RowStreams block holds at most this many variates (2 MB), whatever the

@@ -242,34 +242,40 @@ class TestCliExitCodes:
         assert len(calls) == steps
         assert not (tmp_path / "out" / "energy.ckpt").exists()
 
-    @pytest.mark.parametrize("args", [
-        # a Python-float sigma**2, delta**2 or (sigma/sigma0)**2 overflows
-        ["train-energy", "-c", "mixture_experiment.json", "--sigma", "1e200",
-         "--set", "energy_train.steps=2", "--set", "energy_train.hidden=[4]"],
-        ["train-xhat", "-c", "mixture_experiment.json", "--sigma", "1e200",
-         "--set", "train.steps=2"],
-        ["walk-jump", "-c", "mixture_experiment.json", "--set", "walk_jump.delta=1e300",
-         "--set", "walk_jump.n_samples=2", "--set", "walk_jump.tau=2"],
-        ["oracle-check", "-c", "oracle_check.json", "--set", "dataset.sigma0=1e-200",
-         "--nc", "100", "--max-points", "2", "--workers", "1"],
-        # the first step overshoots and the loss is no longer finite
-        ["train-energy", "-c", "mixture_experiment.json", "--set", "energy_train.lr=1e300",
-         "--set", "energy_train.steps=2", "--set", "energy_train.hidden=[4]"],
-    ], ids=["train-energy-sigma", "train-xhat-sigma", "walk-jump-delta",
-            "oracle-check-sigma0", "train-energy-lr"])
-    def test_overflow_and_divergence_are_2_and_leave_an_empty_manifest(self, tmp_path, capsys,
-                                                                      args):
-        # these used to end in an OverflowError traceback or, for the
-        # diverged training, in exit 2 with no directory at all
-        command, _, name, *rest = args
+    def test_divergence_is_2_and_leaves_an_empty_manifest(self, tmp_path, capsys):
+        # the first step overshoots and the loss is no longer finite; this
+        # used to exit 2 with no directory at all
         out = tmp_path / "out"
-        code = main([command, "-c", str(DEMO_CONFIGS / name), *rest, "--output-dir", str(out)])
+        code = main(["train-energy", "-c", str(DEMO_CONFIGS / "mixture_experiment.json"),
+                     "--set", "energy_train.lr=1e300", "--set", "energy_train.steps=2",
+                     "--set", "energy_train.hidden=[4]", "--output-dir", str(out)])
         err = capsys.readouterr().err
         assert code == 2, err
         assert err.startswith("numerical failure:") and "Traceback" not in err, err
-        manifest = out / (command.replace("-", "_") + "_manifest.json")
+        manifest = out / "train_energy_manifest.json"
         assert os.listdir(out) == [manifest.name]
         assert json.loads(manifest.read_text())["outputs"] == []
+
+    @pytest.mark.parametrize("command, name, args", [
+        ("train-energy", "mixture_experiment.json", ["--sigma", "1e200"]),
+        ("train-xhat", "mixture_experiment.json", ["--sigma", "1e200"]),
+        ("walk-jump", "mixture_experiment.json", ["--set", "walk_jump.delta=1e300"]),
+        ("oracle-check", "oracle_check.json", ["--set", "dataset.sigma0=1e-200"]),
+        ("train-energy", "mixture_experiment.json", ["--set", "energy_train.sigma=1e160"]),
+        ("walk-jump", "mixture_experiment.json", ["--set", "walk_jump.sigma_prime=1e200"]),
+    ], ids=["train-energy-sigma", "train-xhat-sigma", "walk-jump-delta",
+            "oracle-check-sigma0", "energy-train-sigma", "walk-jump-sigma-prime"])
+    def test_overflowing_scale_is_1_naming_its_key(self, tmp_path, capsys, command, name, args):
+        # the code squares every scale (sigma**2, delta**2, (sigma/sigma0)**2);
+        # these used to exit 2 with "numerical failure: (34, 'Numerical
+        # result out of range')", naming neither the key nor the stage
+        out = tmp_path / "out"
+        code = main([command, "-c", str(DEMO_CONFIGS / name), *args, "--output-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        key = "sigma" if args[0] == "--sigma" else args[1].split("=")[0]
+        assert err.startswith(f"config error: {key} ") and "overflows" in err, err
+        assert not out.exists()
 
     def test_success_is_0(self, tmp_path):
         path = write_cfg(tmp_path)
@@ -642,9 +648,9 @@ class TestOracleCheckCli:
         assert manifest["outputs"] == ["oracle.csv"]
 
     def test_a_point_with_both_violations_counts_once(self, tmp_path, capsys):
-        # alpha = 0.49 at nc = 20 makes many unsound certificates; 4 points
-        # carry a class and 48 a radius violation, but only 49 points carry
-        # either, and the check used to report and compare 52
+        # alpha = 0.49 at nc = 20 makes many unsound certificates, and some
+        # points carry both a class and a radius violation: the check used to
+        # report and compare the sum of the two counts, not the points
         path = DEMO_CONFIGS / "oracle_check.json"
         out = tmp_path / "out"
         assert main(["oracle-check", "-c", str(path), "--nc", "20", "--n0", "5",
@@ -652,12 +658,16 @@ class TestOracleCheckCli:
         lines = (out / "oracle.csv").read_text().splitlines()
         header = lines[0].split(",")
         rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        cv = sum(row["class_violation"] == "1" for row in rows)
+        rv = sum(row["radius_violation"] == "1" for row in rows)
         flagged = sum(row["class_violation"] == "1" or row["radius_violation"] == "1"
                       for row in rows)
-        assert (len(rows), flagged) == (200, 49)
+        assert len(rows) == 200
+        assert cv + rv > flagged  # some point carries both violations
         captured = capsys.readouterr()
-        assert "4 class and 48 radius violations on 49 points (allowed 3)" in captured.out
-        assert captured.err == ("numerical failure: 49 points with oracle violations "
+        assert f"{cv} class and {rv} radius violations on {flagged} points (allowed 3)" \
+            in captured.out, captured.out
+        assert captured.err == (f"numerical failure: {flagged} points with oracle violations "
                                 "exceed the allowed 3\n")
 
 
@@ -845,11 +855,14 @@ class TestParallelCertifyHelpers:
         linear = LinearClassifier(np.array([1.0, 0.0]), 0.2)
         mixture = IsoMixture(means=np.array([[2.0, 0.0], [-1.0, 1.7], [-1.0, -1.7]]),
                              sigma0=0.5)
-        soft = EbClassifier(SoftClassifier.init(2, (8,), 3, rng_stream(0, 4)), mixture, 0.8)
+        # a softmax over x . mu_k: class k around mean k, whatever the stream,
+        # and a three-way tie (an abstention) at the origin
+        soft = EbClassifier(SoftClassifier([mixture.means.T], [np.zeros(3)]), mixture, 0.8)
         cases = [
             (linear, np.array([[1.5, 0.0], [-0.4, 1.0], [0.1, -2.0], [2.5, 0.3]]),
              ConfidenceSpec(0.01, 20, 500)),
-            (soft, np.vstack([np.zeros(2), 1.5 * rng_stream(0, 5).standard_normal((11, 2))]),
+            (soft, np.vstack([np.zeros(2), mixture.means,
+                              1.5 * rng_stream(0, 5).standard_normal((8, 2))]),
              ConfidenceSpec(0.01, 20, 500)),
             # class 1 has mass 0.05 here, so a one-sample selection pass
             # sometimes picks it and the estimation pass then gives it no hit
