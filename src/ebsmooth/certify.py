@@ -25,11 +25,13 @@ ABSTAIN = -1
 # stream, so the counts do not depend on it.
 _BLOCK_ELEMS = 2**16
 # Relative amount the certified radius is rounded toward zero.
-# scipy.special.ndtri is within 3 ulp (3 * 2**-52 = 6.7e-16 relative) of the
-# exact normal quantile, measured against a 60-digit root over p in
-# [1e-300, 1 - 1e-15]; sigma * z and the product with 1 - slack add one
-# rounding (2**-53) each.  2e-15 covers that 8.9e-16 twice over.
-_RADIUS_SLACK = 2e-15
+# std_normal_inv_cdf is within 3.7 ulp (3.7 * 2**-52 = 8.2e-16 relative) of
+# the exact normal quantile, measured against 40-digit roots at 1e5 tail
+# masses in [2**-53, 0.5], the range a radius reads (3.8 ulp below 1e-170;
+# scipy.special.ndtri measured 3.5 ulp on the same masses); sigma * z and
+# the product with 1 - slack add one rounding (2**-53) each.  3e-15 covers
+# that 1.04e-15 twice over.
+_RADIUS_SLACK = 3e-15
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,7 +84,7 @@ def certify(classifier, x, sigma, spec, gen, est_gen):
 
 def count_votes(classifier, x, sigma, spec, gen, est_gen):
     """certify's two tallies: the selection pass's candidate class from `gen`
-    and the estimation pass's per-class counts from `est_gen`.  Needs no scipy."""
+    and the estimation pass's per-class counts from `est_gen`."""
     sel_counts = _tally(classifier, x, sigma, spec.n0, gen)
     candidate = int(np.argmax(sel_counts))
     return candidate, _tally(classifier, x, sigma, spec.nc, est_gen)
@@ -104,7 +106,7 @@ def bound_counts(candidates, counts, sigma, spec):
 
 def certified_radius(pa_lower, sigma):
     """sigma * Phi^{-1}(pa_lower), rounded down: never above the exact value
-    and within 3e-15 of it."""
+    and within 4e-15 of it."""
     return sigma * std_normal_inv_cdf(pa_lower) * (1.0 - _RADIUS_SLACK)
 
 

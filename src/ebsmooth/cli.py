@@ -80,7 +80,7 @@ def main_and_exit():
     """Process entry point (`python -m ebsmooth`, the `ebsmooth` script): main,
     then exit.  gc.freeze() first moves every live object out of the
     collector's reach, so interpreter shutdown's final collection does not
-    walk the objects numpy and scipy made.  Never call it in a process that
+    walk the objects numpy made.  Never call it in a process that
     goes on running."""
     code = main()
     gc.freeze()

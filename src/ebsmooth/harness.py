@@ -194,11 +194,8 @@ def certify_points(classifier, points, sigma, spec, seed, workers=1):
 
     tasks = [(i, classifier, p, sigma, spec, seed) for i, p in enumerate(points)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        tallies = pool.map(_count_task, tasks)  # submits every task, keeps their order
-        # the workers need no scipy; the parent's bound does, so it imports
-        # scipy.special while they count
-        import scipy.special  # noqa: F401
-        candidates, counts = zip(*tallies)
+        # map submits every task and keeps their order
+        candidates, counts = zip(*pool.map(_count_task, tasks))
     return bound_counts(candidates, counts, sigma, spec)
 
 

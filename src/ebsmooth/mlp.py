@@ -164,15 +164,18 @@ def descend(params, cfg, n, gen, batch_step, callback=None):
     gradient raises TrainingDivergedError before the update, and callback,
     when given, then receives (step, record)."""
     opt = Adam(params)
-    for step in range(cfg.steps):
-        loss, grads, record = batch_step(gen.integers(0, n, size=cfg.batch_size))
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(step)
-        if not all(np.all(np.isfinite(g)) for g in grads):
-            raise TrainingDivergedError(step, "gradient")
-        opt.step(params, grads, cfg.lr)
-        if callback is not None:
-            callback(step, record)
+    # the step that first goes non-finite runs its backward pass before the
+    # check below sees its loss, so numpy is not to warn about it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.steps):
+            loss, grads, record = batch_step(gen.integers(0, n, size=cfg.batch_size))
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(step)
+            if not all(np.all(np.isfinite(g)) for g in grads):
+                raise TrainingDivergedError(step, "gradient")
+            opt.step(params, grads, cfg.lr)
+            if callback is not None:
+                callback(step, record)
 
 
 def check_hidden(hidden):

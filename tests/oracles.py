@@ -2,13 +2,15 @@
 
 Nothing here shares code with the library: the normal CDF is built from a
 power-series erf and a continued-fraction erfc, quantiles come from bisection
-on that CDF, and binomial tails are exact big-integer summations.  Agreement
+on that CDF, and binomial tails are 50-digit decimal sums.  Agreement
 between these and the library is therefore evidence, not tautology.  The
 single-point views of the attack at the end are the exception: they wrap the
 library's batch routines so that tests can address one point at a time.
 """
 
 import dataclasses
+import decimal
+import functools
 import math
 
 import numpy as np
@@ -72,21 +74,32 @@ def normal_quantile(p, lo=-40.0, hi=40.0, iters=200):
     return 0.5 * (lo + hi)
 
 
+@functools.lru_cache(maxsize=64)
+def _comb(n, k):
+    """The exact binomial coefficient as a Decimal: math.comb takes 0.2 s at
+    n = 1e5, and a bisection asks for the same one at every step."""
+    return decimal.Decimal(math.comb(n, k))
+
+
 def binom_upper_tail(k, n, p):
-    """P(Bin(n, p) >= k).  Each term is exp of the log of the exact integer
-    binomial coefficient plus the log powers, so no term overflows however
-    large the coefficient."""
+    """P(Bin(n, p) >= k), summed in 50-digit decimal arithmetic from the
+    exact integer binomial coefficient and the exact value of the double p,
+    term by term until the terms past the mode fall below 1e-40 of the sum."""
     if k <= 0 or p >= 1.0:
         return 1.0
     if p <= 0.0:
         return 0.0
-    log_p, log_q = math.log(p), math.log1p(-p)
-    comb = math.comb(n, k)
-    total = 0.0
-    for j in range(k, n + 1):
-        total += math.exp(math.log(comb) + j * log_p + (n - j) * log_q)
-        comb = comb * (n - j) // (j + 1)
-    return min(total, 1.0)
+    with decimal.localcontext(decimal.Context(prec=50)):
+        pd = decimal.Decimal(p)
+        qd = 1 - pd
+        term = _comb(n, k) * pd ** k * qd ** (n - k)
+        total = decimal.Decimal(0)
+        for j in range(k, n + 1):
+            total += term
+            if j >= n * p and term < total * decimal.Decimal("1e-40"):
+                break
+            term = term * (n - j) * pd / ((j + 1) * qd)
+        return min(float(total), 1.0)
 
 
 def binom_lower_confidence(k, n, alpha, iters=80):

@@ -1,13 +1,18 @@
 """The Clopper-Pearson bound of certification and its referees.
 
-The bound is checked with scipy.special.betainc on a grid, and, where mpmath
-is installed, against a 40-digit sum of the binomial tail.
+The bound is checked with scipy.special.betainc on a grid, against the
+50-digit decimal tail of tests/oracles.py (which needs neither scipy nor
+mpmath), and, where mpmath is installed, against a 40-digit sum of the
+binomial tail.
 """
+
+import math
 
 import numpy as np
 import pytest
 from scipy import special
 
+import oracles
 from ebsmooth.stats import binom_lower_bound
 
 
@@ -66,3 +71,19 @@ class TestBinomLowerBoundRounding:
                     break
                 term = term * (n - j) / (j + 1) * pm / (1 - pm)
             assert tail <= mpmath.mpf(alpha)
+
+
+class TestBinomLowerBoundExactTail:
+    """At the bound the exact tail is at most alpha, and one ulp above it the
+    tail is within 1e-11 of alpha, by the decimal oracle."""
+
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-3, 0.05, 0.3, 0.7])
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 1_000, 10_000, 100_000])
+    def test_tail_at_and_above_bound(self, n, alpha):
+        ks = np.unique(np.concatenate([np.linspace(1, n, 9).astype(int),
+                                       [n // 2, n // 2 + 1, n - 1]]))
+        ks = ks[ks >= 1]
+        for k, p in zip(ks.tolist(), binom_lower_bound(ks, n, alpha).tolist()):
+            assert oracles.binom_upper_tail(k, n, p) <= alpha, (k, n, p)
+            up = oracles.binom_upper_tail(k, n, math.nextafter(p, 1.0))
+            assert up >= alpha * (1.0 - 1e-11), (k, n, p, up)

@@ -1,8 +1,8 @@
 """Import cost of the package: every CLI command is a fresh process.
 
-scipy.special is imported only inside the stats functions that certification
-uses, so importing the package, and every command that does not certify,
-loads no scipy module at all.  With a process pool only the parent loads it.
+No module of the package imports scipy, so importing it and running any
+command, the certifying ones included, loads no scipy module at all: with a
+process pool, neither in the parent nor in a worker.
 """
 
 import json
@@ -64,8 +64,10 @@ def test_import_keeps_megabyte_temporaries_on_the_heap():
     assert int(run_python(code)) < 20
 
 
-@pytest.mark.parametrize("command", ["gen-data", "train-energy", "train-xhat", "walk-jump"])
+@pytest.mark.parametrize("command", ["gen-data", "train-energy", "train-xhat", "walk-jump",
+                                     "certify", "curve", "oracle-check"])
 def test_non_certifying_command_loads_no_scipy(tmp_path, command):
+    # the certifying commands too: the bound and the quantile need no scipy
     cfg = {
         "seed": 3,
         "sigma": 0.5,
@@ -77,7 +79,13 @@ def test_non_certifying_command_loads_no_scipy(tmp_path, command):
         "train": {"mode": "adversarial", "steps": 2, "batch_size": 8},
         "attack": {"epsilon": 0.5, "steps": 2},
         "walk_jump": {"n_samples": 3, "tau": 2, "dump_trajectory": True},
+        "confidence": {"alpha": 0.01, "n0": 10, "nc": 200},
+        "certify": {"max_points": 3, "workers": 1},
     }
+    if command in ("certify", "curve", "oracle-check"):
+        # oracle-check referees a linear base over one centred Gaussian
+        cfg["dataset"]["means"] = [[0.0, 0.0]]
+        cfg["classifier"] = {"kind": "linear", "weights": [1.0, -0.5], "bias": 0.2}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     code = ("import sys\nfrom ebsmooth.cli import main\n"
@@ -88,8 +96,8 @@ def test_non_certifying_command_loads_no_scipy(tmp_path, command):
 
 
 def test_pool_workers_count_without_scipy_special():
-    # with a pool, the workers only tally and the parent computes every bound,
-    # importing scipy.special while they count: no worker loads it
+    # with a pool, the workers only tally and the parent computes every bound:
+    # neither loads scipy.special
     code = (
         "import os, sys\n"
         "import numpy as np\n"
@@ -109,4 +117,4 @@ def test_pool_workers_count_without_scipy_special():
         "assert [r.predicted for r in res] == [1, 0]\n"
         "print('scipy.special' in sys.modules)"
     )
-    assert run_python(code) == "True"
+    assert run_python(code) == "False"

@@ -67,8 +67,9 @@ class TestStdNormalInvCdf:
 
     def test_antisymmetry_exact_for_representable_pairs(self):
         # 1 - 2**-k is exact for every k <= 52.  The last p is exp(-2), where
-        # ndtri switches between its tail and central formulas: bare
-        # ndtri(1 - p) lies one ulp above -ndtri(p) there
+        # scipy's ndtri switches between its tail and central formulas and
+        # bare ndtri(1 - p) lies one ulp above -ndtri(p): the tail reduction
+        # keeps any such switch from breaking the symmetry
         ps = [0.375, 0.5, *(2.0 ** -k for k in range(2, 53)), math.exp(-2)]
         for p in ps:
             assert std_normal_inv_cdf(p) + std_normal_inv_cdf(1.0 - p) == 0.0, p
@@ -131,6 +132,8 @@ class TestBinomLowerBound:
             binom_lower_bound(11, 10, 0.05)
         with pytest.raises(ValueError):
             binom_lower_bound(-1, 10, 0.05)
+        with pytest.raises(ValueError):
+            binom_lower_bound(np.array([3, 4.5]), 10, 0.05)
         with pytest.raises(ValueError):
             binom_lower_bound(5, 10, 0.0)
 
