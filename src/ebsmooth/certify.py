@@ -4,8 +4,11 @@ Certification follows the standard two-pass recipe: a selection pass guesses
 the majority class under noise, an estimation pass with fresh noise lower
 bounds its probability mass, and the certified L2 radius is sigma times the
 normal quantile of that bound.  The bound is one-sided against all other
-classes combined, which is tight for two classes.  Analytic results for the
-linear-over-Gaussian pipeline are provided as oracles for validation.
+classes combined, which is tight for two classes.  certify runs all three
+steps for one point and is the only code that certifies one: the harness
+calls it per point, in its own process or in a pool's workers.  Analytic
+results for the linear-over-Gaussian pipeline are provided as oracles for
+validation.
 """
 
 from __future__ import annotations
@@ -78,30 +81,12 @@ def certify(classifier, x, sigma, spec, gen, est_gen):
     Clopper-Pearson lower bound on the class mass.  Selection and estimation
     never share noise, which is what makes the bound valid.
     """
-    candidate, est_counts = count_votes(classifier, x, sigma, spec, gen, est_gen)
-    return bound_counts([candidate], [est_counts], sigma, spec)[0]
-
-
-def count_votes(classifier, x, sigma, spec, gen, est_gen):
-    """certify's two tallies: the selection pass's candidate class from `gen`
-    and the estimation pass's per-class counts from `est_gen`."""
-    sel_counts = _tally(classifier, x, sigma, spec.n0, gen)
-    candidate = int(np.argmax(sel_counts))
-    return candidate, _tally(classifier, x, sigma, spec.nc, est_gen)
-
-
-def bound_counts(candidates, counts, sigma, spec):
-    """One CertResult per point from count_votes' tallies, with one bound
-    call and at most one quantile call for all of them.  Both are
-    elementwise, so each result is bitwise what the point gets alone."""
-    hits = np.array([c[k] for k, c in zip(candidates, counts)], dtype=np.int64)
-    pa_lower = binom_lower_bound(hits, spec.nc, spec.alpha)
-    certified = pa_lower > 0.5
-    radius = np.zeros(len(hits))
-    if certified.any():
-        radius[certified] = certified_radius(pa_lower[certified], sigma)
-    return [CertResult(int(k) if ok else ABSTAIN, float(p), float(r), c)
-            for k, c, p, r, ok in zip(candidates, counts, pa_lower, radius, certified)]
+    candidate = int(np.argmax(_tally(classifier, x, sigma, spec.n0, gen)))
+    counts = _tally(classifier, x, sigma, spec.nc, est_gen)
+    pa_lower = binom_lower_bound(counts[candidate], spec.nc, spec.alpha)
+    if pa_lower <= 0.5:
+        return CertResult(ABSTAIN, pa_lower, 0.0, counts)
+    return CertResult(candidate, pa_lower, float(certified_radius(pa_lower, sigma)), counts)
 
 
 def certified_radius(pa_lower, sigma):

@@ -2,7 +2,8 @@
 
 Everything here is deterministic given the config seed.  Randomness is drawn
 from streams keyed by (seed, purpose): dataset splits, training, and each
-certification point own disjoint stream ids, so per-point certification is
+certification point own disjoint stream ids.  A point is certified whole, by
+one certify.certify call in this process or in a pool worker, so its result is
 byte-identical for any worker count and any scheduling.  Floats in CSVs are
 printed with 17 significant digits so files round-trip losslessly; wall times
 are recorded in the run manifest, never inside result CSVs, to keep reruns
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .adversarial import train_xhat
-from .certify import bound_counts, certify, count_votes, linear_gaussian_oracle
+from .certify import certify, linear_gaussian_oracle
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .classifiers import EbClassifier, LinearClassifier, SoftClassifier
 from .config import ConfigError, config_digest
@@ -171,32 +172,30 @@ def _streams(seed, index):
             rng_stream(seed, STREAM_CERT_BASE + 2 * index + 1))
 
 
-def _count_task(task):
+def _certify_task(task):
     index, classifier, point, sigma, spec, seed = task
-    return count_votes(classifier, point, sigma, spec, *_streams(seed, index))
+    return certify(classifier, point, sigma, spec, *_streams(seed, index))
 
 
 def certify_points(classifier, points, sigma, spec, seed, workers=1):
     """Certify each point with its own keyed noise streams.
 
-    The streams depend only on (seed, point index), so the results are
-    identical for any worker count.  workers <= 1 certifies point by point;
-    workers > 1 sends only the tallies to a process pool of at most one
-    process per point and bounds every point in the parent in one call.
+    Every point is one _certify_task call, which runs certify.certify from
+    tally to radius: in this process at workers <= 1, and in a process pool
+    of at most one process per point otherwise.  The streams depend only on
+    (seed, point index), so the results are identical for any worker count.
     """
-    points = [np.asarray(p, dtype=float) for p in points]
-    workers = min(workers, len(points))
+    tasks = [(i, classifier, np.asarray(p, dtype=float), sigma, spec, seed)
+             for i, p in enumerate(points)]
+    workers = min(workers, len(tasks))
     if workers <= 1:
-        return [certify(classifier, p, sigma, spec, *_streams(seed, i))
-                for i, p in enumerate(points)]
+        return list(map(_certify_task, tasks))
     # imported here, so the commands that make no pool never load it
     from concurrent.futures import ProcessPoolExecutor
 
-    tasks = [(i, classifier, p, sigma, spec, seed) for i, p in enumerate(points)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # map submits every task and keeps their order
-        candidates, counts = zip(*pool.map(_count_task, tasks))
-    return bound_counts(candidates, counts, sigma, spec)
+        return list(pool.map(_certify_task, tasks))
 
 
 def write_points_csv(path, results, labels):

@@ -298,6 +298,9 @@ class RowStreams:
             if self._steps_left < 1:
                 raise ValueError("row streams have drawn all their steps")
             b = min(self._steps_left, max(1, _ROW_BLOCK // max(1, int(np.prod(shape)))))
+            # drop the spent block first, so a refill never holds two; a new
+            # block, not an in-place refill, keeps rows handed out unchanged
+            self._block = None
             self._block = np.empty((n, b, *rest))
             for g, row in zip(self.gens, self._block):
                 g.standard_normal(out=row)

@@ -96,8 +96,10 @@ def test_non_certifying_command_loads_no_scipy(tmp_path, command):
 
 
 def test_pool_workers_count_without_scipy_special():
-    # with a pool, the workers only tally and the parent computes every bound:
-    # neither loads scipy.special
+    # with a pool, each worker certifies whole points, both tallies and the
+    # bound, and the parent only collects the results: neither loads
+    # scipy.special.  The bound is wrapped through sys.modules, because
+    # `import ebsmooth.certify` gives the function the package re-exports
     code = (
         "import os, sys\n"
         "import numpy as np\n"
@@ -110,6 +112,12 @@ def test_pool_workers_count_without_scipy_special():
         "        assert os.getpid() != PARENT, 'tallied in the parent'\n"
         "        assert 'scipy.special' not in sys.modules, 'worker loaded scipy.special'\n"
         "        return super().predict_class(x)\n"
+        "cert = sys.modules['ebsmooth.certify']\n"
+        "bound = cert.binom_lower_bound\n"
+        "def checked_bound(*args):\n"
+        "    assert os.getpid() != PARENT, 'bounded in the parent'\n"
+        "    return bound(*args)\n"
+        "cert.binom_lower_bound = checked_bound\n"
         "assert 'scipy.special' not in sys.modules\n"
         "clf = Checked(np.array([1.0, 0.0]), 0.1)\n"
         "res = certify_points(clf, np.array([[2.0, 0.0], [-2.0, 1.0]]), 0.5,\n"

@@ -850,8 +850,8 @@ class TestParallelCertifyHelpers:
         assert rows[:, 1] == pytest.approx([1 / 3, 1 / 3, 0.0])
 
     def test_certify_points_worker_equivalence(self):
-        # workers=1 bounds point by point; workers=2 tallies in the pool and
-        # bounds every point in the parent in one vectorized call
+        # workers=1 certifies point by point in this process; workers=2 runs
+        # the same per-point certify, bound included, in the pool's workers
         linear = LinearClassifier(np.array([1.0, 0.0]), 0.2)
         mixture = IsoMixture(means=np.array([[2.0, 0.0], [-1.0, 1.7], [-1.0, -1.7]]),
                              sigma0=0.5)

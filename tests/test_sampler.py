@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,23 @@ class TestRowStreams:
             np.testing.assert_equal(blocked.bit_generator.state, alone.bit_generator.state)
         with pytest.raises(ValueError, match="all their steps"):
             streams.standard_normal((3, 2))
+
+    def test_refill_holds_one_block(self, monkeypatch):
+        # a refill drops the spent block before making the next, so drawing
+        # through several blocks never holds two at once
+        monkeypatch.setattr(stats, "_ROW_BLOCK", 1 << 14)
+        rows, dim = 4, 8
+        steps = 4 * (stats._ROW_BLOCK // (rows * dim))  # four blocks, three refills
+        block_bytes = 8 * stats._ROW_BLOCK
+        streams = RowStreams((rng_stream(7, i) for i in range(rows)), steps)
+        tracemalloc.start()
+        try:
+            for _ in range(steps):
+                streams.standard_normal((rows, dim))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block_bytes
 
     def test_shape_is_fixed_within_a_block(self):
         streams = RowStreams((rng_stream(6, i) for i in range(2)), 3)
