@@ -77,29 +77,30 @@ def certify(classifier, x, sigma, spec, gen, est_gen):
 
     The selection pass (spec.n0 samples from `gen`) picks the candidate
     class; the estimation pass (spec.nc samples from `est_gen`, a stream
-    independent of `gen`) counts its hits and converts them into a one-sided
-    Clopper-Pearson lower bound on the class mass.  Selection and estimation
-    never share noise, which is what makes the bound valid.
+    independent of `gen`) counts its hits, one number that becomes a
+    one-sided Clopper-Pearson lower bound on the class mass.  Selection and
+    estimation never share noise, which is what makes the bound valid.
     """
     candidate = int(np.argmax(_tally(classifier, x, sigma, spec.n0, gen)))
     counts = _tally(classifier, x, sigma, spec.nc, est_gen)
     pa_lower = binom_lower_bound(counts[candidate], spec.nc, spec.alpha)
     if pa_lower <= 0.5:
         return CertResult(ABSTAIN, pa_lower, 0.0, counts)
-    return CertResult(candidate, pa_lower, float(certified_radius(pa_lower, sigma)), counts)
+    return CertResult(candidate, pa_lower, certified_radius(pa_lower, sigma), counts)
 
 
 def certified_radius(pa_lower, sigma):
-    """sigma * Phi^{-1}(pa_lower), rounded down: never above the exact value
-    and within 4e-15 of it."""
+    """sigma * Phi^{-1}(pa_lower) for one number pa_lower, rounded down:
+    never above the exact value and within 4e-15 of it."""
     return sigma * std_normal_inv_cdf(pa_lower) * (1.0 - _RADIUS_SLACK)
 
 
 def rmax(spec, sigma):
     """Largest radius the budget can certify: every sample agrees, so the
     class-mass bound is the Clopper-Pearson bound at nc hits out of nc, whose
-    closed form is alpha^(1/nc)."""
-    return sigma * std_normal_inv_cdf(spec.alpha ** (1.0 / spec.nc))
+    closed form is alpha^(1/nc).  A bound of at most 1/2 abstains, so then
+    the ceiling is 0."""
+    return max(0.0, sigma * std_normal_inv_cdf(spec.alpha ** (1.0 / spec.nc)))
 
 
 def linear_margin(classifier, x):

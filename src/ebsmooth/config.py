@@ -128,6 +128,8 @@ class DatasetSection:
                 raise ValueError("limit applies only to idx data; set dataset.n_train "
                                  "and dataset.n_test to size a generated dataset")
         if self.kind == "idx":
+            if self.means is not None:
+                raise ValueError("means applies only to gaussian_classes data; set it to null")
             if self.limit is not None and self.limit < 1:
                 raise ValueError(f"limit must be >= 1, got {self.limit}")
             for name in ("train_images", "train_labels", "test_images", "test_labels"):

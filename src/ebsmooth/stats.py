@@ -5,21 +5,24 @@ radius is linear in it, so it carries the whole error budget), the
 one-sided Clopper-Pearson lower confidence bound for binomial proportions,
 and keyed deterministic random streams (SFC64, seeded through SeedSequence)
 so that per-point noise is reproducible however work is scheduled across
-processes or batched into one array.
+processes or batched into one array.  Certification takes one bound and one
+quantile per point, so each takes one number and returns one float.
 
 Every CLI command is a fresh process, so the import cost counts, and nothing
 here needs scipy: importing scipy.special costs a certifying command about
 0.23 s.  The quantile is the standard library's NormalDist.inv_cdf
-(Wichura's AS241, in C), imported only when a quantile or a bound is asked
-for.  The bound sums the binomial tail itself: Loader's saddle-point
-binomial probability ("Fast and accurate computation of binomial
-probabilities", 2000) times a ratio series.
+(Wichura's AS241, in C), and statistics (which loads decimal and fractions,
+a few ms) is imported only when a quantile or a bound is asked for.  The
+bound sums the binomial tail itself: Loader's saddle-point binomial
+probability ("Fast and accurate computation of binomial probabilities",
+2000) times a ratio series.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
@@ -73,25 +76,21 @@ class ConfidenceSpec:
 
 
 def std_normal_inv_cdf(p):
-    """Inverse standard normal CDF.
+    """Inverse standard normal CDF of one number p in (0, 1), as a float.
 
-    Accepts a float or array with entries strictly inside (0, 1).  Exact sign
-    symmetry: the implementation reduces p and 1-p to the same tail problem,
-    so quantiles of exactly-representable complementary pairs negate exactly.
+    Exact sign symmetry: the implementation reduces p and 1-p to the same tail
+    problem, so quantiles of exactly-representable complementary pairs negate
+    exactly.
     """
     from statistics import NormalDist
-    arr = np.asarray(p, dtype=float)
-    if not np.all((arr > 0.0) & (arr < 1.0)):
+    if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
     # 1 - p is exact in floating point for p >= 0.5, so both halves see the
-    # same tail mass and the result is antisymmetric by construction
-    q = np.where(arr <= 0.5, arr, 1.0 - arr)
-    inv_cdf = NormalDist().inv_cdf
-    lower = np.array([inv_cdf(v) for v in q.ravel().tolist()], dtype=float)
-    # z >= 0 with upper-tail mass q; 0.0 - x rather than -x keeps z(0.5) = +0.0
-    z = 0.0 - lower.reshape(q.shape)
-    out = np.where(arr < 0.5, -z, z)
-    return float(out) if out.ndim == 0 else out
+    # same tail mass and the result is antisymmetric by construction.  z >= 0
+    # has upper-tail mass min(p, 1 - p); 0.0 - x rather than -x keeps
+    # z(0.5) = +0.0
+    z = 0.0 - NormalDist().inv_cdf(p if p <= 0.5 else 1.0 - p)
+    return -z if p < 0.5 else z
 
 
 def binom_lower_bound(k, n, alpha):
@@ -108,24 +107,19 @@ def binom_lower_bound(k, n, alpha):
     score interval, then it steps down one ulp at a time while the tail is
     still too large.
 
-    k may be an int or an integer array.  Each distinct k is solved on its
-    own, so a point's bound is bitwise the same alone or in a batch.
+    k and n are one whole number each, of any integer type or a whole
+    float, and the bound is one float.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not (isinstance(k, numbers.Real) and isinstance(n, numbers.Real)):
+        raise TypeError(f"k and n must be one number each, got {type(k).__name__} "
+                        f"and {type(n).__name__}")
+    if not (1 <= n < math.inf and n == int(n)):
+        raise ValueError(f"n must be a whole number >= 1, got {n}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    karr = np.asarray(k)
-    ks = karr.ravel().tolist()
-    if not all(0 <= v <= n and v == int(v) for v in ks):
-        raise ValueError("k must be whole numbers with 0 <= k <= n")
-
-    target = alpha * (1.0 - _TAIL_SLACK)
-    bounds = {v: _lower_bound(int(v), n, target) if v else 0.0 for v in set(ks)}
-    if karr.ndim == 0:
-        return bounds[ks[0]]
-    return np.array([bounds[v] for v in ks], dtype=float).reshape(karr.shape)
+    if not (0 <= k <= n and k == int(k)):
+        raise ValueError(f"k must be a whole number with 0 <= k <= n, got {k}")
+    return _lower_bound(int(k), int(n), alpha * (1.0 - _TAIL_SLACK)) if k else 0.0
 
 
 def _lower_bound(k, n, target):

@@ -224,7 +224,7 @@ def test_criterion_07_binomial_bound():
     monotone = True
     for n in range(1, 201):
         ks = np.arange(0, n + 1)
-        bounds = binom_lower_bound(ks, n, 0.01)
+        bounds = [binom_lower_bound(k, n, 0.01) for k in ks]
         if not np.all(np.diff(bounds) >= -1e-15):
             monotone = False
             break

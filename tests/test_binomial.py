@@ -28,7 +28,7 @@ class TestBinomLowerBoundRounding:
     @pytest.mark.parametrize("alpha", [1e-3, 0.05, 0.3])
     def test_tail_at_bound_at_most_alpha(self, alpha):
         for ks, n in _bound_grid():
-            p = binom_lower_bound(ks, n, alpha)
+            p = np.array([binom_lower_bound(k, n, alpha) for k in ks])
             tail = special.betainc(ks, n - ks + 1, p)
             assert np.all(tail <= alpha), (n, ks[tail > alpha])
 
@@ -45,7 +45,7 @@ class TestBinomLowerBoundRounding:
         # slack costs p at most ~4e-12 of its value (betaincinv is good to
         # ~1e-13 in p)
         for ks, n in _bound_grid():
-            p = binom_lower_bound(ks, n, alpha)
+            p = np.array([binom_lower_bound(k, n, alpha) for k in ks])
             up = special.betainc(ks, n - ks + 1, np.nextafter(p, 1.0))
             assert np.all(up >= alpha * (1.0 - 1e-11)), (n, ks[up < alpha * (1.0 - 1e-11)])
             exact = special.betaincinv(ks, n - ks + 1, alpha)
@@ -83,7 +83,8 @@ class TestBinomLowerBoundExactTail:
         ks = np.unique(np.concatenate([np.linspace(1, n, 9).astype(int),
                                        [n // 2, n // 2 + 1, n - 1]]))
         ks = ks[ks >= 1]
-        for k, p in zip(ks.tolist(), binom_lower_bound(ks, n, alpha).tolist()):
+        for k in ks.tolist():
+            p = binom_lower_bound(k, n, alpha)
             assert oracles.binom_upper_tail(k, n, p) <= alpha, (k, n, p)
             up = oracles.binom_upper_tail(k, n, math.nextafter(p, 1.0))
             assert up >= alpha * (1.0 - 1e-11), (k, n, p, up)

@@ -120,10 +120,10 @@ class TestCertify:
     def test_radius_monotone_in_hits(self):
         spec = ConfidenceSpec(alpha=0.001, n0=10, nc=1000)
         ks = np.arange(0, 1001)
-        pas = binom_lower_bound(ks, spec.nc, spec.alpha)
+        pas = np.array([binom_lower_bound(k, spec.nc, spec.alpha) for k in ks])
         radii = np.zeros(len(ks))
         certified = pas > 0.5
-        radii[certified] = std_normal_inv_cdf(pas[certified])
+        radii[certified] = [std_normal_inv_cdf(pa) for pa in pas[certified]]
         assert np.all(np.diff(radii) >= -1e-12)
 
     def test_radius_never_exceeds_budget_ceiling(self):
@@ -156,6 +156,21 @@ class TestRmax:
         spec = ConfidenceSpec(1e-3, 100, 10**5)
         assert abs(rmax(spec, 0.6) - 0.6 * rmax(spec, 1.0)) < 1e-12
         assert abs(rmax(spec, 0.6) - 2.29) < 0.01
+
+    @pytest.mark.parametrize("alpha, nc", [(1e-3, 5), (1e-3, 9), (0.25, 2), (0.5, 1)])
+    def test_zero_when_every_point_abstains(self, alpha, nc):
+        # alpha^(1/nc) <= 1/2: even nc hits of nc bound the class mass at or
+        # below 1/2, so certify abstains at every point.  At (1e-3, 5) the
+        # bound is 0.251, whose normal quantile, -0.671, was the ceiling
+        spec = ConfidenceSpec(alpha=alpha, n0=1, nc=nc)
+        assert rmax(spec, 1.0) == 0.0
+        res = certify(LinearClassifier(np.array([1.0, 0.0]), 0.0), np.array([50.0, 0.0]), 1.0,
+                      spec, rng_stream(8, 0), rng_stream(8, 1))
+        assert res.counts[1] == nc and res.abstained
+
+    def test_positive_once_all_hits_clear_one_half(self):
+        # 1e-3^(1/10) = 0.501
+        assert rmax(ConfidenceSpec(alpha=1e-3, n0=1, nc=10), 1.0) > 0.0
 
 
 class TestLinearMargin:
@@ -279,7 +294,7 @@ class TestCoverage:
         beta = beta_of(sigma, sigma0)
         wnorm = float(np.linalg.norm(h.w))
         # class-1 masses spread over [0.05, 0.95], where the bound is tight
-        t = std_normal_inv_cdf(gen.uniform(0.05, 0.95, 200))
+        t = np.array([std_normal_inv_cdf(p) for p in gen.uniform(0.05, 0.95, 200)])
         side = gen.standard_normal((200, dim))
         side -= np.outer(side @ h.w, h.w) / wnorm**2
         points = np.outer(t * sigma - h.b / (beta * wnorm), h.w / wnorm) + side
@@ -312,7 +327,7 @@ class TestCoverage:
             lo, hi = (mid, hi) if g(mid) < -b / c else (lo, mid)
         t_star = 0.5 * (lo + hi)
         # class-1 masses spread over [0.05, 0.95], where the bound is tight
-        t = std_normal_inv_cdf(gen.uniform(0.05, 0.95, 200))
+        t = np.array([std_normal_inv_cdf(p) for p in gen.uniform(0.05, 0.95, 200)])
         side = gen.standard_normal((200, dim))
         side -= np.outer(side @ u, u)
         points = np.outer(t_star + sigma * t, u) + side
@@ -364,7 +379,7 @@ class TestCertifiedRadius:
         mpmath = pytest.importorskip("mpmath")
         budgets = [alpha ** (1.0 / nc) for alpha in (1e-3, 1e-2, 0.05)
                    for nc in (100, 1_000, 10_000, 100_000, 1_000_000)]
-        bounds = binom_lower_bound(np.arange(510, 1001, 5), 1_000, 1e-3)
+        bounds = [binom_lower_bound(k, 1_000, 1e-3) for k in range(510, 1001, 5)]
         spread = rng_stream(11, 0).uniform(0.5, 1.0, 300)
         dyadic = np.concatenate([0.5 + 2.0 ** -np.arange(2, 53),
                                  1.0 - 2.0 ** -np.arange(2, 53)])

@@ -2,7 +2,9 @@
 
 No module of the package imports scipy, so importing it and running any
 command, the certifying ones included, loads no scipy module at all: with a
-process pool, neither in the parent nor in a worker.
+process pool, neither in the parent nor in a worker.  The standard library's
+statistics module, which the bound and the quantile use, loads only in the
+commands that certify.
 """
 
 import json
@@ -19,6 +21,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 POOL_MODULES = ("sorted(m for m in sys.modules "
                 "if m.split('.')[0] in ('concurrent', 'multiprocessing'))")
+STATISTICS_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'statistics')"
 
 
 def run_python(code):
@@ -45,6 +48,13 @@ def test_import_loads_no_pool_stack(module):
     assert run_python(f"import sys, {module}; print({POOL_MODULES})") == "[]"
 
 
+@pytest.mark.parametrize("module", ["ebsmooth", "ebsmooth.cli"])
+def test_import_loads_no_statistics(module):
+    # statistics loads decimal and fractions, about 5 ms; only a bound or a
+    # quantile imports it
+    assert run_python(f"import sys, {module}; print({STATISTICS_MODULES})") == "[]"
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
 def test_import_keeps_megabyte_temporaries_on_the_heap():
     # the package frees a 2 MB buffer at import, which raises glibc's mmap
@@ -64,10 +74,9 @@ def test_import_keeps_megabyte_temporaries_on_the_heap():
     assert int(run_python(code)) < 20
 
 
-@pytest.mark.parametrize("command", ["gen-data", "train-energy", "train-xhat", "walk-jump",
-                                     "certify", "curve", "oracle-check"])
-def test_non_certifying_command_loads_no_scipy(tmp_path, command):
-    # the certifying commands too: the bound and the quantile need no scipy
+def run_command(tmp_path, command, modules):
+    """Run one command in a fresh process on a tiny config and return the
+    list the `modules` expression prints after it."""
     cfg = {
         "seed": 3,
         "sigma": 0.5,
@@ -90,9 +99,26 @@ def test_non_certifying_command_loads_no_scipy(tmp_path, command):
     path.write_text(json.dumps(cfg))
     code = ("import sys\nfrom ebsmooth.cli import main\n"
             f"assert main([{command!r}, '-c', {str(path)!r}]) == 0\n"
-            f"print({SCIPY_MODULES})")
-    assert run_python(code) == "[]"
+            f"print({modules})")
+    out = run_python(code)
     assert list((tmp_path / "out").iterdir())
+    return out
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train-energy", "train-xhat", "walk-jump",
+                                     "certify", "curve", "oracle-check"])
+def test_non_certifying_command_loads_no_scipy(tmp_path, command):
+    # the certifying commands too: the bound and the quantile need no scipy
+    assert run_command(tmp_path, command, SCIPY_MODULES) == "[]"
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train-energy", "train-xhat", "walk-jump",
+                                     "certify"])
+def test_only_certifying_commands_load_statistics(tmp_path, command):
+    # certify bounds and takes a quantile, so it shows the check can see
+    # the module
+    want = "['statistics']" if command == "certify" else "[]"
+    assert run_command(tmp_path, command, STATISTICS_MODULES) == want
 
 
 def test_pool_workers_count_without_scipy_special():

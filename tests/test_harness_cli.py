@@ -1094,7 +1094,7 @@ class TestBadConfigValues:
     @pytest.mark.parametrize("case", ["oracle-nonlinear", "oracle-off-centre",
                                       "oracle-wrong-dimension", "oracle-mixture",
                                       "oracle-idx", "idx-without-test", "walk-jump-idx",
-                                      "idx-limit-negative", "idx-limit-zero",
+                                      "idx-limit-negative", "idx-limit-zero", "idx-means",
                                       "generated-limit", "walk-jump-identity", "walk-jump-without-fine",
                                       "energy-as-classifier", "classifier-as-estimator",
                                       "oracle-identity", "oracle-energy",
@@ -1131,6 +1131,8 @@ class TestBadConfigValues:
                                                   "estimator": {"kind": "identity"}}),
             "idx-limit-zero": ("train-xhat", {"dataset": {**idx, "limit": 0},
                                               "estimator": {"kind": "identity"}}),
+            # the files hold idx data: means used to be ignored without a word
+            "idx-means": ("gen-data", {"dataset": {**idx, "means": [[2.0, 0.0], [-2.0, 0.0]]}}),
             # a generated dataset is sized by n_train and n_test alone
             "generated-limit": ("gen-data", {"dataset": {"limit": 5}}),
             # walk-jump walks on a score, which the identity does not have
@@ -1168,6 +1170,7 @@ class TestBadConfigValues:
             "oracle-wrong-dimension": "classifier.weights has dimension 10, but the data have "
                                       "dimension 2",
             "walk-jump-fine-not-energy": f"walk_jump.fine_energy_path {clf} is not an energy",
+            "idx-means": "dataset.means applies only to gaussian_classes data",
             "idx-test-images-only": "dataset.test_images and test_labels must be given together",
             "idx-test-labels-only": "dataset.test_images and test_labels must be given together",
         }.get(case)

@@ -33,8 +33,8 @@ class TestStdNormalInvCdf:
             np.linspace(0.01, 0.99, 197),
             1.0 - np.array([1e-15, 1e-12, 1e-9, 1e-6, 1e-3]),
         ])
-        zs = std_normal_inv_cdf(ps)
-        for p, z in zip(ps, zs):
+        for p in ps:
+            z = std_normal_inv_cdf(p)
             if p <= 0.5:
                 assert abs(oracles.normal_cdf(z) - p) < 1e-9 * max(p, 1e-2) + 1e-15
             else:
@@ -62,7 +62,8 @@ class TestStdNormalInvCdf:
         # 1-p is only exact in floating point for p >= 0.25, so the 1e-12
         # contract is checked on a central range; dyadic pairs are exact.
         ps = np.linspace(1e-4, 0.5, 300)
-        zs = std_normal_inv_cdf(ps) + std_normal_inv_cdf(1.0 - ps)
+        zs = np.array([std_normal_inv_cdf(p) + std_normal_inv_cdf(q)
+                       for p, q in zip(ps, 1.0 - ps)])
         assert np.max(np.abs(zs)) < 1e-12
 
     def test_antisymmetry_exact_for_representable_pairs(self):
@@ -74,10 +75,9 @@ class TestStdNormalInvCdf:
         for p in ps:
             assert std_normal_inv_cdf(p) + std_normal_inv_cdf(1.0 - p) == 0.0, p
 
-    @pytest.mark.parametrize("p", [np.array([]), np.empty((0, 3)), np.array([], dtype=int)])
-    def test_empty_input_gives_empty_float_array_of_its_shape(self, p):
-        z = std_normal_inv_cdf(p)
-        assert z.dtype == np.float64 and z.shape == p.shape
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7, np.float64(0.3), np.float64(0.7)])
+    def test_one_number_gives_a_float(self, p):
+        assert type(std_normal_inv_cdf(p)) is float
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, np.nan])
     def test_domain_errors(self, p):
@@ -109,7 +109,7 @@ class TestBinomLowerBound:
 
     def test_monotone_in_k(self):
         ks = np.arange(0, 101)
-        bounds = binom_lower_bound(ks, 100, 0.01)
+        bounds = [binom_lower_bound(k, 100, 0.01) for k in ks]
         assert np.all(np.diff(bounds) >= -1e-15)
 
     def test_monotone_in_alpha(self):
@@ -119,11 +119,25 @@ class TestBinomLowerBound:
         vals = [binom_lower_bound(70, 100, a) for a in alphas]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
-    def test_vectorized_matches_scalar(self):
-        ks = np.array([0, 1, 17, 99, 100])
-        vec = binom_lower_bound(ks, 100, 0.01)
-        for k, v in zip(ks, vec):
-            assert v == binom_lower_bound(int(k), 100, 0.01)
+    @pytest.mark.parametrize("k, n", [(17, 100), (np.int64(17), 100), (17, np.int64(100)),
+                                      (np.int32(17), np.uint16(100)), (17.0, 100.0),
+                                      (0, 100), (np.int64(0), 100)])
+    def test_every_integer_type_gives_the_same_float(self, k, n):
+        # certify passes the hit count as an np.int64 from its tally
+        bound = binom_lower_bound(k, n, 0.01)
+        assert type(bound) is float
+        assert bound == binom_lower_bound(int(k), int(n), 0.01)
+
+    @pytest.mark.parametrize("n", [10.7, 10.5, 1.5, math.nan, math.inf])
+    def test_non_whole_n_is_an_error(self, n):
+        # n = 10.7 used to give the n = 10 bound without a word
+        with pytest.raises(ValueError, match="n must be a whole number"):
+            binom_lower_bound(5, n, 0.05)
+
+    @pytest.mark.parametrize("k", [np.array(5), np.array([3, 4]), [3, 4], "5"])
+    def test_k_that_is_not_one_number_is_a_type_error(self, k):
+        with pytest.raises(TypeError, match="one number"):
+            binom_lower_bound(k, 10, 0.05)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -133,7 +147,7 @@ class TestBinomLowerBound:
         with pytest.raises(ValueError):
             binom_lower_bound(-1, 10, 0.05)
         with pytest.raises(ValueError):
-            binom_lower_bound(np.array([3, 4.5]), 10, 0.05)
+            binom_lower_bound(4.5, 10, 0.05)
         with pytest.raises(ValueError):
             binom_lower_bound(5, 10, 0.0)
 
