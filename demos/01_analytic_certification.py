@@ -16,6 +16,7 @@ import numpy as np
 from ebsmooth import (
     ConfidenceSpec,
     EbClassifier,
+    Identity,
     IsoGaussian,
     LinearClassifier,
     certify,
@@ -36,13 +37,14 @@ print(f"budget ceiling at this sampling budget: {rmax(spec, sigma):.3f}")
 print()
 print(f"{'margin':>8} {'oracle r':>9} {'plain r':>9} {'denoised r':>11}")
 
+# plain smoothing is the composition with the identity denoiser
+smoothed = EbClassifier(h, Identity(), sigma)
+composed = EbClassifier(h, model, sigma)
 points = model.sample(8, rng_stream(1, 1))
 for i, x in enumerate(points):
     oracle = linear_gaussian_oracle(h, x, sigma, model.sigma0)
-    plain = certify(h, x, sigma, spec, rng_stream(2, 2 * i), rng_stream(2, 2 * i + 1))
-    composed = EbClassifier(h, model, sigma)
-    denoised = certify(composed, x, sigma, spec,
-                       rng_stream(3, 2 * i), rng_stream(3, 2 * i + 1))
+    plain = certify(smoothed, x, spec, rng_stream(2, 2 * i), rng_stream(2, 2 * i + 1))
+    denoised = certify(composed, x, spec, rng_stream(3, 2 * i), rng_stream(3, 2 * i + 1))
     print(f"{linear_margin(h, x):8.3f} {oracle.radius:9.3f} "
           f"{plain.radius:9.3f} {denoised.radius:11.3f}")
 

@@ -63,7 +63,7 @@ def run(means, sigma0, sigma, epsilon, label, grid):
                          rng_stream(8, 300),
                          callback=lambda s, rec: history.append(rec))
         hard = EbClassifier(clf, estimator, sigma)
-        results = certify_points(hard, test.points, sigma, spec, seed=8)
+        results = certify_points(hard, test.points, spec, seed=8)
         accs = "  ".join(f"{acc:.2f}" for acc in certified_accuracy(results, test.labels, grid))
         tail = history[-100:]
         clean = np.mean([rec["clean_loss"] for rec in tail])

@@ -25,7 +25,10 @@ ABSTAIN = -1
 # A tally draws its noise in blocks of about this many float64 values
 # (2**16, 512 KB), so that a block's noise and the denoiser and classifier
 # temporaries made from it stay in cache.  Each block continues the same
-# stream, so the counts do not depend on it.
+# stream, so the noise does not depend on it; a BLAS-backed denoiser or
+# classifier can round differently at another block row count (a 512-row
+# split of the energy's input-gradient product changed bits), so changing it
+# can change the counts of a learned pipeline.
 _BLOCK_ELEMS = 2**16
 # Relative amount the certified radius is rounded toward zero.
 # std_normal_inv_cdf is within 3.7 ulp (3.7 * 2**-52 = 8.2e-16 relative) of
@@ -57,8 +60,8 @@ class CertResult:
         return self.predicted == ABSTAIN
 
 
-def _tally(classifier, x, sigma, n, gen):
-    """Per-class counts of the classifier at n noisy copies of x."""
+def _tally(classifier, x, n, gen):
+    """Per-class counts of the classifier at n noisy copies of x, at its noise scale."""
     x = np.asarray(x, dtype=float)
     k = classifier.n_classes
     counts = np.zeros(k, dtype=np.int64)
@@ -66,14 +69,14 @@ def _tally(classifier, x, sigma, n, gen):
     block = np.empty((rows, x.shape[0]))
     for start in range(0, n, rows):
         noisy = gen.standard_normal(out=block[:min(rows, n - start)])
-        noisy *= sigma
+        noisy *= classifier.sigma
         noisy += x
         counts += np.bincount(classifier.predict_class(noisy), minlength=k)
     return counts
 
 
-def certify(classifier, x, sigma, spec, gen, est_gen):
-    """Certified prediction and L2 radius at x.
+def certify(classifier, x, spec, gen, est_gen):
+    """Certified prediction and L2 radius at x, smoothed at classifier.sigma > 0.
 
     The selection pass (spec.n0 samples from `gen`) picks the candidate
     class; the estimation pass (spec.nc samples from `est_gen`, a stream
@@ -81,12 +84,14 @@ def certify(classifier, x, sigma, spec, gen, est_gen):
     one-sided Clopper-Pearson lower bound on the class mass.  Selection and
     estimation never share noise, which is what makes the bound valid.
     """
-    candidate = int(np.argmax(_tally(classifier, x, sigma, spec.n0, gen)))
-    counts = _tally(classifier, x, sigma, spec.nc, est_gen)
+    if not 0.0 < classifier.sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {classifier.sigma}")
+    candidate = int(np.argmax(_tally(classifier, x, spec.n0, gen)))
+    counts = _tally(classifier, x, spec.nc, est_gen)
     pa_lower = binom_lower_bound(counts[candidate], spec.nc, spec.alpha)
     if pa_lower <= 0.5:
         return CertResult(ABSTAIN, pa_lower, 0.0, counts)
-    return CertResult(candidate, pa_lower, certified_radius(pa_lower, sigma), counts)
+    return CertResult(candidate, pa_lower, certified_radius(pa_lower, classifier.sigma), counts)
 
 
 def certified_radius(pa_lower, sigma):

@@ -13,6 +13,7 @@ byte-identical.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import time
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .adversarial import train_xhat
-from .certify import certify, linear_gaussian_oracle
+from .certify import certify, linear_gaussian_oracle, rmax
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .classifiers import EbClassifier, LinearClassifier, SoftClassifier
 from .config import ConfigError, config_digest
@@ -149,7 +150,15 @@ def resolve_estimator(cfg, dim):
 
 def resolve_hard_classifier(cfg, dim):
     """The hard classifier certification runs on dim-dimensional points: the
-    configured base composed with the configured estimator."""
+    configured base composed with the configured estimator.  Every command
+    that certifies resolves it before any tally or write, so it also rejects
+    a budget whose rmax is 0, at which every point would abstain."""
+    spec = cfg.confidence
+    if rmax(spec, 1.0) == 0.0:
+        least = next(nc for nc in itertools.count(spec.nc + 1)
+                     if rmax(dataclasses.replace(spec, nc=nc), 1.0) > 0.0)
+        raise ConfigError(f"confidence.nc={spec.nc} certifies no point at confidence.alpha="
+                          f"{spec.alpha}: nc must be at least {least}")
     cl = cfg.classifier
     if cl.kind == "mlp":
         raise ConfigError("classifier.kind=mlp has no parameters yet; train one with "
@@ -173,11 +182,11 @@ def _streams(seed, index):
 
 
 def _certify_task(task):
-    index, classifier, point, sigma, spec, seed = task
-    return certify(classifier, point, sigma, spec, *_streams(seed, index))
+    index, classifier, point, spec, seed = task
+    return certify(classifier, point, spec, *_streams(seed, index))
 
 
-def certify_points(classifier, points, sigma, spec, seed, workers=1):
+def certify_points(classifier, points, spec, seed, workers=1):
     """Certify each point with its own keyed noise streams.
 
     Every point is one _certify_task call, which runs certify.certify from
@@ -185,7 +194,7 @@ def certify_points(classifier, points, sigma, spec, seed, workers=1):
     of at most one process per point otherwise.  The streams depend only on
     (seed, point index), so the results are identical for any worker count.
     """
-    tasks = [(i, classifier, np.asarray(p, dtype=float), sigma, spec, seed)
+    tasks = [(i, classifier, np.asarray(p, dtype=float), spec, seed)
              for i, p in enumerate(points)]
     workers = min(workers, len(tasks))
     if workers <= 1:
@@ -273,8 +282,8 @@ def run_certify(cfg, path):
         raise ConfigError("certification needs a test split (dataset.test_* for idx)")
     n = min(cfg.certify.max_points, len(test))
     classifier = resolve_hard_classifier(cfg, test.points.shape[1])
-    results = certify_points(classifier, test.points[:n], cfg.sigma, cfg.confidence,
-                             cfg.seed, workers=cfg.certify.workers)
+    results = certify_points(classifier, test.points[:n], cfg.confidence, cfg.seed,
+                             workers=cfg.certify.workers)
     write_points_csv(path("points.csv"), results, test.labels[:n])
     return results, test.labels[:n]
 
@@ -302,7 +311,7 @@ def run_oracle_check(cfg, path):
         raise ConfigError("oracle-check needs an all-zero dataset mean")
     classifier = resolve_hard_classifier(cfg, model.dim)
     points = model.sample(cfg.certify.max_points, rng_stream(cfg.seed, STREAM_TEST_DATA))
-    results = certify_points(classifier, points, cfg.sigma, cfg.confidence, cfg.seed,
+    results = certify_points(classifier, points, cfg.confidence, cfg.seed,
                              workers=cfg.certify.workers)
     rows = []
     for i, (x, res) in enumerate(zip(points, results)):

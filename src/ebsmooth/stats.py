@@ -69,10 +69,12 @@ class ConfidenceSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.n0 < 1:
-            raise ValueError(f"n0 must be >= 1, got {self.n0}")
-        if self.nc < 1:
-            raise ValueError(f"nc must be >= 1, got {self.nc}")
+        for name in ("n0", "nc"):  # counts of samples: a float would fail deep in a tally
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def std_normal_inv_cdf(p):

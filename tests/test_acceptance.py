@@ -18,7 +18,7 @@ from ebsmooth.certify import certify, linear_gaussian_oracle, linear_margin, rma
 from ebsmooth.classifiers import EbClassifier, LinearClassifier, SoftClassifier
 from ebsmooth.cli import main as cli_main
 from ebsmooth.datasets import gen_dataset
-from ebsmooth.densities import IsoGaussian, IsoMixture, beta_of
+from ebsmooth.densities import Identity, IsoGaussian, IsoMixture, beta_of
 from ebsmooth.energy import EnergyNet, EnergyTrainConfig, train_energy
 from ebsmooth.harness import certify_points, write_curve_csv
 from ebsmooth.sampler import WalkJumpConfig, walk_jump
@@ -54,7 +54,7 @@ def test_criterion_01_analytic_pipeline_end_to_end():
     sigma = 1.0
     h, model, points, spec = _linear_gaussian_setup()
     pipeline = EbClassifier(h, model, sigma)
-    results = certify_points(pipeline, points, sigma, spec, seed=201, workers=2)
+    results = certify_points(pipeline, points, spec, seed=201, workers=2)
 
     class_violations = 0
     radius_violations = 0
@@ -83,7 +83,8 @@ def test_criterion_01_analytic_pipeline_end_to_end():
 def test_criterion_02_vanilla_smoothing_matches_margin():
     sigma = 1.0
     h, model, points, spec = _linear_gaussian_setup()
-    results = certify_points(h, points, sigma, spec, seed=202, workers=2)
+    results = certify_points(EbClassifier(h, Identity(), sigma), points, spec, seed=202,
+                             workers=2)
 
     violations = 0
     identity_violations = 0
@@ -256,8 +257,7 @@ def test_criterion_08_adversarial_training_ordering(tmp_path):
             clf = train_xhat(train, mix, sigma, (64,), cfg, attack,
                              rng_stream(seed, 300))
             hard = EbClassifier(clf, mix, sigma)
-            results = certify_points(hard, test.points, sigma, spec,
-                                     seed=seed, workers=2)
+            results = certify_points(hard, test.points, spec, seed=seed, workers=2)
             # certified accuracy at radius 0 and 0.9, read from curve.csv
             write_curve_csv(tmp_path / "curve.csv", results, test.labels, [0.0, 0.9])
             per_mode[mode] = tuple(np.loadtxt(tmp_path / "curve.csv", delimiter=",",

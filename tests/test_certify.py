@@ -16,7 +16,7 @@ from ebsmooth.certify import (
     rmax,
 )
 from ebsmooth.classifiers import EbClassifier, LinearClassifier, SoftClassifier
-from ebsmooth.densities import IsoGaussian, IsoMixture, beta_of
+from ebsmooth.densities import Identity, IsoGaussian, IsoMixture, beta_of
 from ebsmooth.energy import EnergyNet
 from ebsmooth.harness import STREAM_CERT_BASE, certify_points
 from ebsmooth.stats import (
@@ -30,10 +30,11 @@ from ebsmooth.stats import (
 class _ConstantHard:
     """Always answers the same class."""
 
-    def __init__(self, label, n_classes=3, dim=2):
+    def __init__(self, label, n_classes=3, dim=2, sigma=1.0):
         self.label = label
         self.n_classes = n_classes
         self.dim = dim
+        self.sigma = sigma
 
     def predict_class(self, x):
         return np.full(x.shape[0], self.label, dtype=np.int64)
@@ -45,7 +46,8 @@ class _Buckets:
 
     n_classes = 4
 
-    def __init__(self):
+    def __init__(self, sigma=1.0):
+        self.sigma = sigma
         self.batches = []
 
     def predict_class(self, x):
@@ -71,8 +73,8 @@ class TestTallyBlocks:
     ])
     def test_counts_equal_one_shot_draw(self, dim, n, blocks):
         x = rng_stream(8, 0).uniform(-1.0, 1.0, dim)
-        clf = _Buckets()
-        counts = _tally(clf, x, 0.7, n, rng_stream(8, 1))
+        clf = _Buckets(0.7)
+        counts = _tally(clf, x, n, rng_stream(8, 1))
         assert clf.batches == blocks
         np.testing.assert_array_equal(counts, self._one_shot(x, 0.7, n, rng_stream(8, 1)))
         assert counts.sum() == n
@@ -83,7 +85,7 @@ class TestTallyBlocks:
         monkeypatch.setattr(importlib.import_module("ebsmooth.certify"), "_BLOCK_ELEMS",
                             block_elems)
         x = rng_stream(9, 0).uniform(-1.0, 1.0, 5)
-        counts = _tally(_Buckets(), x, 0.4, 333, rng_stream(9, 1))
+        counts = _tally(_Buckets(0.4), x, 333, rng_stream(9, 1))
         np.testing.assert_array_equal(counts, self._one_shot(x, 0.4, 333, rng_stream(9, 1)))
 
 
@@ -91,7 +93,7 @@ class TestCertify:
     def test_constant_classifier_reaches_budget_ceiling(self):
         spec = ConfidenceSpec(alpha=0.001, n0=100, nc=100_000)
         c = _ConstantHard(0)
-        res = certify(c, np.zeros(2), 1.0, spec, rng_stream(3, 0), rng_stream(3, 1))
+        res = certify(c, np.zeros(2), spec, rng_stream(3, 0), rng_stream(3, 1))
         assert res.predicted == 0
         assert abs(res.radius - rmax(spec, 1.0)) < 1e-12
         assert abs(res.radius - 3.81) < 0.01
@@ -100,18 +102,16 @@ class TestCertify:
     def test_linear_margin_one_certifies_just_below_margin(self):
         # class mass is Phi(1), so the certified radius approaches 1 from
         # below as the budget grows; at nc = 1e5 it lands in [0.97, 1.0]
-        h = LinearClassifier(np.array([1.0, 0.0]), 0.0)
+        h = EbClassifier(LinearClassifier(np.array([1.0, 0.0]), 0.0), Identity(), 1.0)
         spec = ConfidenceSpec(alpha=0.001, n0=100, nc=100_000)
-        res = certify(h, np.array([1.0, 0.0]), 1.0, spec,
-                      rng_stream(4, 0), rng_stream(4, 1))
+        res = certify(h, np.array([1.0, 0.0]), spec, rng_stream(4, 0), rng_stream(4, 1))
         assert res.predicted == 1
         assert 0.97 <= res.radius <= 1.0 + 1e-9
 
     def test_boundary_point_abstains_with_zero_radius(self):
-        h = LinearClassifier(np.array([1.0, 0.0]), 0.0)
+        h = EbClassifier(LinearClassifier(np.array([1.0, 0.0]), 0.0), Identity(), 1.0)
         spec = ConfidenceSpec(alpha=0.001, n0=100, nc=2000)
-        res = certify(h, np.array([0.0, 0.0]), 1.0, spec,
-                      rng_stream(5, 0), rng_stream(5, 1))
+        res = certify(h, np.array([0.0, 0.0]), spec, rng_stream(5, 0), rng_stream(5, 1))
         assert res.abstained
         assert res.predicted == ABSTAIN
         assert res.radius == 0.0
@@ -139,10 +139,11 @@ class TestCertify:
         # certification does not abstain it returns h(x)
         gen = rng_stream(6, 0)
         h = LinearClassifier(np.array([0.8, -0.6]), 0.25)
+        smoothed = EbClassifier(h, Identity(), 0.7)
         spec = ConfidenceSpec(alpha=0.001, n0=50, nc=2000)
         for i in range(50):
             x = 2.0 * gen.standard_normal(2)
-            res = certify(h, x, 0.7, spec, rng_stream(6, 2 * i), rng_stream(6, 2 * i + 1))
+            res = certify(smoothed, x, spec, rng_stream(6, 2 * i), rng_stream(6, 2 * i + 1))
             if not res.abstained:
                 assert res.predicted == h.predict_class(x[None])[0]
 
@@ -164,8 +165,8 @@ class TestRmax:
         # bound is 0.251, whose normal quantile, -0.671, was the ceiling
         spec = ConfidenceSpec(alpha=alpha, n0=1, nc=nc)
         assert rmax(spec, 1.0) == 0.0
-        res = certify(LinearClassifier(np.array([1.0, 0.0]), 0.0), np.array([50.0, 0.0]), 1.0,
-                      spec, rng_stream(8, 0), rng_stream(8, 1))
+        h = EbClassifier(LinearClassifier(np.array([1.0, 0.0]), 0.0), Identity(), 1.0)
+        res = certify(h, np.array([50.0, 0.0]), spec, rng_stream(8, 0), rng_stream(8, 1))
         assert res.counts[1] == nc and res.abstained
 
     def test_positive_once_all_hits_clear_one_half(self):
@@ -245,7 +246,7 @@ class TestOracleProperty:
             h = LinearClassifier(gen.standard_normal(dim), float(gen.standard_normal()))
             sigma = float(gen.uniform(0.25, 1.0))
             x = model.sample(1, gen)[0]
-            res = certify(EbClassifier(h, model, sigma), x, sigma, spec,
+            res = certify(EbClassifier(h, model, sigma), x, spec,
                           rng_stream(41, 2 * i + 1), rng_stream(41, 2 * i + 2))
             oracle = linear_gaussian_oracle(h, x, sigma, sigma0)
             if not res.abstained:
@@ -260,7 +261,7 @@ class TestCoverage:
     ALPHA = 0.05
     SPEC = ConfidenceSpec(alpha=ALPHA, n0=10, nc=100)
 
-    def _check_coverage(self, clf, points, mass1, sigma):
+    def _check_coverage(self, clf, points, mass1):
         """Certify the 200 points under 10 seeds at alpha = 0.05, nc = 100.
         pa_lower may exceed the exact mass of the selected class with
         probability at most alpha, so the count of such cases stays below
@@ -269,11 +270,11 @@ class TestCoverage:
         spec = self.SPEC
         violations = certified = total = 0
         for seed in range(10):
-            for i, res in enumerate(certify_points(clf, points, sigma, spec, seed)):
+            for i, res in enumerate(certify_points(clf, points, spec, seed)):
                 candidate = res.predicted
                 if res.abstained:
                     sel = rng_stream(seed, STREAM_CERT_BASE + 2 * i)
-                    candidate = int(np.argmax(_tally(clf, points[i], sigma, spec.n0, sel)))
+                    candidate = int(np.argmax(_tally(clf, points[i], spec.n0, sel)))
                 else:
                     certified += 1
                 mass = mass1[i] if candidate == 1 else 1.0 - mass1[i]
@@ -300,7 +301,7 @@ class TestCoverage:
         points = np.outer(t * sigma - h.b / (beta * wnorm), h.w / wnorm) + side
         mass1 = ndtr((beta * (points @ h.w) + h.b) / (beta * sigma * wnorm))
         np.testing.assert_allclose(mass1, ndtr(t), rtol=0, atol=1e-12)
-        self._check_coverage(clf, points, mass1, sigma)
+        self._check_coverage(clf, points, mass1)
 
     def test_bound_rarely_exceeds_exact_class_mass_through_a_mixture(self):
         # the symmetric mixture +-m u (|u| = 1) under the base c u.x + b, a
@@ -333,23 +334,55 @@ class TestCoverage:
         points = np.outer(t_star + sigma * t, u) + side
         mass1 = ndtr((points @ u - t_star) / sigma)
         np.testing.assert_allclose(mass1, ndtr(t), rtol=0, atol=1e-12)
-        self._check_coverage(clf, points, mass1, sigma)
+        self._check_coverage(clf, points, mass1)
 
 
 class TestCertResult:
     def test_radius_positive_iff_certified(self):
         spec = ConfidenceSpec(alpha=0.001, n0=20, nc=500)
-        h = LinearClassifier(np.array([1.0, 0.0]), 0.0)
+        h = EbClassifier(LinearClassifier(np.array([1.0, 0.0]), 0.0), Identity(), 1.0)
         gen_points = rng_stream(7, 0)
         for i in range(30):
             x = 2.0 * gen_points.standard_normal(2)
-            res = certify(h, x, 1.0, spec, rng_stream(7, 2 * i + 1), rng_stream(7, 2 * i + 2))
+            res = certify(h, x, spec, rng_stream(7, 2 * i + 1), rng_stream(7, 2 * i + 2))
             if res.abstained:
                 assert res.radius == 0.0 and res.pa_lower <= 0.5
             else:
                 assert res.radius > 0.0 and res.pa_lower > 0.5
                 want = 1.0 * std_normal_inv_cdf(res.pa_lower)
                 assert abs(res.radius - want) < 1e-12
+
+
+class TestNoiseScale:
+    """certify smooths at classifier.sigma and refuses, before any draw, a
+    scale at which it would certify nonsense: at sigma = 0 every vote is the
+    base's at x, and a radius of 0 would be returned as a certificate."""
+
+    @pytest.mark.parametrize("sigma", [0.0, float("nan"), float("inf")])
+    def test_a_scale_that_cannot_certify_is_a_value_error(self, sigma):
+        h = EbClassifier(LinearClassifier(np.array([1.0, 0.0]), 0.0), Identity(), sigma)
+        gen, est_gen = rng_stream(3, 0), rng_stream(3, 1)
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            certify(h, np.array([2.0, 0.0]), ConfidenceSpec(), gen, est_gen)
+        # neither stream has drawn
+        assert gen.random() == rng_stream(3, 0).random()
+        assert est_gen.random() == rng_stream(3, 1).random()
+
+    def test_the_radius_is_at_the_classifiers_scale(self):
+        spec = ConfidenceSpec(alpha=0.001, n0=20, nc=500)
+        res = certify(_ConstantHard(1, sigma=0.7), np.zeros(2), spec,
+                      rng_stream(3, 0), rng_stream(3, 1))
+        assert res.counts[1] == spec.nc
+        assert res.radius == certified_radius(res.pa_lower, 0.7)
+        assert abs(res.radius - rmax(spec, 0.7)) < 1e-12
+
+    def test_a_nan_point_never_votes(self):
+        # NaN > 0 is False, so a bare linear base would count every NaN copy
+        # as a class-0 vote and certify it
+        h = EbClassifier(LinearClassifier(np.array([1.0, 0.0]), 0.0), Identity(), 1.0)
+        spec = ConfidenceSpec(alpha=0.001, n0=100, nc=1_000)
+        with pytest.raises(FloatingPointError, match="denoised points are not finite"):
+            certify(h, np.array([np.nan, 0.0]), spec, rng_stream(3, 0), rng_stream(3, 1))
 
 
 class TestNonFiniteModels:
@@ -361,7 +394,7 @@ class TestNonFiniteModels:
         c = EbClassifier(LinearClassifier(np.array([1.0, 0.0]), 0.0), net, sigma=1.0)
         spec = ConfidenceSpec(alpha=0.001, n0=100, nc=10_000)
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
-            certify(c, np.array([2.0, 0.0]), 1.0, spec, rng_stream(3, 0), rng_stream(3, 1))
+            certify(c, np.array([2.0, 0.0]), spec, rng_stream(3, 0), rng_stream(3, 1))
 
     def test_nan_classifier_never_votes(self):
         # argmax of NaN logits is the NaN's index, which would vote
@@ -369,7 +402,8 @@ class TestNonFiniteModels:
         soft.weights[-1][:] = np.nan
         spec = ConfidenceSpec(alpha=0.001, n0=100, nc=1_000)
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
-            certify(soft, np.zeros(2), 1.0, spec, rng_stream(4, 0), rng_stream(4, 1))
+            certify(EbClassifier(soft, Identity(), 1.0), np.zeros(2), spec,
+                    rng_stream(4, 0), rng_stream(4, 1))
 
 
 class TestCertifiedRadius:

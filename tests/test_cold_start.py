@@ -129,7 +129,8 @@ def test_pool_workers_count_without_scipy_special():
     code = (
         "import os, sys\n"
         "import numpy as np\n"
-        "from ebsmooth.classifiers import LinearClassifier\n"
+        "from ebsmooth.classifiers import EbClassifier, LinearClassifier\n"
+        "from ebsmooth.densities import Identity\n"
         "from ebsmooth.harness import certify_points\n"
         "from ebsmooth.stats import ConfidenceSpec\n"
         "PARENT = os.getpid()\n"
@@ -145,8 +146,8 @@ def test_pool_workers_count_without_scipy_special():
         "    return bound(*args)\n"
         "cert.binom_lower_bound = checked_bound\n"
         "assert 'scipy.special' not in sys.modules\n"
-        "clf = Checked(np.array([1.0, 0.0]), 0.1)\n"
-        "res = certify_points(clf, np.array([[2.0, 0.0], [-2.0, 1.0]]), 0.5,\n"
+        "clf = EbClassifier(Checked(np.array([1.0, 0.0]), 0.1), Identity(), 0.5)\n"
+        "res = certify_points(clf, np.array([[2.0, 0.0], [-2.0, 1.0]]),\n"
         "                     ConfidenceSpec(alpha=0.01, n0=20, nc=200), 1, workers=2)\n"
         "assert [r.predicted for r in res] == [1, 0]\n"
         "print('scipy.special' in sys.modules)"

@@ -17,10 +17,10 @@ from ebsmooth.cli import _FLAGS, main
 from ebsmooth.config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from ebsmooth.harness import COMMANDS, certify_points, write_csv, write_curve_csv
 from ebsmooth.adversarial import AttackSpec, ClassifierTrainConfig
-from ebsmooth.certify import CertResult, OracleResult
+from ebsmooth.certify import CertResult, OracleResult, rmax
 from ebsmooth.checkpoint import load_checkpoint, save_checkpoint
 from ebsmooth.classifiers import EbClassifier, LinearClassifier, SoftClassifier
-from ebsmooth.densities import IsoMixture
+from ebsmooth.densities import Identity, IsoMixture
 from ebsmooth.energy import EnergyNet
 from ebsmooth.mlp import TrainingDivergedError
 from ebsmooth.stats import ConfidenceSpec, RowStreams, rng_stream
@@ -400,6 +400,42 @@ class TestCertifyCli:
         assert main(["certify", "-c", str(path), "--max-points", "3"]) == 0
         points = (tmp_path / "out" / "points.csv").read_text().splitlines()
         assert len(points) == 4
+
+
+class TestLearnedPipeline:
+    def test_certify_and_curve_through_a_trained_energy(self, tmp_path):
+        # the paper's pipeline end to end: train-energy, then certify and
+        # curve through it with a linear base.  The classes overlap at this
+        # sigma, so radii fall below rmax, where a changed bit in the
+        # denoiser would show in points.csv
+        path = write_cfg(tmp_path, extra={
+            "classifier": {"weights": [-1.0, 0.0]},  # class 0 sits at x0 = 2
+            "energy_train": {"hidden": [16], "steps": 60, "batch_size": 32},
+        })
+        energy = tmp_path / "energy"
+        assert main(["train-energy", "-c", str(path), "--output-dir", str(energy)]) == 0
+        learned = ["--set", "estimator.kind=energy",
+                   "--set", f"estimator.path={energy / 'energy.ckpt'}"]
+        outs = {}
+        for command in ("certify", "curve"):
+            for workers in (1, 2):
+                out = outs[command, workers] = tmp_path / f"{command}-w{workers}"
+                assert main([command, "-c", str(path), *learned, "--workers", str(workers),
+                             "--output-dir", str(out)]) == 0
+        for command, files in (("certify", ["points.csv"]),
+                               ("curve", ["curve.csv", "points.csv"])):
+            for name in files:
+                assert ((outs[command, 1] / name).read_bytes()
+                        == (outs[command, 2] / name).read_bytes()), (command, name)
+        for out in (energy, *outs.values()):
+            (manifest,) = (name for name in os.listdir(out) if name.endswith("_manifest.json"))
+            listed = json.loads((out / manifest).read_text())["outputs"]
+            assert listed == sorted(set(os.listdir(out)) - {manifest})
+        radii = np.loadtxt(outs["certify", 1] / "points.csv", delimiter=",", skiprows=1,
+                           usecols=4)
+        ceiling = rmax(ConfidenceSpec(alpha=0.001, n0=50, nc=2000), 1.0)
+        assert len(radii) == 12 and np.all(radii <= ceiling)
+        assert np.any((radii > 0.0) & (radii < ceiling))
 
 
 class TestTrainCli:
@@ -852,7 +888,7 @@ class TestParallelCertifyHelpers:
     def test_certify_points_worker_equivalence(self):
         # workers=1 certifies point by point in this process; workers=2 runs
         # the same per-point certify, bound included, in the pool's workers
-        linear = LinearClassifier(np.array([1.0, 0.0]), 0.2)
+        linear = EbClassifier(LinearClassifier(np.array([1.0, 0.0]), 0.2), Identity(), 0.8)
         mixture = IsoMixture(means=np.array([[2.0, 0.0], [-1.0, 1.7], [-1.0, -1.7]]),
                              sigma0=0.5)
         # a softmax over x . mu_k: class k around mean k, whatever the stream,
@@ -870,8 +906,8 @@ class TestParallelCertifyHelpers:
         ]
         outcomes = set()
         for h, pts, spec in cases:
-            serial = certify_points(h, pts, 0.8, spec, seed=3, workers=1)
-            parallel = certify_points(h, pts, 0.8, spec, seed=3, workers=2)
+            serial = certify_points(h, pts, spec, seed=3, workers=1)
+            parallel = certify_points(h, pts, spec, seed=3, workers=2)
             assert len(serial) == len(parallel) == len(pts)
             for a, b in zip(serial, parallel):
                 assert a.predicted == b.predicted
@@ -902,16 +938,16 @@ class TestParallelCertifyHelpers:
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        h = LinearClassifier(np.array([1.0, 0.0]), 0.2)
+        h = EbClassifier(LinearClassifier(np.array([1.0, 0.0]), 0.2), Identity(), 0.8)
         pts = np.array([[1.5, 0.0], [-0.4, 1.0], [0.1, -2.0]])
         spec = ConfidenceSpec(0.01, 20, 500)
-        serial = certify_points(h, pts, 0.8, spec, seed=3, workers=1)
-        capped = certify_points(h, pts, 0.8, spec, seed=3, workers=64)
+        serial = certify_points(h, pts, spec, seed=3, workers=1)
+        capped = certify_points(h, pts, spec, seed=3, workers=64)
         assert started == [3]
         assert [(r.predicted, r.pa_lower, r.radius) for r in capped] == [
             (r.predicted, r.pa_lower, r.radius) for r in serial]
-        certify_points(h, pts[:1], 0.8, spec, seed=3, workers=64)
-        certify_points(h, pts[:0], 0.8, spec, seed=3, workers=64)
+        certify_points(h, pts[:1], spec, seed=3, workers=64)
+        certify_points(h, pts[:0], spec, seed=3, workers=64)
         assert started == [3]  # one point or none: no pool
 
 
@@ -1061,6 +1097,26 @@ class TestBadConfigValues:
         assert err.startswith(f"config error: {key}"), err
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("command, alpha, nc, least", [
+        ("certify", 1e-3, 9, 10), ("curve", 0.05, 4, 5), ("oracle-check", 1e-3, 5, 10),
+    ])
+    def test_budget_that_certifies_nothing(self, tmp_path, capsys, monkeypatch, command,
+                                           alpha, nc, least):
+        # alpha^(1/nc) <= 1/2, so even nc hits of nc bound the class mass at
+        # or below 1/2: the run used to write an abstention for every point
+        monkeypatch.chdir(tmp_path)
+        path = write_cfg(tmp_path, extra=CENTRED if command == "oracle-check" else None)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "certify", lambda *args: pytest.fail("tallied"))
+            assert main([command, "-c", str(path), "--alpha", str(alpha), "--nc", str(nc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: confidence.nc={nc} "), err
+        assert err.rstrip().endswith(f"nc must be at least {least}"), err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+        # the least nc certifies
+        assert main([command, "-c", str(path), "--alpha", str(alpha), "--nc", str(least),
+                     "--max-points", "1"]) == 0
 
     @pytest.mark.parametrize("args", [
         ["certify", "--set", "classifier.weights=[1,0,0]"],

@@ -208,3 +208,16 @@ class TestConfidenceSpec:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ConfidenceSpec(**kwargs)
+
+    @pytest.mark.parametrize("name", ["n0", "nc"])
+    @pytest.mark.parametrize("value", [100.5, 100.0, True, "100"])
+    def test_a_count_that_is_no_integer_is_named(self, name, value):
+        # a float budget would fail later, inside the tally, after the
+        # selection pass had run
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            ConfidenceSpec(alpha=0.01, **{name: value})
+
+    @pytest.mark.parametrize("kind", [int, np.int64, np.int32, np.uint16])
+    def test_every_integral_count_is_valid(self, kind):
+        spec = ConfidenceSpec(alpha=0.01, n0=kind(10), nc=kind(100))
+        assert spec.n0 == 10 and spec.nc == 100
