@@ -103,9 +103,8 @@ def certified_radius(pa_lower, sigma):
 def rmax(spec, sigma):
     """Largest radius the budget can certify: every sample agrees, so the
     class-mass bound is the Clopper-Pearson bound at nc hits out of nc, whose
-    closed form is alpha^(1/nc).  A bound of at most 1/2 abstains, so then
-    the ceiling is 0."""
-    return max(0.0, sigma * std_normal_inv_cdf(spec.alpha ** (1.0 / spec.nc)))
+    closed form is alpha^(1/nc)."""
+    return sigma * std_normal_inv_cdf(spec.alpha ** (1 / spec.nc))
 
 
 def linear_margin(classifier, x):

@@ -27,18 +27,21 @@ PROB_FLOOR = 1e-12  # probabilities are floored here before any log
 class LinearClassifier:
     """Two-class linear rule: class 1 where <w, x> + b > 0, class 0 otherwise.
 
-    Exactly on the boundary the tie goes to the lowest class index.
+    Exactly on the boundary the tie goes to the lowest class index.  w and b
+    must be finite, and a score that is not (an overflow) raises.
     """
 
     w: np.ndarray
     b: float
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
+        w, b = np.asarray(self.w, dtype=float), float(self.b)
         if w.ndim != 1 or not np.any(w != 0.0):
             raise ValueError("w must be a nonzero vector")
+        if not (np.all(np.isfinite(w)) and np.isfinite(b)):
+            raise ValueError(f"w and b must be finite, got w={w}, b={b}")
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "b", b)
 
     @property
     def dim(self):
@@ -49,7 +52,13 @@ class LinearClassifier:
         return 2
 
     def predict_class(self, x):
-        return (as_batch(x, self.dim) @ self.w + self.b > 0.0).astype(np.int64)
+        # overflowing arithmetic need not warn: the score is checked right below
+        with np.errstate(over="ignore", invalid="ignore"):
+            score = as_batch(x, self.dim) @ self.w + self.b
+        # a NaN score is on no side of the boundary, so it would vote class 0
+        if not np.all(np.isfinite(score)):
+            raise FloatingPointError("classifier scores are not finite")
+        return (score > 0.0).astype(np.int64)
 
 
 class SoftClassifier(LayerStack):
@@ -117,8 +126,8 @@ class EbClassifier:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
         # denoising no points still runs the estimator's scale check
         self.estimator.linearize(np.zeros((0, self.dim)), self.sigma)
 

@@ -22,10 +22,10 @@ import numpy as np
 
 def beta_of(sigma, sigma0):
     """Shrinkage factor 1 / (1 + (sigma/sigma0)^2) of the Gaussian denoiser."""
-    if sigma0 <= 0.0:
-        raise ValueError(f"sigma0 must be positive, got {sigma0}")
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not 0.0 < sigma0 < np.inf:
+        raise ValueError(f"sigma0 must be positive and finite, got {sigma0}")
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     return 1.0 / (1.0 + (sigma / sigma0) ** 2)
 
 
@@ -70,8 +70,8 @@ class IsoGaussian:
     mean: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.sigma0 <= 0.0:
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
+        if not 0.0 < self.sigma0 < np.inf:
+            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         mean = np.zeros(self.dim) if self.mean is None else np.asarray(self.mean, float)
@@ -141,14 +141,14 @@ class IsoMixture:
     def __post_init__(self):
         means = np.atleast_2d(np.asarray(self.means, dtype=float))
         object.__setattr__(self, "means", means)
-        if self.sigma0 <= 0.0:
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
+        if not 0.0 < self.sigma0 < np.inf:
+            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
         k = means.shape[0]
         w = np.full(k, 1.0 / k) if self.weights is None else np.asarray(self.weights, float)
         if w.shape != (k,):
             raise ValueError(f"weights have shape {w.shape}, expected ({k},)")
-        if np.any(w <= 0.0):
-            raise ValueError("weights must be positive")
+        if not np.all((w > 0.0) & (w < np.inf)):
+            raise ValueError("weights must be positive and finite")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
         object.__setattr__(self, "weights", w)

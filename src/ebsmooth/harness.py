@@ -13,16 +13,16 @@ byte-identical.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import os
 import time
+from itertools import repeat
 
 import numpy as np
 
 from . import __version__
 from .adversarial import train_xhat
-from .certify import certify, linear_gaussian_oracle, rmax
+from .certify import certify, linear_gaussian_oracle
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .classifiers import EbClassifier, LinearClassifier, SoftClassifier
 from .config import ConfigError, config_digest
@@ -150,15 +150,7 @@ def resolve_estimator(cfg, dim):
 
 def resolve_hard_classifier(cfg, dim):
     """The hard classifier certification runs on dim-dimensional points: the
-    configured base composed with the configured estimator.  Every command
-    that certifies resolves it before any tally or write, so it also rejects
-    a budget whose rmax is 0, at which every point would abstain."""
-    spec = cfg.confidence
-    if rmax(spec, 1.0) == 0.0:
-        least = next(nc for nc in itertools.count(spec.nc + 1)
-                     if rmax(dataclasses.replace(spec, nc=nc), 1.0) > 0.0)
-        raise ConfigError(f"confidence.nc={spec.nc} certifies no point at confidence.alpha="
-                          f"{spec.alpha}: nc must be at least {least}")
+    configured base composed with the configured estimator."""
     cl = cfg.classifier
     if cl.kind == "mlp":
         raise ConfigError("classifier.kind=mlp has no parameters yet; train one with "
@@ -176,35 +168,28 @@ def resolve_hard_classifier(cfg, dim):
 # -- certification ------------------------------------------------------------
 
 
-def _streams(seed, index):
-    return (rng_stream(seed, STREAM_CERT_BASE + 2 * index),
-            rng_stream(seed, STREAM_CERT_BASE + 2 * index + 1))
-
-
-def _certify_task(task):
-    index, classifier, point, spec, seed = task
-    return certify(classifier, point, spec, *_streams(seed, index))
-
-
 def certify_points(classifier, points, spec, seed, workers=1):
     """Certify each point with its own keyed noise streams.
 
-    Every point is one _certify_task call, which runs certify.certify from
-    tally to radius: in this process at workers <= 1, and in a process pool
-    of at most one process per point otherwise.  The streams depend only on
-    (seed, point index), so the results are identical for any worker count.
+    Every point is one certify.certify call, from tally to radius: in this
+    process at workers <= 1, and in a process pool of at most one process
+    per point otherwise.  The streams depend only on (seed, point index), so
+    the results are identical for any worker count.
     """
-    tasks = [(i, classifier, np.asarray(p, dtype=float), spec, seed)
-             for i, p in enumerate(points)]
-    workers = min(workers, len(tasks))
+    n = len(points)
+    # lazy, so that the serial path holds one point's generators at a time
+    sel = (rng_stream(seed, STREAM_CERT_BASE + 2 * i) for i in range(n))
+    est = (rng_stream(seed, STREAM_CERT_BASE + 2 * i + 1) for i in range(n))
+    args = (repeat(classifier), points, repeat(spec), sel, est)
+    workers = min(workers, n)
     if workers <= 1:
-        return list(map(_certify_task, tasks))
+        return list(map(certify, *args))
     # imported here, so the commands that make no pool never load it
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        # map submits every task and keeps their order
-        return list(pool.map(_certify_task, tasks))
+        # map submits every point and keeps their order
+        return list(pool.map(certify, *args))
 
 
 def write_points_csv(path, results, labels):

@@ -21,6 +21,7 @@ probability ("Fast and accurate computation of binomial probabilities",
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import numbers
 
@@ -59,7 +60,9 @@ class ConfidenceSpec:
 
     alpha is the failure probability of the whole procedure, n0 the number of
     noisy samples spent selecting the candidate class, nc the number of fresh
-    samples spent bounding its probability mass.
+    samples spent bounding its probability mass.  The bound at nc hits of nc
+    is alpha^(1/nc) (certify.rmax), so a budget at which it is at most 1/2,
+    where every point would abstain, or rounds to 1 is rejected.
     """
 
     alpha: float = 0.001
@@ -75,6 +78,14 @@ class ConfidenceSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        ceiling = self.alpha ** (1 / self.nc)  # 1 / nc: a huge int gives 0.0, not OverflowError
+        if ceiling <= 0.5:
+            least = next(n for n in itertools.count(self.nc + 1) if self.alpha ** (1 / n) > 0.5)
+            raise ValueError(f"nc={self.nc} certifies no point at alpha={self.alpha}: "
+                             f"nc must be at least {least}")
+        if ceiling == 1.0:
+            raise ValueError(f"nc={self.nc} is too large at alpha={self.alpha}: the bound "
+                             f"alpha^(1/nc) rounds to 1")
 
 
 def std_normal_inv_cdf(p):

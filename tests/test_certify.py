@@ -1,4 +1,6 @@
 import importlib
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -159,19 +161,39 @@ class TestRmax:
         assert abs(rmax(spec, 0.6) - 2.29) < 0.01
 
     @pytest.mark.parametrize("alpha, nc", [(1e-3, 5), (1e-3, 9), (0.25, 2), (0.5, 1)])
-    def test_zero_when_every_point_abstains(self, alpha, nc):
-        # alpha^(1/nc) <= 1/2: even nc hits of nc bound the class mass at or
-        # below 1/2, so certify abstains at every point.  At (1e-3, 5) the
-        # bound is 0.251, whose normal quantile, -0.671, was the ceiling
-        spec = ConfidenceSpec(alpha=alpha, n0=1, nc=nc)
-        assert rmax(spec, 1.0) == 0.0
-        h = EbClassifier(LinearClassifier(np.array([1.0, 0.0]), 0.0), Identity(), 1.0)
-        res = certify(h, np.array([50.0, 0.0]), spec, rng_stream(8, 0), rng_stream(8, 1))
-        assert res.counts[1] == nc and res.abstained
+    def test_no_budget_at_which_every_point_abstains(self, alpha, nc):
+        # alpha^(1/nc) <= 1/2: even nc hits of nc would bound the class mass
+        # at or below 1/2, so certify would abstain at every point.  At
+        # (1e-3, 5) the bound is 0.251, whose normal quantile is -0.671
+        with pytest.raises(ValueError, match=f"^nc={nc} certifies no point at "
+                                             f"alpha={alpha}: nc must be at least ") as info:
+            ConfidenceSpec(alpha=alpha, n0=1, nc=nc)
+        least = int(str(info.value).rsplit(" ", 1)[1])
+        assert rmax(ConfidenceSpec(alpha=alpha, n0=1, nc=least), 1.0) > 0.0
+        with pytest.raises(ValueError, match="certifies no point"):
+            ConfidenceSpec(alpha=alpha, n0=1, nc=least - 1)
 
     def test_positive_once_all_hits_clear_one_half(self):
         # 1e-3^(1/10) = 0.501
         assert rmax(ConfidenceSpec(alpha=1e-3, n0=1, nc=10), 1.0) > 0.0
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-300, 1e-9, 1e-3, 0.1, 0.5, 0.99])
+    def test_positive_and_finite_at_every_valid_budget(self, alpha):
+        # the valid nc run from the least whose bound alpha^(1/nc) clears
+        # 1/2 to the last whose bound is below 1; the bound rises with nc
+        least = next(n for n in itertools.count(1) if alpha ** (1 / n) > 0.5)
+        last, over = least, 10**20
+        while over - last > 1:
+            mid = (last + over) // 2
+            last, over = (mid, over) if alpha ** (1 / mid) < 1.0 else (last, mid)
+        grid = {least, least + 1, 2 * least, last - 1, last,
+                *(10**e for e in range(20) if least <= 10**e <= last)}
+        for nc in sorted(grid):
+            for sigma in (1e-3, 0.5, 1.0, 1e3):
+                r = rmax(ConfidenceSpec(alpha=alpha, n0=1, nc=nc), sigma)
+                assert 0.0 < r < math.inf, (nc, sigma, r)
+        with pytest.raises(ValueError, match="rounds to 1"):
+            ConfidenceSpec(alpha=alpha, n0=1, nc=last + 1)
 
 
 class TestLinearMargin:
@@ -360,7 +382,9 @@ class TestNoiseScale:
 
     @pytest.mark.parametrize("sigma", [0.0, float("nan"), float("inf")])
     def test_a_scale_that_cannot_certify_is_a_value_error(self, sigma):
-        h = EbClassifier(LinearClassifier(np.array([1.0, 0.0]), 0.0), Identity(), sigma)
+        # EbClassifier itself refuses a NaN or infinite scale, so a duck-typed
+        # classifier carries it here
+        h = _ConstantHard(1, sigma=sigma)
         gen, est_gen = rng_stream(3, 0), rng_stream(3, 1)
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             certify(h, np.array([2.0, 0.0]), ConfidenceSpec(), gen, est_gen)
@@ -386,6 +410,25 @@ class TestNoiseScale:
 
 
 class TestNonFiniteModels:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("make", [
+        lambda v: beta_of(v, 1.0),
+        lambda v: beta_of(1.0, v),
+        lambda v: IsoGaussian(sigma0=v, dim=2),
+        lambda v: IsoMixture(means=np.eye(2), sigma0=v),
+        lambda v: IsoMixture(means=np.eye(2), sigma0=1.0, weights=np.array([v, 0.5])),
+        lambda v: EbClassifier(LinearClassifier(np.array([1.0, 0.0]), 0.0), Identity(), v),
+        lambda v: linear_gaussian_oracle(LinearClassifier(np.array([1.0, 0.0]), 0.0),
+                                         np.ones(2), 1.0, v),
+    ], ids=["beta-sigma", "beta-sigma0", "gaussian-sigma0", "mixture-sigma0",
+            "mixture-weights", "eb-sigma", "oracle-sigma0"])
+    def test_a_non_finite_scale_or_weight_is_out_of_range(self, make, bad):
+        # each check used to be one comparison, which NaN fails and so
+        # passes: the oracle then gave radius NaN, which no violation check
+        # can flag
+        with pytest.raises(ValueError, match="must be (positive|nonnegative) and finite"):
+            make(bad)
+
     def test_nan_energy_never_certifies(self):
         # NaN > 0 is False, so unguarded NaN denoised points would all vote
         # class 0 and certify it with radius ~1.6

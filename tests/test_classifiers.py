@@ -68,6 +68,22 @@ class TestLinearClassifier:
         with pytest.raises(ValueError):
             LinearClassifier(np.zeros(3), 1.0)
 
+    @pytest.mark.parametrize("w, b", [([1.0, np.nan], 0.0), ([np.inf, 1.0], 0.0),
+                                      ([1.0, 0.0], np.nan), ([1.0, 0.0], -np.inf)])
+    def test_non_finite_parameters_rejected(self, w, b):
+        # w = (1, NaN) scores every point NaN, which is not > 0, so every
+        # noisy copy voted class 0: certify gave it radius 2.46 at nc = 1000
+        with pytest.raises(ValueError, match="w and b must be finite"):
+            LinearClassifier(np.array(w), b)
+
+    @pytest.mark.parametrize("x", [[1e308, 1e308], [np.nan, 0.0], [0.0, np.inf]])
+    def test_a_non_finite_score_raises(self, x):
+        # (1e308, 1e308) . (2, -2) overflows to inf in the product, which
+        # voted class 1; a NaN score would vote class 0
+        h = LinearClassifier(np.array([2.0, -2.0]), 0.0)
+        with pytest.raises(FloatingPointError, match="scores are not finite"):
+            h.predict_class(np.array([[1.0, 0.0], x]))
+
 
 class TestSoftClassifier:
     def test_predict_class_is_argmax_of_probs(self):

@@ -934,8 +934,8 @@ class TestParallelCertifyHelpers:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         h = EbClassifier(LinearClassifier(np.array([1.0, 0.0]), 0.2), Identity(), 0.8)
@@ -1100,11 +1100,16 @@ class TestBadConfigValues:
 
     @pytest.mark.parametrize("command, alpha, nc, least", [
         ("certify", 1e-3, 9, 10), ("curve", 0.05, 4, 5), ("oracle-check", 1e-3, 5, 10),
+        ("gen-data", 1e-3, 5, 10), ("train-energy", 0.05, 4, 5),
+        ("certify", 1e-3, 10**18, None), ("gen-data", 1e-3, 10**18, None),
     ])
     def test_budget_that_certifies_nothing(self, tmp_path, capsys, monkeypatch, command,
                                            alpha, nc, least):
         # alpha^(1/nc) <= 1/2, so even nc hits of nc bound the class mass at
-        # or below 1/2: the run used to write an abstention for every point
+        # or below 1/2: the run used to write an abstention for every point.
+        # At nc = 1e18 the bound rounds to 1, whose normal quantile was a
+        # traceback.  The config is rejected when it is loaded, for every
+        # command, certifying or not
         monkeypatch.chdir(tmp_path)
         path = write_cfg(tmp_path, extra=CENTRED if command == "oracle-check" else None)
         with monkeypatch.context() as patch:
@@ -1112,11 +1117,14 @@ class TestBadConfigValues:
             assert main([command, "-c", str(path), "--alpha", str(alpha), "--nc", str(nc)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: confidence.nc={nc} "), err
-        assert err.rstrip().endswith(f"nc must be at least {least}"), err
+        assert "Traceback" not in err
+        ending = "rounds to 1" if least is None else f"nc must be at least {least}"
+        assert err.rstrip().endswith(ending), err
         assert os.listdir(tmp_path) == ["cfg.json"]
-        # the least nc certifies
-        assert main([command, "-c", str(path), "--alpha", str(alpha), "--nc", str(least),
-                     "--max-points", "1"]) == 0
+        if least is not None:  # the least nc runs
+            fast = ["--set", "energy_train.steps=1"] if command == "train-energy" else []
+            assert main([command, "-c", str(path), "--alpha", str(alpha), "--nc", str(least),
+                         "--max-points", "1", *fast]) == 0
 
     @pytest.mark.parametrize("args", [
         ["certify", "--set", "classifier.weights=[1,0,0]"],

@@ -204,6 +204,10 @@ class TestConfidenceSpec:
 
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 0.0}, {"alpha": 1.0}, {"n0": 0}, {"nc": 0},
+        # alpha^(1/nc), the bound at nc hits of nc, at or below 1/2 (every
+        # point would abstain) or rounded to 1 (an infinite ceiling; 1.0 /
+        # 10**400 would overflow)
+        {"nc": 5}, {"nc": 10**18}, {"nc": 10**400},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
