@@ -21,8 +21,8 @@ model = IsoGaussian(sigma0=1.0, dim=2)
 data = model.sample(20_000, rng_stream(4, 0))
 
 losses = []
-cfg = EnergyTrainConfig(sigma=1.0, hidden=[128, 128], steps=2500, batch_size=128)
-net = train_energy(data, cfg, rng_stream(4, 1),
+cfg = EnergyTrainConfig(hidden=[128, 128], steps=2500, batch_size=128)
+net = train_energy(data, 1.0, cfg, rng_stream(4, 1),
                    callback=lambda step, rec: losses.append(rec["loss"]))
 
 print("training loss (averaged over 250-step windows):")

@@ -88,6 +88,8 @@ def load_checkpoint(path):
     widths = struct.unpack(f"<{n_widths}I", raw)
     if n_widths < 2:
         raise CheckpointError("checkpoint must describe at least one affine layer")
+    if 0 in widths:
+        raise CheckpointError(f"checkpoint widths {widths} hold a zero width")
 
     weights, biases = [], []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):

@@ -222,19 +222,19 @@ class ExperimentConfig:
     confidence: ConfidenceSpec = dataclasses.field(default_factory=ConfidenceSpec)
     estimator: EstimatorSection = dataclasses.field(default_factory=EstimatorSection)
     classifier: ClassifierSection = dataclasses.field(default_factory=ClassifierSection)
-    # energy_train.sigma defaults to the experiment sigma
-    energy_train: EnergyTrainConfig = dataclasses.field(
-        default_factory=lambda: EnergyTrainConfig(sigma=ExperimentConfig.sigma))
+    energy_train: EnergyTrainConfig = dataclasses.field(default_factory=EnergyTrainConfig)
     train: ClassifierTrainConfig = dataclasses.field(default_factory=ClassifierTrainConfig)
     attack: AttackSpec = dataclasses.field(default_factory=AttackSpec)
     certify: CertifySection = dataclasses.field(default_factory=CertifySection)
     walk_jump: WalkJumpSection = dataclasses.field(default_factory=WalkJumpSection)
 
     def __post_init__(self):
+        if not self.sigma > 0.0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
         runs_attack(self.train, self.attack)
         wj, s0 = self.walk_jump, self.dataset.sigma0
-        for key, scale in (("sigma", self.sigma), ("energy_train.sigma", self.energy_train.sigma),
-                           ("walk_jump.delta", wj.delta), ("walk_jump.sigma_prime", wj.sigma_prime),
+        for key, scale in (("sigma", self.sigma), ("walk_jump.delta", wj.delta),
+                           ("walk_jump.sigma_prime", wj.sigma_prime),
                            ("dataset.sigma0 (as sigma / sigma0)", self.sigma / s0 if s0 else 0.0)):
             if not math.isfinite(scale * scale):  # the code takes scale**2
                 raise ValueError(f"{key} is out of range: the square of {scale!r} overflows")
@@ -244,12 +244,6 @@ def config_from_dict(data):
     """Build a validated ExperimentConfig from a plain dict."""
     if not isinstance(data, dict):
         raise ConfigError("top-level config must be an object")
-    sigma = _check_type(data.get("sigma", ExperimentConfig.sigma), float, "sigma")
-    if not sigma > 0.0:
-        raise ConfigError(f"sigma must be positive, got {sigma}")
-    energy = data.get("energy_train")  # its sigma defaults to the experiment sigma
-    if energy is None or isinstance(energy, dict) and energy.get("sigma") is None:
-        data = {**data, "energy_train": {**(energy or {}), "sigma": sigma}}
     return _build(ExperimentConfig, data)
 
 

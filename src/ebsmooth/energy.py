@@ -122,7 +122,7 @@ class EnergyNet(LayerStack):
     # derivatives above.  Only the trained scale is accepted.
 
     def _check_scale(self, sigma):
-        if not abs(self.sigma - sigma) <= 1e-12:  # a NaN scale fails too
+        if sigma != self.sigma:  # a NaN scale fails too
             raise ValueError(
                 f"energy trained for sigma={self.sigma}, requested sigma={sigma}"
             )
@@ -184,23 +184,20 @@ def denoise_loss_and_grads(net, x_clean, y_noisy):
 class EnergyTrainConfig:
     """Hyperparameters for fitting the energy by denoising least squares."""
 
-    sigma: float
     hidden: list[int] = dataclasses.field(default_factory=lambda: [128, 128])
     steps: int = 4000
     batch_size: int = 128
     lr: float = 1e-3
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
         if not self.hidden:
             raise ValueError("hidden must name at least one layer for training")
         check_hidden(self.hidden)
         check_schedule(self)
 
 
-def train_energy(data, cfg, gen, callback=None):
-    """Fit an EnergyNet on clean samples by denoising least squares.
+def train_energy(data, sigma, cfg, gen, callback=None):
+    """Fit an EnergyNet at noise scale sigma by denoising least squares.
 
     One fresh noise draw per data point per step keeps the stochastic loss
     unbiased.  All randomness flows through `gen`, so a fixed stream
@@ -208,15 +205,17 @@ def train_energy(data, cfg, gen, callback=None):
     a non-finite loss or gradient raises mlp.TrainingDivergedError before
     the step.  callback, when given, receives (step, {"loss": loss}).
     """
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("data must be a nonempty (n, d) array")
     n, dim = data.shape
-    net = EnergyNet.init(dim, tuple(cfg.hidden), cfg.sigma, gen)
+    net = EnergyNet.init(dim, tuple(cfg.hidden), sigma, gen)
 
     def batch_step(idx):
         x = data[idx]
-        loss, grads = denoise_loss_and_grads(net, x, x + cfg.sigma * gen.standard_normal(x.shape))
+        loss, grads = denoise_loss_and_grads(net, x, x + sigma * gen.standard_normal(x.shape))
         return loss, grads, {"loss": loss}
 
     descend(net.parameters(), cfg, n, gen, batch_step, callback)

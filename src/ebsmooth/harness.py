@@ -168,28 +168,32 @@ def resolve_hard_classifier(cfg, dim):
 # -- certification ------------------------------------------------------------
 
 
+def _certify_point(classifier, x, spec, seed, i):
+    """certify.certify on point i's keyed streams, which are made where the
+    point is certified, so a pool task carries only its index."""
+    return certify(classifier, x, spec, rng_stream(seed, STREAM_CERT_BASE + 2 * i),
+                   rng_stream(seed, STREAM_CERT_BASE + 2 * i + 1))
+
+
 def certify_points(classifier, points, spec, seed, workers=1):
     """Certify each point with its own keyed noise streams.
 
-    Every point is one certify.certify call, from tally to radius: in this
+    Every point is one _certify_point call, from tally to radius: in this
     process at workers <= 1, and in a process pool of at most one process
     per point otherwise.  The streams depend only on (seed, point index), so
     the results are identical for any worker count.
     """
     n = len(points)
-    # lazy, so that the serial path holds one point's generators at a time
-    sel = (rng_stream(seed, STREAM_CERT_BASE + 2 * i) for i in range(n))
-    est = (rng_stream(seed, STREAM_CERT_BASE + 2 * i + 1) for i in range(n))
-    args = (repeat(classifier), points, repeat(spec), sel, est)
+    args = (repeat(classifier), points, repeat(spec), repeat(seed), range(n))
     workers = min(workers, n)
     if workers <= 1:
-        return list(map(certify, *args))
+        return list(map(_certify_point, *args))
     # imported here, so the commands that make no pool never load it
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # map submits every point and keeps their order
-        return list(pool.map(certify, *args))
+        return list(pool.map(_certify_point, *args))
 
 
 def write_points_csv(path, results, labels):
@@ -239,7 +243,7 @@ def run_train_energy(cfg, path):
     train = resolve_split(cfg, "train")
     history = []
     net = train_energy(
-        train.points, cfg.energy_train, rng_stream(cfg.seed, STREAM_ENERGY_TRAIN),
+        train.points, cfg.sigma, cfg.energy_train, rng_stream(cfg.seed, STREAM_ENERGY_TRAIN),
         callback=lambda step, rec: history.append(rec),
     )
     save_checkpoint(path("energy.ckpt"), net)

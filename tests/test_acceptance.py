@@ -136,9 +136,8 @@ def test_criterion_05_learned_estimator_matches_closed_form():
     # mean normalized error 0.0197, max 0.0502; threshold pinned at 0.05
     model = IsoGaussian(sigma0=1.0, dim=2)
     data = model.sample(50_000, rng_stream(11, 100))
-    cfg = EnergyTrainConfig(sigma=1.0, hidden=(128, 128), steps=3000,
-                            batch_size=128, lr=1e-3)
-    net = train_energy(data, cfg, rng_stream(11, 200))
+    cfg = EnergyTrainConfig(hidden=(128, 128), steps=3000, batch_size=128, lr=1e-3)
+    net = train_energy(data, 1.0, cfg, rng_stream(11, 200))
 
     gen = rng_stream(11, 300)
     pts = gen.uniform(-3, 3, size=(4000, 2))

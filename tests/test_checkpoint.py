@@ -80,6 +80,19 @@ def test_linear_type_tag_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("tag", [1, 2])
+@pytest.mark.parametrize("widths", [(2, 3, 0), (2, 0, 2), (0, 4, 1)])
+def test_zero_width_rejected(tmp_path, tag, widths):
+    # a layer of no units holds no parameters, so the file is otherwise
+    # well formed; read_idx rejects a zero dimension the same way
+    params = sum(a * b + b for a, b in zip(widths, widths[1:]))
+    path = tmp_path / "zero.ckpt"
+    path.write_bytes(b"EBCK" + struct.pack("<IIdI", 1, tag, 0.5, len(widths))
+                     + struct.pack(f"<{len(widths)}I", *widths) + b"\x00" * (8 * params))
+    with pytest.raises(CheckpointError, match="zero width"):
+        load_checkpoint(path)
+
+
 def test_evaluations_survive_roundtrip(tmp_path):
     net = EnergyNet.init(3, (8,), 0.5, rng_stream(2, 0))
     path = tmp_path / "e.ckpt"

@@ -84,6 +84,17 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             grad_phi(net, np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("offset", [5e-13, -5e-13, np.nan])
+    def test_only_the_trained_scale_is_accepted(self, offset):
+        # x-hat and its vjp would otherwise be computed at two scales: the
+        # trained one inside phi's denoiser, the requested one in the vjp
+        net = EnergyNet.init(3, (8,), 0.5, rng_stream(4, 0))
+        y = np.zeros((1, 3))
+        for method in (net.linearize, net.bayes_estimate, net.smoothed_score,
+                       net.log_density_y):
+            with pytest.raises(ValueError, match="energy trained for sigma=0.5"):
+                method(y, net.sigma + offset)
+
 
 class TestGradientOracles:
     def test_input_grad_matches_finite_differences(self):
@@ -185,9 +196,9 @@ class TestOnePrimalPass:
 class TestTraining:
     def test_reproducible_parameters(self):
         data = IsoGaussian(sigma0=1.0, dim=2).sample(500, rng_stream(20, 0))
-        cfg = EnergyTrainConfig(sigma=1.0, hidden=(16,), steps=150, batch_size=32)
-        a = train_energy(data, cfg, rng_stream(5, 0))
-        b = train_energy(data, cfg, rng_stream(5, 0))
+        cfg = EnergyTrainConfig(hidden=(16,), steps=150, batch_size=32)
+        a = train_energy(data, 1.0, cfg, rng_stream(5, 0))
+        b = train_energy(data, 1.0, cfg, rng_stream(5, 0))
         for pa, pb in zip(a.parameters(), b.parameters()):
             assert np.array_equal(pa, pb)
 
@@ -196,8 +207,8 @@ class TestTraining:
         # Gaussian at sigma = 1 is y/2
         model = IsoGaussian(sigma0=1.0, dim=2)
         data = model.sample(8000, rng_stream(21, 0))
-        cfg = EnergyTrainConfig(sigma=1.0, hidden=(64, 64), steps=800, batch_size=128)
-        net = train_energy(data, cfg, rng_stream(6, 0))
+        cfg = EnergyTrainConfig(hidden=(64, 64), steps=800, batch_size=128)
+        net = train_energy(data, 1.0, cfg, rng_stream(6, 0))
         gen = rng_stream(21, 1)
         ys = gen.standard_normal((400, 2)) * 1.2
         err = np.linalg.norm(net.bayes_estimate(ys, net.sigma) - 0.5 * ys, axis=1)
@@ -207,8 +218,9 @@ class TestTraining:
     def test_delta_mass_estimator_returns_its_location(self):
         x0 = np.array([1.0, -0.5])
         data = np.tile(x0, (400, 1))
-        cfg = EnergyTrainConfig(sigma=0.5, hidden=(32,), steps=1200, batch_size=64)
-        net = train_energy(data, cfg, rng_stream(7, 0))
+        cfg = EnergyTrainConfig(hidden=(32,), steps=1200, batch_size=64)
+        net = train_energy(data, 0.5, cfg, rng_stream(7, 0))
+        assert net.sigma == 0.5
         gen = rng_stream(22, 0)
         ys = x0[None, :] + 0.5 * gen.standard_normal((200, 2))
         err = np.linalg.norm(net.bayes_estimate(ys, net.sigma) - x0[None, :], axis=1)
@@ -217,17 +229,16 @@ class TestTraining:
     def test_divergence_reports_step(self):
         # a learning rate past float range overflows the loss within steps
         data = IsoGaussian(sigma0=1.0, dim=2).sample(200, rng_stream(24, 0))
-        cfg = EnergyTrainConfig(sigma=1.0, hidden=(16,), steps=400,
-                                batch_size=32, lr=1e200)
+        cfg = EnergyTrainConfig(hidden=(16,), steps=400, batch_size=32, lr=1e200)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError) as err:
-                train_energy(data, cfg, rng_stream(9, 0))
+                train_energy(data, 1.0, cfg, rng_stream(9, 0))
         assert err.value.step >= 0
 
     def test_nan_gradient_on_last_step_raises(self, monkeypatch):
         # a finite loss over a NaN gradient would write NaN parameters with
         # no later loss to notice them
-        cfg = EnergyTrainConfig(sigma=1.0, hidden=(8,), steps=5, batch_size=16)
+        cfg = EnergyTrainConfig(hidden=(8,), steps=5, batch_size=16)
         calls = []
 
         def nan_on_last(net, x, y):
@@ -240,14 +251,19 @@ class TestTraining:
         monkeypatch.setattr(energy, "denoise_loss_and_grads", nan_on_last)
         data = IsoGaussian(sigma0=1.0, dim=2).sample(100, rng_stream(25, 0))
         with pytest.raises(TrainingDivergedError, match="non-finite gradient") as err:
-            train_energy(data, cfg, rng_stream(3, 0))
+            train_energy(data, 1.0, cfg, rng_stream(3, 0))
         assert err.value.step == cfg.steps - 1
         assert np.all(np.isfinite(calls))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            EnergyTrainConfig(sigma=0.0)
-        with pytest.raises(ValueError):
-            EnergyTrainConfig(sigma=1.0, steps=0)
+            EnergyTrainConfig(steps=0)
         with pytest.raises(ValueError, match="lr must be positive"):
-            EnergyTrainConfig(sigma=1.0, lr=0.0)
+            EnergyTrainConfig(lr=0.0)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.inf, np.nan])
+    def test_scale_must_be_positive_and_finite(self, sigma):
+        data = IsoGaussian(sigma0=1.0, dim=2).sample(20, rng_stream(26, 0))
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            train_energy(data, sigma, EnergyTrainConfig(hidden=(4,), steps=1), rng_stream(3, 0))
+

@@ -116,7 +116,6 @@ class TestConfig:
                     assert getattr(getattr(cfg, key), field) == item, f"{key}.{field}"
             else:
                 assert getattr(cfg, key) == value, key
-        assert cfg.energy_train.sigma == cfg.sigma
 
     def test_attack_m_must_equal_train_m(self):
         # the attack and the loss share one noise list per example, so a
@@ -132,10 +131,24 @@ class TestConfig:
         assert (e.hidden, e.steps, e.batch_size, e.lr) == ([128, 128], 4000, 128, 1e-3)
         assert (w.sigma_prime, w.delta, w.tau, w.n_samples, w.dump_trajectory,
                 w.fine_energy_path) == (0.05, 0.001, 100, 256, False, None)
-        # an empty config is the defaults; energy_train.sigma follows sigma
+        # an empty config is the defaults
         assert config_from_dict({}) == cfg
-        assert config_from_dict({"sigma": 0.25}).energy_train.sigma == 0.25
-        assert config_from_dict({"energy_train": {"sigma": 0.5}}).energy_train.sigma == 0.5
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+    def test_sigma_must_be_positive_however_the_config_is_built(self, sigma):
+        # a config built directly checks sigma as a loaded one does
+        with pytest.raises(ValueError, match="^sigma must be positive"):
+            ExperimentConfig(sigma=sigma)
+
+    def test_energy_train_has_no_scale_of_its_own(self, tmp_path, capsys):
+        # train-energy fits at the experiment's sigma, the one scale every
+        # command reads, so energy_train has no key for it
+        out = tmp_path / "out"
+        code = main(["train-energy", "-c", str(DEMO_CONFIGS / "mixture_experiment.json"),
+                     "--set", "energy_train.sigma=0.05", "--output-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "config error: unknown config key: energy_train.sigma\n"
+        assert not out.exists()
 
 
 class TestCliExitCodes:
@@ -178,7 +191,7 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err == f"i/o error: classifier.path {lin}: unknown checkpoint type tag 3\n", err
 
-    @pytest.mark.parametrize("bad", ["json", "truncated", "directory"])
+    @pytest.mark.parametrize("bad", ["json", "truncated", "directory", "zero-width"])
     @pytest.mark.parametrize("key", ["classifier.path", "estimator.path",
                                      "walk_jump.fine_energy_path"])
     def test_unreadable_checkpoint_is_3_naming_key_and_path(self, tmp_path, capsys, key, bad):
@@ -189,6 +202,11 @@ class TestCliExitCodes:
             ckpt.write_text('{"a": 1}')
         elif bad == "truncated":
             ckpt.write_bytes(b"EBCK\x01\x00")
+        elif bad == "zero-width":
+            # a classifier of no classes, whose parameters fill the file;
+            # under certify it used to exit 1 with an argmax traceback
+            ckpt.write_bytes(b"EBCK" + struct.pack("<IIdIIII", 1, 2, 0.0, 3, 2, 3, 0)
+                             + b"\x00" * (8 * (2 * 3 + 3)))
         else:
             ckpt.mkdir()
         command, extra = {
@@ -261,10 +279,9 @@ class TestCliExitCodes:
         ("train-xhat", "mixture_experiment.json", ["--sigma", "1e200"]),
         ("walk-jump", "mixture_experiment.json", ["--set", "walk_jump.delta=1e300"]),
         ("oracle-check", "oracle_check.json", ["--set", "dataset.sigma0=1e-200"]),
-        ("train-energy", "mixture_experiment.json", ["--set", "energy_train.sigma=1e160"]),
         ("walk-jump", "mixture_experiment.json", ["--set", "walk_jump.sigma_prime=1e200"]),
     ], ids=["train-energy-sigma", "train-xhat-sigma", "walk-jump-delta",
-            "oracle-check-sigma0", "energy-train-sigma", "walk-jump-sigma-prime"])
+            "oracle-check-sigma0", "walk-jump-sigma-prime"])
     def test_overflowing_scale_is_1_naming_its_key(self, tmp_path, capsys, command, name, args):
         # the code squares every scale (sigma**2, delta**2, (sigma/sigma0)**2);
         # these used to exit 2 with "numerical failure: (34, 'Numerical
@@ -448,6 +465,15 @@ class TestTrainCli:
         log = (tmp_path / "out" / "energy_train_log.csv").read_text().splitlines()
         assert log[0] == "step,loss"
         assert len(log) == 61
+
+    def test_train_energy_fits_at_the_sigma_flag(self, tmp_path):
+        # the fine energy of walk-jump is trained so, at sigma_prime
+        path = write_cfg(tmp_path, extra={
+            "energy_train": {"hidden": [4], "steps": 2, "batch_size": 16},
+        })
+        assert main(["train-energy", "-c", str(path), "--sigma", "0.05"]) == 0
+        blob = (tmp_path / "out" / "energy.ckpt").read_bytes()
+        assert struct.unpack("<d", blob[12:20]) == (0.05,)
 
     def test_train_xhat_reruns_bitwise(self, tmp_path):
         path = write_cfg(tmp_path, extra={
@@ -935,7 +961,12 @@ class TestParallelCertifyHelpers:
                 return False
 
             def map(self, fn, *iterables):
-                return map(fn, *iterables)
+                # the pool pickles every task when map is called, so a task
+                # carries its point's index and makes its generators there
+                tasks = list(zip(*iterables))
+                assert not any(isinstance(arg, np.random.Generator)
+                               for task in tasks for arg in task)
+                return [fn(*task) for task in tasks]
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         h = EbClassifier(LinearClassifier(np.array([1.0, 0.0]), 0.2), Identity(), 0.8)
@@ -991,10 +1022,15 @@ class TestCheckpointMisuse:
         self._assert_config_error(["walk-jump", "-c", str(path)])
 
     def test_certify_energy_at_wrong_scale(self, tmp_path):
-        path = write_cfg(tmp_path, extra={
-            "estimator": {"kind": "energy", "path": self._energy(tmp_path, "e.ckpt", 0.3)},
-        })
-        self._assert_config_error(["certify", "-c", str(path), "--sigma", "0.5"])
+        # the energy's denoiser is exact at one scale only, so one within
+        # 1e-12 of it is as wrong as any other
+        for trained in (0.3, 0.5000000000005):
+            path = write_cfg(tmp_path, extra={
+                "estimator": {"kind": "energy",
+                              "path": self._energy(tmp_path, "e.ckpt", trained)},
+            })
+            self._assert_config_error(["certify", "-c", str(path), "--sigma", "0.5"],
+                                      startswith="config error: estimator.path ")
 
     @pytest.mark.parametrize("command, wrong", [
         ("certify", "coarse"), ("curve", "coarse"), ("train-xhat", "coarse"),
@@ -1024,6 +1060,7 @@ class TestBadConfigValues:
         ["oracle-check", "--nc", "0"],
         ["oracle-check", "--sigma", "NaN"],
         ["oracle-check", "--sigma", "Infinity"],
+        ["oracle-check", "--sigma", "0"],
         ["certify", "--set", "confidence.n0=0"],
         ["walk-jump", "--set", "walk_jump.delta=0"],
         ["train-xhat", "--set", "train.steps=0"],
