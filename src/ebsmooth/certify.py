@@ -120,7 +120,6 @@ class OracleResult:
 
     predicted: int
     radius: float
-    on_boundary: bool = False
 
 
 def linear_gaussian_oracle(classifier, x, sigma, sigma0):
@@ -130,13 +129,12 @@ def linear_gaussian_oracle(classifier, x, sigma, sigma0):
     The denoiser contracts by beta, so the smoothed class is the base
     decision at beta*x and the certified radius is the margin evaluated at
     beta*x divided by beta.  With the contraction disabled (sigma = 0, beta
-    = 1) this reduces to the plain margin at x.
+    = 1) this reduces to the plain margin at x.  A point whose beta*x is on
+    the boundary gets the tie class 0 and radius 0.
     """
     x = np.asarray(x, dtype=float)
     beta = beta_of(sigma, sigma0)
     score = float(beta * (x @ classifier.w) + classifier.b)
     wnorm = float(np.linalg.norm(classifier.w))
-    if score == 0.0:
-        return OracleResult(predicted=0, radius=0.0, on_boundary=True)
     predicted = 1 if score > 0.0 else 0
     return OracleResult(predicted=predicted, radius=abs(score) / (beta * wnorm))

