@@ -67,11 +67,14 @@ def _tally(classifier, x, n, gen):
     counts = np.zeros(k, dtype=np.int64)
     rows = max(1, min(n, _BLOCK_ELEMS // x.shape[0]))
     block = np.empty((rows, x.shape[0]))
-    for start in range(0, n, rows):
-        noisy = gen.standard_normal(out=block[:min(rows, n - start)])
-        noisy *= classifier.sigma
-        noisy += x
-        counts += np.bincount(classifier.predict_class(noisy), minlength=k)
+    # overflowing or NaN arithmetic need not warn: predict_class raises
+    # FloatingPointError on a non-finite score or denoised point
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, rows):
+            noisy = gen.standard_normal(out=block[:min(rows, n - start)])
+            noisy *= classifier.sigma
+            noisy += x
+            counts += np.bincount(classifier.predict_class(noisy), minlength=k)
     return counts
 
 

@@ -5,7 +5,8 @@ Layout (all integers little-endian):
     bytes 0..3    magic b"EBCK"
     bytes 4..7    format version, uint32 (currently 1)
     bytes 8..11   type tag, uint32: 1 energy net, 2 soft classifier
-    bytes 12..19  sigma, float64 (0.0 for models that carry no noise scale)
+    bytes 12..19  sigma, float64: an energy net's positive finite noise
+                  scale, 0.0 for models that carry none
     bytes 20..23  number of widths, uint32
     then          widths, uint32 each, input dimension first, output last
     then          per affine layer in order: weight matrix (fan_in x fan_out)
@@ -103,6 +104,9 @@ def load_checkpoint(path):
     if tag == TAG_ENERGY:
         if widths[-1] != 1:
             raise CheckpointError("energy checkpoint must end in a scalar readout")
+        if not 0.0 < sigma < np.inf:  # a NaN fails too
+            raise CheckpointError(f"energy checkpoint sigma={sigma} is not a positive "
+                                  f"finite noise scale")
         return EnergyNet(weights, biases, sigma)
     if tag == TAG_SOFT_CLASSIFIER:
         return SoftClassifier(weights, biases)

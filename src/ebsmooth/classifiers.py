@@ -52,9 +52,7 @@ class LinearClassifier:
         return 2
 
     def predict_class(self, x):
-        # overflowing arithmetic need not warn: the score is checked right below
-        with np.errstate(over="ignore", invalid="ignore"):
-            score = as_batch(x, self.dim) @ self.w + self.b
+        score = as_batch(x, self.dim) @ self.w + self.b
         # a NaN score is on no side of the boundary, so it would vote class 0
         if not np.all(np.isfinite(score)):
             raise FloatingPointError("classifier scores are not finite")
@@ -140,10 +138,7 @@ class EbClassifier:
         return self.base.n_classes
 
     def predict_class(self, x):
-        xb = as_batch(x, self.dim)
-        # NaN arithmetic need not warn: the result is checked right below
-        with np.errstate(invalid="ignore"):
-            xhat = self.estimator.bayes_estimate(xb, self.sigma)
+        xhat = self.estimator.bayes_estimate(as_batch(x, self.dim), self.sigma)
         # a NaN point falls on one side of every comparison, so it would vote
         if not np.all(np.isfinite(xhat)):
             raise FloatingPointError("denoised points are not finite")

@@ -30,16 +30,17 @@ from .datasets import IDX_LABELS_MAGIC, gen_dataset, load_idx, read_idx
 from .densities import Identity, IsoGaussian, IsoMixture
 from .energy import EnergyNet, train_energy
 from .sampler import walk_jump
-from .stats import RowStreams, rng_stream
+from .stats import rng_stream
 
 # Stream-id map.  Certification point i draws selection noise from
-# CERT_BASE + 2i and estimation noise from CERT_BASE + 2i + 1.
+# CERT_BASE + 2i and estimation noise from CERT_BASE + 2i + 1.  walk-jump
+# draws its observations from WALK_DATA and its walk noise from WALK.
 STREAM_TRAIN_DATA = 100
 STREAM_TEST_DATA = 101
 STREAM_ENERGY_TRAIN = 200
 STREAM_CLASSIFIER_TRAIN = 300
 STREAM_WALK_DATA = 1_999_999
-STREAM_WALK_BASE = 2_000_000
+STREAM_WALK = 2_000_000
 STREAM_CERT_BASE = 1_000_000
 
 
@@ -327,13 +328,13 @@ def run_walk_jump(cfg, path):
     """Draw coarse-noise observations and push them through denoise, walk,
     jump; one CSV row per sample, optional trajectory dump for the first.
 
-    All chains run as one batch, chain i drawing its walk noise from its own
-    keyed stream STREAM_WALK_BASE + i (stats.RowStreams), so each row is what
-    that chain gives when walked alone.  The dumped trajectory is chain 0's
-    path in that same batched walk, so it ends where the first sample row
-    came from.  Nothing is written when a chain goes non-finite.  The coarse source
-    is resolve_estimator's; walk_jump.fine_energy_path, when set, is the fine
-    one, which is otherwise the coarse source itself."""
+    All chains run as one batch on one keyed stream, STREAM_WALK, which
+    draws the whole batch's walk noise in one (n_samples, d) draw per step.
+    The dumped trajectory is chain 0's path in that batched walk, so it ends
+    where the first sample row came from.  Nothing is written when a chain
+    goes non-finite.  The coarse source is resolve_estimator's;
+    walk_jump.fine_energy_path, when set, is the fine one, which is
+    otherwise the coarse source itself."""
     wj = cfg.walk_jump
     if cfg.estimator.kind == "identity":
         raise ConfigError("walk-jump needs estimator.kind closed_form or energy: the walk "
@@ -348,10 +349,8 @@ def run_walk_jump(cfg, path):
     data_gen = rng_stream(cfg.seed, STREAM_WALK_DATA)
     clean = model.sample(wj.n_samples, data_gen)
     noisy = clean + cfg.sigma * data_gen.standard_normal(clean.shape)
-    chains = RowStreams((rng_stream(cfg.seed, STREAM_WALK_BASE + i)
-                         for i in range(wj.n_samples)), wj.tau)
     traj = []  # row copies: a view of y[0] would keep each step's whole batch alive
-    outs = walk_jump(coarse, fine, noisy, cfg.sigma, wj, chains,
+    outs = walk_jump(coarse, fine, noisy, cfg.sigma, wj, rng_stream(cfg.seed, STREAM_WALK),
                      (lambda t, y: traj.append(y[0].copy())) if wj.dump_trajectory else None)
     dim = model.dim
     write_csv(path("samples.csv"),

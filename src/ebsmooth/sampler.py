@@ -55,11 +55,11 @@ def langevin_walk(source, y0, cfg, gen, callback=None):
     Iterates y <- y + delta^2 * score(y) + sqrt(2) * delta * eps' for cfg.tau
     steps, with score the smoothed score at the fine scale (minus the
     energy's gradient) and standard normal eps' = gen.standard_normal(y.shape).
-    y0 is a batch of independent chains (n, d); chains never interact, so
-    batching is exact, and with gen a stats.RowStreams of cfg.tau steps each
-    chain draws from its own stream.  Returns the final iterates.  callback,
-    when given, receives (t, y) with the t-th iterate batch: t = 0 for y0,
-    then t = 1..tau after each step's finite check.
+    y0 is a batch of independent chains (n, d); chains never interact, and
+    each step draws the whole batch's noise in one call of gen.  Returns the
+    final iterates.  callback, when given, receives (t, y) with the t-th
+    iterate batch: t = 0 for y0, then t = 1..tau after each step's finite
+    check.
     """
     y = np.asarray(y0, dtype=float).copy()
     drift = cfg.delta**2

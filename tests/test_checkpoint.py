@@ -93,6 +93,19 @@ def test_zero_width_rejected(tmp_path, tag, widths):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("sigma", [np.nan, -1.0, 0.0, np.inf])
+def test_energy_sigma_must_be_positive_and_finite(tmp_path, sigma):
+    # train_energy never writes such a scale; it used to load, and every
+    # use then failed the energy's scale check as a config error
+    path = tmp_path / "e.ckpt"
+    save_checkpoint(path, EnergyNet.init(2, (4,), 0.5, rng_stream(2, 0)))
+    blob = bytearray(path.read_bytes())
+    blob[12:20] = struct.pack("<d", sigma)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match=f"sigma={sigma} is not a positive finite"):
+        load_checkpoint(path)
+
+
 def test_evaluations_survive_roundtrip(tmp_path):
     net = EnergyNet.init(3, (8,), 0.5, rng_stream(2, 0))
     path = tmp_path / "e.ckpt"

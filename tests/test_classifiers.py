@@ -81,7 +81,8 @@ class TestLinearClassifier:
         # (1e308, 1e308) . (2, -2) overflows to inf in the product, which
         # voted class 1; a NaN score would vote class 0
         h = LinearClassifier(np.array([2.0, -2.0]), 0.0)
-        with pytest.raises(FloatingPointError, match="scores are not finite"):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="scores are not finite"):
             h.predict_class(np.array([[1.0, 0.0], x]))
 
 

@@ -23,7 +23,7 @@ from ebsmooth.classifiers import EbClassifier, LinearClassifier, SoftClassifier
 from ebsmooth.densities import Identity, IsoMixture
 from ebsmooth.energy import EnergyNet
 from ebsmooth.mlp import TrainingDivergedError
-from ebsmooth.stats import ConfidenceSpec, RowStreams, rng_stream
+from ebsmooth.stats import ConfidenceSpec, rng_stream
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 DEMO_CONFIGS = SRC.parent / "demos" / "configs"
@@ -191,12 +191,14 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err == f"i/o error: classifier.path {lin}: unknown checkpoint type tag 3\n", err
 
-    @pytest.mark.parametrize("bad", ["json", "truncated", "directory", "zero-width"])
+    @pytest.mark.parametrize("bad", ["json", "truncated", "directory", "zero-width",
+                                     "nan-sigma"])
     @pytest.mark.parametrize("key", ["classifier.path", "estimator.path",
                                      "walk_jump.fine_energy_path"])
     def test_unreadable_checkpoint_is_3_naming_key_and_path(self, tmp_path, capsys, key, bad):
         # these used to say only "bad magic ...", "truncated checkpoint ..."
-        # or "[Errno 21] Is a directory", naming neither the key nor the file
+        # or "[Errno 21] Is a directory", naming neither the key nor the file;
+        # an energy of NaN scale used to be a config error
         ckpt = tmp_path / "model.ckpt"
         if bad == "json":
             ckpt.write_text('{"a": 1}')
@@ -207,6 +209,10 @@ class TestCliExitCodes:
             # under certify it used to exit 1 with an argmax traceback
             ckpt.write_bytes(b"EBCK" + struct.pack("<IIdIIII", 1, 2, 0.0, 3, 2, 3, 0)
                              + b"\x00" * (8 * (2 * 3 + 3)))
+        elif bad == "nan-sigma":
+            save_checkpoint(ckpt, EnergyNet.init(2, (4,), 1.0, rng_stream(0, 1)))
+            blob = ckpt.read_bytes()
+            ckpt.write_bytes(blob[:12] + struct.pack("<d", np.nan) + blob[20:])
         else:
             ckpt.mkdir()
         command, extra = {
@@ -590,8 +596,6 @@ class TestWalkJumpCli:
         assert len(samples) == 5
 
     def test_samples_and_trajectory(self, tmp_path):
-        # at these means a one-chain walk, which sums its matmuls in another
-        # order than the batch, drifts from chain 0 of the batch by ulps
         means = 2.0 * rng_stream(9, 7).standard_normal((4, 2))
         path = write_cfg(tmp_path, extra={
             "dataset": {"means": means.tolist()},
@@ -606,15 +610,14 @@ class TestWalkJumpCli:
         # the dump is chain 0's path in the batched walk behind samples.csv,
         # bit for bit
         from ebsmooth.densities import IsoMixture
-        from ebsmooth.harness import STREAM_WALK_BASE
+        from ebsmooth.harness import STREAM_WALK
         from ebsmooth.sampler import WalkJumpConfig, walk_jump
 
         rows = np.loadtxt(tmp_path / "out" / "samples.csv", delimiter=",", skiprows=1)
         mix = IsoMixture(means=means, sigma0=1.0)
-        chains = RowStreams((rng_stream(5, STREAM_WALK_BASE + i) for i in range(8)), 20)
         path = []
-        outs = walk_jump(mix, mix, rows[:, 1:3], 1.0, WalkJumpConfig(tau=20), chains,
-                         lambda t, y: path.append(y[0].copy()))
+        outs = walk_jump(mix, mix, rows[:, 1:3], 1.0, WalkJumpConfig(tau=20),
+                         rng_stream(5, STREAM_WALK), lambda t, y: path.append(y[0].copy()))
         dumped = np.loadtxt(tmp_path / "out" / "trajectory.csv", delimiter=",", skiprows=1)
         assert np.array_equal(dumped[:, 1:3], path)
         assert np.array_equal(rows[:, 3:], outs)
@@ -655,10 +658,10 @@ class TestWalkJumpCli:
         }
 
     @pytest.mark.parametrize("source", ["mixture", "energy", "mixture-energy"])
-    def test_batch_equals_chains_walked_alone(self, tmp_path, source):
-        # every row of samples.csv is its chain walked alone on its own keyed
-        # stream, up to the summation order of the batched matmuls
-        from ebsmooth.harness import STREAM_WALK_BASE, load_energy
+    def test_samples_are_the_library_walk(self, tmp_path, source):
+        # samples.csv's outputs are walk_jump on the CSV's observations with
+        # one generator keyed (seed, STREAM_WALK), bit for bit
+        from ebsmooth.harness import STREAM_WALK, load_energy
         from ebsmooth.densities import IsoMixture
         from ebsmooth.sampler import WalkJumpConfig, walk_jump
 
@@ -679,10 +682,8 @@ class TestWalkJumpCli:
         if source != "mixture":
             fine = load_energy(extra["walk_jump"]["fine_energy_path"], 0.05, "fine", 6)
         cfg = WalkJumpConfig(sigma_prime=0.05, delta=0.001, tau=30)
-        for i in range(7):
-            alone = walk_jump(coarse, fine, noisy[i:i + 1], 1.0, cfg,
-                              rng_stream(5, STREAM_WALK_BASE + i))
-            np.testing.assert_allclose(got[i], alone[0], rtol=0, atol=1e-15)
+        assert np.array_equal(got, walk_jump(coarse, fine, noisy, 1.0, cfg,
+                                             rng_stream(5, STREAM_WALK)))
 
     @pytest.mark.parametrize("nan, stage", [("coarse", "coarse estimate"),
                                             ("fine", "iterate at walk step 0")])

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -11,8 +9,7 @@ from ebsmooth.sampler import (
     langevin_walk,
     walk_jump,
 )
-from ebsmooth import stats
-from ebsmooth.stats import RowStreams, rng_stream
+from ebsmooth.stats import rng_stream
 
 
 def zero_energy(dim, sigma):
@@ -120,9 +117,8 @@ class TestLangevinWalk:
         model = IsoMixture(means=np.array([[1.0, 0.0, 0.5], [-1.0, 0.5, 0.0]]), sigma0=0.5)
         cfg = WalkJumpConfig(sigma_prime=0.3, delta=0.05, tau=6)
         y0 = rng_stream(7, 1).standard_normal((4, 3))
-        streams = lambda: RowStreams((rng_stream(7, 10 + i) for i in range(4)),  # noqa: E731
-                                     cfg.tau)
-        gen, y, want = streams(), y0.copy(), [y0.copy()]
+        stream = lambda: rng_stream(7, 10)  # noqa: E731
+        gen, y, want = stream(), y0.copy(), [y0.copy()]
         for _ in range(cfg.tau):
             y = y + cfg.delta**2 * model.smoothed_score(y, cfg.sigma_prime) \
                 + np.sqrt(2.0) * cfg.delta * gen.standard_normal(y.shape)
@@ -130,12 +126,12 @@ class TestLangevinWalk:
         want = np.asarray(want)
         for chain in range(4):
             traj, callback = keep(chain)
-            final = langevin_walk(model, y0, cfg, streams(), callback)
+            final = langevin_walk(model, y0, cfg, stream(), callback)
             traj = np.asarray(traj)
             assert traj.shape == (cfg.tau + 1, 3)
             np.testing.assert_array_equal(traj, want[:, chain])
             np.testing.assert_array_equal(final, want[-1])
-        np.testing.assert_array_equal(want[-1], langevin_walk(model, y0, cfg, streams()))
+        np.testing.assert_array_equal(want[-1], langevin_walk(model, y0, cfg, stream()))
 
     @pytest.mark.parametrize("chain", [0, 2])
     def test_recorded_chain_is_that_chain_of_the_batch(self, chain):
@@ -145,20 +141,19 @@ class TestLangevinWalk:
         model = IsoMixture(means=np.array([[1.0, 0.0, 0.5], [-1.0, 0.5, 0.0]]), sigma0=0.5)
         cfg = WalkJumpConfig(sigma_prime=0.3, delta=0.05, tau=6)
         y0 = rng_stream(7, 2).standard_normal((4, 3))
-        streams = lambda: RowStreams((rng_stream(7, 20 + i) for i in range(4)),  # noqa: E731
-                                     cfg.tau)
+        stream = lambda: rng_stream(7, 20)  # noqa: E731
         path, callback = keep(chain)
-        final = langevin_walk(model, y0, cfg, streams(), callback)
+        final = langevin_walk(model, y0, cfg, stream(), callback)
         path = np.asarray(path)
         assert path.shape == (cfg.tau + 1, 3)
         np.testing.assert_array_equal(path[0], y0[chain])
         np.testing.assert_array_equal(path[-1], final[chain])
-        np.testing.assert_array_equal(final, langevin_walk(model, y0, cfg, streams()))
+        np.testing.assert_array_equal(final, langevin_walk(model, y0, cfg, stream()))
         wj_path, callback = keep(chain)
-        out = walk_jump(model, model, y0, 1.0, cfg, streams(), callback)
-        np.testing.assert_array_equal(out, walk_jump(model, model, y0, 1.0, cfg, streams()))
+        out = walk_jump(model, model, y0, 1.0, cfg, stream(), callback)
+        np.testing.assert_array_equal(out, walk_jump(model, model, y0, 1.0, cfg, stream()))
         walked, callback = keep(chain)
-        langevin_walk(model, model.bayes_estimate(y0, 1.0), cfg, streams(), callback)
+        langevin_walk(model, model.bayes_estimate(y0, 1.0), cfg, stream(), callback)
         np.testing.assert_array_equal(wj_path, walked)
 
     def test_energy_net_scale_mismatch_rejected(self):
@@ -254,59 +249,3 @@ class TestNonFinite:
         y0[1, 0] = np.nan
         with pytest.raises(FloatingPointError, match="walk step 0 in chain 1"):
             langevin_walk(model, y0, self.CFG, rng_stream(2, 0))
-
-
-class TestRowStreams:
-    def test_batch_draws_what_each_row_draws_alone(self):
-        streams = RowStreams((rng_stream(3, i) for i in range(4)), 3)
-        batch = [streams.standard_normal((4, 5)) for _ in range(3)]
-        for i in range(4):
-            alone = rng_stream(3, i)
-            for drawn in batch:
-                np.testing.assert_array_equal(drawn[i], alone.standard_normal(5))
-
-    def test_row_count_must_match(self):
-        streams = RowStreams((rng_stream(5, i) for i in range(2)), 1)
-        with pytest.raises(ValueError):
-            streams.standard_normal((3, 2))
-
-    @pytest.mark.parametrize("block", [1, 12, stats._ROW_BLOCK])
-    def test_blocks_draw_what_per_step_draws_do(self, monkeypatch, block):
-        # each row draws several steps per call of its generator (2, 2, 2, 1
-        # at block 12); the steps, and every generator's state after the
-        # last, must be what one draw per row per step gives
-        monkeypatch.setattr(stats, "_ROW_BLOCK", block)
-        steps = 7
-        streams = RowStreams((rng_stream(4, i) for i in range(3)), steps)
-        gens = [rng_stream(4, i) for i in range(3)]
-        for _ in range(steps):
-            want = np.stack([g.standard_normal(2) for g in gens])
-            np.testing.assert_array_equal(streams.standard_normal((3, 2)), want)
-        for blocked, alone in zip(streams.gens, gens):
-            np.testing.assert_equal(blocked.bit_generator.state, alone.bit_generator.state)
-        with pytest.raises(ValueError, match="all their steps"):
-            streams.standard_normal((3, 2))
-
-    def test_refill_holds_one_block(self, monkeypatch):
-        # a refill drops the spent block before making the next, so drawing
-        # through several blocks never holds two at once
-        monkeypatch.setattr(stats, "_ROW_BLOCK", 1 << 14)
-        rows, dim = 4, 8
-        steps = 4 * (stats._ROW_BLOCK // (rows * dim))  # four blocks, three refills
-        block_bytes = 8 * stats._ROW_BLOCK
-        streams = RowStreams((rng_stream(7, i) for i in range(rows)), steps)
-        tracemalloc.start()
-        try:
-            for _ in range(steps):
-                streams.standard_normal((rows, dim))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * block_bytes
-
-    def test_shape_is_fixed_within_a_block(self):
-        streams = RowStreams((rng_stream(6, i) for i in range(2)), 3)
-        streams.standard_normal((2, 3))
-        with pytest.raises(ValueError, match="cannot draw"):
-            streams.standard_normal((2, 4))
-
