@@ -196,6 +196,21 @@ def class_prob_input_grad(soft, x, k):
     return d
 
 
+# -- a serial tally ------------------------------------------------------------
+
+
+def serial_tally(classifier, x, n, gen, rows):
+    """Per-class counts of the classifier at n noisy copies of x at its noise
+    scale, in blocks of `rows` rows: each block is drawn from `gen` as a new
+    array, then classified, one after the other on the calling thread."""
+    x = np.asarray(x, dtype=float)
+    counts = np.zeros(classifier.n_classes, dtype=np.int64)
+    for start in range(0, n, rows):
+        y = x + classifier.sigma * gen.standard_normal((min(rows, n - start), x.shape[0]))
+        counts += np.bincount(classifier.predict_class(y), minlength=classifier.n_classes)
+    return counts
+
+
 # -- single-point views of the library's batch attack routines ---------------
 
 

@@ -1,6 +1,8 @@
 import importlib
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -89,6 +91,96 @@ class TestTallyBlocks:
         x = rng_stream(9, 0).uniform(-1.0, 1.0, 5)
         counts = _tally(_Buckets(0.4), x, 333, rng_stream(9, 1))
         np.testing.assert_array_equal(counts, self._one_shot(x, 0.4, 333, rng_stream(9, 1)))
+
+    def test_blas_backed_counts_equal_a_serial_tally(self):
+        # the mixture denoiser and the MLP both multiply matrices, so the
+        # counts are bitwise those of a serial loop only if every block keeps
+        # its rows and its operations: 2500 rows at d = 64 are blocks of
+        # 1024, 1024 and 452.  The base votes for the nearest mean, so at
+        # the centroid all three classes draw votes
+        means = rng_stream(36, 0).standard_normal((3, 64))
+        base = SoftClassifier([means.T, np.eye(3)], [-0.5 * (means**2).sum(axis=1), np.zeros(3)])
+        clf = EbClassifier(base, IsoMixture(means=means, sigma0=0.5), 1.0)
+        x = means.mean(axis=0)
+        counts = _tally(clf, x, 2500, rng_stream(36, 1))
+        assert np.array_equal(counts, oracles.serial_tally(clf, x, 2500, rng_stream(36, 1), 1024))
+        assert counts.sum() == 2500 and counts.min() > 500
+
+    @pytest.mark.parametrize("n, threads", [(1024, 0), (3072, 1), (4096, 1)])
+    def test_only_a_multi_block_tally_starts_a_thread(self, n, threads):
+        # at d = 64 one block is 1024 rows; from three blocks on, the helper
+        # that draws ahead is alive while the caller classifies the first
+        before = threading.active_count()
+        seen = []
+
+        class Counting(_Buckets):
+            def predict_class(self, x):
+                seen.append(threading.active_count() - before)
+                return super().predict_class(x)
+
+        _tally(Counting(), np.zeros(64), n, rng_stream(10, 1))
+        assert seen[0] == threads
+        assert threading.active_count() == before
+
+    def test_concurrent_tallies_under_fast_switching_keep_their_counts(self, monkeypatch):
+        # 8-row blocks, so each tally hands 250 blocks between its two
+        # threads; six tallies at once, with the interpreter switching threads
+        # every microsecond: a block drawn over before it is classified, or
+        # classified before it is drawn, changes the counts
+        monkeypatch.setattr(importlib.import_module("ebsmooth.certify"), "_BLOCK_ELEMS", 64)
+        x = rng_stream(13, 0).uniform(-1.0, 1.0, 8)
+        want = [self._one_shot(x, 0.6, 2000, rng_stream(13, i)) for i in range(6)]
+        got = [None] * 6
+
+        def run(i):
+            got[i] = _tally(_Buckets(0.6), x, 2000, rng_stream(13, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for counts, expected in zip(got, want):
+            np.testing.assert_array_equal(counts, expected)
+
+    def test_a_classifier_error_stops_and_joins_the_helper(self):
+        class FailsOnBlock2(_Buckets):
+            def predict_class(self, x):
+                if len(self.batches) == 1:
+                    raise FloatingPointError("block 2")
+                return super().predict_class(x)
+
+        before = threading.active_count()
+        clf = FailsOnBlock2()
+        with pytest.raises(FloatingPointError, match="block 2"):
+            _tally(clf, np.zeros(64), 4096, rng_stream(11, 1))
+        assert clf.batches == [1024]
+        assert threading.active_count() == before
+
+    def test_a_draw_error_reaches_the_caller(self):
+        class FailsOnDraw3:
+            def __init__(self):
+                self.gen = rng_stream(12, 1)
+                self.draws = 0
+
+            def standard_normal(self, out):
+                self.draws += 1
+                if self.draws == 3:
+                    raise MemoryError("draw 3")
+                return self.gen.standard_normal(out=out)
+
+        before = threading.active_count()
+        clf, gen = _Buckets(), FailsOnDraw3()
+        with pytest.raises(MemoryError, match="draw 3"):
+            _tally(clf, np.zeros(64), 4096, gen)
+        assert clf.batches == [1024, 1024] and gen.draws == 3
+        assert threading.active_count() == before
 
 
 class TestCertify:

@@ -21,6 +21,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 POOL_MODULES = ("sorted(m for m in sys.modules "
                 "if m.split('.')[0] in ('concurrent', 'multiprocessing'))")
+POOL_OR_QUEUE_MODULES = ("sorted(m for m in sys.modules "
+                         "if m.split('.')[0] in ('concurrent', 'multiprocessing', 'queue'))")
 STATISTICS_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'statistics')"
 
 
@@ -74,9 +76,10 @@ def test_import_keeps_megabyte_temporaries_on_the_heap():
     assert int(run_python(code)) < 20
 
 
-def run_command(tmp_path, command, modules):
-    """Run one command in a fresh process on a tiny config and return the
-    list the `modules` expression prints after it."""
+def run_command(tmp_path, command, modules, nc=200):
+    """Run one command in a fresh process on a tiny config, at an estimation
+    budget of nc, and return the list the `modules` expression prints after
+    it."""
     cfg = {
         "seed": 3,
         "sigma": 0.5,
@@ -88,7 +91,7 @@ def run_command(tmp_path, command, modules):
         "train": {"mode": "adversarial", "steps": 2, "batch_size": 8},
         "attack": {"epsilon": 0.5, "steps": 2},
         "walk_jump": {"n_samples": 3, "tau": 2, "dump_trajectory": True},
-        "confidence": {"alpha": 0.01, "n0": 10, "nc": 200},
+        "confidence": {"alpha": 0.01, "n0": 10, "nc": nc},
         "certify": {"max_points": 3, "workers": 1},
     }
     if command in ("certify", "curve", "oracle-check"):
@@ -119,6 +122,13 @@ def test_only_certifying_commands_load_statistics(tmp_path, command):
     # the module
     want = "['statistics']" if command == "certify" else "[]"
     assert run_command(tmp_path, command, STATISTICS_MODULES) == want
+
+
+def test_multi_block_tallies_load_no_pool_or_queue(tmp_path):
+    # at d = 2 a tally block is 32,768 rows, so each estimation tally of
+    # 70,000 spans three blocks and draws ahead on a helper thread, which
+    # needs only the threading module numpy has already loaded
+    assert run_command(tmp_path, "oracle-check", POOL_OR_QUEUE_MODULES, nc=70_000) == "[]"
 
 
 def test_pool_workers_count_without_scipy_special():
