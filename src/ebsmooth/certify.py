@@ -74,6 +74,7 @@ def _tally(classifier, x, n, gen):
     gen.standard_normal(out=blocks[0])
     helper = None
     if len(blocks) > 1:
+        # free: a buffer may be drawn into; drawn: a block is ready, or failed holds its error
         free, drawn, stop, failed = threading.Semaphore(1), threading.Semaphore(0), [], {}
 
         def draw_ahead():
@@ -103,7 +104,7 @@ def _tally(classifier, x, n, gen):
                 noisy *= classifier.sigma
                 noisy += x
                 counts += np.bincount(classifier.predict_class(noisy), minlength=k)
-                if j + 2 < len(blocks):  # block j + 2 reuses this buffer
+                if helper:  # block j + 2 may now be drawn into this buffer
                     free.release()
     finally:
         if helper:
