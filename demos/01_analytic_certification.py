@@ -17,7 +17,7 @@ from ebsmooth import (
     ConfidenceSpec,
     EbClassifier,
     Identity,
-    IsoGaussian,
+    IsoMixture,
     LinearClassifier,
     certify,
     linear_gaussian_oracle,
@@ -27,7 +27,7 @@ from ebsmooth import (
 )
 
 sigma = 1.0
-model = IsoGaussian(sigma0=1.0, dim=10)
+model = IsoMixture(means=np.zeros((1, 10)), sigma0=1.0)
 gen = rng_stream(1, 0)
 w = gen.standard_normal(10)
 h = LinearClassifier(w / np.linalg.norm(w), b=0.6)

@@ -14,10 +14,10 @@ acceptance-scale budget (50k samples, 3000 steps) drives it to about 0.02.
 
 import numpy as np
 
-from ebsmooth import EnergyTrainConfig, IsoGaussian, rng_stream, train_energy
+from ebsmooth import EnergyTrainConfig, IsoMixture, rng_stream, train_energy
 from ebsmooth.densities import beta_of
 
-model = IsoGaussian(sigma0=1.0, dim=2)
+model = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0)
 data = model.sample(20_000, rng_stream(4, 0))
 
 losses = []

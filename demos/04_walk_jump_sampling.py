@@ -12,13 +12,13 @@ is the point: the fine-scale energy landscape remembers where the data is.
 
 import numpy as np
 
-from ebsmooth import IsoGaussian, IsoMixture, WalkJumpConfig, rng_stream, walk_jump
+from ebsmooth import IsoMixture, WalkJumpConfig, rng_stream, walk_jump
 
 sigma = 1.0
 cfg = WalkJumpConfig(sigma_prime=0.05, delta=0.001, tau=100)
 
 # variance of the output across repeated runs on one fixed observation
-gauss = IsoGaussian(sigma0=1.0, dim=2)
+gauss = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0)
 gen = rng_stream(12, 0)
 x = gauss.sample(1, gen)[0]
 y = x + sigma * gen.standard_normal(2)

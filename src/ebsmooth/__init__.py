@@ -2,7 +2,7 @@
 
 The library smooths a base classifier with Gaussian noise, but evaluates it at
 the Bayes estimate of the clean input rather than at the raw noisy point.  It
-ships exact Gaussian and Gaussian-mixture reference models, a small learnable
+ships an exact isotropic Gaussian-mixture reference model, a small learnable
 energy network with the second-order machinery the training loop and attacks
 need, a randomized-smoothing certifier, projected-gradient adversarial
 training of the smoothed classifier, and a walk-jump sampler.
@@ -16,7 +16,7 @@ from .stats import (
     rng_stream,
     std_normal_inv_cdf,
 )
-from .densities import Identity, IsoGaussian, IsoMixture, beta_of
+from .densities import Identity, IsoMixture, beta_of
 from .energy import EnergyNet, EnergyTrainConfig, train_energy
 from .mlp import TrainingDivergedError
 from .classifiers import EbClassifier, LinearClassifier, SoftClassifier
@@ -64,7 +64,6 @@ __all__ = [
     "EnergyNet",
     "EnergyTrainConfig",
     "Identity",
-    "IsoGaussian",
     "IsoMixture",
     "LabeledDataset",
     "LinearClassifier",

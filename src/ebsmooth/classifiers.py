@@ -109,11 +109,11 @@ class EbClassifier:
     """Base classifier composed with a denoiser, plus its smoothed soft view.
 
     `estimator` is the denoiser: densities.Identity, or a smoothed density
-    of Y = X + N(0, sigma^2 I), exact (IsoGaussian, IsoMixture) or learned
-    (EnergyNet).  The composition reads only its bayes_estimate(y, sigma)
-    and its linearize(y, sigma) -> (xhat, vjp): the Bayes estimate
-    y + sigma^2 * grad log f_Y(y), and the map
-    u -> u + sigma^2 * hessian(log f_Y)(y) u, the denoiser's symmetric
+    of Y = X + N(0, sigma^2 I), exact (IsoMixture, whose one-component case
+    is the isotropic Gaussian) or learned (EnergyNet).  The composition
+    reads only its bayes_estimate(y, sigma) and its linearize(y, sigma) ->
+    (xhat, vjp): the Bayes estimate y + sigma^2 * grad log f_Y(y), and the
+    map u -> u + sigma^2 * hessian(log f_Y)(y) u, the denoiser's symmetric
     Jacobian, which vjp alone reaches and computes only when called.
     `sigma` is the smoothing noise scale; a learned energy accepts only the
     scale it was trained at.

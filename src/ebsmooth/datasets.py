@@ -59,6 +59,10 @@ def gen_dataset(means, sigma0, n, gen):
     so a fixed seed reproduces the dataset exactly.
     """
     means = np.atleast_2d(np.asarray(means, dtype=float))
+    if means.ndim != 2 or means.size == 0:
+        raise ValueError(f"means must be a nonempty (K, d) array, got shape {means.shape}")
+    if not np.all(np.isfinite(means)):
+        raise ValueError("means must be finite")
     if not sigma0 > 0.0:
         raise ValueError(f"sigma0 must be positive, got {sigma0}")
     if n < 1:

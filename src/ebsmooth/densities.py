@@ -1,12 +1,17 @@
-"""Analytic data models with exact scores and Bayes estimators, and the
+"""The analytic data model, with its exact score and Bayes estimator, and the
 identity denoiser.
 
-These are the ground truth the learned pieces are judged against.  Every model
-knows the density of its Gaussian-corrupted version Y = X + N(0, sigma^2 I),
-the score of that density, the exact posterior-mean denoiser
-xhat(y) = y + sigma^2 * score(y), and, through linearize's vjp, that
-denoiser's Jacobian.  Identity is the denoiser of plain randomized
-smoothing: xhat(y) = y, with the identity as its Jacobian.
+The data model, IsoMixture, is the ground truth the learned pieces are
+judged against: a mixture of isotropic Gaussians, of which a one-mean
+dataset is the one-component case, K = 1.  It knows the density of its Gaussian-corrupted
+version Y = X + N(0, sigma^2 I), the score of that density, the exact
+posterior-mean denoiser xhat(y) = y + sigma^2 * score(y), and, through
+linearize's vjp, that denoiser's Jacobian.  At K = 1 every responsibility is
+exactly 1, so the score, the denoiser and the vjp pull toward the one mean
+without forming them, and sample draws no component index: its stream is
+the plain Gaussian's, mean + sigma0 * gen.standard_normal((n, d)).  Identity
+is the denoiser of plain randomized smoothing: xhat(y) = y, with the identity
+as its Jacobian.
 
 Every model method takes a batch y of shape (n, d) and returns one value or
 row per point; a single point (d,) is a ValueError.  Its checks, as_batch
@@ -62,61 +67,6 @@ class Identity:
 
 
 @dataclasses.dataclass(frozen=True)
-class IsoGaussian:
-    """Isotropic Gaussian data model N(mean, sigma0^2 I)."""
-
-    sigma0: float
-    dim: int
-    mean: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.sigma0 < np.inf:
-            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        mean = np.zeros(self.dim) if self.mean is None else np.asarray(self.mean, float)
-        if mean.shape != (self.dim,):
-            raise ValueError(f"mean has shape {mean.shape}, expected ({self.dim},)")
-        object.__setattr__(self, "mean", mean)
-
-    def sample(self, n, gen):
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        return self.mean[None, :] + self.sigma0 * gen.standard_normal((n, self.dim))
-
-    def log_density_y(self, y, sigma):
-        """Log density of Y = X + N(0, sigma^2 I) at y."""
-        yb = as_batch(y, self.dim)
-        s2 = sigma * sigma + self.sigma0 * self.sigma0
-        sq = np.sum((yb - self.mean) ** 2, axis=1)
-        return -0.5 * sq / s2 - 0.5 * self.dim * np.log(2.0 * np.pi * s2)
-
-    def smoothed_score(self, y, sigma):
-        """Gradient of log f_Y at y: -(y - mean) / (sigma^2 + sigma0^2)."""
-        yb = as_batch(y, self.dim)
-        s2 = sigma * sigma + self.sigma0 * self.sigma0
-        return (self.mean - yb) / s2
-
-    def bayes_estimate(self, y, sigma):
-        """Posterior mean of X given Y = y: y + sigma^2 * score(y)."""
-        yb = as_batch(y, self.dim)
-        return yb + sigma * sigma * self.smoothed_score(yb, sigma)
-
-    def linearize(self, y, sigma):
-        """(bayes_estimate(y, sigma), vjp) with vjp(u) = u + sigma^2 * H u, where
-        H = -I / (sigma^2 + sigma0^2) is the constant Hessian of log f_Y, so
-        vjp reads only y's shape."""
-        s2 = sigma * sigma + self.sigma0 * self.sigma0
-        xhat = self.bayes_estimate(y, sigma)
-
-        def vjp(u):
-            u = vjp_input(u, xhat)
-            return u + sigma**2 * (-u / s2)
-
-        return xhat, vjp
-
-
-@dataclasses.dataclass(frozen=True)
 class IsoMixture:
     """Mixture of isotropic Gaussians sharing one scale sigma0.
 
@@ -141,6 +91,10 @@ class IsoMixture:
     def __post_init__(self):
         means = np.atleast_2d(np.asarray(self.means, dtype=float))
         object.__setattr__(self, "means", means)
+        if means.ndim != 2 or means.size == 0:
+            raise ValueError(f"means must be a nonempty (K, d) array, got shape {means.shape}")
+        if not np.all(np.isfinite(means)):
+            raise ValueError("means must be finite")
         if not 0.0 < self.sigma0 < np.inf:
             raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
         k = means.shape[0]
@@ -170,7 +124,8 @@ class IsoMixture:
     def sample(self, n, gen):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        comp = gen.choice(self.n_components, size=n, p=self.weights)
+        comp = (0 if self.n_components == 1  # one component: no index is drawn
+                else gen.choice(self.n_components, size=n, p=self.weights))
         return self.means[comp] + self.sigma0 * gen.standard_normal((n, self.dim))
 
     def _logits(self, yb, s2):
@@ -178,10 +133,16 @@ class IsoMixture:
         sq_means = np.sum(self.means * self.means, axis=1)
         return np.log(self.weights) - 0.5 * (sq_means - 2.0 * (yb @ self.means.T)) / s2
 
-    def _responsibilities(self, yb, s2):
+    def _pull(self, yb, s2):
+        """(r, r @ means): the (n, K) responsibilities at yb and the mean they
+        pull each point toward.  At K = 1 every r is exactly 1, so r is None
+        and the pull is the one mean, (d,)."""
+        if self.n_components == 1:
+            return None, self.means[0]
         logits = self._logits(yb, s2)
         w = np.exp(logits - logits.max(axis=1, keepdims=True))
-        return w / w.sum(axis=1, keepdims=True)
+        resp = w / w.sum(axis=1, keepdims=True)
+        return resp, resp @ self.means
 
     def log_density_y(self, y, sigma):
         yb = as_batch(y, self.dim)
@@ -197,8 +158,7 @@ class IsoMixture:
         sum_k r_k (mu_k - y) / s2 = (r @ means - y) / s2."""
         yb = as_batch(y, self.dim)
         s2 = sigma * sigma + self.sigma0 * self.sigma0
-        resp = self._responsibilities(yb, s2)
-        return (resp @ self.means - yb) / s2
+        return (self._pull(yb, s2)[1] - yb) / s2
 
     def _hvp(self, resp, v, s2):
         """Hessian of log f_Y applied to the batch v, at the points with
@@ -210,8 +170,11 @@ class IsoMixture:
         the r_k sum to one, the -<y, v> part of c_k cancels in c_k - cbar, and
         the weights w_k = r_k (c_k - cbar) sum to zero, which cancels the -y
         part of the pull: the action is (w @ means - v) / s2 with
-        c = v @ means.T / s2.
+        c = v @ means.T / s2.  At K = 1 (resp None) every w_k is 0 and the
+        action is the Gaussian's -v / s2.
         """
+        if resp is None:
+            return -v / s2
         c = (v @ self.means.T) / s2
         w = resp * (c - np.sum(resp * c, axis=1, keepdims=True))
         return (w @ self.means - v) / s2
@@ -225,8 +188,8 @@ class IsoMixture:
         the Hessian of log f_Y at y, both from one set of responsibilities."""
         yb = as_batch(y, self.dim)
         s2 = sigma * sigma + self.sigma0 * self.sigma0
-        resp = self._responsibilities(yb, s2)
-        xhat = yb + sigma * sigma * ((resp @ self.means - yb) / s2)
+        resp, pull = self._pull(yb, s2)
+        xhat = yb + sigma * sigma * ((pull - yb) / s2)
 
         def vjp(u):
             u = vjp_input(u, yb)

@@ -27,7 +27,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .classifiers import EbClassifier, LinearClassifier, SoftClassifier
 from .config import ConfigError, config_digest
 from .datasets import IDX_LABELS_MAGIC, gen_dataset, load_idx, read_idx
-from .densities import Identity, IsoGaussian, IsoMixture
+from .densities import Identity, IsoMixture
 from .energy import EnergyNet, train_energy
 from .sampler import walk_jump
 from .stats import rng_stream
@@ -95,16 +95,13 @@ def resolve_split(cfg, split):
 
 
 def resolve_data_model(cfg, need):
-    """Exact generative model implied by a gaussian_classes dataset.  Any
-    other dataset raises ConfigError(need): the caller says why it needs the
-    model."""
+    """Exact generative model of a gaussian_classes dataset: the isotropic
+    mixture of its class means, one component per mean.  Any other dataset
+    raises ConfigError(need): the caller says why it needs the model."""
     ds = cfg.dataset
     if ds.kind != "gaussian_classes":
         raise ConfigError(need)
-    means = np.asarray(ds.means, dtype=float)
-    if means.shape[0] == 1:
-        return IsoGaussian(sigma0=ds.sigma0, dim=means.shape[1], mean=means[0])
-    return IsoMixture(means=means, sigma0=ds.sigma0)
+    return IsoMixture(means=ds.means, sigma0=ds.sigma0)
 
 
 def load_model(path, key, kind, dim):
@@ -295,9 +292,9 @@ def run_oracle_check(cfg, path):
         raise ConfigError("oracle-check needs classifier.kind=linear and "
                           "estimator.kind=closed_form")
     model = resolve_data_model(cfg, "oracle-check needs a gaussian_classes dataset")
-    if not isinstance(model, IsoGaussian):
-        raise ConfigError(f"oracle-check needs one dataset mean, got {len(model.means)}")
-    if np.any(model.mean):
+    if model.n_components != 1:
+        raise ConfigError(f"oracle-check needs one dataset mean, got {model.n_components}")
+    if np.any(model.means):
         raise ConfigError("oracle-check needs an all-zero dataset mean")
     classifier = resolve_hard_classifier(cfg, model.dim)
     points = model.sample(cfg.certify.max_points, rng_stream(cfg.seed, STREAM_TEST_DATA))

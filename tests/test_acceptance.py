@@ -18,7 +18,7 @@ from ebsmooth.certify import certify, linear_gaussian_oracle, linear_margin, rma
 from ebsmooth.classifiers import EbClassifier, LinearClassifier, SoftClassifier
 from ebsmooth.cli import main as cli_main
 from ebsmooth.datasets import gen_dataset
-from ebsmooth.densities import Identity, IsoGaussian, IsoMixture, beta_of
+from ebsmooth.densities import Identity, IsoMixture, beta_of
 from ebsmooth.energy import EnergyNet, EnergyTrainConfig, train_energy
 from ebsmooth.harness import certify_points, write_curve_csv
 from ebsmooth.sampler import WalkJumpConfig, walk_jump
@@ -44,7 +44,7 @@ def _linear_gaussian_setup():
     w = gen.standard_normal(10)
     w /= np.linalg.norm(w)
     h = LinearClassifier(w, 0.5)
-    model = IsoGaussian(sigma0=1.0, dim=10)
+    model = IsoMixture(means=np.zeros((1, 10)), sigma0=1.0)
     points = model.sample(200, rng_stream(101, 1))
     spec = ConfidenceSpec(alpha=0.001, n0=100, nc=100_000)
     return h, model, points, spec
@@ -134,7 +134,7 @@ def test_criterion_04_mixture_estimator_closed_form():
 def test_criterion_05_learned_estimator_matches_closed_form():
     # pilot (steps=3000, batch=128, hidden 128x128, lr 1e-3, seed 11/100/200):
     # mean normalized error 0.0197, max 0.0502; threshold pinned at 0.05
-    model = IsoGaussian(sigma0=1.0, dim=2)
+    model = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0)
     data = model.sample(50_000, rng_stream(11, 100))
     cfg = EnergyTrainConfig(hidden=(128, 128), steps=3000, batch_size=128, lr=1e-3)
     net = train_energy(data, 1.0, cfg, rng_stream(11, 200))
@@ -278,7 +278,7 @@ def test_criterion_08_adversarial_training_ordering(tmp_path):
 
 
 def test_criterion_09_walk_jump_variance_reduction():
-    model = IsoGaussian(sigma0=1.0, dim=2)
+    model = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0)
     sigma = 1.0
     gen = rng_stream(109, 0)
     x = model.sample(1, gen)[0]

@@ -20,7 +20,7 @@ from ebsmooth.certify import (
     rmax,
 )
 from ebsmooth.classifiers import EbClassifier, LinearClassifier, SoftClassifier
-from ebsmooth.densities import Identity, IsoGaussian, IsoMixture, beta_of
+from ebsmooth.densities import Identity, IsoMixture, beta_of
 from ebsmooth.energy import EnergyNet
 from ebsmooth.harness import STREAM_CERT_BASE, certify_points
 from ebsmooth.stats import (
@@ -352,7 +352,7 @@ class TestOracleProperty:
         # below C(30, 2) * 1e-6 = 4.4e-4; at most one is allowed
         spec = ConfidenceSpec(alpha=1e-3, n0=100, nc=1_000)
         sigma0, dim = 1.0, 10
-        model = IsoGaussian(sigma0=sigma0, dim=dim)
+        model = IsoMixture(means=np.zeros((1, dim)), sigma0=sigma0)
         gen = rng_stream(41, 0)
         failures, certified = 0, 0
         for i in range(30):
@@ -401,7 +401,7 @@ class TestCoverage:
         # linear-over-Gaussian: the exact class-1 mass at x is
         # Phi((beta w.x + b) / (beta sigma |w|))
         sigma, sigma0, dim = 0.5, 1.0, 3
-        model = IsoGaussian(sigma0=sigma0, dim=dim)
+        model = IsoMixture(means=np.zeros((1, dim)), sigma0=sigma0)
         gen = rng_stream(51, 0)
         h = LinearClassifier(gen.standard_normal(dim), 0.3)
         clf = EbClassifier(h, model, sigma)
@@ -505,7 +505,7 @@ class TestNonFiniteModels:
     @pytest.mark.parametrize("make", [
         lambda v: beta_of(v, 1.0),
         lambda v: beta_of(1.0, v),
-        lambda v: IsoGaussian(sigma0=v, dim=2),
+        lambda v: IsoMixture(means=np.zeros((1, 2)), sigma0=v),
         lambda v: IsoMixture(means=np.eye(2), sigma0=v),
         lambda v: IsoMixture(means=np.eye(2), sigma0=1.0, weights=np.array([v, 0.5])),
         lambda v: EbClassifier(LinearClassifier(np.array([1.0, 0.0]), 0.0), Identity(), v),

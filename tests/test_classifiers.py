@@ -4,7 +4,7 @@ import pytest
 import ebsmooth.mlp as mlp
 import oracles
 from ebsmooth.classifiers import EbClassifier, LinearClassifier, SoftClassifier
-from ebsmooth.densities import Identity, IsoGaussian, IsoMixture
+from ebsmooth.densities import Identity, IsoMixture
 from ebsmooth.energy import EnergyNet
 from ebsmooth.stats import rng_stream
 from oracles import grad_log_pi, soft_pi, soft_pi_with_noise
@@ -43,7 +43,7 @@ def test_a_single_point_is_a_value_error():
     lin = LinearClassifier(np.array([1.0, 0.0]), 0.0)
     soft = SoftClassifier.init(2, (4,), 3, rng_stream(3, 3))
     calls = [lin.predict_class, soft.predict_class, soft.probs,
-             EbClassifier(lin, IsoGaussian(sigma0=1.0, dim=2), 0.5).predict_class,
+             EbClassifier(lin, IsoMixture(means=np.zeros((1, 2)), sigma0=1.0), 0.5).predict_class,
              EbClassifier(soft, Identity(), 0.5).predict_class]
     for call in calls:
         np.testing.assert_array_equal(np.shape(call(np.zeros((1, 2))))[:1], [1])
@@ -121,7 +121,7 @@ class TestSoftClassifier:
 
 class TestHardEbClassifier:
     def test_gaussian_closed_form_contracts_before_classifying(self):
-        model = IsoGaussian(sigma0=1.0, dim=2)
+        model = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0)
         h = LinearClassifier(np.array([1.0, 0.0]), 0.0)
         c = EbClassifier(h, model, sigma=1.0)
         # x = (2, 0) is denoised to (1, 0), still class 1
@@ -131,7 +131,7 @@ class TestHardEbClassifier:
         # with beta = 1/2, w = (1, 0), b = -0.4: the base says class 1 at
         # x = (0.5, 0) (margin 0.1), but the denoised point (0.25, 0) has
         # margin -0.15, so the composed classifier says class 0
-        model = IsoGaussian(sigma0=1.0, dim=2)
+        model = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0)
         h = LinearClassifier(np.array([1.0, 0.0]), -0.4)
         x = np.array([[0.5, 0.0]])
         assert h.predict_class(x).tolist() == [1]
@@ -156,7 +156,7 @@ class TestSoftPi:
     def test_no_noise_single_sample_is_plain_evaluation(self):
         gen = rng_stream(2, 0)
         soft = SoftClassifier.init(2, (8,), 3, gen)
-        model = IsoGaussian(sigma0=1.0, dim=2)
+        model = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0)
         c = EbClassifier(soft, model, sigma=0.0)
         x = gen.standard_normal(2)
         np.testing.assert_allclose(
@@ -166,7 +166,7 @@ class TestSoftPi:
 
     def test_constant_classifier_passes_through(self):
         const = _ConstantSoft([1.0, 0.0, 0.0])
-        model = IsoGaussian(sigma0=1.0, dim=2)
+        model = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0)
         c = EbClassifier(const, model, sigma=0.7)
         out = soft_pi(c, np.array([0.3, -1.0]), 32, rng_stream(3, 0))
         np.testing.assert_array_equal(out, [1.0, 0.0, 0.0])
@@ -184,7 +184,7 @@ class TestSoftPi:
     def test_monte_carlo_agreement_across_seeds(self):
         gen = rng_stream(5, 0)
         soft = SoftClassifier.init(2, (8,), 3, gen)
-        model = IsoGaussian(sigma0=1.0, dim=2)
+        model = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0)
         m = 10_000
         c = EbClassifier(soft, model, sigma=0.5)
         x = np.array([0.4, -0.2])

@@ -59,6 +59,13 @@ class TestGenDataset:
         with pytest.raises(ValueError, match=match):
             gen_dataset([[1.0], [-1.0]], sigma0, n, rng_stream(3, 0))
 
+    @pytest.mark.parametrize("means", [np.zeros((0, 3)), np.zeros((1, 0)), [[0.0, np.nan]],
+                                       [[1.0], [np.inf]]],
+                             ids=["no-rows", "no-columns", "nan", "inf"])
+    def test_empty_or_non_finite_means_rejected(self, means):
+        with pytest.raises(ValueError, match="means"):
+            gen_dataset(means, 1.0, 5, rng_stream(3, 0))
+
     def test_one_mean_may_be_a_vector(self):
         a = gen_dataset([1.0, -2.0], 0.5, 6, rng_stream(3, 1))
         b = gen_dataset([[1.0, -2.0]], 0.5, 6, rng_stream(3, 1))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ebsmooth.densities import IsoGaussian, IsoMixture, beta_of
+from ebsmooth.densities import IsoMixture, beta_of
 from ebsmooth.stats import rng_stream
 
 
@@ -16,7 +16,7 @@ class TestBeta:
     def test_huge_noise_collapses_estimator(self):
         beta = beta_of(1e6, 1.0)
         assert beta < 1e-11
-        model = IsoGaussian(sigma0=1.0, dim=2)
+        model = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0)
         out = model.bayes_estimate(np.array([[3.0, -4.0]]), 1e6)
         assert np.linalg.norm(out) < 1e-5  # collapsed toward the origin
 
@@ -25,22 +25,22 @@ class TestBeta:
             beta_of(1.0, 0.0)
 
 
-class TestIsoGaussian:
+class TestOneMeanMixture:
     def test_score_simple(self):
-        model = IsoGaussian(sigma0=1.0, dim=2)
+        model = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0)
         np.testing.assert_allclose(
             model.smoothed_score(np.array([[2.0, 0.0]]), 1.0), [[-1.0, 0.0]]
         )
 
     def test_bayes_estimate_halves(self):
-        model = IsoGaussian(sigma0=1.0, dim=2)
+        model = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0)
         np.testing.assert_allclose(
             model.bayes_estimate(np.array([[2.0, -2.0]]), 1.0), [[1.0, -1.0]]
         )
 
     def test_estimate_equals_beta_y(self):
         gen = rng_stream(0, 0)
-        model = IsoGaussian(sigma0=0.7, dim=5)
+        model = IsoMixture(means=np.zeros((1, 5)), sigma0=0.7)
         ys = gen.standard_normal((40, 5)) * 3
         for sigma in [0.0, 0.3, 1.0, 2.5]:
             beta = beta_of(sigma, 0.7)
@@ -50,7 +50,7 @@ class TestIsoGaussian:
 
     def test_consistency_estimate_is_y_plus_sigma2_score(self):
         gen = rng_stream(1, 0)
-        model = IsoGaussian(sigma0=1.3, dim=3, mean=np.array([1.0, 0.0, -2.0]))
+        model = IsoMixture(means=np.array([[1.0, 0.0, -2.0]]), sigma0=1.3)
         ys = gen.standard_normal((20, 3))
         sigma = 0.8
         np.testing.assert_allclose(
@@ -62,7 +62,7 @@ class TestIsoGaussian:
     def test_noise_contraction_is_exactly_beta(self):
         # the denoiser is affine, so the image of any offset shrinks by beta
         gen = rng_stream(2, 0)
-        model = IsoGaussian(sigma0=1.0, dim=4)
+        model = IsoMixture(means=np.zeros((1, 4)), sigma0=1.0)
         sigma = 0.9
         beta = beta_of(sigma, 1.0)
         for _ in range(20):
@@ -72,7 +72,7 @@ class TestIsoGaussian:
             assert abs(np.linalg.norm(lhs) - beta * np.linalg.norm(eps)) < 1e-12
 
     def test_mean_of_estimates_slides_to_beta_x(self):
-        model = IsoGaussian(sigma0=1.0, dim=3)
+        model = IsoMixture(means=np.zeros((1, 3)), sigma0=1.0)
         sigma = 1.0
         x = np.array([1.5, -0.5, 2.0])
         gen = rng_stream(3, 0)
@@ -84,28 +84,47 @@ class TestIsoGaussian:
         np.testing.assert_allclose(mean_est, beta * x, atol=tol)
 
     def test_sampling_clt(self):
-        model = IsoGaussian(sigma0=1.0, dim=2)
+        model = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0)
         pts = model.sample(100_000, rng_stream(4, 0))
         assert np.all(np.abs(pts.mean(axis=0)) < 4.0 / np.sqrt(100_000))
 
     def test_sampling_reproducible(self):
-        model = IsoGaussian(sigma0=1.0, dim=2)
+        model = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0)
         a = model.sample(1, rng_stream(9, 9))
         b = model.sample(1, rng_stream(9, 9))
         assert np.array_equal(a, b)
 
     def test_log_density_normalization_1d(self):
         # quadrature check that exp(log_density) integrates to one
-        model = IsoGaussian(sigma0=0.8, dim=1)
+        model = IsoMixture(means=np.zeros((1, 1)), sigma0=0.8)
         ys = np.linspace(-12, 12, 4001)[:, None]
         vals = np.exp(model.log_density_y(ys, 0.6))
         assert abs(np.trapezoid(vals, ys[:, 0]) - 1.0) < 1e-8
 
+    def test_is_the_gaussian_closed_form_exactly(self):
+        # at K = 1 every responsibility is exactly 1, so the denoiser, score,
+        # vjp and sampler are the Gaussian's closed forms bit for bit, and
+        # sample draws no component index from the stream
+        sigma0, sigma, n, d = 0.7, 0.9, 50, 4
+        mu = np.array([0.3, -1.2, 2.5, 0.0])
+        model = IsoMixture(means=mu[None], sigma0=sigma0)
+        gen = rng_stream(10, 0)
+        y, u = 3.0 * gen.standard_normal((n, d)), gen.standard_normal((n, d))
+        s2 = sigma * sigma + sigma0 * sigma0
+        assert np.array_equal(model.bayes_estimate(y, sigma),
+                              y + sigma * sigma * ((mu - y) / s2))
+        assert np.array_equal(model.smoothed_score(y, sigma), (mu - y) / s2)
+        assert np.array_equal(model.linearize(y, sigma)[1](u), u + sigma**2 * (-u / s2))
+        gen_a, gen_b = rng_stream(10, 1), rng_stream(10, 1)
+        assert np.array_equal(model.sample(n, gen_a),
+                              mu + sigma0 * gen_b.standard_normal((n, d)))
+        assert gen_a.standard_normal() == gen_b.standard_normal()
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            IsoGaussian(sigma0=0.0, dim=2)
+            IsoMixture(means=np.zeros((1, 2)), sigma0=0.0)
         with pytest.raises(ValueError):
-            IsoGaussian(sigma0=1.0, dim=2).smoothed_score(np.zeros((1, 3)), 1.0)
+            IsoMixture(means=np.zeros((1, 2)), sigma0=1.0).smoothed_score(np.zeros((1, 3)), 1.0)
 
 
 class TestIsoMixture:
@@ -197,6 +216,13 @@ class TestIsoMixture:
         pts = mix.sample(100_000, rng_stream(9, 0))
         frac = np.mean(pts[:, 0] > 0)
         assert abs(frac - 0.5) < 0.01
+
+    @pytest.mark.parametrize("means", [np.zeros((0, 3)), np.zeros((1, 0)), [[0.0, np.nan]],
+                                       [[1.0], [np.inf]]],
+                             ids=["no-rows", "no-columns", "nan", "inf"])
+    def test_empty_or_non_finite_means_rejected(self, means):
+        with pytest.raises(ValueError, match="means"):
+            IsoMixture(means=means, sigma0=1.0)
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from ebsmooth.energy import (
     denoise_loss_and_grads,
     train_energy,
 )
-from ebsmooth.densities import IsoGaussian, beta_of
+from ebsmooth.densities import IsoMixture, beta_of
 from ebsmooth.mlp import TrainingDivergedError
 from ebsmooth.stats import rng_stream
 
@@ -195,7 +195,7 @@ class TestOnePrimalPass:
 
 class TestTraining:
     def test_reproducible_parameters(self):
-        data = IsoGaussian(sigma0=1.0, dim=2).sample(500, rng_stream(20, 0))
+        data = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0).sample(500, rng_stream(20, 0))
         cfg = EnergyTrainConfig(hidden=(16,), steps=150, batch_size=32)
         a = train_energy(data, 1.0, cfg, rng_stream(5, 0))
         b = train_energy(data, 1.0, cfg, rng_stream(5, 0))
@@ -205,7 +205,7 @@ class TestTraining:
     def test_learns_gaussian_denoiser(self):
         # coarse, fast version of the full fit; the denoiser of a unit
         # Gaussian at sigma = 1 is y/2
-        model = IsoGaussian(sigma0=1.0, dim=2)
+        model = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0)
         data = model.sample(8000, rng_stream(21, 0))
         cfg = EnergyTrainConfig(hidden=(64, 64), steps=800, batch_size=128)
         net = train_energy(data, 1.0, cfg, rng_stream(6, 0))
@@ -228,7 +228,7 @@ class TestTraining:
 
     def test_divergence_reports_step(self):
         # a learning rate past float range overflows the loss within steps
-        data = IsoGaussian(sigma0=1.0, dim=2).sample(200, rng_stream(24, 0))
+        data = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0).sample(200, rng_stream(24, 0))
         cfg = EnergyTrainConfig(hidden=(16,), steps=400, batch_size=32, lr=1e200)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError) as err:
@@ -249,7 +249,7 @@ class TestTraining:
             return loss, grads
 
         monkeypatch.setattr(energy, "denoise_loss_and_grads", nan_on_last)
-        data = IsoGaussian(sigma0=1.0, dim=2).sample(100, rng_stream(25, 0))
+        data = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0).sample(100, rng_stream(25, 0))
         with pytest.raises(TrainingDivergedError, match="non-finite gradient") as err:
             train_energy(data, 1.0, cfg, rng_stream(3, 0))
         assert err.value.step == cfg.steps - 1
@@ -263,7 +263,7 @@ class TestTraining:
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, np.inf, np.nan])
     def test_scale_must_be_positive_and_finite(self, sigma):
-        data = IsoGaussian(sigma0=1.0, dim=2).sample(20, rng_stream(26, 0))
+        data = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0).sample(20, rng_stream(26, 0))
         with pytest.raises(ValueError, match="sigma must be positive and finite"):
             train_energy(data, sigma, EnergyTrainConfig(hidden=(4,), steps=1), rng_stream(3, 0))
 

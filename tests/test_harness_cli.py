@@ -1286,6 +1286,8 @@ class TestBadConfigValues:
             # oracle-check resolves its classifier as certify does
             "oracle-wrong-dimension": "classifier.weights has dimension 10, but the data have "
                                       "dimension 2",
+            "oracle-mixture": "oracle-check needs one dataset mean, got 2",
+            "oracle-off-centre": "oracle-check needs an all-zero dataset mean",
             "walk-jump-fine-not-energy": f"walk_jump.fine_energy_path {clf} is not an energy",
             "idx-means": "dataset.means applies only to gaussian_classes data",
             "idx-test-images-only": "dataset.test_images and test_labels must be given together",

@@ -1,6 +1,6 @@
 """The smoothed-density protocol every denoiser implements.
 
-IsoGaussian and IsoMixture know the density of Y = X + N(0, sigma^2 I) in
+IsoMixture knows the density of Y = X + N(0, sigma^2 I) in
 closed form; an EnergyNet learns phi = -log f_Y at one scale.  Consumers
 (the attack, the sampler) rely only on the methods checked here: the three
 density methods and linearize, which gives the denoised point and the
@@ -13,13 +13,13 @@ smoothing, has only bayes_estimate and linearize.
 import numpy as np
 import pytest
 
-from ebsmooth.densities import Identity, IsoGaussian, IsoMixture
+from ebsmooth.densities import Identity, IsoMixture
 from ebsmooth.energy import EnergyNet
 from ebsmooth.stats import rng_stream
 
 SIGMA = 0.6
 MODELS = {
-    "gaussian": lambda: IsoGaussian(sigma0=0.8, dim=3, mean=np.array([0.5, -1.0, 0.2])),
+    "gaussian": lambda: IsoMixture(means=np.array([[0.5, -1.0, 0.2]]), sigma0=0.8),
     "mixture": lambda: IsoMixture(
         means=np.array([[1.0, 0.0, -1.0], [-0.5, 1.0, 0.5], [0.0, 0.0, 2.0]]),
         sigma0=0.7, weights=np.array([0.2, 0.5, 0.3])),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ebsmooth.densities import IsoGaussian, IsoMixture, beta_of
+from ebsmooth.densities import IsoMixture, beta_of
 from ebsmooth.energy import EnergyNet
 from ebsmooth.sampler import (
     WalkJumpConfig,
@@ -44,7 +44,7 @@ class TestLangevinWalk:
         # AR(1) y <- (1 - delta^2/s^2) y + sqrt(2) delta eps with stationary
         # variance 2 delta^2 / (1 - a^2) per coordinate
         s, sp = 1.0, 0.1
-        model = IsoGaussian(sigma0=np.sqrt(s * s - sp * sp), dim=2)
+        model = IsoMixture(means=np.zeros((1, 2)), sigma0=np.sqrt(s * s - sp * sp))
         cfg = WalkJumpConfig(sigma_prime=sp, delta=0.05 * s, tau=10_000)
         ends = langevin_walk(model, np.zeros((500, 2)), cfg, rng_stream(1, 0))
         assert np.all(np.abs(ends.mean(axis=0)) < 5.0 * s / np.sqrt(500))
@@ -53,7 +53,7 @@ class TestLangevinWalk:
         assert np.all(np.abs(ends.var(axis=0, ddof=1) - var_pred) < 0.15 * s * s)
 
     def test_tiny_step_barely_moves(self):
-        model = IsoGaussian(sigma0=1.0, dim=2)
+        model = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0)
         cfg = WalkJumpConfig(sigma_prime=0.5, delta=1e-6, tau=1)
         y0 = np.array([[2.0, -1.0]])
         y1 = langevin_walk(model, y0, cfg, rng_stream(2, 0))
@@ -83,7 +83,7 @@ class TestLangevinWalk:
         np.testing.assert_array_equal(got, y)
 
     def test_trajectory_shape(self):
-        model = IsoGaussian(sigma0=1.0, dim=3)
+        model = IsoMixture(means=np.zeros((1, 3)), sigma0=1.0)
         cfg = WalkJumpConfig(sigma_prime=0.1, delta=0.01, tau=5)
         traj, callback = keep(1)
         langevin_walk(model, np.zeros((2, 3)), cfg, rng_stream(5, 0), callback)
@@ -103,7 +103,7 @@ class TestLangevinWalk:
         np.testing.assert_array_equal(final, langevin_walk(model, y0, cfg, rng_stream(6, 2)))
 
     def test_a_single_point_is_a_value_error(self):
-        model = IsoGaussian(sigma0=1.0, dim=3)
+        model = IsoMixture(means=np.zeros((1, 3)), sigma0=1.0)
         cfg = WalkJumpConfig(sigma_prime=0.1, delta=0.01, tau=2)
         with pytest.raises(ValueError, match="shape"):
             langevin_walk(model, np.zeros(3), cfg, rng_stream(5, 0))
@@ -165,7 +165,7 @@ class TestLangevinWalk:
 
 class TestJump:
     def test_gaussian_closed_form_contracts_by_beta(self):
-        model = IsoGaussian(sigma0=1.0, dim=2)
+        model = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0)
         y = np.array([[1.5, -2.0]])
         bp = beta_of(0.05, 1.0)
         np.testing.assert_allclose(jump(model, y, 0.05), bp * y, rtol=1e-12)
@@ -180,7 +180,7 @@ class TestWalkJump:
     def test_short_walk_composes_denoise_and_contract(self):
         # with a negligible walk (delta -> 0, tau = 1) the pipeline is the
         # coarse denoiser followed by the fine contraction
-        model = IsoGaussian(sigma0=1.0, dim=2)
+        model = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0)
         sigma, sp = 1.0, 0.05
         cfg = WalkJumpConfig(sigma_prime=sp, delta=1e-9, tau=1)
         y = np.array([[2.0, -1.0]])
@@ -191,7 +191,7 @@ class TestWalkJump:
     def test_variance_reduction_for_fixed_observation(self):
         # run-to-run spread of the pipeline output on one fixed observation
         # is set by the fine scale, far below the coarse-estimate spread
-        model = IsoGaussian(sigma0=1.0, dim=2)
+        model = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0)
         sigma = 1.0
         gen = rng_stream(8, 0)
         x = model.sample(1, gen)[0]
@@ -217,11 +217,11 @@ class TestWalkJump:
 
 
 class _NanEstimate:
-    """An IsoGaussian whose Bayes estimate at one scale is NaN in one row;
+    """A one-mean IsoMixture whose Bayes estimate at one scale is NaN in one row;
     its score, and so the walk, stays finite."""
 
     def __init__(self, dim, bad_sigma, bad_row):
-        self.model = IsoGaussian(sigma0=1.0, dim=dim)
+        self.model = IsoMixture(means=np.zeros((1, dim)), sigma0=1.0)
         self.bad_sigma, self.bad_row = bad_sigma, bad_row
 
     def smoothed_score(self, y, sigma):
@@ -244,7 +244,7 @@ class TestNonFinite:
             walk_jump(source, source, np.ones((4, 2)), 1.0, self.CFG, rng_stream(1, 0))
 
     def test_walk_names_the_first_bad_chain(self):
-        model = IsoGaussian(sigma0=1.0, dim=2)
+        model = IsoMixture(means=np.zeros((1, 2)), sigma0=1.0)
         y0 = np.zeros((3, 2))
         y0[1, 0] = np.nan
         with pytest.raises(FloatingPointError, match="walk step 0 in chain 1"):
